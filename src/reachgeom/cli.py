@@ -237,7 +237,7 @@ def _as_config(parsed: dict, path: Optional[str] = None) -> ExperimentConfig:
             norm = cfg.norms[decl["norm"]]
         try:
             cfg.shapes[name] = make_catalog_shape(key, norm)
-        except (KeyError, AssertionError) as exc:
+        except (KeyError, ValueError) as exc:
             raise ConfigError(
                 f"shape {name!r}: cannot build catalog entry {key!r}: {exc}",
                 line=line,
@@ -480,7 +480,9 @@ def _run_verify(cfg: ExperimentConfig, spec: CheckSpec) -> dict:
             record(
                 v.name, v.passed, {"hypothesis": v.notes["hypothesis"], "bound": v.rhs}
             )
-    except PreconditionFailed as exc:
+    except (PreconditionFailed, ValueError) as exc:
+        # an unmet hypothesis or an unsuitable set (no finite volume, an order
+        # out of range) is a failed verdict, not a crash of the whole run
         verdicts.append({"check": "precondition", "ok": False, "error": str(exc)})
     rows = [
         [v["check"], v["ok"]] + [f"{k}={v[k]}" for k in sorted(v) if k not in ("check", "ok")]

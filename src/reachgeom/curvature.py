@@ -24,13 +24,14 @@ into dual coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
 
 from .norms import EuclideanNorm, Norm, tangent_basis
 from .projection import nearest_points, reach_along
-from .shapes import FiberPair, FiberVector, Shape
+from .shapes import Shape
 
 __all__ = [
     "BundleSample",
@@ -269,38 +270,42 @@ def bundle_nodes(
     Expands every stratum fiber into spherical quadrature nodes and pushes
     the fiber weights into dual coordinates: 1-dimensional fans carry the
     arc length of the dual-gradient image, spherical patches its area.
+    Nodes come in stratum, fiber, node order, on which the interleaved
+    half-sums of the quadrature error estimate rely; consecutive fibers of
+    one kind are expanded together.
     """
-    pts, us, w_base, strat = [], [], [], []
+    blocks = []
     for s in shape.boundary_strata(n=n, seed=seed):
-        for p, w_a, fib in zip(s.points, s.weights, s.fibers):
-            if isinstance(fib, (FiberVector, FiberPair)):
-                uu, ww = fib.nodes(1)
-                transport = np.ones(len(uu))
+        start = 0
+        for _, run in groupby(s.fibers, key=lambda f: f.stack_key):
+            run = list(run)
+            cls = type(run[0])
+            rows = slice(start, start + len(run))
+            start += len(run)
+            kq = fiber_nodes if cls.dim_fiber == 1 else patch_nodes
+            uu, ww = cls.stack_nodes(run, kq)  # (F, q, d), (F, q)
+            q, d = uu.shape[1:]
+            u = uu.reshape(-1, d)
+            if cls.dim_fiber == 0:
+                transport = np.ones(len(u))
+            elif cls.dim_fiber == 1:
+                tt = cls.stack_tangents(run, kq).reshape(-1, d)
+                transport = np.linalg.norm(np.einsum("kde,ke->kd", norm.hessian(u), tt), axis=-1)
             else:
-                kq = fiber_nodes if fib.dim_fiber == 1 else patch_nodes
-                uu, ww = fib.nodes(kq)
-                if fib.dim_fiber == 1:
-                    tt = fib.tangents(kq)
-                    transport = np.linalg.norm(
-                        np.einsum("kde,ke->kd", norm.hessian(uu), tt), axis=-1
-                    )
-                else:
-                    E = tangent_basis(uu)  # (k, 2, 3)
-                    H = norm.hessian(uu)
-                    im0 = np.einsum("kde,ke->kd", H, E[:, 0])
-                    im1 = np.einsum("kde,ke->kd", H, E[:, 1])
-                    transport = np.linalg.norm(np.cross(im0, im1), axis=-1)
-            for ui, wi, ti in zip(uu, ww, transport):
-                pts.append(p)
-                us.append(ui)
-                w_base.append(w_a * wi * ti)
-                strat.append(s.index)
-    return (
-        np.asarray(pts),
-        np.asarray(us),
-        np.asarray(w_base),
-        np.asarray(strat),
-    )
+                E = tangent_basis(u)  # (k, 2, 3)
+                H = norm.hessian(u)
+                im0 = np.einsum("kde,ke->kd", H, E[:, 0])
+                im1 = np.einsum("kde,ke->kd", H, E[:, 1])
+                transport = np.linalg.norm(np.cross(im0, im1), axis=-1)
+            blocks.append(
+                (
+                    np.repeat(s.points[rows], q, axis=0),
+                    u,
+                    (s.weights[rows, None] * ww * transport.reshape(-1, q)).ravel(),
+                    np.full(len(u), s.index),
+                )
+            )
+    return tuple(np.concatenate(col) for col in zip(*blocks))
 
 
 def bundle_sample(

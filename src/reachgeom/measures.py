@@ -172,17 +172,17 @@ def fan_bundle(
     )
 
 
-_FAN_CACHE: dict = {}
-
-
 def _auto_bundle(shape, norm, bundle, n, seed):
     if bundle is not None:
         return _as_bundle(bundle)
     if isinstance(shape, ConvexPolytope):
-        key = (id(shape), id(norm), n, seed)
-        if key not in _FAN_CACHE:
-            _FAN_CACHE[key] = fan_bundle(shape, norm, n=n, seed=seed)
-        return _FAN_CACHE[key]
+        # memo on the polytope itself, so it dies with the shape it describes
+        key = (norm.key, n, seed)
+        b = shape.fan_bundles.get(key)
+        if b is None:
+            # threads racing here build the same bundle; all get the first
+            b = shape.fan_bundles.setdefault(key, fan_bundle(shape, norm, n=n, seed=seed))
+        return b
     return bundle_sample(shape, norm, n=n, seed=seed)
 
 

@@ -52,43 +52,58 @@ class NonConvergenceError(RuntimeError):
     """Raised when an iterative solve fails to meet its tolerance."""
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, broadcasting the leading ones.
+
+    Each row goes through the same routine as ``np.dot`` of two 1-d vectors,
+    so a batched result equals the per-row one bit for bit.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def unit_rows(v: np.ndarray) -> np.ndarray:
+    """Rows of v scaled to unit length, bit for bit as ``v / np.linalg.norm(v)``."""
+    return v / np.sqrt(row_dot(v, v))[..., None]
+
+
 def tangent_basis(u: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the hyperplane orthogonal to unit vector(s) u.
 
     Returns an array of shape (..., d-1, d): rows are the basis vectors.
-    Deterministic; in 2d the basis vector is u rotated by +90 degrees.
+    Deterministic, and computed for the whole batch at once.  In 2d the basis
+    vector is u rotated by +90 degrees.  For d >= 3 the first row is the
+    coordinate direction e_k least aligned with u (k = argmin |u_k|) with its
+    u-component removed, t1 = (e_k - u u_k) / |e_k - u u_k|; in 3d the second
+    row is u x t1.  For d >= 4 the remaining rows Gram-Schmidt the coordinate
+    directions e_0, e_1, ... in order, skipping those already in the span.
     """
     u = np.asarray(u, dtype=float)
     d = u.shape[-1]
     if d == 2:
         t = np.stack([-u[..., 1], u[..., 0]], axis=-1)
         return t[..., None, :]
-    # d >= 3: complete u to a frame via Householder-style construction.
-    u2 = np.atleast_2d(u)
-    out = np.empty(u2.shape[:-1] + (d - 1, d))
-    for idx in np.ndindex(u2.shape[:-1]):
-        ui = u2[idx]
-        k = int(np.argmin(np.abs(ui)))
-        e = np.zeros(d)
-        e[k] = 1.0
-        t1 = e - ui * ui[k]
-        t1 /= np.linalg.norm(t1)
-        if d == 3:
-            t2 = np.cross(ui, t1)
-            out[idx] = np.stack([t1, t2])
-        else:
-            # general d: Gram-Schmidt the remaining coordinate directions
-            basis = [t1]
-            for j in range(d):
-                if len(basis) == d - 1:
-                    break
-                v = np.zeros(d)
-                v[j] = 1.0
-                v = v - ui * ui[j] - sum(b * (b @ v) for b in basis)
-                nv = np.linalg.norm(v)
-                if nv > 1e-8:
-                    basis.append(v / nv)
-            out[idx] = np.stack(basis)
+    u2 = u.reshape(-1, d)
+    rows = np.arange(len(u2))
+    k = np.argmin(np.abs(u2), axis=-1)
+    t1 = -u2 * u2[rows, k][:, None]
+    t1[rows, k] += 1.0
+    t1 = unit_rows(t1)
+    out = np.zeros((len(u2), d - 1, d))
+    out[:, 0] = t1
+    if d == 3:
+        out[:, 1] = np.cross(u2, t1)
+    else:
+        filled = np.ones(len(u2), dtype=int)
+        for j in range(d):
+            # e_j minus its components along u and the rows found so far
+            # (rows not yet found are zero and remove nothing)
+            v = -u2 * u2[:, j : j + 1]
+            v[:, j] += 1.0
+            v -= np.einsum("nk,nkd->nd", out[:, :, j], out)
+            nv = np.sqrt(row_dot(v, v))
+            take = np.flatnonzero((filled < d - 1) & (nv > 1e-8))
+            out[take, filled[take]] = v[take] / nv[take, None]
+            filled[take] += 1
     return out.reshape(u.shape[:-1] + (d - 1, d))
 
 
@@ -109,6 +124,14 @@ class Norm:
             raise ValueError("dim must be >= 2")
         self.dim = int(dim)
         self.gamma = float("nan")  # set by _estimate_gamma in subclasses
+
+    @property
+    def key(self) -> tuple:
+        """Hashable kind and parameters: norms with equal keys are equal.
+
+        A norm class that names no parameters matches only itself.
+        """
+        return (self.kind, self)
 
     # ------------------------------------------------------------------
     # primal norm
@@ -269,6 +292,10 @@ class EuclideanNorm(Norm):
         super().__init__(dim)
         self.gamma = 1.0
 
+    @property
+    def key(self):
+        return (self.kind, self.dim)
+
     def value(self, x):
         return np.linalg.norm(_as_points(x, self.dim), axis=-1)
 
@@ -315,6 +342,10 @@ class EllipsoidalNorm(Norm):
         # chol(Q^{-1}) maps phi_* balls to Euclidean balls: phi_*(v) = |L v|
         self.dual_transform = np.linalg.cholesky(self.Qinv).T
         self.gamma = self._estimate_gamma(seed=1729 + self.dim)
+
+    @property
+    def key(self):
+        return (self.kind, self.dim, self.Q.tobytes())
 
     def _quad(self, x, M):
         return np.sqrt(np.maximum(np.einsum("...d,de,...e->...", x, M, x), 0.0))
@@ -380,6 +411,10 @@ class SmoothedLpNorm(Norm):
         self.p = float(p)
         self.eps = float(eps)
         self.gamma = self._estimate_gamma(seed=9176 + self.dim)
+
+    @property
+    def key(self):
+        return (self.kind, self.dim, self.p, self.eps)
 
     def value(self, x):
         x = _as_points(x, self.dim)

@@ -32,7 +32,6 @@ __all__ = [
     "ProjectionResult",
     "ReachEstimate",
     "InvalidNormalError",
-    "ProjectionNoiseError",
     "project",
     "nearest_points",
     "set_distance",
@@ -51,10 +50,6 @@ TOL_EQ_REL = 1e-7  # delta equality for multiplicity, relative to 1 + delta
 
 class InvalidNormalError(ValueError):
     """(a, eta) does not belong to the unit normal bundle."""
-
-
-class ProjectionNoiseError(RuntimeError):
-    """Projection results too noisy for a downstream derivative."""
 
 
 @dataclass

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .norms import EllipsoidalNorm, EuclideanNorm, Norm
+from .norms import EllipsoidalNorm, EuclideanNorm, Norm, row_dot, unit_rows
 
 __all__ = [
     "Fiber",
@@ -59,13 +59,37 @@ class EmptyInteriorError(ValueError):
 
 
 class Fiber:
-    """Set of outward Euclidean unit normals at a boundary point."""
+    """Set of outward Euclidean unit normals at a boundary point.
+
+    Quadrature is expanded for many fibers of one class at once with
+    ``stack_nodes``; ``nodes`` is the one-fiber case of it.
+    """
 
     dim_fiber: int = 0
 
+    @classmethod
+    def stack_nodes(cls, fibers: Sequence["Fiber"], k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Quadrature (normals (F, q, d), weights (F, q)) of F fibers of this class."""
+        raise NotImplementedError
+
+    @classmethod
+    def stack_tangents(cls, fibers: Sequence["Fiber"], k: int) -> np.ndarray:
+        """Unit tangents du/dt (F, q, d) at the nodes of 1-dimensional fibers."""
+        raise NotImplementedError
+
+    @property
+    def stack_key(self):
+        """Fibers with equal keys can share one ``stack_nodes`` call."""
+        return type(self)
+
     def nodes(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature (normals, weights) for the spherical measure on the fiber."""
-        raise NotImplementedError
+        u, w = self.stack_nodes([self], k)
+        return u[0], w[0]
+
+    def tangents(self, k: int) -> np.ndarray:
+        """Unit tangents du/dt at the quadrature nodes (1-dimensional fibers)."""
+        return self.stack_tangents([self], k)[0]
 
     def measure(self) -> float:
         """Total spherical H^{dim_fiber} measure (counting measure if 0-dim)."""
@@ -79,8 +103,10 @@ class FiberVector(Fiber):
 
     dim_fiber = 0
 
-    def nodes(self, k: int):
-        return np.asarray(self.u, dtype=float)[None, :], np.array([1.0])
+    @classmethod
+    def stack_nodes(cls, fibers, k):
+        u = np.array([f.u for f in fibers], dtype=float)
+        return u[:, None, :], np.ones((len(u), 1))
 
 
 @dataclass(frozen=True)
@@ -91,9 +117,10 @@ class FiberPair(Fiber):
 
     dim_fiber = 0
 
-    def nodes(self, k: int):
-        u = np.asarray(self.u, dtype=float)
-        return np.stack([u, -u]), np.array([1.0, 1.0])
+    @classmethod
+    def stack_nodes(cls, fibers, k):
+        u = np.array([f.u for f in fibers], dtype=float)
+        return np.stack([u, -u], axis=1), np.ones((len(u), 2))
 
 
 @dataclass(frozen=True)
@@ -105,20 +132,22 @@ class FiberArc(Fiber):
 
     dim_fiber = 1
 
-    def nodes(self, k: int):
-        k = max(int(k), 1)
-        x, w = np.polynomial.legendre.leggauss(k)
-        mid, half = 0.5 * (self.theta0 + self.theta1), 0.5 * (self.theta1 - self.theta0)
-        t = mid + half * x
-        return np.c_[np.cos(t), np.sin(t)], w * half
+    @staticmethod
+    def _angles(fibers, k):
+        x, w = np.polynomial.legendre.leggauss(max(int(k), 1))
+        th = np.array([(f.theta0, f.theta1) for f in fibers], dtype=float)
+        mid, half = 0.5 * (th[:, :1] + th[:, 1:]), 0.5 * (th[:, 1:] - th[:, :1])
+        return mid + half * x, w * half
 
-    def tangents(self, k: int) -> np.ndarray:
-        """Unit tangents du/dt at the quadrature nodes."""
-        k = max(int(k), 1)
-        x, _ = np.polynomial.legendre.leggauss(k)
-        mid, half = 0.5 * (self.theta0 + self.theta1), 0.5 * (self.theta1 - self.theta0)
-        t = mid + half * x
-        return np.c_[-np.sin(t), np.cos(t)]
+    @classmethod
+    def stack_nodes(cls, fibers, k):
+        t, w = cls._angles(fibers, k)
+        return np.stack([np.cos(t), np.sin(t)], axis=-1), w
+
+    @classmethod
+    def stack_tangents(cls, fibers, k):
+        t, _ = cls._angles(fibers, k)
+        return np.stack([-np.sin(t), np.cos(t)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -130,43 +159,49 @@ class FiberEdgeArc(Fiber):
 
     dim_fiber = 1
 
-    def _frame(self):
-        e0 = np.asarray(self.n0, dtype=float)
-        n1 = np.asarray(self.n1, dtype=float)
-        angle = float(np.arccos(np.clip(e0 @ n1, -1.0, 1.0)))
-        e1 = n1 - (e0 @ n1) * e0
-        e1 /= np.linalg.norm(e1)
+    @staticmethod
+    def _frames(fibers):
+        """Orthonormal (e0, e1) spanning each fan's plane, and its angle."""
+        e0 = np.array([f.n0 for f in fibers], dtype=float)
+        n1 = np.array([f.n1 for f in fibers], dtype=float)
+        c = row_dot(e0, n1)
+        angle = np.arccos(np.clip(c, -1.0, 1.0))
+        e1 = unit_rows(n1 - c[:, None] * e0)
         return e0, e1, angle
 
-    def nodes(self, k: int):
-        e0, e1, angle = self._frame()
-        k = max(int(k), 1)
-        x, w = np.polynomial.legendre.leggauss(k)
-        t = 0.5 * angle * (x + 1.0)
-        return np.outer(np.cos(t), e0) + np.outer(np.sin(t), e1), w * 0.5 * angle
+    @classmethod
+    def _angles(cls, fibers, k):
+        e0, e1, angle = cls._frames(fibers)
+        x, w = np.polynomial.legendre.leggauss(max(int(k), 1))
+        ang = angle[:, None]
+        return e0[:, None], e1[:, None], 0.5 * ang * (x + 1.0), w * 0.5 * ang
 
-    def tangents(self, k: int) -> np.ndarray:
-        """Unit tangents du/dt at the quadrature nodes."""
-        e0, e1, angle = self._frame()
-        k = max(int(k), 1)
-        x, _ = np.polynomial.legendre.leggauss(k)
-        t = 0.5 * angle * (x + 1.0)
-        return np.outer(-np.sin(t), e0) + np.outer(np.cos(t), e1)
+    @classmethod
+    def stack_nodes(cls, fibers, k):
+        e0, e1, t, w = cls._angles(fibers, k)
+        return np.cos(t)[..., None] * e0 + np.sin(t)[..., None] * e1, w
+
+    @classmethod
+    def stack_tangents(cls, fibers, k):
+        e0, e1, t, _ = cls._angles(fibers, k)
+        return -np.sin(t)[..., None] * e0 + np.cos(t)[..., None] * e1
 
     def measure(self):
-        return self._frame()[2]
+        return float(self._frames([self])[2][0])
+
+
+def _spherical_triangle_areas(a, b, c) -> np.ndarray:
+    """Exact areas of spherical triangles with unit vertices a, b, c (..., 3)."""
+    num = np.abs(row_dot(a, np.cross(b, c)))
+    den = 1.0 + row_dot(a, b) + row_dot(b, c) + row_dot(c, a)
+    return 2.0 * np.arctan2(num, den)
 
 
 def spherical_polygon_area(vertices: np.ndarray) -> float:
     """Area of a convex spherical polygon given ordered unit vertices (exact)."""
     v = np.asarray(vertices, dtype=float)
-    total = 0.0
-    for i in range(1, len(v) - 1):
-        a, b, c = v[0], v[i], v[i + 1]
-        num = abs(np.dot(a, np.cross(b, c)))
-        den = 1.0 + a @ b + b @ c + c @ a
-        total += 2.0 * np.arctan2(num, den)
-    return total
+    i = np.arange(1, len(v) - 1)
+    return float(_spherical_triangle_areas(v[0], v[i], v[i + 1]).sum())
 
 
 @dataclass(frozen=True)
@@ -177,32 +212,27 @@ class FiberPatch(Fiber):
 
     dim_fiber = 2
 
-    def nodes(self, k: int):
-        # Fan-triangulate, then refine each spherical triangle `level` times;
-        # sub-triangle areas are exact, nodes sit at normalized centroids.
-        gens = np.asarray(self.generators, dtype=float)
+    @classmethod
+    def stack_nodes(cls, fibers, k):
+        # Fan-triangulate, then refine each spherical triangle `level` times
+        # into (a,ab,ca), (ab,b,bc), (ca,bc,c), (ab,bc,ca); sub-triangle areas
+        # are exact, nodes sit at normalized centroids.
+        gens = np.array([f.generators for f in fibers], dtype=float)  # (F, G, 3)
         level = max(int(np.ceil(np.log2(max(k, 1)) / 2)), 1)
-        tris = []
-        for i in range(1, len(gens) - 1):
-            tris.append((gens[0], gens[i], gens[i + 1]))
+        i = np.arange(1, gens.shape[1] - 1)
+        a = np.broadcast_to(gens[:, :1], (len(gens), len(i), 3))
+        tri = np.stack([a, gens[:, i], gens[:, i + 1]], axis=-2)  # (F, T, 3, 3)
         for _ in range(level):
-            new = []
-            for a, b, c in tris:
-                ab = a + b
-                ab /= np.linalg.norm(ab)
-                bc = b + c
-                bc /= np.linalg.norm(bc)
-                ca = c + a
-                ca /= np.linalg.norm(ca)
-                new += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-            tris = new
-        pts = np.empty((len(tris), 3))
-        wts = np.empty(len(tris))
-        for j, (a, b, c) in enumerate(tris):
-            ctr = a + b + c
-            pts[j] = ctr / np.linalg.norm(ctr)
-            wts[j] = spherical_polygon_area(np.stack([a, b, c]))
-        return pts, wts
+            a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
+            ab, bc, ca = unit_rows(a + b), unit_rows(b + c), unit_rows(c + a)
+            children = [a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]
+            tri = np.stack(children, axis=-2).reshape(len(gens), -1, 3, 3)
+        a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
+        return unit_rows(a + b + c), _spherical_triangle_areas(a, b, c)
+
+    @property
+    def stack_key(self):
+        return type(self), len(self.generators)
 
     def measure(self):
         return spherical_polygon_area(self.generators)
@@ -768,6 +798,9 @@ class ConvexPolytope(Shape):
         v = np.asarray(vertices, dtype=float)
         self.dim = v.shape[1]
         self.name = name
+        # exact fan bundles of this polytope by (norm key, n, seed), filled
+        # by the curvature measures
+        self.fan_bundles: dict = {}
         if self.dim == 2:
             ctr = v.mean(axis=0)
             order = np.argsort(np.arctan2(v[:, 1] - ctr[1], v[:, 0] - ctr[0]))
@@ -1536,7 +1569,10 @@ def make_catalog_shape(key: str, norm: Optional[Norm] = None) -> Shape:
     Keys: disk, unit-square, ellipse-2-1, two-disks-gap1, two-disks-mixed,
     cap-lens-0.25, cap-lens-0.5, segment-pair, wulff (needs norm),
     three-wulff (needs norm), cube, two-balls-3d, wulff-3d (needs norm).
+    Raises KeyError for an unknown key and ValueError for a missing norm.
     """
+    if key in ("wulff", "three-wulff", "wulff-3d") and norm is None:
+        raise ValueError(f"catalog shape {key!r} needs a norm")
     if key == "disk":
         return Ball([0.0, 0.0], 1.0, name="disk")
     if key == "unit-square":
@@ -1566,10 +1602,8 @@ def make_catalog_shape(key: str, norm: Optional[Norm] = None) -> Shape:
             name="segment-pair",
         )
     if key == "wulff":
-        assert norm is not None
         return WulffBody(norm, radius=1.0, name=f"wulff-{norm.kind}")
     if key == "three-wulff":
-        assert norm is not None
         lo, hi = WulffBody(norm).bounding_box()
         step = 2.5 * float(np.max(hi - lo))
         comps = [
@@ -1585,6 +1619,5 @@ def make_catalog_shape(key: str, norm: Optional[Norm] = None) -> Shape:
             name="two-balls-3d",
         )
     if key == "wulff-3d":
-        assert norm is not None
         return WulffBody(norm, radius=1.0, name=f"wulff3d-{norm.kind}")
     raise KeyError(f"unknown catalog shape {key!r}")

@@ -217,6 +217,18 @@ class TestMainEntry:
         assert main(["norm-check", str(cfg), "--seed", "99"]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 99
 
+    def test_unsuitable_verify_check_is_a_recorded_failure(self, tmp_path):
+        # segment-pair has no volume, which Heintze-Karcher needs
+        text = MINI.replace("catalog = unit-square", "catalog = segment-pair")
+        text += "\n[check hk]\ntype = verify\nshape = square\nnorm = euclid\n"
+        text += "samples = 64\nheintze_karcher = true\n"
+        out = tmp_path / "report"
+        assert main(["verify", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        (check,) = summary["checks"]
+        assert check["passed"] is False
+        assert "finite positive volume" in check["verdicts"][0]["error"]
+
     def test_config_error_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "seed = 1\nbroken line\n")
         assert main(["run-all", str(cfg)]) == 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from reachgeom.curvature import (
     bundle_jacobian,
+    bundle_nodes,
     bundle_sample,
     eig_small,
     elementary_symmetric,
@@ -16,7 +17,7 @@ from reachgeom.curvature import (
     pointwise_mean_curvature,
     pointwise_shape_operator,
 )
-from reachgeom.norms import EllipsoidalNorm, EuclideanNorm
+from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, tangent_basis
 from reachgeom.shapes import make_catalog_shape
 
 E2 = EuclideanNorm(2)
@@ -157,6 +158,52 @@ class TestSquareBundle:
         npt.assert_allclose(bs.jacobian[corners], 1.0)
         assert 0.5 * bundle_integral(bs, 1) == pytest.approx(theta0, rel=1e-10)
         assert bundle_integral(bs, 0) == pytest.approx(theta1, rel=1e-10)
+
+
+class TestBundleNodes:
+    @pytest.mark.parametrize(
+        "key,norm",
+        [
+            ("cube", E3),
+            ("cube", EllipsoidalNorm([[3.0, 0.5, 0.1], [0.5, 2.0, 0.2], [0.1, 0.2, 1.0]])),
+            ("segment-pair", Q41),
+        ],
+        ids=["cube-euclid", "cube-aniso", "segments-q41"],
+    )
+    def test_order_and_values_match_per_node_loop(self, key, norm):
+        shape = make_catalog_shape(key)
+        got = bundle_nodes(shape, norm, n=96, seed=4, fiber_nodes=8, patch_nodes=64)
+        ref = _bundle_nodes_per_node(shape, norm, n=96, seed=4, fiber_nodes=8, patch_nodes=64)
+        npt.assert_array_equal(got[0], ref[0])
+        npt.assert_array_equal(got[3], ref[3])
+        npt.assert_allclose(got[1], ref[1], rtol=0, atol=1e-14)
+        npt.assert_allclose(got[2], ref[2], rtol=1e-14, atol=0)
+
+
+def _bundle_nodes_per_node(shape, norm, n, seed, fiber_nodes, patch_nodes):
+    """bundle_nodes one fiber and one node at a time, in stratum/fiber/node order."""
+    pts, us, w_base, strat = [], [], [], []
+    for s in shape.boundary_strata(n=n, seed=seed):
+        for p, w_a, fib in zip(s.points, s.weights, s.fibers):
+            kq = fiber_nodes if fib.dim_fiber == 1 else patch_nodes
+            uu, ww = fib.nodes(kq)
+            if fib.dim_fiber == 0:
+                transport = np.ones(len(uu))
+            elif fib.dim_fiber == 1:
+                im = np.einsum("kde,ke->kd", norm.hessian(uu), fib.tangents(kq))
+                transport = np.linalg.norm(im, axis=-1)
+            else:
+                E = tangent_basis(uu)
+                H = norm.hessian(uu)
+                im0 = np.einsum("kde,ke->kd", H, E[:, 0])
+                im1 = np.einsum("kde,ke->kd", H, E[:, 1])
+                transport = np.linalg.norm(np.cross(im0, im1), axis=-1)
+            for ui, wi, ti in zip(uu, ww, transport):
+                pts.append(p)
+                us.append(ui)
+                w_base.append(w_a * wi * ti)
+                strat.append(s.index)
+    return np.array(pts), np.array(us), np.array(w_base), np.array(strat)
 
 
 class TestSmoothOracles:

@@ -1,5 +1,8 @@
 """Curvature measures, tube volumes, and the Steiner machinery."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,6 +13,7 @@ from reachgeom.curvature import bundle_sample
 from reachgeom.measures import (
     BudgetExceeded,
     CurvatureReport,
+    _auto_bundle,
     StrataCoverageGap,
     Window,
     bundle_integral,
@@ -24,7 +28,7 @@ from reachgeom.measures import (
     voxel_tube_volume,
 )
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm
-from reachgeom.shapes import Ball, EmptyInteriorError, make_catalog_shape
+from reachgeom.shapes import Ball, ConvexPolytope, EmptyInteriorError, make_catalog_shape
 
 E2 = EuclideanNorm(2)
 E3 = EuclideanNorm(3)
@@ -134,6 +138,32 @@ class TestCurvatureMeasure:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             curvature_measure(make_catalog_shape("disk"), E2, 2)
+
+    def test_auto_bundle_never_comes_from_another_polytope(self):
+        # each box is freed before the next is built, so its id() may be reused
+        for s in np.arange(0.5, 2.5, 0.1):
+            box = ConvexPolytope.box([0.0, 0.0], [s, s])
+            rep = curvature_measure(box, E2, 1, n=64)
+            assert rep.theta_total == pytest.approx(4.0 * s, rel=1e-12)
+
+    def test_auto_bundle_is_shared_by_equal_norms_only(self):
+        sq = make_catalog_shape("unit-square")
+        first = _auto_bundle(sq, EuclideanNorm(2), None, 64, 0)
+        assert _auto_bundle(sq, EuclideanNorm(2), None, 64, 0) is first
+        assert _auto_bundle(sq, Q41, None, 64, 0) is not first
+        assert _auto_bundle(sq, EuclideanNorm(2), None, 64, 1) is not first
+
+    def test_auto_bundle_threads_share_one_bundle(self):
+        sq = make_catalog_shape("unit-square")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(_auto_bundle, sq, E2, None, 64, 0) for _ in range(16)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(b is got[0] for b in got)
 
 
 class TestWindows:

@@ -252,6 +252,71 @@ class TestFiberQuadrature:
         val = (u[:, 2] * w).sum()
         npt.assert_allclose(val, np.pi / 4, rtol=1e-3)
 
+    @pytest.mark.parametrize("n_gens", [3, 4])
+    def test_patch_nodes_match_recursive_reference(self, n_gens):
+        from reachgeom.shapes import FiberPatch
+
+        gens = np.array([[0.0, 0.0, 1.0], [1.0, 0.1, 0.3], [0.1, 1.0, 0.2], [-1.0, 0.3, 0.4]])
+        gens = gens[:n_gens] / np.linalg.norm(gens[:n_gens], axis=1, keepdims=True)
+        for k in (1, 16, 300):
+            u, w = FiberPatch(gens).nodes(k)
+            u_ref, w_ref = _patch_nodes_reference(gens, k)
+            npt.assert_allclose(u, u_ref, rtol=0, atol=1e-14)
+            npt.assert_allclose(w, w_ref, rtol=1e-14, atol=0)
+
+    def test_stacked_patches_equal_single_ones(self):
+        from reachgeom.shapes import FiberPatch
+
+        patches = [FiberPatch(np.diag(s)) for s in ([1, 1, 1], [-1, 1, 1], [1, -1, -1])]
+        u, w = FiberPatch.stack_nodes(patches, 64)
+        for i, p in enumerate(patches):
+            ui, wi = p.nodes(64)
+            npt.assert_array_equal(u[i], ui)
+            npt.assert_array_equal(w[i], wi)
+
+    def test_edge_arc_nodes_match_per_fiber_formula(self):
+        from reachgeom.shapes import FiberEdgeArc
+
+        n0, n1 = np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.8, 0.0])
+        arc = FiberEdgeArc(n0, n1)
+        u, w = arc.nodes(7)
+        x, wx = np.polynomial.legendre.leggauss(7)
+        angle = np.arccos(0.6)
+        t = 0.5 * angle * (x + 1.0)
+        e1 = np.array([0.0, 1.0, 0.0])
+        npt.assert_allclose(u, np.outer(np.cos(t), n0) + np.outer(np.sin(t), e1), atol=1e-15)
+        npt.assert_allclose(w, wx * 0.5 * angle, rtol=1e-15)
+        npt.assert_allclose(
+            arc.tangents(7), np.outer(-np.sin(t), n0) + np.outer(np.cos(t), e1), atol=1e-15
+        )
+        npt.assert_allclose(arc.measure(), angle, rtol=1e-15)
+
+
+def _patch_nodes_reference(gens, k):
+    """Triangle by triangle: fan-triangulate, split each spherical triangle into
+    (a,ab,ca), (ab,b,bc), (ca,bc,c), (ab,bc,ca), recurse; nodes at normalized
+    centroids, weights the exact sub-triangle areas."""
+    level = max(int(np.ceil(np.log2(max(k, 1)) / 2)), 1)
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    def split(a, b, c, depth):
+        if depth == 0:
+            return [(a, b, c)]
+        ab, bc, ca = unit(a + b), unit(b + c), unit(c + a)
+        out = []
+        for tri in ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)):
+            out += split(*tri, depth - 1)
+        return out
+
+    tris = []
+    for i in range(1, len(gens) - 1):
+        tris += split(gens[0], gens[i], gens[i + 1], level)
+    u = np.array([unit(a + b + c) for a, b, c in tris])
+    w = np.array([spherical_polygon_area(np.stack(t)) for t in tris])
+    return u, w
+
 
 def test_catalog_keys():
     for key in [
@@ -273,3 +338,9 @@ def test_catalog_keys():
         assert make_catalog_shape(key, norm).dim == norm.dim
     with pytest.raises(KeyError):
         make_catalog_shape("klein-bottle")
+
+
+@pytest.mark.parametrize("key", ["wulff", "three-wulff", "wulff-3d"])
+def test_catalog_wulff_shapes_need_a_norm(key):
+    with pytest.raises(ValueError, match="needs a norm"):
+        make_catalog_shape(key)
