@@ -50,7 +50,7 @@ from .measures import (
     phi_perimeter,
     tube_record,
 )
-from .norms import EllipsoidalNorm, EuclideanNorm, Norm
+from .norms import NORM_KINDS, make_norm
 from .projection import global_reach
 from .shapes import EmptyInteriorError, Shape, make_catalog_shape
 from .theorems import (
@@ -197,21 +197,6 @@ class ExperimentConfig:
     checks: list = field(default_factory=list)
 
 
-def _build_norm(name: str, decl: dict) -> Norm:
-    line = decl.get("_line")
-    kind = decl.get("kind")
-    if kind == "euclidean":
-        return EuclideanNorm(int(decl.get("dim", 2)))
-    if kind == "ellipsoidal":
-        diag = decl.get("diag")
-        if diag is None:
-            raise ConfigError(f"norm {name!r} needs a diag", line=line, field_="diag")
-        if not isinstance(diag, list):
-            diag = [diag]
-        return EllipsoidalNorm(np.diag([float(x) for x in diag]))
-    raise ConfigError(f"unknown norm kind {kind!r} in {name!r}", line=line, field_="kind")
-
-
 def _as_config(parsed: dict, path: Optional[str] = None) -> ExperimentConfig:
     top = parsed["top"]
     cfg = ExperimentConfig(
@@ -220,7 +205,25 @@ def _as_config(parsed: dict, path: Optional[str] = None) -> ExperimentConfig:
         out=Path(top["out"]) if "out" in top else None,
     )
     for name, decl in parsed["norms"].items():
-        cfg.norms[name] = _build_norm(name, decl)
+        line = decl.get("_line")
+        kind = decl.get("kind")
+        # every other key is a make_norm parameter; the config's diag is its Q
+        params = {
+            "Q" if k == "diag" else k: v
+            for k, v in decl.items()
+            if k not in ("_line", "kind", "dim")
+        }
+        try:
+            cfg.norms[name] = make_norm(kind, int(decl.get("dim", 2)), **params)
+        except KeyError as exc:
+            key = "diag" if exc.args[0] == "Q" else exc.args[0]
+            raise ConfigError(f"norm {name!r} needs a {key}", line=line, field_=key) from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"norm {name!r}: {exc}",
+                line=line,
+                field_="kind" if kind not in NORM_KINDS else None,
+            ) from exc
     for name, decl in parsed["shapes"].items():
         line = decl.get("_line")
         key = decl.get("catalog")

@@ -232,6 +232,11 @@ class BundleSample:
             None if self.audit_fail is None else self.audit_fail[mask],
         )
 
+    @property
+    def density(self) -> np.ndarray:
+        """(N,) weight * jacobian * phi(u): the measure every bundle integral uses."""
+        return self.weights * self.jacobian * self.phi_u
+
     def mean_curvature(self, r: int) -> np.ndarray:
         return mean_curvature(self.kappa, r)
 

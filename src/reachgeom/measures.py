@@ -198,7 +198,7 @@ def bundle_integral(
     formula, and the rigidity checks are all built from.
     """
     b = _as_bundle(bundle)
-    c = b.weights * b.jacobian * b.phi_u * b.mean_curvature(r)
+    c = b.density * b.mean_curvature(r)
     if window is not None:
         c = c[window.mask(b)]
     return float(c.sum())
@@ -264,7 +264,7 @@ def curvature_measure(
 
     r = nn - m
     pref = 1.0 / (r + 1)
-    c = b.weights * b.jacobian * b.phi_u * b.mean_curvature(r)
+    c = b.density * b.mean_curvature(r)
 
     if window is None:
         windows = []
@@ -451,7 +451,7 @@ def steiner_coefficients(
 ) -> np.ndarray:
     """Coefficients of rho^(j+1), j = 0..n, in the below-reach tube polynomial."""
     b = _as_bundle(bundle)
-    base = b.weights * b.jacobian * b.phi_u
+    base = b.density
     return np.array(
         [float(base @ b.mean_curvature(j)) / (j + 1) for j in range(b.n + 1)]
     )
@@ -470,7 +470,7 @@ def steiner_predict(
     """
     b = _as_bundle(bundle)
     rho = np.atleast_1d(np.asarray(rho_grid, dtype=float))
-    base = b.weights * b.jacobian * b.phi_u
+    base = b.density
     out = np.zeros(len(rho))
     for j in range(b.n + 1):
         hj = b.mean_curvature(j)
@@ -570,7 +570,7 @@ def volume_derivatives(
         raise ValueError("rho must be positive")
     b = _auto_bundle(shape, norm, bundle, n, seed)
     keep = np.ones(len(b), dtype=bool) if window is None else window.mask(b)
-    base = b.weights * b.jacobian * b.phi_u
+    base = b.density
     tol = reach_tol * (1.0 + rho)
     sel_plus = keep & (b.reach > rho + tol)
     sel_minus = keep & (b.reach > rho - tol)

@@ -35,7 +35,10 @@ __all__ = [
     "NonConvergenceError",
     "tangent_basis",
     "make_norm",
+    "NORM_KINDS",
 ]
+
+NORM_KINDS = ("euclidean", "ellipsoidal", "smoothed-lp")
 
 # Finite-difference steps (relative to max(1, |x|)).
 FD_STEP_GRAD = 1e-6
@@ -523,7 +526,12 @@ class SmoothedLpNorm(Norm):
 
 
 def make_norm(kind: str, dim: int, **kw) -> Norm:
-    """Factory used by the CLI: kind in {euclidean, ellipsoidal, smoothed-lp}."""
+    """Factory used by the CLI: kind in NORM_KINDS.
+
+    ``ellipsoidal`` takes ``Q`` (a matrix, or its diagonal) and ignores dim;
+    ``smoothed-lp`` takes ``p`` and an optional ``eps``.  A missing parameter
+    raises KeyError, an unknown kind or a bad value ValueError.
+    """
     if kind == "euclidean":
         return EuclideanNorm(dim)
     if kind == "ellipsoidal":
@@ -533,4 +541,4 @@ def make_norm(kind: str, dim: int, **kw) -> Norm:
         return EllipsoidalNorm(Q)
     if kind == "smoothed-lp":
         return SmoothedLpNorm(dim, p=float(kw["p"]), eps=float(kw.get("eps", 0.05)))
-    raise ValueError(f"unknown norm kind {kind!r}")
+    raise ValueError(f"unknown norm kind {kind!r}, expected one of {', '.join(NORM_KINDS)}")

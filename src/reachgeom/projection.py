@@ -198,7 +198,6 @@ class _ChartSolver:
     """Multi-start nearest-boundary-point search over a shape's charts."""
 
     def __init__(self, shape: Shape, norm: Norm, k_seed: int = 8, grid: int = 64):
-        self.shape = shape
         self.norm = norm
         self.k_seed = k_seed
         self.charts = shape.charts()
@@ -250,14 +249,13 @@ class _ChartSolver:
         return feet[idx, best], vals[idx, best]
 
 
-_SOLVER_CACHE: dict = {}
-
-
 def _solver(shape, norm) -> _ChartSolver:
-    key = (id(shape), id(norm))
-    if key not in _SOLVER_CACHE:
-        _SOLVER_CACHE[key] = _ChartSolver(shape, norm)
-    return _SOLVER_CACHE[key]
+    # memo on the shape itself, so it dies with the shape it describes
+    solver = shape.chart_solvers.get(norm.key)
+    if solver is None:
+        # threads racing here build the same solver; all get the first
+        solver = shape.chart_solvers.setdefault(norm.key, _ChartSolver(shape, norm))
+    return solver
 
 
 # ======================================================================

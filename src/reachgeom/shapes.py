@@ -441,6 +441,11 @@ class Shape:
     def charts(self) -> list[Chart]:
         raise NotImplementedError
 
+    @property
+    def chart_solvers(self) -> dict:
+        """Nearest-point solvers over ``charts()`` by norm key, filled by projection."""
+        return self.__dict__.setdefault("_chart_solvers", {})
+
     def corner_points(self) -> np.ndarray:
         """0-dimensional boundary features (candidate feet for projections)."""
         return np.empty((0, self.dim))
@@ -469,7 +474,10 @@ class Shape:
 
 
 def _smooth_strata(chart_specs, n, seed, dim):
-    """Uniform-parameter midpoint sampling of smooth 1d charts (d=2)."""
+    """Uniform-parameter midpoint sampling of smooth 1d charts (d=2).
+
+    The (chart, length) pairs split the n samples in proportion to length.
+    """
     rng = np.random.default_rng(seed)
     strata = []
     total_len = sum(length for _, length in chart_specs)
@@ -497,176 +505,16 @@ def _smooth_strata(chart_specs, n, seed, dim):
 # ======================================================================
 
 
-class Ball(Shape):
-    """Closed Euclidean ball."""
-
-    is_convex = True
-
-    def __init__(self, center, radius: float, name: str = "ball"):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        self.dim = self.center.size
-        self.name = name
-
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x - self.center, axis=-1) <= self.radius + tol
-
-    def bounding_box(self):
-        return self.center - self.radius, self.center + self.radius
-
-    @property
-    def diameter(self):
-        return 2.0 * self.radius
-
-    def volume(self):
-        if self.dim == 2:
-            return np.pi * self.radius**2
-        return 4.0 / 3.0 * np.pi * self.radius**3
-
-    def charts(self):
-        c, R = self.center, self.radius
-        if self.dim == 2:
-            return [
-                _FuncChart(
-                    (0.0, 2 * np.pi),
-                    lambda t: c + R * np.stack([np.cos(t), np.sin(t)], axis=-1),
-                    lambda t: R * np.stack([-np.sin(t), np.cos(t)], axis=-1),
-                    lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1),
-                    periodic=True,
-                )
-            ]
-        return [SphereChart(lambda u: c + R * u, lambda u: u)]
-
-    def boundary_strata(self, n=512, seed=0):
-        if self.dim == 2:
-            return _smooth_strata(
-                [(self.charts()[0], 2 * np.pi * self.radius)], n, seed, self.dim
-            )
-        u = fibonacci_sphere(n)
-        pts = self.center + self.radius * u
-        w = np.full(n, 4 * np.pi * self.radius**2 / n)
-        return [Stratum(2, pts, w, [FiberVector(ui) for ui in u])]
-
-    def boundary_fiber_at(self, a, tol=1e-7):
-        v = np.asarray(a, dtype=float) - self.center
-        return FiberVector(v / np.linalg.norm(v))
-
-    def exact_projection(self, norm, x):
-        if norm.kind != "euclidean":
-            return None
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        v = x - self.center
-        r = np.linalg.norm(v, axis=-1)
-        out = r > self.radius
-        feet = np.where(
-            out[:, None], self.center + self.radius * v / np.maximum(r, 1e-300)[:, None], x
-        )
-        return feet, np.maximum(r - self.radius, 0.0)
-
-    def complement(self):
-        return ComplementShape(self)
-
-
-class Ellipsoid(Shape):
-    """Solid ellipsoid with axis-aligned semiaxes."""
-
-    is_convex = True
-
-    def __init__(self, center, semiaxes, name: str = "ellipsoid"):
-        self.center = np.asarray(center, dtype=float)
-        self.semiaxes = np.asarray(semiaxes, dtype=float)
-        if (self.semiaxes <= 0).any():
-            raise ValueError("semiaxes must be positive")
-        self.dim = self.center.size
-        self.name = name
-
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        x = np.asarray(x, dtype=float)
-        q = np.linalg.norm((x - self.center) / self.semiaxes, axis=-1)
-        return q <= 1.0 + tol
-
-    def bounding_box(self):
-        return self.center - self.semiaxes, self.center + self.semiaxes
-
-    @property
-    def diameter(self):
-        return 2.0 * float(self.semiaxes.max())
-
-    def volume(self):
-        if self.dim == 2:
-            return np.pi * float(np.prod(self.semiaxes))
-        return 4.0 / 3.0 * np.pi * float(np.prod(self.semiaxes))
-
-    def _normal(self, u):
-        # outward unit normal at boundary point center + semiaxes * u, |u| = 1
-        g = u / self.semiaxes
-        return g / np.linalg.norm(g, axis=-1, keepdims=True)
-
-    def charts(self):
-        c, ax = self.center, self.semiaxes
-        if self.dim == 2:
-            a, b = ax
-
-            def pt(t):
-                return c + np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
-
-            def dp(t):
-                return np.stack([-a * np.sin(t), b * np.cos(t)], axis=-1)
-
-            def nm(t):
-                u = np.stack([np.cos(t), np.sin(t)], axis=-1)
-                return self._normal(u)
-
-            return [_FuncChart((0.0, 2 * np.pi), pt, dp, nm, periodic=True)]
-        return [SphereChart(lambda u: c + ax * u, self._normal)]
-
-    def boundary_strata(self, n=512, seed=0):
-        if self.dim == 2:
-            # parameter-space speed handled by the chart derivative
-            peri_est = np.pi * (3 * self.semiaxes.sum() - np.sqrt(
-                (3 * self.semiaxes[0] + self.semiaxes[1])
-                * (self.semiaxes[0] + 3 * self.semiaxes[1])
-            ))  # Ramanujan, only used for sample budgeting
-            return _smooth_strata([(self.charts()[0], peri_est)], n, seed, self.dim)
-        u = fibonacci_sphere(n)
-        pts = self.center + self.semiaxes * u
-        # area element of the linear map restricted to the sphere tangent
-        from .norms import tangent_basis
-
-        T = tangent_basis(u)
-        a1 = T[:, 0, :] * self.semiaxes
-        a2 = T[:, 1, :] * self.semiaxes
-        jac = np.linalg.norm(np.cross(a1, a2), axis=-1)
-        w = jac * (4 * np.pi / n)
-        return [Stratum(2, pts, w, [FiberVector(ui) for ui in self._normal(u)])]
-
-    def boundary_fiber_at(self, a, tol=1e-7):
-        u = (np.asarray(a, dtype=float) - self.center) / self.semiaxes
-        return FiberVector(self._normal(u / np.linalg.norm(u)))
-
-    def exact_projection(self, norm, x):
-        # exact when the ellipsoid is the unit body of norm's dual (Wulff shape)
-        if norm.kind != "ellipsoidal":
-            return None
-        want = np.diag(self.semiaxes**2)
-        if not np.allclose(norm.Q, want, rtol=1e-12, atol=1e-12):
-            return None
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        v = x - self.center
-        g = norm.conjugate(v)
-        out = g > 1.0
-        feet = np.where(out[:, None], self.center + v / np.maximum(g, 1e-300)[:, None], x)
-        return feet, np.maximum(g - 1.0, 0.0)
-
-    def complement(self):
-        return ComplementShape(self)
-
-
 class WulffBody(Shape):
-    """Scaled copy of the dual unit body of a norm: {phi_*(x - c) <= rho}."""
+    """Scaled copy of the dual unit body of a norm: {phi_*(x - c) <= rho}.
+
+    The boundary is parametrized over the unit sphere.  Under a quadratic
+    norm (euclidean, ellipsoidal) the body is the linear image
+    c + rho A S^{d-1} with A A' = Q, whose outward normal at A u is parallel
+    to A^{-T} u, so charts, strata and the volume are closed form.  Other
+    norms use the normal parametrization c + rho grad phi(u), whose outward
+    normal is u itself.
+    """
 
     is_convex = True
 
@@ -680,7 +528,30 @@ class WulffBody(Shape):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         self.name = name
+        self._A = self._Ainv = None
+        if norm.kind in ("euclidean", "ellipsoidal"):
+            # the lower Cholesky factor of Q is exact for diagonal Q, as
+            # sqrt(a * a) == a, so Ball and Ellipsoid keep exact volumes
+            Q = norm.Q if norm.kind == "ellipsoidal" else np.eye(self.dim)
+            self._A = np.linalg.cholesky(Q)
+            self._Ainv = np.linalg.inv(self._A)
         self._volume_cache: Optional[float] = None
+
+    def _point(self, u):
+        """Boundary point with sphere parameter u."""
+        if self._A is None:
+            return self.center + self.radius * self.norm.grad(u)
+        return self.center + u @ (self.radius * self._A).T
+
+    def _dpoint(self, u, du):
+        """Derivative of ``_point`` at u along the tangent du."""
+        if self._A is None:
+            return self.radius * np.einsum("...de,...e->...d", self.norm.hessian(u), du)
+        return du @ (self.radius * self._A).T
+
+    def _normal(self, u):
+        """Outward unit normal at ``_point(u)``: A^{-T} u normalized, or u itself."""
+        return u if self._A is None else unit_rows(u @ self._Ainv)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         x = np.asarray(x, dtype=float)
@@ -694,86 +565,85 @@ class WulffBody(Shape):
         return self.center - self.radius * ext, self.center + self.radius * ext
 
     def volume(self):
+        if self._A is not None:
+            # rho A maps the unit ball onto W - c; A is triangular
+            omega = np.pi if self.dim == 2 else 4.0 / 3.0 * np.pi
+            return omega * self.radius**self.dim * float(np.prod(np.diag(self._A)))
         if self._volume_cache is None:
-            # divergence theorem over the normal parametrization of bd W:
-            # x . nu = phi(u) there, so vol = rho^d/d * int phi(u) J(u) dsigma
-            n = self.norm
-            if self.dim == 2:
-                t = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
-                u = np.c_[np.cos(t), np.sin(t)]
-                du = np.c_[-np.sin(t), np.cos(t)]
-                speed = np.linalg.norm(
-                    np.einsum("mde,me->md", n.hessian(u), du), axis=-1
-                )
-                integral = float(np.sum(n.value(u) * speed) * (2 * np.pi / len(t)))
-            else:
-                from .norms import tangent_basis
-
-                u = fibonacci_sphere(8192)
-                T = tangent_basis(u)
-                H = n.hessian(u)
-                j1 = np.einsum("mde,me->md", H, T[:, 0, :])
-                j2 = np.einsum("mde,me->md", H, T[:, 1, :])
-                jac = np.linalg.norm(np.cross(j1, j2), axis=-1)
-                integral = float(np.sum(n.value(u) * jac) * (4 * np.pi / len(u)))
-            self._volume_cache = self.radius**self.dim / self.dim * integral
+            # divergence theorem: vol = 1/d * int (x - c) . nu dA over bd W
+            (s,) = self.boundary_strata(n=4096 if self.dim == 2 else 8192)
+            nu = np.array([f.u for f in s.fibers])
+            flux = np.sum(s.weights * row_dot(s.points - self.center, nu))
+            self._volume_cache = float(flux) / self.dim
         return self._volume_cache
 
     def charts(self):
-        c, rho, n = self.center, self.radius, self.norm
-        if self.dim == 2:
+        if self.dim == 3:
+            return [SphereChart(self._point, self._normal)]
+
+        def circle(t):
+            return np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+        if self._A is None:
 
             def pt(t):
-                u = np.stack([np.cos(t), np.sin(t)], axis=-1)
-                return c + rho * n.grad(u)
+                return self._point(circle(t))
 
             def dp(t):
-                u = np.stack([np.cos(t), np.sin(t)], axis=-1)
-                du = np.stack([-np.sin(t), np.cos(t)], axis=-1)
-                return rho * np.einsum("...de,...e->...d", n.hessian(u), du)
+                return self._dpoint(circle(t), np.stack([-np.sin(t), np.cos(t)], axis=-1))
 
-            def nm(t):
-                return np.stack([np.cos(t), np.sin(t)], axis=-1)
+        else:
+            # c + rho A (cos t, sin t) for the lower triangular A, written out
+            # in place: the chart solver calls these in its inner loop on up
+            # to ~1e5 rows, where a 2x2 product over stacked rows and fresh
+            # temporaries cost more; axis-aligned bodies (every Ball and
+            # Ellipsoid) have m10 == 0
+            (m00, _), (m10, m11) = self.radius * self._A
+            c = self.center
 
-            return [_FuncChart((0.0, 2 * np.pi), pt, dp, nm, periodic=True)]
-        return [SphereChart(lambda u: c + rho * n.grad(u), lambda u: u)]
+            def pt(t):
+                x, y = np.cos(t), np.sin(t)
+                y *= m11
+                if m10:
+                    y += m10 * x
+                x *= m00
+                p = np.stack([x, y], axis=-1)
+                p += c
+                return p
+
+            def dp(t):
+                dx, dy = np.sin(t), np.cos(t)
+                dy *= m11
+                if m10:
+                    dy -= m10 * dx
+                dx *= -m00
+                return np.stack([dx, dy], axis=-1)
+
+        return [
+            _FuncChart(
+                (0.0, 2 * np.pi), pt, dp, lambda t: self._normal(circle(t)), periodic=True
+            )
+        ]
 
     def boundary_strata(self, n=512, seed=0):
         if self.dim == 2:
-            peri = 2 * np.pi * self.radius * 1.5  # budgeting only
-            return _smooth_strata([(self.charts()[0], peri)], n, seed, self.dim)
+            # one chart takes all n samples, whatever its length
+            return _smooth_strata([(self.charts()[0], 1.0)], n, seed, self.dim)
         from .norms import tangent_basis
 
         u = fibonacci_sphere(n)
-        pts = self.center + self.radius * self.norm.grad(u)
         T = tangent_basis(u)
-        H = self.norm.hessian(u)
-        j1 = self.radius * np.einsum("mde,me->md", H, T[:, 0, :])
-        j2 = self.radius * np.einsum("mde,me->md", H, T[:, 1, :])
-        jac = np.linalg.norm(np.cross(j1, j2), axis=-1)
-        w = jac * (4 * np.pi / n)
-        return [Stratum(2, pts, w, [FiberVector(ui) for ui in u])]
+        dA = np.cross(self._dpoint(u, T[:, 0]), self._dpoint(u, T[:, 1]))
+        w = np.linalg.norm(dA, axis=-1) * (4 * np.pi / n)
+        return [Stratum(2, self._point(u), w, [FiberVector(v) for v in self._normal(u)])]
 
     def boundary_fiber_at(self, a, tol=1e-7):
         v = np.asarray(a, dtype=float) - self.center
         return FiberVector(self.norm.gauss_map(v))
 
     def exact_projection(self, norm, x):
-        if norm is not self.norm:
-            # same-parameter copies also qualify
-            same = (
-                norm.kind == self.norm.kind
-                and norm.dim == self.norm.dim
-                and (
-                    norm.kind == "euclidean"
-                    or (
-                        norm.kind == "ellipsoidal"
-                        and np.allclose(norm.Q, self.norm.Q, rtol=1e-12)
-                    )
-                )
-            )
-            if not same:
-                return None
+        if norm.key != self.norm.key:
+            return None
         x = np.atleast_2d(np.asarray(x, dtype=float))
         v = x - self.center
         g = norm.conjugate(v)
@@ -787,6 +657,32 @@ class WulffBody(Shape):
 
     def complement(self):
         return ComplementShape(self)
+
+
+class Ball(WulffBody):
+    """Closed Euclidean ball: the Wulff shape of the Euclidean norm."""
+
+    def __init__(self, center, radius: float, name: str = "ball"):
+        center = np.asarray(center, dtype=float)
+        super().__init__(EuclideanNorm(center.size), center, radius, name)
+
+    @property
+    def diameter(self):
+        return 2.0 * self.radius
+
+
+class Ellipsoid(WulffBody):
+    """Solid axis-aligned ellipsoid: the Wulff shape of the norm diag(a^2)."""
+
+    def __init__(self, center, semiaxes, name: str = "ellipsoid"):
+        self.semiaxes = np.asarray(semiaxes, dtype=float)
+        if (self.semiaxes <= 0).any():
+            raise ValueError("semiaxes must be positive")
+        super().__init__(EllipsoidalNorm(np.diag(self.semiaxes**2)), center, 1.0, name)
+
+    @property
+    def diameter(self):
+        return 2.0 * float(self.semiaxes.max())
 
 
 class ConvexPolytope(Shape):
@@ -1524,38 +1420,18 @@ class ComplementShape(Shape):
         return v
 
     def exact_projection(self, norm, x):
-        # mirror of the base's Wulff-type projections, valid for points inside
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        # mirror of the base's Wulff-shape projection, valid for points inside
         b = self.base
-        if isinstance(b, Ball) and norm.kind == "euclidean":
-            v = x - b.center
-            r = np.linalg.norm(v, axis=-1)
-            inside = r < b.radius
-            w = self._radial_dirs(v)
-            w = w / np.linalg.norm(w, axis=-1, keepdims=True)
-            feet = np.where(inside[:, None], b.center + b.radius * w, x)
-            return feet, np.where(inside, b.radius - r, 0.0)
-        if isinstance(b, WulffBody):
-            res = b.exact_projection(norm, x)
-            if res is not None:
-                v = x - b.center
-                g = norm.conjugate(v)
-                inside = g < b.radius
-                w = self._radial_dirs(v)
-                w = w / norm.conjugate(w)[:, None]
-                feet = np.where(inside[:, None], b.center + b.radius * w, x)
-                return feet, np.where(inside, b.radius - g, 0.0)
-        if isinstance(b, Ellipsoid) and norm.kind == "ellipsoidal":
-            want = np.diag(b.semiaxes**2)
-            if np.allclose(norm.Q, want, rtol=1e-12, atol=1e-12):
-                v = x - b.center
-                g = norm.conjugate(v)
-                inside = g < 1.0
-                w = self._radial_dirs(v)
-                w = w / norm.conjugate(w)[:, None]
-                feet = np.where(inside[:, None], b.center + w, x)
-                return feet, np.where(inside, 1.0 - g, 0.0)
-        return None
+        if not isinstance(b, WulffBody) or norm.key != b.norm.key:
+            return None
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        v = x - b.center
+        g = norm.conjugate(v)
+        inside = g < b.radius
+        w = self._radial_dirs(v)
+        w = w / norm.conjugate(w)[:, None]
+        feet = np.where(inside[:, None], b.center + b.radius * w, x)
+        return feet, np.where(inside, b.radius - g, 0.0)
 
 
 # ======================================================================

@@ -228,7 +228,7 @@ def minkowski_check(
         raise ValueError(f"order r={r} out of range for boundary dimension {nn}")
     base = b.weights * b.jacobian
     support = _support_weight(b)
-    lhs = (nn - r + 1) * float(np.sum(base * b.phi_u * b.mean_curvature(r - 1)))
+    lhs = (nn - r + 1) * float(np.sum(b.density * b.mean_curvature(r - 1)))
     rhs = r * float(np.sum(base * support * b.mean_curvature(r)))
     res_main = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     vol_lhs = float(np.sum(base * support * b.mean_curvature(0)))
@@ -284,7 +284,7 @@ def heintze_karcher_check(
     if not smooth.any():
         raise PreconditionFailed(f"{shape.name}: no smooth-stratum samples")
     h1 = b.mean_curvature(1)[smooth]
-    w = (b.weights * b.jacobian * b.phi_u)[smooth]
+    w = b.density[smooth]
     tol_pre = 1e-7 * (1.0 + float(np.abs(h1).max()))
     neg = h1 < -tol_pre
     if neg.any():
@@ -476,7 +476,7 @@ def alexandrov_classify(
         return rejected("singular-strata budget exceeded", singular_fraction=frac_sing)
 
     H_r = b.mean_curvature(r)[top]
-    w = (b.weights * b.jacobian * b.phi_u)[top]
+    w = b.density[top]
     level = float(np.sum(w * H_r) / np.sum(w))
     spread = float(H_r.max() - H_r.min()) / max(abs(level), 1e-300)
     if spread > tol_const:

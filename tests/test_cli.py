@@ -107,6 +107,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match="taxicab"):
             load_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "kind, field", [("ellipsoidal", "diag"), ("smoothed-lp", "p")]
+    )
+    def test_missing_norm_parameter_names_its_field(self, tmp_path, kind, field):
+        text = MINI.replace("kind = euclidean", f"kind = {kind}")
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, text))
+        assert (err.value.line, err.value.field) == (4, field)
+
+    def test_bad_norm_parameter_is_a_config_error(self, tmp_path):
+        text = MINI.replace("kind = euclidean", "kind = ellipsoidal\ndiag = 4, -1")
+        with pytest.raises(ConfigError, match="positive definite") as err:
+            load_config(write_config(tmp_path, text))
+        assert err.value.line == 4
+
     def test_wulff_shape_requires_a_norm(self, tmp_path):
         text = "[shape w]\ncatalog = wulff\n"
         with pytest.raises(ConfigError) as err:
@@ -233,6 +248,12 @@ class TestMainEntry:
         cfg = write_config(tmp_path, "seed = 1\nbroken line\n")
         assert main(["run-all", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_smoothed_lp_norm_check(self, tmp_path, capsys):
+        text = MINI.replace("kind = euclidean", "kind = smoothed-lp\np = 3\neps = 0.05")
+        assert main(["norm-check", str(write_config(tmp_path, text))]) == 0
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check["passed"] is True
 
     def test_config_flag_equals_positional(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINI)

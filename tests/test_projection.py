@@ -1,5 +1,10 @@
 """Nearest points, distance gradients, reach, and boundary classification."""
 
+import gc
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import strategies as st
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm
 from reachgeom.projection import (
     InvalidNormalError,
+    _solver,
     classify_boundary_point,
     distance_field,
     global_reach,
@@ -18,7 +24,7 @@ from reachgeom.projection import (
     reach_along,
     set_distance,
 )
-from reachgeom.shapes import make_catalog_shape
+from reachgeom.shapes import Ball, make_catalog_shape
 
 E2 = EuclideanNorm(2)
 Q41 = EllipsoidalNorm(np.diag([4.0, 1.0]))
@@ -68,6 +74,39 @@ class TestProject:
             res = project(shape, E2, x)
             assert res.delta == pytest.approx(d, abs=1e-12)
             npt.assert_allclose(res.foot, f, atol=1e-12)
+
+
+class TestSolverMemo:
+    def test_solvers_die_with_their_shapes(self):
+        # Q41 has no closed form on a Euclidean ball: every call builds a solver
+        refs = []
+        for i in range(30):
+            ball = Ball([0.0, 0.0], 1.0 + 0.01 * i)
+            nearest_points(ball, Q41, np.array([[3.0, 0.5]]))
+            assert len(ball.chart_solvers) == 1
+            refs.append(weakref.ref(ball))
+            del ball
+        gc.collect()
+        assert [r for r in refs if r() is not None] == []
+
+    def test_threads_share_one_solver(self):
+        ball = Ball([0.0, 0.0], 1.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(_solver, ball, Q41) for _ in range(16)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(s is got[0] for s in got)
+        assert list(ball.chart_solvers.values()) == [got[0]]
+
+    def test_solver_is_shared_by_equal_norms_only(self):
+        ball = Ball([0.0, 0.0], 1.0)
+        for norm in (Q41, EllipsoidalNorm(np.diag([4.0, 1.0])), EllipsoidalNorm(np.diag([2.0, 1.0]))):
+            nearest_points(ball, norm, np.array([[3.0, 0.5]]))
+        assert len(ball.chart_solvers) == 2
 
 
 class TestDistanceInvariants:

@@ -139,6 +139,77 @@ class TestWulffBody:
         assert w.exact_projection(E2, x) is None
 
 
+class _GradChartNorm(EllipsoidalNorm):
+    """An ellipsoidal norm under another kind: its WulffBody takes the general path."""
+
+    kind = "ellipsoidal-via-grad"
+
+
+def _rotated_q(dim):
+    # eigenvalues 4, 1 (, 2.25) in a frame rotated off the axes
+    c, s = np.cos(0.6), np.sin(0.6)
+    if dim == 2:
+        R = np.array([[c, -s], [s, c]])
+        return R @ np.diag([4.0, 1.0]) @ R.T
+    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ np.array(
+        [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]
+    )
+    return R @ np.diag([4.0, 1.0, 2.25]) @ R.T
+
+
+class TestQuadraticWulffBody:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_chart_points_on_the_level_set_with_gauss_map_normals(self, dim):
+        norm = EllipsoidalNorm(_rotated_q(dim))
+        c = np.arange(1.0, dim + 1.0)
+        w = WulffBody(norm, center=c, radius=0.7)
+        (ch,) = w.charts()
+        t = ch.seeds(64)
+        p, nu = ch.point(t), ch.normal(t)
+        npt.assert_allclose(norm.conjugate(p - c), 0.7, rtol=0, atol=1e-12)
+        npt.assert_allclose(nu, norm.gauss_map(p - c), rtol=0, atol=1e-12)
+        (s,) = w.boundary_strata(n=256)
+        npt.assert_allclose(norm.conjugate(s.points - c), 0.7, rtol=0, atol=1e-12)
+        u = np.array([f.u for f in s.fibers])
+        npt.assert_allclose(u, norm.gauss_map(s.points - c), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_closed_form_volume_matches_divergence_quadrature(self, dim):
+        Q = _rotated_q(dim)
+        closed = WulffBody(EllipsoidalNorm(Q), radius=1.3)
+        general = WulffBody(_GradChartNorm(Q), radius=1.3)
+        omega = np.pi if dim == 2 else 4.0 / 3.0 * np.pi
+        npt.assert_allclose(closed.volume(), omega * 1.3**dim * np.sqrt(np.linalg.det(Q)))
+        npt.assert_allclose(general.volume(), closed.volume(), rtol=1e-6)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_boundary_area_matches_general_path(self, dim):
+        Q = _rotated_q(dim)
+        closed = WulffBody(EllipsoidalNorm(Q), radius=1.3)
+        general = WulffBody(_GradChartNorm(Q), radius=1.3)
+        area = [_total_weight(w, dim - 1, n=4096) for w in (closed, general)]
+        # the two paths weight the Fibonacci lattice differently in 3-d
+        npt.assert_allclose(area[0], area[1], rtol=1e-5)
+
+    def test_ball_and_ellipsoid_volumes_are_exact(self):
+        for r in (0.3, 1.0, 2.7):
+            assert Ball([0.5, -1.0], r).volume() == np.pi * r**2
+            assert Ball([0.0, 0.0, 1.0], r).volume() == 4.0 / 3.0 * np.pi * r**3
+        for a in ([2.0, 1.0], [0.3, 1.7]):
+            assert Ellipsoid([1.0, 1.0], a).volume() == np.pi * float(np.prod(a))
+        a = [2.0, 1.0, 0.7]
+        assert Ellipsoid(np.zeros(3), a).volume() == 4.0 / 3.0 * np.pi * float(np.prod(a))
+
+    def test_ball_and_ellipsoid_are_wulff_bodies_of_their_norms(self):
+        b = Ball([1.0, 2.0], 1.5)
+        e = Ellipsoid([0.0, 0.0, 0.0], [2.0, 1.0, 0.5])
+        assert isinstance(b, WulffBody) and isinstance(e, WulffBody)
+        assert b.norm.key == EuclideanNorm(2).key and b.radius == 1.5
+        assert e.norm.key == EllipsoidalNorm(np.diag([4.0, 1.0, 0.25])).key
+        assert e.radius == 1.0
+        assert b.diameter == 3.0 and e.diameter == 4.0
+
+
 class TestCapLens:
     def test_contains_origin_and_area(self):
         lens = CapLens(0.5)
@@ -213,6 +284,13 @@ class TestComplement:
         s = K.boundary_strata(n=64)[0]
         for p, f in zip(s.points, s.fibers):
             npt.assert_allclose(np.asarray(f.u), -p / np.linalg.norm(p), atol=1e-12)
+
+    def test_ellipsoid_interior_projection_under_its_own_norm_only(self):
+        K = Ellipsoid([1.0, 0.0], [2.0, 1.0]).complement()
+        feet, d = K.exact_projection(EllipsoidalNorm(np.diag([4.0, 1.0])), np.array([[2.0, 0.0]]))
+        npt.assert_allclose(d, [0.5])
+        npt.assert_allclose(feet, [[3.0, 0.0]])
+        assert K.exact_projection(E2, np.array([[2.0, 0.0]])) is None
 
     def test_square_corner_fans_dropped(self):
         K = make_catalog_shape("unit-square").complement()
