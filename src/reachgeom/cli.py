@@ -50,7 +50,7 @@ from .measures import (
     phi_perimeter,
     tube_record,
 )
-from .norms import NORM_KINDS, make_norm
+from .norms import NORM_KINDS, NormParameterError, make_norm
 from .projection import global_reach
 from .shapes import EmptyInteriorError, Shape, make_catalog_shape
 from .theorems import (
@@ -207,17 +207,21 @@ def _as_config(parsed: dict, path: Optional[str] = None) -> ExperimentConfig:
     for name, decl in parsed["norms"].items():
         line = decl.get("_line")
         kind = decl.get("kind")
-        # every other key is a make_norm parameter; the config's diag is its Q
+        # every other key is a make_norm parameter; the config's diag is an
+        # ellipsoidal norm's Q
         params = {
-            "Q" if k == "diag" else k: v
+            "Q" if k == "diag" and kind == "ellipsoidal" else k: v
             for k, v in decl.items()
             if k not in ("_line", "kind", "dim")
         }
+        dim = decl.get("dim")
         try:
-            cfg.norms[name] = make_norm(kind, int(decl.get("dim", 2)), **params)
+            cfg.norms[name] = make_norm(kind, None if dim is None else int(dim), **params)
         except KeyError as exc:
             key = "diag" if exc.args[0] == "Q" else exc.args[0]
             raise ConfigError(f"norm {name!r} needs a {key}", line=line, field_=key) from exc
+        except NormParameterError as exc:
+            raise ConfigError(f"norm {name!r}: {exc}", line=line, field_=exc.key) from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"norm {name!r}: {exc}",

@@ -24,6 +24,8 @@ values of shape (...), gradients of shape (..., d) and Hessians of shape
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 __all__ = [
@@ -33,12 +35,14 @@ __all__ = [
     "SmoothedLpNorm",
     "ZeroVectorError",
     "NonConvergenceError",
+    "NormParameterError",
     "tangent_basis",
     "make_norm",
     "NORM_KINDS",
 ]
 
-NORM_KINDS = ("euclidean", "ellipsoidal", "smoothed-lp")
+_NORM_PARAMS = {"euclidean": (), "ellipsoidal": ("Q",), "smoothed-lp": ("p", "eps")}
+NORM_KINDS = tuple(_NORM_PARAMS)
 
 # Finite-difference steps (relative to max(1, |x|)).
 FD_STEP_GRAD = 1e-6
@@ -121,6 +125,8 @@ class Norm:
     """Base class; concrete norms fill in value/grad (+ optional closed forms)."""
 
     kind: str = "abstract"
+    # L with phi_*(v) = |L v| for the quadratic norms, None for the others
+    dual_transform: Optional[np.ndarray] = None
 
     def __init__(self, dim: int):
         if dim < 2:
@@ -294,6 +300,7 @@ class EuclideanNorm(Norm):
     def __init__(self, dim: int):
         super().__init__(dim)
         self.gamma = 1.0
+        self.dual_transform = np.eye(self.dim)
 
     @property
     def key(self):
@@ -525,20 +532,36 @@ class SmoothedLpNorm(Norm):
         return u / self.value(u)[:, None]
 
 
-def make_norm(kind: str, dim: int, **kw) -> Norm:
+class NormParameterError(ValueError):
+    """A ``make_norm`` parameter is unknown or contradicts another; ``key`` names it."""
+
+    def __init__(self, message: str, key: str):
+        super().__init__(message)
+        self.key = key
+
+
+def make_norm(kind: str, dim: Optional[int] = None, **kw) -> Norm:
     """Factory used by the CLI: kind in NORM_KINDS.
 
-    ``ellipsoidal`` takes ``Q`` (a matrix, or its diagonal) and ignores dim;
-    ``smoothed-lp`` takes ``p`` and an optional ``eps``.  A missing parameter
-    raises KeyError, an unknown kind or a bad value ValueError.
+    ``ellipsoidal`` takes ``Q`` (a matrix, or its diagonal), whose size is
+    the dimension; ``smoothed-lp`` takes ``p`` and an optional ``eps``.  An
+    absent dim defaults to 2, or to the size of Q.  A missing parameter
+    raises KeyError, an unknown parameter or a dim that disagrees with Q
+    NormParameterError, an unknown kind or a bad value ValueError.
     """
-    if kind == "euclidean":
-        return EuclideanNorm(dim)
+    if kind not in NORM_KINDS:
+        raise ValueError(f"unknown norm kind {kind!r}, expected one of {', '.join(NORM_KINDS)}")
+    for key in kw:
+        if key not in _NORM_PARAMS[kind]:
+            raise NormParameterError(f"{kind} norm has no parameter {key!r}", key)
     if kind == "ellipsoidal":
         Q = np.asarray(kw["Q"], dtype=float)
         if Q.ndim == 1:
             Q = np.diag(Q)
+        if dim is not None and Q.shape[:1] != (dim,):
+            raise NormParameterError(f"dim {dim} disagrees with Q of shape {Q.shape}", "dim")
         return EllipsoidalNorm(Q)
-    if kind == "smoothed-lp":
-        return SmoothedLpNorm(dim, p=float(kw["p"]), eps=float(kw.get("eps", 0.05)))
-    raise ValueError(f"unknown norm kind {kind!r}, expected one of {', '.join(NORM_KINDS)}")
+    dim = 2 if dim is None else dim
+    if kind == "euclidean":
+        return EuclideanNorm(dim)
+    return SmoothedLpNorm(dim, p=float(kw["p"]), eps=float(kw.get("eps", 0.05)))

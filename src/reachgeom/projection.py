@@ -6,11 +6,25 @@ direction ``nu = (x - foot)/delta`` (a point of the dual unit body's
 boundary), the ray reach ``sup { s : delta(a + s eta) = s }`` and a global
 reach estimate are all computed here.
 
-Everything vectorizes over batches of query points.  Shapes with closed-form
-projections short-circuit; otherwise feet are found by multi-start
-minimization over the shape's boundary charts (golden-section globalization
-followed by a secant polish of the stationarity condition, so feet are
-accurate to near machine precision under the analytic norms).
+Everything vectorizes over batches of query points, on one of three routes:
+
+* closed form (``Shape.exact_projection``): a ``WulffBody`` under its own
+  norm (radial scaling) and a quadratic one (every ``Ball``, ``Ellipsoid``
+  and euclidean or ellipsoidal ``WulffBody``) under any euclidean or
+  ellipsoidal norm (a secular equation); polygons and segments under the
+  Euclidean norm; axis boxes under diagonal ellipsoidal norms; ``CapLens``
+  under the Euclidean norm; the complement of a ``WulffBody`` under its own
+  norm; and unions whose components all have one;
+* chart solver, for every other pair in ``nearest_points`` and the reach
+  code: any shape but a ``WulffBody`` of its own norm under a
+  ``smoothed-lp`` norm, a ``smoothed-lp`` ``WulffBody`` under any other
+  norm, ``CapLens`` and polygons under ellipsoidal norms (but axis boxes
+  under diagonal ones), and the other complements.  It runs multi-start
+  minimization over the shape's boundary charts, golden-section
+  globalization followed by a secant polish of the stationarity condition,
+  so feet are accurate to near machine precision under the analytic norms;
+* kd-tree boundary cloud, for the same pairs in ``distance_field`` (see
+  there).
 
 A note on uniqueness: points with several nearest feet (the cut locus) form a
 Lebesgue-null set, and the bracket reported by ``global_reach`` reflects both
@@ -352,21 +366,19 @@ def distance_field(
 ) -> np.ndarray:
     """delta over a large batch of points, built for voxel grids.
 
-    Uses the shape's exact formula when available; otherwise nearest-neighbor
-    queries against a dense boundary cloud, run in coordinates where the dual
-    norm is Euclidean (exact for ellipsoidal norms, chord-sag error ~(P/cloud)^2
-    otherwise none).  Interior points get 0.
+    Uses the shape's closed form when it has one (see the module docstring;
+    that includes every quadratic ``WulffBody`` under any euclidean or
+    ellipsoidal norm), which gives interior points 0 itself.  Otherwise
+    nearest-neighbor queries against a dense boundary cloud: a kd-tree in
+    coordinates where the dual norm is Euclidean for euclidean and ellipsoidal
+    norms, an explicit minimum over the cloud for the others, each with a
+    chord-sag error ~(P/cloud)^2, and interior points are set to 0.
     """
     points = np.asarray(points, dtype=float)
     d = shape.exact_distance(norm, points)
     if d is None:
         cpts, _ = shape.boundary_cloud(k=cloud)
-        if norm.kind == "euclidean":
-            L = np.eye(shape.dim)
-        elif norm.kind == "ellipsoidal":
-            L = norm.dual_transform
-        else:
-            L = None
+        L = norm.dual_transform
         if L is not None:
             tree = cKDTree(cpts @ L.T)
             d, _ = tree.query(points @ L.T, workers=-1)

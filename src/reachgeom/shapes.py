@@ -21,7 +21,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .norms import EllipsoidalNorm, EuclideanNorm, Norm, row_dot, unit_rows
+from .norms import (
+    EllipsoidalNorm,
+    EuclideanNorm,
+    NonConvergenceError,
+    Norm,
+    row_dot,
+    unit_rows,
+)
 
 __all__ = [
     "Fiber",
@@ -458,7 +465,7 @@ class Shape:
     def exact_projection(self, norm: Norm, x) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """(feet, deltas) under `norm` when a closed form exists, else None.
 
-        Exterior points only; callers mask interior points themselves.
+        Interior points are their own feet, at distance 0.
         """
         return None
 
@@ -511,9 +518,11 @@ class WulffBody(Shape):
     The boundary is parametrized over the unit sphere.  Under a quadratic
     norm (euclidean, ellipsoidal) the body is the linear image
     c + rho A S^{d-1} with A A' = Q, whose outward normal at A u is parallel
-    to A^{-T} u, so charts, strata and the volume are closed form.  Other
+    to A^{-T} u, so charts, strata and the volume are closed form, and so is
+    the projection under every quadratic norm, its own or another.  Other
     norms use the normal parametrization c + rho grad phi(u), whose outward
-    normal is u itself.
+    normal is u itself, and have a closed-form projection under their own
+    norm only.
     """
 
     is_convex = True
@@ -643,7 +652,9 @@ class WulffBody(Shape):
 
     def exact_projection(self, norm, x):
         if norm.key != self.norm.key:
-            return None
+            if self._A is None or norm.dual_transform is None:
+                return None
+            return self._quadratic_projection(norm, x)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         v = x - self.center
         g = norm.conjugate(v)
@@ -654,6 +665,50 @@ class WulffBody(Shape):
             x,
         )
         return feet, np.maximum(g - self.radius, 0.0)
+
+    def _quadratic_projection(self, norm, x):
+        """Feet and distances under another quadratic norm, in closed form.
+
+        With L whitening the dual norm (phi_*(v) = |L v|) and the SVD
+        rho L A = U diag(s) V', the body is the ellipsoid U diag(s) S^{d-1}
+        in coordinates z = U' L (x - c), and the Euclidean foot there is
+        w = s^2 z / (t + s^2), where t >= 0 solves the secular equation
+        F(t) = sum s^2 z^2 / (t + s^2)^2 = 1 (Eberly, "Distance from a point
+        to an ellipse, an ellipsoid, or a hyperellipsoid", 2013).  F is convex
+        and decreasing, so Newton from a lower bound of the root rises to it
+        monotonically.  Interior points are their own feet, at distance 0.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        L = norm.dual_transform
+        U, s, _ = np.linalg.svd(self.radius * (L @ self._A))
+        s2 = s * s
+        z = (x - self.center) @ (L.T @ U)
+        zs = z / s
+        out = np.flatnonzero(np.einsum("nd,nd->n", zs, zs) > 1.0)
+        z = z[out]
+        sz = s * z
+        # the root lies in [|s z| - max s^2, |s z| - min s^2]
+        t = np.maximum(np.sqrt(np.einsum("nd,nd->n", sz, sz)) - s2[0], 0.0)
+        act = np.arange(len(out))
+        for _ in range(100):
+            ta = t[act][:, None] + s2
+            r = sz[act] / ta
+            f = np.einsum("nd,nd->n", r, r)
+            step = (f - 1.0) / (2.0 * np.einsum("nd,nd->n", r, r / ta))
+            t[act] += np.maximum(step, 0.0)
+            act = act[step > 1e-15 * ta[:, -1]]
+            if not len(act):
+                break
+        else:
+            raise NonConvergenceError(f"{len(act)} ellipsoid projections did not converge")
+        ts = t[:, None] + s2
+        w = s2 * z / ts
+        e = t[:, None] * z / ts  # z - w without the cancellation
+        feet = x.copy()
+        feet[out] = self.center + w @ np.linalg.solve(L, U).T
+        delta = np.zeros(len(x))
+        delta[out] = np.sqrt(np.einsum("nd,nd->n", e, e))
+        return feet, delta
 
     def complement(self):
         return ComplementShape(self)

@@ -1,6 +1,7 @@
 """Config parsing, report emission, determinism, and exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy.testing as npt
 import pytest
@@ -115,6 +116,26 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             load_config(write_config(tmp_path, text))
         assert (err.value.line, err.value.field) == (4, field)
+
+    @pytest.mark.parametrize(
+        "kind, extra, field",
+        [
+            ("smoothed-lp", "p = 3\nepsilon = 0.3", "epsilon"),
+            ("euclidean", "diag = 4, 1", "diag"),
+            ("ellipsoidal", "diag = 4, 1, 1", "dim"),
+        ],
+        ids=["smoothed-lp-epsilon", "euclidean-diag", "ellipsoidal-dim"],
+    )
+    def test_unknown_or_contradicting_norm_parameter(self, tmp_path, kind, extra, field):
+        text = MINI.replace("kind = euclidean", f"kind = {kind}\n{extra}")
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, text))
+        assert (err.value.line, err.value.field) == (4, field)
+
+    @pytest.mark.parametrize("name", ["disk", "bubbles", "catalog-3d", "square"])
+    def test_bundled_configs_load(self, name):
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+        assert cfg.norms and cfg.checks
 
     def test_bad_norm_parameter_is_a_config_error(self, tmp_path):
         text = MINI.replace("kind = euclidean", "kind = ellipsoidal\ndiag = 4, -1")
@@ -260,8 +281,6 @@ class TestMainEntry:
         assert main(["norm-check", "--config", str(cfg)]) == 0
 
     def test_bundled_disk_config_passes(self, tmp_path):
-        from pathlib import Path
-
         bundled = Path(__file__).resolve().parents[1] / "configs" / "disk.cfg"
         out = tmp_path / "disk"
         assert main(["run-all", str(bundled), "--out", str(out)]) == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from reachgeom.norms import (
     EuclideanNorm,
     EllipsoidalNorm,
+    NormParameterError,
     SmoothedLpNorm,
     ZeroVectorError,
     make_norm,
@@ -187,6 +188,30 @@ class TestErrorsAndFactory:
         assert make_norm("smoothed-lp", 2, p=3).kind == "smoothed-lp"
         with pytest.raises(ValueError):
             make_norm("taxicab", 2)
+
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            ("smoothed-lp", {"p": 3, "epsilon": 0.3}, "epsilon"),
+            ("euclidean", {"Q": [4.0, 1.0]}, "Q"),
+            ("ellipsoidal", {"Q": [4.0, 1.0], "p": 2}, "p"),
+        ],
+    )
+    def test_make_norm_rejects_unknown_parameters(self, kind, params, key):
+        with pytest.raises(NormParameterError, match=repr(key)) as err:
+            make_norm(kind, 2, **params)
+        assert err.value.key == key
+        assert isinstance(err.value, ValueError)
+
+    def test_make_norm_ellipsoidal_dim(self):
+        with pytest.raises(NormParameterError) as err:
+            make_norm("ellipsoidal", 3, Q=[4.0, 1.0])
+        assert err.value.key == "dim"
+        # an absent dim follows Q; the other kinds default to 2
+        assert make_norm("ellipsoidal", Q=[4.0, 1.0, 1.0]).dim == 3
+        assert make_norm("ellipsoidal", 3, Q=[4.0, 1.0, 1.0]).dim == 3
+        assert make_norm("euclidean").dim == 2
+        assert make_norm("smoothed-lp", p=3, eps=0.3).eps == 0.3
 
     def test_tangent_basis_orthonormal(self):
         u = _unit_vectors(50, 3, seed=29)

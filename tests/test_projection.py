@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachgeom.norms import EllipsoidalNorm, EuclideanNorm
+from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm
 from reachgeom.projection import (
     InvalidNormalError,
+    _ChartSolver,
     _solver,
     classify_boundary_point,
     distance_field,
@@ -24,7 +25,7 @@ from reachgeom.projection import (
     reach_along,
     set_distance,
 )
-from reachgeom.shapes import Ball, make_catalog_shape
+from reachgeom.shapes import Ball, CapLens, Ellipsoid, WulffBody, make_catalog_shape
 
 E2 = EuclideanNorm(2)
 Q41 = EllipsoidalNorm(np.diag([4.0, 1.0]))
@@ -77,36 +78,36 @@ class TestProject:
 
 
 class TestSolverMemo:
+    # a lens under Q41 has no closed-form projection: every call needs a solver
     def test_solvers_die_with_their_shapes(self):
-        # Q41 has no closed form on a Euclidean ball: every call builds a solver
         refs = []
         for i in range(30):
-            ball = Ball([0.0, 0.0], 1.0 + 0.01 * i)
-            nearest_points(ball, Q41, np.array([[3.0, 0.5]]))
-            assert len(ball.chart_solvers) == 1
-            refs.append(weakref.ref(ball))
-            del ball
+            lens = CapLens(0.3 + 0.01 * i)
+            nearest_points(lens, Q41, np.array([[3.0, 0.5]]))
+            assert len(lens.chart_solvers) == 1
+            refs.append(weakref.ref(lens))
+            del lens
         gc.collect()
         assert [r for r in refs if r() is not None] == []
 
     def test_threads_share_one_solver(self):
-        ball = Ball([0.0, 0.0], 1.0)
+        lens = CapLens(0.5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(_solver, ball, Q41) for _ in range(16)]
+                futures = [pool.submit(_solver, lens, Q41) for _ in range(16)]
                 got = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         assert all(s is got[0] for s in got)
-        assert list(ball.chart_solvers.values()) == [got[0]]
+        assert list(lens.chart_solvers.values()) == [got[0]]
 
     def test_solver_is_shared_by_equal_norms_only(self):
-        ball = Ball([0.0, 0.0], 1.0)
+        lens = CapLens(0.5)
         for norm in (Q41, EllipsoidalNorm(np.diag([4.0, 1.0])), EllipsoidalNorm(np.diag([2.0, 1.0]))):
-            nearest_points(ball, norm, np.array([[3.0, 0.5]]))
-        assert len(ball.chart_solvers) == 2
+            nearest_points(lens, norm, np.array([[3.0, 0.5]]))
+        assert len(lens.chart_solvers) == 2
 
 
 class TestDistanceInvariants:
@@ -169,16 +170,132 @@ class TestDistanceField:
         npt.assert_allclose(d, Q41.conjugate(g - feet), atol=1e-12)
 
     def test_cloud_fallback_close_to_solver(self):
-        # disk under the anisotropic norm has no closed form: the KD-tree
-        # route against a dense boundary cloud must agree with the chart
-        # solver up to the chord sag of the cloud
-        shape = make_catalog_shape("disk", Q41)
+        # a smoothed-lp Wulff body under the anisotropic norm has no closed
+        # form: the KD-tree route against a dense boundary cloud must agree
+        # with the chart solver up to the chord sag of the cloud
+        shape = WulffBody(SmoothedLpNorm(2, 3.0), radius=1.0)
         rng = np.random.default_rng(7)
         x = rng.uniform(-2.5, 2.5, size=(50, 2))
         d_field = distance_field(shape, Q41, x, cloud=8192)
         d_solver = set_distance(shape, Q41, x)
         npt.assert_allclose(d_field, d_solver, atol=5e-7)
         assert (d_field >= d_solver - 1e-12).all()
+
+
+def _rot(dim, angles):
+    # 2-d: one rotation; 3-d: the z-x-z Euler rotation
+    def plane(i, j, t):
+        R = np.eye(dim)
+        R[[i, i, j, j], [i, j, i, j]] = np.cos(t), -np.sin(t), np.sin(t), np.cos(t)
+        return R
+
+    if dim == 2:
+        return plane(0, 1, angles[0])
+    return plane(0, 1, angles[0]) @ plane(1, 2, angles[1]) @ plane(0, 1, angles[2])
+
+
+def _rotated(diag, angles):
+    R = _rot(len(diag), angles)
+    return EllipsoidalNorm(R @ np.diag(diag) @ R.T)
+
+
+E3 = EuclideanNorm(3)
+QUADRATIC_PAIRS = {
+    "ball-q41": (Ball([0.3, -0.2], 1.0), Q41),
+    "ball-rotated": (Ball([0.0, 0.5], 1.5), _rotated([3.0, 0.5], [0.7])),
+    "ellipse-euclid": (Ellipsoid([0.1, 0.2], [2.0, 1.0]), E2),
+    "ellipse-rotated": (Ellipsoid([0.0, 0.0], [2.0, 1.0]), _rotated([3.0, 0.5], [0.7])),
+    "wulff-rotated-q41": (WulffBody(_rotated([4.0, 1.0], [0.6]), [0.5, -1.0], 1.5), Q41),
+    "wulff-rotated-euclid": (WulffBody(_rotated([4.0, 1.0], [0.6]), radius=0.8), E2),
+    "ball-3d-diag411": (Ball([0.2, 0.0, -0.1], 1.0), EllipsoidalNorm(np.diag([4.0, 1.0, 1.0]))),
+    "ellipsoid-3d-euclid": (Ellipsoid([0.0, 0.0, 0.0], [2.0, 1.0, 0.5]), E3),
+    "wulff-3d-rotated": (
+        WulffBody(_rotated([4.0, 1.0, 0.5], [0.3, 1.2, 0.7])),
+        _rotated([3.0, 1.0, 0.25], [2.1, 0.8, 0.5]),
+    ),
+}
+
+
+def _whitened_axes(body, norm):
+    """Rows x - c on the boundary where U' L (x - c) has one nonzero entry."""
+    L = norm.dual_transform
+    A = np.eye(body.dim) if body.norm.kind == "euclidean" else np.linalg.cholesky(body.norm.Q)
+    U, s, _ = np.linalg.svd(body.radius * L @ A)
+    return (np.linalg.solve(L, U) * s).T
+
+
+class TestQuadraticRoute:
+    """The closed-form route of a quadratic body under another quadratic norm."""
+
+    @pytest.mark.parametrize("case", list(QUADRATIC_PAIRS))
+    def test_agrees_with_chart_solver(self, case):
+        body, norm = QUADRATIC_PAIRS[case]
+        rng = np.random.default_rng(3)
+        x = body.center + rng.uniform(-4.0, 4.0, size=(400 if body.dim == 2 else 120, body.dim))
+        x = x[~body.contains(x)]
+        feet, delta = body.exact_projection(norm, x)
+        # the foot lies on the body
+        npt.assert_allclose(body.norm.conjugate(feet - body.center), body.radius, atol=1e-12)
+        npt.assert_allclose(norm.conjugate(x - feet), delta, rtol=1e-12)
+        # first order: the dual gradient of x - foot is the body's normal there
+        normal = body.norm.gauss_map(feet - body.center)
+        direction = norm.conjugate_grad(x - feet)
+        direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+        npt.assert_allclose(direction, normal, atol=1e-9)
+        _, delta_chart = _ChartSolver(body, norm).feet_batch(x)
+        assert (delta <= delta_chart + 1e-12).all()
+        if body.dim == 2:
+            npt.assert_allclose(delta, delta_chart, rtol=0.0, atol=1e-9)
+
+    def test_finds_the_foot_the_3d_chart_solver_missed(self):
+        # here the chart solver's multi-start Newton settled on a foot 0.0917
+        # farther than this one; the problem is convex, so a foot on the body
+        # that meets the first-order condition is the global minimum
+        body, norm = QUADRATIC_PAIRS["wulff-3d-rotated"]
+        x = np.array([[0.347, 0.9884, 1.066]])
+        feet, delta = body.exact_projection(norm, x)
+        npt.assert_allclose(body.norm.conjugate(feet - body.center), body.radius, atol=1e-12)
+        direction = norm.conjugate_grad(x - feet)
+        direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+        npt.assert_allclose(direction, body.norm.gauss_map(feet - body.center), atol=1e-9)
+        npt.assert_allclose(delta, [0.030456963666204664], rtol=1e-9)
+        _, delta_chart = _ChartSolver(body, norm).feet_batch(x)
+        assert delta[0] <= delta_chart[0] + 1e-12
+        (stratum,) = body.boundary_strata(n=20000)
+        assert delta[0] <= norm.conjugate(x - stratum.points).min()
+
+    @pytest.mark.parametrize("case", list(QUADRATIC_PAIRS))
+    def test_interior_points_are_their_own_feet(self, case):
+        body, norm = QUADRATIC_PAIRS[case]
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal((50, body.dim))
+        g = body.norm.conjugate(v)
+        x = body.center + v * (body.radius * rng.uniform(0.0, 0.999, size=50) / g)[:, None]
+        feet, delta = body.exact_projection(norm, np.vstack([x, body.center]))
+        assert (feet == np.vstack([x, body.center])).all()
+        assert (delta == 0.0).all()
+
+    @pytest.mark.parametrize("case", list(QUADRATIC_PAIRS))
+    def test_far_axis_and_boundary_points_are_finite(self, case):
+        body, norm = QUADRATIC_PAIRS[case]
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((20, body.dim))
+        far = body.center + 1e6 * v / np.linalg.norm(v, axis=-1, keepdims=True)
+        axes = _whitened_axes(body, norm)
+        on_axes = body.center + np.concatenate([s * axes for s in (-3.0, 1.5, 1e6)])
+        (stratum,) = body.boundary_strata(n=64)
+        for x in (far, on_axes, stratum.points):
+            feet, delta = body.exact_projection(norm, x)
+            assert np.isfinite(feet).all() and np.isfinite(delta).all()
+            npt.assert_allclose(
+                body.norm.conjugate(feet - body.center), body.radius, rtol=1e-12, atol=1e-12
+            )
+        npt.assert_allclose(delta, 0.0, atol=1e-12)
+        feet, delta = body.exact_projection(norm, on_axes[: 2 * body.dim])
+        if body.dim == 2:
+            _, delta_chart = _ChartSolver(body, norm).feet_batch(on_axes[: 2 * body.dim])
+            npt.assert_allclose(delta, delta_chart, rtol=0.0, atol=1e-9)
+        npt.assert_allclose(norm.conjugate(on_axes[: 2 * body.dim] - feet), delta, rtol=1e-12)
 
 
 class TestReach:

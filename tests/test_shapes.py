@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm
+from reachgeom.projection import _ChartSolver
 from reachgeom.shapes import (
     Ball,
     CapLens,
@@ -50,7 +51,11 @@ class TestBall:
         npt.assert_allclose(d, [4.0, 0.0])
         npt.assert_allclose(feet[0], [0.6, 0.8])
         npt.assert_allclose(feet[1], [0.1, 0.0])
-        assert b.exact_projection(Q41, np.array([[3.0, 4.0]])) is None
+        x = np.array([[3.0, 4.0]])
+        feet, d = b.exact_projection(Q41, x)
+        feet_chart, d_chart = _ChartSolver(b, Q41).feet_batch(x)
+        npt.assert_allclose(d, d_chart)
+        npt.assert_allclose(feet, feet_chart)
 
     def test_sphere_strata(self):
         b = Ball([0.0, 0.0, 0.0], 2.0)
@@ -136,7 +141,10 @@ class TestWulffBody:
         feet, d = w.exact_projection(Q41, x)
         npt.assert_allclose(d, [2.0])
         npt.assert_allclose(feet, [[4.0, 0.0]])
-        assert w.exact_projection(E2, x) is None
+        feet, d = w.exact_projection(E2, x)
+        feet_chart, d_chart = _ChartSolver(w, E2).feet_batch(x)
+        npt.assert_allclose(d, d_chart)
+        npt.assert_allclose(feet, feet_chart)
 
 
 class _GradChartNorm(EllipsoidalNorm):
