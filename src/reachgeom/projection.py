@@ -50,6 +50,7 @@ __all__ = [
     "nearest_points",
     "set_distance",
     "distance_field",
+    "cloud_covering_radius",
     "grad_delta",
     "reach_along",
     "global_reach",
@@ -393,6 +394,24 @@ def distance_field(
         inside = shape.contains(points)
         d[inside] = 0.0
     return d
+
+
+def cloud_covering_radius(shape: Shape, norm: Norm, cloud: int = 4096) -> float:
+    """How far ``distance_field`` may overestimate delta just outside the set.
+
+    0 when the pair has a closed form.  On the cloud route a boundary point
+    lies within the cloud's covering radius (in phi_*) of some cloud point,
+    so the cloud distance exceeds delta by at most that much.  The bound
+    returned is derived from the cloud's own spacing: twice the largest
+    phi_* gap, either way, from a cloud point to its d nearest neighbours,
+    which also absorbs the membership tolerance of ``Shape.contains``.
+    """
+    if shape.exact_distance(norm, shape.bounding_box()[0][None, :]) is not None:
+        return 0.0
+    cpts, _ = shape.boundary_cloud(k=cloud)
+    _, nbr = cKDTree(cpts).query(cpts, k=shape.dim + 1)
+    gaps = (cpts[nbr[:, 1:]] - cpts[:, None, :]).reshape(-1, shape.dim)
+    return 2.0 * float(np.maximum(norm.conjugate(gaps), norm.conjugate(-gaps)).max())
 
 
 # ======================================================================

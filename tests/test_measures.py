@@ -14,6 +14,7 @@ from reachgeom.measures import (
     BudgetExceeded,
     CurvatureReport,
     _auto_bundle,
+    _unit_ball_radius,
     StrataCoverageGap,
     Window,
     bundle_integral,
@@ -28,6 +29,7 @@ from reachgeom.measures import (
     voxel_tube_volume,
 )
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm
+from reachgeom.projection import cloud_covering_radius, distance_field
 from reachgeom.shapes import Ball, ConvexPolytope, EmptyInteriorError, make_catalog_shape
 
 E2 = EuclideanNorm(2)
@@ -290,6 +292,164 @@ class TestVoxelTube:
         a1 = voxel_tube_volume(disk, E2, [0.3, 0.5], h=1e-4, mc_budget=500_000, seed=11)
         a2 = voxel_tube_volume(disk, E2, [0.3, 0.5], h=1e-4, mc_budget=500_000, seed=11)
         npt.assert_array_equal(a1[0], a2[0])
+
+
+def _dense_tube_volume(shape, norm, rho, h=None, cloud=None, window=None):
+    """Reference count: delta at every center of the grid voxel_tube_volume lays."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    d = shape.dim
+    if h is None:
+        h = shape.diameter / (512.0 if d == 2 else 128.0)
+    if cloud is None:
+        cloud = 4096 if d == 2 else 32768
+    lo, hi = shape.bounding_box()
+    pad = float(rho.max()) * _unit_ball_radius(norm) + 3.0 * h
+    lo, hi = lo - pad, hi + pad
+    if window is not None:
+        lo, hi = np.maximum(lo, window[0]), np.minimum(hi, window[1])
+    counts_axis = np.ceil((hi - lo) / h).astype(int)
+    axes = [lo[k] + (np.arange(counts_axis[k]) + 0.5) * h for k in range(d)]
+    r_half = 0.5 * h * np.sqrt(d)
+    cnt = np.zeros(len(rho), dtype=np.int64)
+    cross = np.zeros(len(rho), dtype=np.int64)
+    inner = 0
+    per_slice = int(np.prod(counts_axis[1:]))
+    block = max(1, 4_000_000 // max(per_slice, 1))
+    for i0 in range(0, counts_axis[0], block):
+        sub = [axes[0][i0 : i0 + block]] + axes[1:]
+        pts = np.stack(np.meshgrid(*sub, indexing="ij"), axis=-1).reshape(-1, d)
+        delta = distance_field(shape, norm, pts, cloud=cloud)
+        pos = np.sort(delta[delta > 0.0])
+        cnt += np.searchsorted(pos, rho, side="right")
+        cross += np.searchsorted(pos, rho + r_half, side="right") - np.searchsorted(
+            pos, rho - r_half, side="right"
+        )
+        inner += int(np.searchsorted(pos, r_half, side="right"))
+    cell = h**d
+    return cnt * cell, (cross + 2 * inner) * cell
+
+
+class TestPrunedCount:
+    """The block-pruned count equals the count over every voxel center."""
+
+    RHO = (0.1, 0.25, 0.4, 0.6)
+
+    @pytest.mark.parametrize(
+        "key,norm",
+        [
+            (key, norm)
+            for key in ("disk", "unit-square", "ellipse-2-1", "cap-lens-0.5", "two-disks-gap1")
+            for norm in (E2, Q41)
+            if (key, norm) != ("cap-lens-0.5", Q41)  # the cloud route, below
+        ]
+        + [("cube", E3), ("cube", Q411)],
+        ids=lambda v: v if isinstance(v, str) else v.kind,
+    )
+    def test_equals_dense_grid(self, key, norm):
+        shape = make_catalog_shape(key)
+        h = shape.diameter / (256.0 if shape.dim == 2 else 64.0)
+        got = voxel_tube_volume(shape, norm, self.RHO, h)
+        want = _dense_tube_volume(shape, norm, self.RHO, h)
+        npt.assert_array_equal(got[0], want[0])
+        npt.assert_array_equal(got[1], want[1])
+
+    def test_equals_dense_grid_in_a_window(self):
+        segs = make_catalog_shape("segment-pair")
+        rhos = [r0 + s for r0 in (0.5, 1.0, 1.5) for s in (-0.25, 0.0, 0.25)]
+        win = ([-2.0, -10.0], [2.0, 10.0])
+        h = segs.diameter / 1024
+        got = voxel_tube_volume(segs, E2, rhos, h, window=win)
+        want = _dense_tube_volume(segs, E2, rhos, h, window=win)
+        npt.assert_array_equal(got[0], want[0])
+        npt.assert_array_equal(got[1], want[1])
+
+    def test_equals_dense_grid_off_a_convex_set(self):
+        # the interior rule must not fire where delta = 0 on a non-convex set
+        outside = make_catalog_shape("disk").complement()
+        h = outside.diameter / 256
+        got = voxel_tube_volume(outside, E2, self.RHO, h)
+        want = _dense_tube_volume(outside, E2, self.RHO, h)
+        npt.assert_array_equal(got[0], want[0])
+        npt.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("cloud", [4096, 64])
+    def test_equals_dense_grid_on_the_cloud_route(self, cloud):
+        # a coarse cloud overestimates delta near the boundary by more than r_half
+        lens = make_catalog_shape("cap-lens-0.5")
+        assert lens.exact_projection(Q41, np.zeros((1, 2))) is None
+        assert cloud_covering_radius(lens, Q41, cloud) > 0.0
+        h = lens.diameter / 256
+        got = voxel_tube_volume(lens, Q41, self.RHO, h, cloud=cloud)
+        want = _dense_tube_volume(lens, Q41, self.RHO, h, cloud=cloud)
+        npt.assert_array_equal(got[0], want[0])
+        npt.assert_array_equal(got[1], want[1])
+
+    def test_closed_form_pairs_need_no_cloud_slack(self):
+        assert cloud_covering_radius(make_catalog_shape("disk"), Q41) == 0.0
+
+
+def _box_2d(center, half):
+    c, w = np.asarray(center, dtype=float), np.asarray(half, dtype=float)
+    return ConvexPolytope.box(c - w, c + w)
+
+
+def _on_lattice(shape, norm, rho, h):
+    """Window whose low corner sits on the lattice h Z^d, below the whole tube.
+
+    voxel_tube_volume anchors its grid at the padded bounding box, which moves
+    with the set; clipped by this window the grid stays on one lattice, so a
+    translate is sampled at another phase of the voxels.
+    """
+    lo, _ = shape.bounding_box()
+    w_lo = h * np.floor((lo - max(rho) * _unit_ball_radius(norm)) / h) - h
+    return w_lo, np.full(shape.dim, np.inf)
+
+
+class TestTubeInvariances:
+    """Translation and scaling of the measured tube volumes."""
+
+    SHAPES_2D = {
+        "ball": lambda c, s: Ball(c, s),
+        "box": lambda c, s: _box_2d(c, [0.7 * s, 0.4 * s]),
+    }
+    RHO = np.array([0.15, 0.3, 0.55])
+
+    def _translated(self, make, norm, rho, h, v):
+        out = []
+        for shape in (make(np.zeros(len(v)), 1.0), make(np.asarray(v), 1.0)):
+            win = _on_lattice(shape, norm, rho, h)
+            out.append(voxel_tube_volume(shape, norm, rho, h, window=win))
+        (v0, e0), (v1, e1) = out
+        return np.abs(v1 - v0), e0 + e1
+
+    @pytest.mark.parametrize("norm", [E2, Q41], ids=lambda n: n.kind)
+    @pytest.mark.parametrize("kind", sorted(SHAPES_2D))
+    def test_translation_2d(self, kind, norm):
+        gap, err = self._translated(
+            self.SHAPES_2D[kind], norm, self.RHO, 2.0 / 384, [0.3137, -0.2719]
+        )
+        assert (gap > 0).any()  # the translate is sampled at another voxel phase
+        assert (gap <= err).all()
+
+    def test_translation_3d(self):
+        gap, err = self._translated(Ball, Q411, [0.2, 0.45], 2.0 / 64, [0.41, -0.17, 0.29])
+        assert (gap <= err).all()
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    @pytest.mark.parametrize("norm", [E2, Q41], ids=lambda n: n.kind)
+    @pytest.mark.parametrize("kind", sorted(SHAPES_2D))
+    def test_scaling_2d(self, kind, norm, lam):
+        make = self.SHAPES_2D[kind]
+        h = 2.0 / 384
+        v, e = voxel_tube_volume(make([0.2, -0.1], 1.0), norm, self.RHO, h)
+        vl, _ = voxel_tube_volume(make([0.2 * lam, -0.1 * lam], lam), norm, lam * self.RHO, lam * h)
+        assert (np.abs(vl - lam**2 * v) <= lam**2 * e).all()
+
+    def test_scaling_3d(self):
+        lam, h, rho = 0.5, 2.0 / 64, np.array([0.2, 0.45])
+        v, e = voxel_tube_volume(Ball([0.1, 0.0, -0.2], 1.0), Q411, rho, h)
+        vl, _ = voxel_tube_volume(Ball([0.05, 0.0, -0.1], lam), Q411, lam * rho, lam * h)
+        assert (np.abs(vl - lam**3 * v) <= lam**3 * e).all()
 
 
 class TestSteinerPredict:
