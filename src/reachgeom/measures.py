@@ -222,11 +222,16 @@ class CurvatureReport:
     abs_total: float = 0.0
 
 
+def _strata_present(strat: np.ndarray) -> list:
+    """The stratum dimensions in a bundle, ascending (np.unique would import numpy.ma)."""
+    return np.flatnonzero(np.bincount(strat)).tolist()
+
+
 def _split_half_se(contrib: np.ndarray, strat: np.ndarray) -> float:
     # difference of interleaved half-sums per stratum: the scale on which
     # halving the quadrature resolution moves the total
     se2 = 0.0
-    for s in np.unique(strat):
+    for s in _strata_present(strat):
         cs = contrib[strat == s]
         se2 += float(cs[0::2].sum() - cs[1::2].sum()) ** 2
     return float(np.sqrt(se2))
@@ -256,7 +261,7 @@ def curvature_measure(
         raise ValueError(f"curvature measure index m={m} outside 0..{nn}")
     b = _auto_bundle(shape, norm, bundle, n, seed)
 
-    present = set(np.unique(b.stratum).tolist())
+    present = set(_strata_present(b.stratum))
     needed = {s.index for s in shape.boundary_strata(n=8, seed=0)}
     if needed - present:
         raise StrataCoverageGap(
@@ -280,7 +285,7 @@ def curvature_measure(
         theta_on={w.name: pref * float(c[w.mask(b)].sum()) for w in windows},
         quadrature_se=pref * _split_half_se(c, b.stratum),
         stratum_breakdown={
-            int(s): pref * float(c[b.stratum == s].sum()) for s in np.unique(b.stratum)
+            s: pref * float(c[b.stratum == s].sum()) for s in _strata_present(b.stratum)
         },
         abs_total=pref * float(np.abs(c).sum()),
     )

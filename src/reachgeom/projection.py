@@ -24,7 +24,8 @@ Everything vectorizes over batches of query points, on one of three routes:
   globalization followed by a secant polish of the stationarity condition,
   so feet are accurate to near machine precision under the analytic norms;
 * kd-tree boundary cloud, for the same pairs in ``distance_field`` (see
-  there).
+  there).  This is the package's only use of scipy (``cKDTree``), imported
+  on the route's first use, so no other route loads scipy.
 
 A note on uniqueness: points with several nearest feet (the cut locus) form a
 Lebesgue-null set, and the bracket reported by ``global_reach`` reflects both
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .norms import EuclideanNorm, Norm
 from .shapes import Shape
@@ -362,6 +362,25 @@ def project(shape: Shape, norm: Norm, x) -> ProjectionResult:
 # ======================================================================
 
 
+def _cloud(shape: Shape, norm: Norm, k: int):
+    """The shape's k-point boundary cloud and its kd-tree under ``norm``.
+
+    The tree holds the cloud in coordinates where phi_* is Euclidean (None
+    for norms without them).  Both are memoized on the shape, the cloud by
+    ``k`` and the tree by ``(k, norm.key)``, so they die with the shape.
+    """
+    memo = shape.boundary_clouds
+    cpts = memo.get(k)
+    if cpts is None:
+        cpts = memo.setdefault(k, shape.boundary_cloud(k=k)[0])
+    tree = memo.get((k, norm.key))
+    if tree is None and norm.dual_transform is not None:
+        from scipy.spatial import cKDTree
+
+        tree = memo.setdefault((k, norm.key), cKDTree(cpts @ norm.dual_transform.T))
+    return cpts, tree
+
+
 def distance_field(
     shape: Shape, norm: Norm, points: np.ndarray, cloud: int = 4096
 ) -> np.ndarray:
@@ -373,16 +392,15 @@ def distance_field(
     nearest-neighbor queries against a dense boundary cloud: a kd-tree in
     coordinates where the dual norm is Euclidean for euclidean and ellipsoidal
     norms, an explicit minimum over the cloud for the others, each with a
-    chord-sag error ~(P/cloud)^2, and interior points are set to 0.
+    chord-sag error ~(P/cloud)^2, and interior points are set to 0.  The
+    cloud and its tree are built once per shape, cloud size and norm.
     """
     points = np.asarray(points, dtype=float)
     d = shape.exact_distance(norm, points)
     if d is None:
-        cpts, _ = shape.boundary_cloud(k=cloud)
-        L = norm.dual_transform
-        if L is not None:
-            tree = cKDTree(cpts @ L.T)
-            d, _ = tree.query(points @ L.T, workers=-1)
+        cpts, tree = _cloud(shape, norm, cloud)
+        if tree is not None:
+            d, _ = tree.query(points @ norm.dual_transform.T, workers=-1)
         else:
             # generic norm: chunked explicit minimum over the cloud
             d = np.empty(len(points))
@@ -403,13 +421,14 @@ def cloud_covering_radius(shape: Shape, norm: Norm, cloud: int = 4096) -> float:
     lies within the cloud's covering radius (in phi_*) of some cloud point,
     so the cloud distance exceeds delta by at most that much.  The bound
     returned is derived from the cloud's own spacing: twice the largest
-    phi_* gap, either way, from a cloud point to its d nearest neighbours,
-    which also absorbs the membership tolerance of ``Shape.contains``.
+    phi_* gap, either way, from a cloud point to its d nearest neighbours
+    (nearest in the Euclidean metric), which also absorbs the membership
+    tolerance of ``Shape.contains``.
     """
     if shape.exact_distance(norm, shape.bounding_box()[0][None, :]) is not None:
         return 0.0
-    cpts, _ = shape.boundary_cloud(k=cloud)
-    _, nbr = cKDTree(cpts).query(cpts, k=shape.dim + 1)
+    cpts, tree = _cloud(shape, EuclideanNorm(shape.dim), cloud)
+    _, nbr = tree.query(cpts, k=shape.dim + 1)
     gaps = (cpts[nbr[:, 1:]] - cpts[:, None, :]).reshape(-1, shape.dim)
     return 2.0 * float(np.maximum(norm.conjugate(gaps), norm.conjugate(-gaps)).max())
 
@@ -479,6 +498,13 @@ def reach_along(
     return r
 
 
+def _median(x: np.ndarray) -> float:
+    """np.median of a finite vector, without the numpy.ma import of its NaN check."""
+    x = np.sort(x)
+    k = len(x) // 2
+    return float(x[k] if len(x) % 2 else (x[k - 1] + x[k]) / 2)
+
+
 def global_reach(
     shape: Shape,
     norm: Norm,
@@ -500,7 +526,7 @@ def global_reach(
     spacing = 0.0
     for s in shape.boundary_strata(n=n_samples, seed=seed):
         if len(s.points) > 1:
-            spacing = max(spacing, float(np.median(s.weights)))
+            spacing = max(spacing, _median(s.weights))
         for p, f in zip(s.points, s.fibers):
             u, _ = f.nodes(fiber_nodes)
             for ui in u:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .norms import (
     EllipsoidalNorm,
@@ -141,7 +142,7 @@ class FiberArc(Fiber):
 
     @staticmethod
     def _angles(fibers, k):
-        x, w = np.polynomial.legendre.leggauss(max(int(k), 1))
+        x, w = leggauss(max(int(k), 1))
         th = np.array([(f.theta0, f.theta1) for f in fibers], dtype=float)
         mid, half = 0.5 * (th[:, :1] + th[:, 1:]), 0.5 * (th[:, 1:] - th[:, :1])
         return mid + half * x, w * half
@@ -179,7 +180,7 @@ class FiberEdgeArc(Fiber):
     @classmethod
     def _angles(cls, fibers, k):
         e0, e1, angle = cls._frames(fibers)
-        x, w = np.polynomial.legendre.leggauss(max(int(k), 1))
+        x, w = leggauss(max(int(k), 1))
         ang = angle[:, None]
         return e0[:, None], e1[:, None], 0.5 * ang * (x + 1.0), w * 0.5 * ang
 
@@ -452,6 +453,11 @@ class Shape:
     def chart_solvers(self) -> dict:
         """Nearest-point solvers over ``charts()`` by norm key, filled by projection."""
         return self.__dict__.setdefault("_chart_solvers", {})
+
+    @property
+    def boundary_clouds(self) -> dict:
+        """Boundary clouds by size and their kd-trees by (size, norm key), filled by projection."""
+        return self.__dict__.setdefault("_boundary_clouds", {})
 
     def corner_points(self) -> np.ndarray:
         """0-dimensional boundary features (candidate feet for projections)."""
@@ -1098,9 +1104,6 @@ class CapLens(Shape):
     def volume(self):
         e = self.eps
         return 2.0 * (np.arccos(e) - e * np.sqrt(1 - e * e))
-
-    def smooth_perimeter(self):
-        return 4.0 * np.arccos(self.eps)
 
     def corner_points(self):
         return np.array([[self.half_width, 0.0], [-self.half_width, 0.0]])

@@ -16,6 +16,8 @@ and renders a structured pass/fail record:
   with equality exactly on disjoint unions of rescaled dual-ball bodies.
 * Mean-convexity ledgers and the bubble classifier that decides whether a
   shape is such a union, recovering the common radius two independent ways.
+  Its single-linkage clustering and dual-ball fits are plain numpy, so the
+  verdicts need no scipy.
 
 All almost-everywhere hypotheses are interpreted as sample-quota conditions
 at the stated tolerances; each verdict records the witnesses that violate a
@@ -29,9 +31,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import least_squares
-from scipy.spatial import cKDTree
 
 from .curvature import BundleSample, elementary_symmetric
 from .measures import _auto_bundle, bundle_integral
@@ -399,35 +398,120 @@ def mean_convexity_ledger(
 # ======================================================================
 
 
+# a pairwise-distance block holds at most about 2**20 distances
+_BLOCK_CELLS = 1 << 20
+# Gauss-Newton steps of the dual-ball fit; exact data converge in a handful
+_FIT_STEPS = 32
+
+
+def _sq_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of x and those of y."""
+    d2 = np.subtract.outer(x[:, 0], y[:, 0])
+    d2 *= d2
+    for k in range(1, x.shape[1]):
+        diff = np.subtract.outer(x[:, k], y[:, k])
+        diff *= diff
+        d2 += diff
+    return d2
+
+
 def _cluster_components(points: np.ndarray) -> np.ndarray:
-    """Single-linkage component labels at 3x the mean nearest-neighbor gap."""
-    tree = cKDTree(points)
-    dd, _ = tree.query(points, k=2)
-    link = 3.0 * float(dd[:, 1].mean())
-    pairs = tree.query_pairs(link, output_type="ndarray")
+    """Single-linkage component labels at 3x the mean nearest-neighbor gap.
+
+    The points are swept in row blocks, in the order of their widest
+    coordinate; a block meets only the points within reach of it along that
+    coordinate, so memory is O(m * block), not m^2.  Components are found by
+    min-label propagation with pointer jumping and numbered in the order of
+    their smallest point index.
+    """
     m = len(points)
-    adj = sparse.coo_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m)
-    )
-    _, labels = sparse.csgraph.connected_components(adj, directed=False)
-    return labels
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    order = np.argsort(points[:, axis], kind="stable")
+    p, key = points[order], points[order, axis]
+    rows = max(1, _BLOCK_CELLS // max(m, 1))
+
+    def block(i, span):
+        # squared distances from sorted rows i.. to sorted rows span, not to themselves
+        d2 = _sq_distances(p[i : i + rows], p[span[0] : span[1]])
+        own = np.arange(len(d2))
+        d2[own, own + i - span[0]] = np.inf
+        return d2
+
+    def window(i, reach):
+        # sorted rows within reach of rows i.. along the sweep, widened for rounding
+        reach *= 1.0 + 1e-9
+        last = key[min(i + rows, m) - 1]
+        return (
+            int(np.searchsorted(key, key[i] - reach, side="left")),
+            int(np.searchsorted(key, last + reach, side="right")),
+        )
+
+    gap2 = np.empty(m)
+    for i in range(0, m, rows):
+        near = (max(i - rows, 0), min(i + 2 * rows, m))
+        d2 = block(i, near)
+        # no row's gap exceeds its gap among the sorted rows around it
+        span = window(i, float(np.sqrt(d2.min(axis=1).max())))
+        if span != near:
+            d2 = block(i, span)
+        gap2[order[i : i + rows]] = d2.min(axis=1)
+    link = 3.0 * float(np.sqrt(gap2).mean())
+    src, dst = [], []
+    for i in range(0, m, rows):
+        if m > rows:  # else the lone block, over all points, is still at hand
+            span = window(i, link)
+            d2 = block(i, span)
+        a, b = np.nonzero(d2 <= link * link)
+        src.append(order[a + i])
+        dst.append(order[b + span[0]])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    # every label is the root of its own tree; hook each edge's larger root
+    # under its smaller one, then jump every label to its root, until stable
+    labels = np.arange(m)
+    while True:
+        ls, ld = labels[src], labels[dst]
+        hooked = labels.copy()
+        np.minimum.at(hooked, ls, np.minimum(ls, ld))
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, labels):
+            break
+        labels = hooked
+    # each label is now its component's smallest index; number the roots
+    roots = labels == np.arange(m)
+    return (np.cumsum(roots) - 1)[labels]
 
 
 def _fit_dual_ball(points: np.ndarray, norm: Norm) -> tuple[np.ndarray, float, float]:
     """Least-squares center of a dual-ball body through boundary points.
 
-    Minimizes the spread of the dual gauge phi*(x - c) over the cloud;
-    returns (center, mean radius, max absolute residual).
+    Minimizes the spread of the dual gauge phi*(x - c) over the cloud by
+    damped Gauss-Newton from the centroid: the Jacobian of the centred
+    spread is -grad phi*(x - c), centred over the cloud, and a step is
+    halved until it lowers the squared spread.  Stops when no halving does,
+    or after a fixed number of steps; returns (center, mean radius, max
+    absolute residual).
     """
-
-    def spread(c):
-        g = norm.conjugate(points - c)
-        return g - g.mean()
-
-    sol = least_squares(spread, points.mean(axis=0), xtol=1e-14, ftol=1e-14)
-    g = norm.conjugate(points - sol.x)
+    c = points.mean(axis=0)
+    g = norm.conjugate(points - c)
+    r = g - g.mean()
+    for _ in range(_FIT_STEPS):
+        grad = norm.conjugate_grad(points - c)
+        step = np.linalg.lstsq(grad.mean(axis=0) - grad, -r, rcond=None)[0]
+        for _ in range(8):
+            g_new = norm.conjugate(points - (c + step))
+            r_new = g_new - g_new.mean()
+            if r_new @ r_new < r @ r:
+                break
+            step = 0.5 * step
+        else:
+            break
+        c, g, r = c + step, g_new, r_new
     rho = float(g.mean())
-    return sol.x, rho, float(np.abs(g - rho).max())
+    return c, rho, float(np.abs(g - rho).max())
 
 
 def alexandrov_classify(

@@ -1,8 +1,12 @@
 """Config parsing, report emission, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import numpy.testing as npt
 import pytest
 
@@ -37,6 +41,9 @@ norm = euclid
 m = 1, 0
 expect_theta = 4.0, 3.141592653589793
 """
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -286,3 +293,55 @@ class TestMainEntry:
         assert main(["run-all", str(bundled), "--out", str(out)]) == 0
         rows = (out / "verify_verdicts.csv").read_text(encoding="utf-8").splitlines()
         assert all(",true," in r for r in rows[1:])
+
+
+def fresh_python(code, *args):
+    """Run code in a new interpreter that imports the package from source; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+class TestImportFootprint:
+    def test_bubble_config_loads_no_scipy(self, tmp_path):
+        # bubbles.cfg runs the soap-bubble classifier on three unions
+        code = (
+            "import json, sys\n"
+            "from reachgeom.cli import main\n"
+            "status = main(['run-all', sys.argv[1], '--out', sys.argv[2]])\n"
+            f"print(json.dumps([status, {SCIPY_MODULES}]))\n"
+        )
+        out = tmp_path / "bubbles"
+        stdout = fresh_python(code, ROOT / "configs" / "bubbles.cfg", out)
+        assert json.loads(stdout.splitlines()[-1]) == [0, []]
+        rows = (out / "verify_triple-verdicts.csv").read_text(encoding="utf-8")
+        assert "alexandrov-r1,true,count=3," in rows
+
+    def test_cloud_route_imports_the_kd_tree(self):
+        code = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from reachgeom.norms import EllipsoidalNorm\n"
+            "from reachgeom.projection import cloud_covering_radius, distance_field\n"
+            "from reachgeom.projection import set_distance\n"
+            "from reachgeom.shapes import make_catalog_shape\n"
+            "lens, q = make_catalog_shape('cap-lens-0.5'), EllipsoidalNorm(np.diag([4.0, 1.0]))\n"
+            "pts = np.array([[0.0, 1.2], [1.4, 0.3], [-0.7, -0.9], [2.5, 2.0]])\n"
+            "assert lens.exact_distance(q, pts) is None\n"
+            f"before = {SCIPY_MODULES}\n"
+            "cloud = distance_field(lens, q, pts)\n"
+            "print(json.dumps([before, 'scipy.spatial' in sys.modules, cloud.tolist(),\n"
+            "                  set_distance(lens, q, pts).tolist(),\n"
+            "                  cloud_covering_radius(lens, q)]))\n"
+        )
+        before, loaded, cloud, exact, cover = json.loads(fresh_python(code).splitlines()[-1])
+        assert before == [] and loaded
+        assert 0.0 < cover < 0.01
+        npt.assert_array_less(np.abs(np.subtract(cloud, exact)), cover)

@@ -384,6 +384,30 @@ class TestPrunedCount:
         npt.assert_array_equal(got[0], want[0])
         npt.assert_array_equal(got[1], want[1])
 
+    def test_one_boundary_cloud_per_count(self, monkeypatch):
+        lens = make_catalog_shape("cap-lens-0.5")
+        built = []
+        real = type(lens).boundary_cloud
+
+        def counted(shape, k=2048):
+            built.append(k)
+            return real(shape, k)
+
+        monkeypatch.setattr(type(lens), "boundary_cloud", counted)
+        h = lens.diameter / 256
+        got = voxel_tube_volume(lens, Q41, self.RHO, h)
+        assert built == [4096]
+        # the kd-tree is keyed by the norm's parameters, not by the object
+        again = voxel_tube_volume(lens, EllipsoidalNorm(np.diag([4.0, 1.0])), self.RHO, h)
+        assert built == [4096]
+        npt.assert_array_equal(again[0], got[0])
+        # another norm gets its own tree over the same cloud
+        Q14 = EllipsoidalNorm(np.diag([1.0, 4.0]))
+        pts = np.array([[0.0, 1.2], [1.4, 0.3], [-0.7, -0.9]])
+        fresh = make_catalog_shape("cap-lens-0.5")
+        npt.assert_array_equal(distance_field(lens, Q14, pts), distance_field(fresh, Q14, pts))
+        assert built == [4096, 4096]
+
     def test_closed_form_pairs_need_no_cloud_slack(self):
         assert cloud_covering_radius(make_catalog_shape("disk"), Q41) == 0.0
 

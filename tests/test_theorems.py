@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachgeom.curvature import bundle_sample
+from reachgeom import theorems
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm
 from reachgeom.shapes import make_catalog_shape
 from reachgeom.theorems import (
     BubbleVerdict,
     PreconditionFailed,
     TheoremVerdict,
+    _cluster_components,
+    _fit_dual_ball,
     alexandrov_classify,
     heintze_karcher_check,
     lower_bound_rigidity,
@@ -316,6 +319,104 @@ class TestAlexandrovClassify:
             bundle=cached_bundle("three-wulff", Q41),
         )
         json.dumps(v.to_dict())
+
+
+def _scipy_components(points):
+    """Reference labels: kd-tree single linkage and csgraph components."""
+    from scipy import sparse
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(points)
+    dd, _ = tree.query(points, k=2)
+    pairs = tree.query_pairs(3.0 * float(dd[:, 1].mean()), output_type="ndarray")
+    m = len(points)
+    adj = sparse.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m))
+    return sparse.csgraph.connected_components(adj, directed=False)[1]
+
+
+def _scipy_fit(points, norm):
+    """Reference dual-ball fit: (center, max residual) from least_squares."""
+    from scipy.optimize import least_squares
+
+    def spread(c):
+        g = norm.conjugate(points - c)
+        return g - g.mean()
+
+    sol = least_squares(spread, points.mean(axis=0), xtol=1e-14, ftol=1e-14)
+    return sol.x, float(np.abs(spread(sol.x)).max())
+
+
+class TestClassifierAgainstScipy:
+    """The numpy clustering and dual-ball fit reproduce the scipy route."""
+
+    @staticmethod
+    def check(points, norm):
+        labels = _cluster_components(points)
+        npt.assert_array_equal(labels, _scipy_components(points))
+        for i in range(int(labels.max()) + 1):
+            comp = points[labels == i]
+            center, _, resid = _fit_dual_ball(comp, norm)
+            center_ref, resid_ref = _scipy_fit(comp, norm)
+            npt.assert_allclose(center, center_ref, rtol=0.0, atol=1e-9)
+            assert resid <= resid_ref + 1e-12
+
+    @pytest.mark.parametrize(
+        "key,norm",
+        [
+            ("disk", E2),
+            ("ellipse-2-1", E2),
+            ("ellipse-2-1", Q41),
+            ("two-disks-far", E2),
+            ("two-disks-mixed", E2),
+            ("three-wulff", Q41),
+            ("wulff-3d", Q411),
+            ("two-balls-3d", E3),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v.kind,
+    )
+    def test_top_stratum_points(self, key, norm):
+        b = cached_bundle(key, norm)
+        self.check(b.points[b.stratum == b.n], norm)
+
+    @pytest.mark.parametrize(
+        "key,norm", [("disk", E2), ("ellipse-2-1", Q41), ("wulff-3d", Q411)],
+        ids=lambda v: v if isinstance(v, str) else v.kind,
+    )
+    def test_cap_off_its_centroid(self, key, norm):
+        # a boundary cap: the fit must travel from the centroid to the center
+        b = cached_bundle(key, norm)
+        points = b.points[(b.stratum == b.n) & (b.points[:, 1] > -0.3)]
+        assert abs(points.mean(axis=0)[1]) > 0.1
+        center, rho, _ = _fit_dual_ball(points, norm)
+        npt.assert_allclose(center, 0.0, atol=1e-9)
+        npt.assert_allclose(rho, 1.0, rtol=1e-9)
+        self.check(points, norm)
+
+    def test_twenty_thousand_point_cloud(self):
+        # several row blocks, each meeting only a window of the sweep
+        points = make_catalog_shape("two-balls-3d").boundary_cloud(k=20_000)[0]
+        assert len(points) == 20_000
+        self.check(points, E3)
+
+    def test_scattered_cloud_in_small_blocks(self, monkeypatch):
+        # many components whose links sit near the threshold; tiny row blocks
+        # make every block's window decide which pairs are seen
+        monkeypatch.setattr(theorems, "_BLOCK_CELLS", 1 << 14)
+        rng = np.random.default_rng(11)
+        points = rng.uniform(0.0, 1.0, size=(1500, 2)) ** 3 * [4.0, 1.0]
+        labels = _cluster_components(points)
+        npt.assert_array_equal(labels, _scipy_components(points))
+        assert labels.max() > 20
+
+    def test_labels_follow_the_smallest_point_index(self):
+        rng = np.random.default_rng(5)
+        t = rng.uniform(0.0, 2.0 * np.pi, 300)
+        ring = np.stack([np.cos(t), np.sin(t)], axis=1)
+        points = np.concatenate([ring + [9.0, 0.0], ring, ring - [9.0, 0.0]])[rng.permutation(900)]
+        labels = _cluster_components(points)
+        firsts = [int(np.flatnonzero(labels == i)[0]) for i in range(3)]
+        assert firsts == sorted(firsts) and firsts[0] == 0
+        npt.assert_array_equal(labels, _scipy_components(points))
 
 
 class TestLowerBoundRigidity:
