@@ -15,6 +15,17 @@ read as an infinite curvature.  This single code path covers smooth strata
 out infinite automatically, since there the level set locally matches a
 sphere of radius r around the stratum).
 
+The probes a + r eta +- h tau sit within h of a + r eta, whose foot is a,
+so their feet are found by a local polish from a rather than a global search
+(``projection._probe_feet``).  Inside the reach the nearest-point map is
+Lipschitz with constant reach/(reach - r) (Federer 1959, Thm 4.8; in the
+coordinates where the dual norm is Euclidean, hence a norm-equivalence factor
+in ambient ones), and r is at most ``PROBE_REACH_FRAC`` of the ray reach, or
+twice that for the audit.  A polished foot farther from a than that bound, or
+a probe with no bound (r at or past the stated reach), falls back to the
+global route ``nearest_points``: a check, not a setting.  The bound assumes
+the stated reach; an overstated one can let a stationary point at a through.
+
 Weights follow the bundle measure: over smooth strata the boundary area
 element divided by the tangent-space Jacobian of the bundle projection, over
 singular strata the product of the face measure and the fiber measure pushed
@@ -24,13 +35,12 @@ into dual coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Optional
 
 import numpy as np
 
 from .norms import EuclideanNorm, Norm, tangent_basis
-from .projection import nearest_points, reach_along
+from .projection import _probe_feet, reach_along
 from .shapes import Shape
 
 __all__ = [
@@ -116,9 +126,14 @@ def elementary_symmetric(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def normal_matrices(
-    shape: Shape, norm: Norm, a, eta, r, h_frac: float = FD_FRAC
+    shape: Shape, norm: Norm, a, eta, r, h_frac: float = FD_FRAC, reach=np.inf
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tangent-plane matrices of the normal field at probes a + r eta.
+
+    ``reach`` is the ray reach at (a, eta), above r.  It sizes the
+    neighbourhood of a in which the probe feet are certified (see the module
+    docstring); the default +inf is exact for convex sets, and overstating
+    the reach only shrinks the neighbourhood.
 
     Returns (M, T, u): M (N, n, n) with M[i, j] = tau_i . (D nu) tau_j,
     T (N, n, d) the tangent frames (rows tau_i), u (N, d) the Euclidean unit
@@ -127,6 +142,7 @@ def normal_matrices(
     a = np.atleast_2d(np.asarray(a, dtype=float))
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
     r = np.broadcast_to(np.asarray(r, dtype=float), (len(a),))
+    reach = np.broadcast_to(np.asarray(reach, dtype=float), (len(a),))
     d = a.shape[1]
     n = d - 1
     w = norm.conjugate_grad(eta)  # parallel to the Euclidean normal
@@ -138,10 +154,9 @@ def normal_matrices(
         x[:, None, None, :]
         + np.array([1.0, -1.0])[None, None, :, None] * h[:, None, None, None] * T[:, :, None, :]
     )  # (N, n, 2, d)
-    flat = probes.reshape(-1, d)
-    feet, delta = nearest_points(shape, norm, flat)
-    nu = (flat - feet) / delta[:, None]
-    nu = nu.reshape(len(a), n, 2, d)
+    probes = probes.reshape(len(a), 2 * n, d)
+    feet, delta = _probe_feet(shape, norm, probes, a, r, reach, h)
+    nu = ((probes - feet) / delta[..., None]).reshape(len(a), n, 2, d)
     cols = (nu[:, :, 0, :] - nu[:, :, 1, :]) / (2.0 * h[:, None, None])  # (N, j, d)
     M = np.einsum("nid,njd->nij", T, cols)
     return M, T, u
@@ -281,12 +296,8 @@ def bundle_nodes(
     """
     blocks = []
     for s in shape.boundary_strata(n=n, seed=seed):
-        start = 0
-        for _, run in groupby(s.fibers, key=lambda f: f.stack_key):
-            run = list(run)
+        for rows, run in s.fiber_runs():
             cls = type(run[0])
-            rows = slice(start, start + len(run))
-            start += len(run)
             kq = fiber_nodes if cls.dim_fiber == 1 else patch_nodes
             uu, ww = cls.stack_nodes(run, kq)  # (F, q, d), (F, q)
             q, d = uu.shape[1:]
@@ -340,9 +351,9 @@ def bundle_sample(
         reach = reach_along(shape, norm, a, eta, validate=False)
     probe = np.minimum(PROBE_REACH_FRAC * reach, PROBE_DIAM_FRAC * shape.diameter)
 
-    kappa, tau, ambiguous = _curvatures_at_probe(shape, norm, a, eta, probe)
+    kappa, tau, ambiguous = _curvatures_at_probe(shape, norm, a, eta, probe, reach)
     if audit:
-        kap2, _, _ = _curvatures_at_probe(shape, norm, a, eta, 2.0 * probe)
+        kap2, _, _ = _curvatures_at_probe(shape, norm, a, eta, 2.0 * probe, reach)
         both_fin = np.isfinite(kappa) & np.isfinite(kap2)
         with np.errstate(invalid="ignore"):  # inf - inf where both diverge
             diff = np.where(both_fin, np.abs(kappa - kap2), 0.0)
@@ -373,8 +384,8 @@ def bundle_sample(
     )
 
 
-def _curvatures_at_probe(shape, norm, a, eta, r):
-    M, T, _ = normal_matrices(shape, norm, a, eta, r)
+def _curvatures_at_probe(shape, norm, a, eta, r, reach):
+    M, T, _ = normal_matrices(shape, norm, a, eta, r, reach=reach)
     chi, vec = eig_small(M)
     kappa, infinite, ambiguous = kappa_from_chi(chi, r)
     tau = np.einsum("nki,nid->nkd", vec, T)  # eigencoords -> ambient

@@ -27,6 +27,13 @@ Everything vectorizes over batches of query points, on one of three routes:
   there).  This is the package's only use of scipy (``cKDTree``), imported
   on the route's first use, so no other route loads scipy.
 
+Curvature probes, points a + r eta + O(h) next to a bundle point (a, eta)
+with r below the ray reach, skip the multi-start search: their feet lie in a
+Lipschitz neighbourhood of a, so ``_probe_feet`` polishes once per chart from
+the seed nearest a and hands to ``nearest_points`` only the rows whose foot
+leaves that neighbourhood.  ``reach_along`` narrows each ray's bracket only to
+the tolerance of its distance predicate.
+
 A note on uniqueness: points with several nearest feet (the cut locus) form a
 Lebesgue-null set, and the bracket reported by ``global_reach`` reflects both
 the sampled ray infimum and any multi-foot witnesses found by scanning.
@@ -192,7 +199,16 @@ def _chart_minimize_2d(chart, norm, x, s0, iters=40):
             step = np.linalg.solve(J, -f[..., None])[..., 0]
         except np.linalg.LinAlgError:
             step = -f
-        step = np.clip(step, -0.3, 0.3)
+        # F is the value's gradient, so where J is indefinite Newton can
+        # climb; there step with |J| (eigenvalues by modulus) instead
+        uphill = np.einsum("mk,mk->m", step, f) > 0
+        if uphill.any():
+            lam, V = np.linalg.eigh(J[uphill])
+            coef = np.einsum("mki,mk->mi", V, f[uphill]) / np.maximum(np.abs(lam), 1e-12)
+            step[uphill] = -np.einsum("mki,mi->mk", V, coef)
+        # shorten, don't clip: clipping one component can turn a descent
+        # direction uphill, and the line search then stalls
+        step *= np.minimum(1.0, 0.3 / np.maximum(np.abs(step).max(axis=1), 1e-300))[:, None]
         v0 = val(s)
         s_new = chart.clamp(s + step)
         worse = val(s_new) > v0
@@ -229,39 +245,37 @@ class _ChartSolver:
     def feet_batch(self, x: np.ndarray, want_all: bool = False):
         """(feet, delta) per row of x; with want_all also every candidate."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        seeds = []
+        for params, pts in zip(self._seed_params, self._seed_pts):
+            vals = self.norm.conjugate(x[:, None, :] - pts[None, :, :])
+            k = min(self.k_seed, len(params))
+            seeds.append(np.argpartition(vals, k - 1, axis=1)[:, :k])
+        feet, vals = self.candidates(x, seeds)
+        best = np.argmin(vals, axis=1)
+        idx = np.arange(len(x))
+        if want_all:
+            return feet[idx, best], vals[idx, best], feet, vals
+        return feet[idx, best], vals[idx, best]
+
+    def candidates(self, x: np.ndarray, seeds: list) -> tuple[np.ndarray, np.ndarray]:
+        """Polished feet (m, c, d) and values (m, c), the corners last.
+
+        ``seeds[i]`` indexes chart i's seed grid, k seeds per row of x (m, k).
+        """
         m = len(x)
         cand_feet = []
         cand_vals = []
-        for ci, ch in enumerate(self.charts):
-            seeds = self._seed_params[ci]
-            pts = self._seed_pts[ci]
-            v = x[:, None, :] - pts[None, :, :]
-            vals = self.norm.conjugate(v)
-            k = min(self.k_seed, len(seeds))
-            order = np.argpartition(vals, k - 1, axis=1)[:, :k]
-            if ch.param_dim == 1:
-                t0 = seeds[order]  # (m, k)
-                xs = np.repeat(x, k, axis=0)
-                t, fv = _chart_minimize_1d(ch, self.norm, xs, t0.reshape(-1))
-                feet = ch.point(t)
-            else:
-                s0 = seeds[order.reshape(-1)]
-                xs = np.repeat(x, k, axis=0)
-                s, fv = _chart_minimize_2d(ch, self.norm, xs, s0)
-                feet = ch.point(s)
-            cand_feet.append(feet.reshape(m, k, -1))
+        for ch, params, order in zip(self.charts, self._seed_params, seeds):
+            k = order.shape[1]
+            minimize = _chart_minimize_1d if ch.param_dim == 1 else _chart_minimize_2d
+            t, fv = minimize(ch, self.norm, np.repeat(x, k, axis=0), params[order.reshape(-1)])
+            cand_feet.append(ch.point(t).reshape(m, k, -1))
             cand_vals.append(fv.reshape(m, k))
         if len(self.corners):
             vc = x[:, None, :] - self.corners[None, :, :]
             cand_feet.append(np.broadcast_to(self.corners, (m,) + self.corners.shape).copy())
             cand_vals.append(self.norm.conjugate(vc))
-        feet = np.concatenate(cand_feet, axis=1)
-        vals = np.concatenate(cand_vals, axis=1)
-        best = np.argmin(vals, axis=1)
-        idx = np.arange(m)
-        if want_all:
-            return feet[idx, best], vals[idx, best], feet, vals
-        return feet[idx, best], vals[idx, best]
+        return np.concatenate(cand_feet, axis=1), np.concatenate(cand_vals, axis=1)
 
 
 def _solver(shape, norm) -> _ChartSolver:
@@ -290,6 +304,56 @@ def nearest_points(shape: Shape, norm: Norm, x) -> tuple[np.ndarray, np.ndarray]
         feet = np.where(inside[:, None], x, feet)
         delta = np.where(inside, 0.0, delta)
     return feet, delta
+
+
+def _probe_feet(shape, norm, x, a, r, reach, h):
+    """``nearest_points`` of curvature probes: x (N, k, d) within h of a + r eta.
+
+    a + r eta has the foot a when r is below the ray reach, and inside the
+    reach the nearest-point map is Lipschitz with constant reach/(reach - r)
+    in coordinates where phi_* is Euclidean (Federer 1959, Thm 4.8).  So the
+    foot of each probe lies within c h reach/(reach - r) of a, c the
+    norm-equivalence ratio (doubled here for safety), and one polish per
+    chart from the seed nearest a finds it.  Rows whose best candidate falls
+    outside that neighbourhood, or whose bound is void (r >= reach), go to
+    ``nearest_points``; closed-form pairs take ``exact_projection`` as there.
+    Returns feet (N, k, d) and distances (N, k); r, reach and h are (N,).
+    """
+    N, k, d = x.shape
+    flat = x.reshape(-1, d)
+    res = shape.exact_projection(norm, flat)
+    if res is None:
+        solver = _solver(shape, norm)
+        seeds = [
+            np.repeat(np.argmin((pts * pts).sum(-1) - 2.0 * a @ pts.T, axis=1), k)[:, None]
+            for pts in solver._seed_pts
+        ]
+        cand_feet, cand_vals = solver.candidates(flat, seeds)
+        best = np.argmin(cand_vals, axis=1)
+        rows = np.arange(len(flat))
+        feet, delta = cand_feet[rows, best], cand_vals[rows, best]
+        r, reach = np.asarray(r, dtype=float), np.asarray(reach, dtype=float)
+        with np.errstate(divide="ignore"):
+            lip = np.where(r < reach, 1.0 / (1.0 - r / reach), np.nan)
+        radius = np.repeat(2.0 * _equivalence_ratio(norm) * lip * h, k)
+        moved = np.linalg.norm(feet - np.repeat(a, k, axis=0), axis=-1)
+        redo = ~(moved <= radius) | shape.contains(flat, tol=0.0)
+        if redo.any():
+            feet[redo], delta[redo] = nearest_points(shape, norm, flat[redo])
+        res = feet, delta
+    return res[0].reshape(N, k, d), res[1].reshape(N, k)
+
+
+def _equivalence_ratio(norm: Norm) -> float:
+    """max phi / min phi over Euclidean unit vectors (the same for phi_*).
+
+    Taken over a dense sample of directions, the surface of the cube [-1, 1]^d.
+    """
+    g = np.linspace(-1.0, 1.0, 65 if norm.dim == 2 else 17)
+    u = np.stack(np.meshgrid(*[g] * norm.dim), axis=-1).reshape(-1, norm.dim)
+    u = u[np.abs(u).max(axis=1) == 1.0]
+    phi = norm.value(u) / np.linalg.norm(u, axis=1)
+    return float(phi.max() / phi.min())
 
 
 def set_distance(shape: Shape, norm: Norm, x) -> np.ndarray:
@@ -451,6 +515,18 @@ def reach_along(
 
     Vectorized over rows.  Returns +inf where the predicate still holds at
     s_max (default 10 x bounding-box diameter).
+
+    The predicate is ``delta(a + s eta) >= s - tol_pred (1 + s)``: distances
+    are only trusted to that tolerance, so a bracket [lo, hi] with lo holding
+    and hi failing is narrowed until ``hi - lo <= tol_pred (1 + lo)`` and its
+    midpoint returned; finer brackets would only resolve the noise of delta.
+    Past the reach, delta(a + s eta) follows the foot branch that takes over
+    there, smoothly, so the bracket is narrowed by a secant on the predicate's
+    slack through the last two failing points outside the set (inside it
+    delta is 0 on any branch), each try aimed just past the root so that it
+    fails close to it, and then just below and above a root that has stopped
+    moving.  A try that does not halve the bracket is followed by a bisection,
+    so no ray costs more than twice the halvings.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
@@ -458,10 +534,12 @@ def reach_along(
     if s_max is None:
         s_max = 10.0 * float(np.linalg.norm(hi - lo))
 
-    def holds(s):
-        pts = a + s[:, None] * eta
-        d = set_distance(shape, norm, pts)
-        return d >= s - tol_pred * (1.0 + s)
+    def distance(rows, s):
+        return set_distance(shape, norm, a[rows] + s[:, None] * eta[rows])
+
+    def slack(d, s):
+        # >= 0 exactly where the predicate holds
+        return d - s + tol_pred * (1.0 + s)
 
     if validate:
         s0 = np.full(len(a), 1e-3 * float(np.linalg.norm(hi - lo)))
@@ -478,24 +556,44 @@ def reach_along(
     if shape.is_convex:
         return np.full(len(a), np.inf)
 
-    top = np.full(len(a), s_max)
-    at_max = holds(top)
-    r = np.where(at_max, np.inf, np.nan)
-    active = ~at_max
     lo_s = np.zeros(len(a))
     hi_s = np.full(len(a), s_max)
-    for _ in range(60):
+    d = distance(slice(None), hi_s)
+    at_max = slack(d, hi_s) >= 0
+    # the last two failing points outside the set, (s, slack), and the
+    # secant root through them at the previous step
+    s1, f1 = hi_s.copy(), np.where(d > 0, slack(d, hi_s), np.nan)
+    s2, f2 = np.full(len(a), np.nan), np.full(len(a), np.nan)
+    root_prev = np.full(len(a), np.nan)
+    bisect = np.zeros(len(a), dtype=bool)
+    active = ~at_max
+    for _ in range(100):
+        active &= hi_s - lo_s > tol_pred * (1.0 + lo_s)
         if not active.any():
             break
-        mid = 0.5 * (lo_s + hi_s)
-        h = np.zeros(len(a), dtype=bool)
-        pts = a[active] + mid[active, None] * eta[active]
-        d = set_distance(shape, norm, pts)
-        h[active] = d >= mid[active] - tol_pred * (1.0 + mid[active])
-        lo_s[active & h] = mid[active & h]
-        hi_s[active & ~h] = mid[active & ~h]
-    r[~at_max] = 0.5 * (lo_s + hi_s)[~at_max]
-    return r
+        idx = np.flatnonzero(active)
+        lo, hi = lo_s[idx], hi_s[idx]
+        mid = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = s1[idx] - f1[idx] * (s1[idx] - s2[idx]) / (f1[idx] - f2[idx])
+        move = np.abs(root - root_prev[idx])
+        root_prev[idx] = root
+        w = 0.5 * tol_pred * (1.0 + lo)
+        settled = move <= w
+        s = np.where(settled, root - w, root + move)
+        s = np.where(settled & ~(s > lo), root + w, s)
+        s = np.where((s > lo) & (s < hi) & ~bisect[idx], s, mid)
+        d = distance(idx, s)
+        f = slack(d, s)
+        ok = f >= 0
+        lo_s[idx[ok]] = s[ok]
+        hi_s[idx[~ok]] = s[~ok]
+        bisect[idx] = (s != mid) & (hi_s[idx] - lo_s[idx] > 0.5 * (hi - lo))
+        new = ~ok & (d > 0)
+        j = idx[new]
+        s2[j], f2[j] = s1[j], f1[j]
+        s1[j], f1[j] = s[new], f[new]
+    return np.where(at_max, np.inf, 0.5 * (lo_s + hi_s))
 
 
 def _median(x: np.ndarray) -> float:
@@ -522,19 +620,17 @@ def global_reach(
     if shape.is_convex:
         return ReachEstimate(np.array([np.inf]), np.inf, (np.inf, np.inf), True)
 
-    rays_a, rays_eta = [], []
+    rays_a, rays_u = [], []
     spacing = 0.0
     for s in shape.boundary_strata(n=n_samples, seed=seed):
         if len(s.points) > 1:
             spacing = max(spacing, _median(s.weights))
-        for p, f in zip(s.points, s.fibers):
-            u, _ = f.nodes(fiber_nodes)
-            for ui in u:
-                rays_a.append(p)
-                rays_eta.append(norm.grad(ui))
-    rays_a = np.stack(rays_a)
-    rays_eta = np.stack(rays_eta)
-    per_sample = reach_along(shape, norm, rays_a, rays_eta, validate=False)
+        for rows, run in s.fiber_runs():
+            uu, _ = type(run[0]).stack_nodes(run, fiber_nodes)  # (F, q, d)
+            rays_a.append(np.repeat(s.points[rows], uu.shape[1], axis=0))
+            rays_u.append(uu.reshape(-1, shape.dim))
+    rays_eta = norm.grad(np.concatenate(rays_u))
+    per_sample = reach_along(shape, norm, np.concatenate(rays_a), rays_eta, validate=False)
     g = float(per_sample.min())
 
     # Monte-Carlo scan for multi-foot points: any hit caps the reach from above

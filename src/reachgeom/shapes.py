@@ -17,6 +17,7 @@ nodes) and spectrally accurate chart quadrature on smooth pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -266,6 +267,14 @@ class Stratum:
 
     def __len__(self):
         return len(self.points)
+
+    def fiber_runs(self):
+        """(rows, fibers) for each run of consecutive fibers with one ``stack_key``."""
+        start = 0
+        for _, run in groupby(self.fibers, key=lambda f: f.stack_key):
+            run = list(run)
+            yield slice(start, start + len(run)), run
+            start += len(run)
 
 
 class Chart:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachgeom import curvature, projection
 from reachgeom.curvature import (
     bundle_jacobian,
     bundle_nodes,
@@ -17,8 +18,8 @@ from reachgeom.curvature import (
     pointwise_mean_curvature,
     pointwise_shape_operator,
 )
-from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, tangent_basis
-from reachgeom.shapes import make_catalog_shape
+from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm, tangent_basis
+from reachgeom.shapes import WulffBody, make_catalog_shape
 
 E2 = EuclideanNorm(2)
 E3 = EuclideanNorm(3)
@@ -328,3 +329,121 @@ class TestAudit:
         bs = bundle_sample(make_catalog_shape("ellipse-2-1", E2), E2, n=128, audit=True)
         assert bs.audit_fail is not None
         assert not bs.audit_fail.any()
+
+
+class TestWarmProbes:
+    """Probe feet polished from the bundle point, certified by the Lipschitz bound."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Rows sent to the global route from now on."""
+        rows = []
+        plain = projection.nearest_points
+
+        def counting(shape_, norm_, x_):
+            rows.append(len(x_))
+            return plain(shape_, norm_, x_)
+
+        monkeypatch.setattr(projection, "nearest_points", counting)
+        return rows
+
+    def _probe_calls(self, monkeypatch, shape, norm, n):
+        """Every probe batch of an audited bundle_sample of a convex shape.
+
+        A convex shape's reach is not bisected, so every row that reaches
+        ``nearest_points`` is a fallback.
+        """
+        calls = []
+        warm = projection._probe_feet
+
+        def spy(*args):
+            out = warm(*args)
+            calls.append((args[2], out))
+            return out
+
+        monkeypatch.setattr(curvature, "_probe_feet", spy)
+        rows = self._counting(monkeypatch)
+        bundle_sample(shape, norm, n=n, audit=True)
+        monkeypatch.undo()
+        assert len(calls) == 2  # the probes at r and the audit's at 2r
+        return calls, sum(rows)
+
+    def test_lens_feet_equal_the_global_route(self, monkeypatch):
+        lens = make_catalog_shape("cap-lens-0.5", Q41)
+        calls, fallback = self._probe_calls(monkeypatch, lens, Q41, 512)
+        assert fallback == 0
+        for x, (feet, delta) in calls:
+            assert x.shape == (544, 2, 2)
+            feet_g, delta_g = projection.nearest_points(lens, Q41, x.reshape(-1, 2))
+            feet, delta = feet.reshape(-1, 2), delta.ravel()
+            npt.assert_allclose(feet, feet_g, rtol=0.0, atol=1e-12)
+            npt.assert_allclose(delta, delta_g, rtol=0.0, atol=1e-12)
+
+    def test_smoothed_lp_body_in_3d(self, monkeypatch):
+        # the 3-d chart Newton settles within ~1e-10 of the foot (central
+        # differences of chart points), differently from each seed, so feet
+        # agree to that floor and distances to rounding
+        body = WulffBody(SmoothedLpNorm(3, 3.0))
+        calls, fallback = self._probe_calls(monkeypatch, body, E3, 32)
+        assert fallback == 0
+        for x, (feet, delta) in calls:
+            feet_g, delta_g = projection.nearest_points(body, E3, x.reshape(-1, 3))
+            feet, delta = feet.reshape(-1, 3), delta.ravel()
+            npt.assert_allclose(feet, feet_g, rtol=0.0, atol=2e-9)
+            npt.assert_allclose(delta, delta_g, rtol=0.0, atol=1e-12)
+
+    @staticmethod
+    def _global_probe_feet(shape, norm, x, *bound):
+        feet, delta = projection.nearest_points(shape, norm, x.reshape(-1, x.shape[-1]))
+        return feet.reshape(x.shape), delta.reshape(x.shape[:-1])
+
+    def test_kappa_agrees_with_the_global_route(self, monkeypatch):
+        for shape in (
+            make_catalog_shape("cap-lens-0.5", Q41),
+            make_catalog_shape("cap-lens-0.5", Q41).complement(),
+        ):
+            warm = bundle_sample(shape, Q41, n=128, audit=True)
+            monkeypatch.setattr(curvature, "_probe_feet", self._global_probe_feet)
+            cold = bundle_sample(shape, Q41, n=128, audit=True)
+            monkeypatch.undo()
+            finite = np.isfinite(cold.kappa)
+            assert np.array_equal(np.isfinite(warm.kappa), finite)
+            # feet one ulp apart move chi by about 1e-16 / (2 h r) with h = 1e-4 r,
+            # and r is small near the lens corners
+            npt.assert_allclose(warm.kappa[finite], cold.kappa[finite], rtol=1e-7, atol=1e-9)
+            assert np.array_equal(warm.audit_fail, cold.audit_fail)
+
+    @staticmethod
+    def _apex_probes(r):
+        """Probes a + r eta +- h tau below the upper apex of the lens complement.
+
+        Descending from the apex the foot jumps to the lower arc at r = 1/2,
+        the ray reach.
+        """
+        comp = make_catalog_shape("cap-lens-0.5", E2).complement()
+        a = np.array([[0.0, 0.5]])
+        h = 1e-4 * r
+        x = a[:, None] + np.array([[[h, -r], [-h, -r]]])
+        return comp, x, a, np.array([h])
+
+    def test_foot_leaving_the_neighbourhood_falls_back(self, monkeypatch):
+        # a stated reach of 100 where the true one is 1/2: at r = 0.9 the
+        # lower arc's candidate beats the apex, far outside the neighbourhood
+        # that reach allows.  The true foot is the lower apex, 0.1 away.
+        comp, x, a, h = self._apex_probes(0.9)
+        rows = self._counting(monkeypatch)
+        feet, delta = projection._probe_feet(comp, E2, x, a, 0.9, 100.0, h)
+        monkeypatch.undo()
+        assert rows == [2]
+        feet_g, delta_g = projection.nearest_points(comp, E2, x[0])
+        assert np.array_equal(feet[0], feet_g) and np.array_equal(delta[0], delta_g)
+        npt.assert_allclose(delta, 0.1, atol=1e-7)
+
+    def test_probe_at_or_past_the_reach_has_no_certificate(self, monkeypatch):
+        comp, x, a, h = self._apex_probes(0.05)
+        rows = self._counting(monkeypatch)
+        feet, _ = projection._probe_feet(comp, E2, x, a, 0.05, 0.5, h)
+        assert rows == []
+        npt.assert_allclose(feet[0], np.repeat(a, 2, axis=0), atol=1e-4)
+        projection._probe_feet(comp, E2, x, a, 0.05, 0.05, h)
+        assert rows == [2]

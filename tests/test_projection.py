@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachgeom import projection
+from reachgeom.curvature import bundle_nodes
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm
 from reachgeom.projection import (
     InvalidNormalError,
+    _chart_minimize_2d,
     _ChartSolver,
     _solver,
     classify_boundary_point,
@@ -244,13 +247,13 @@ class TestQuadraticRoute:
         npt.assert_allclose(direction, normal, atol=1e-9)
         _, delta_chart = _ChartSolver(body, norm).feet_batch(x)
         assert (delta <= delta_chart + 1e-12).all()
-        if body.dim == 2:
-            npt.assert_allclose(delta, delta_chart, rtol=0.0, atol=1e-9)
+        npt.assert_allclose(delta, delta_chart, rtol=0.0, atol=1e-9)
 
     def test_finds_the_foot_the_3d_chart_solver_missed(self):
-        # here the chart solver's multi-start Newton settled on a foot 0.0917
-        # farther than this one; the problem is convex, so a foot on the body
-        # that meets the first-order condition is the global minimum
+        # here the chart solver's multi-start Newton once settled on a foot
+        # 0.0917 farther than this one (its clipped steps turned uphill); the
+        # problem is convex, so a foot on the body that meets the first-order
+        # condition is the global minimum
         body, norm = QUADRATIC_PAIRS["wulff-3d-rotated"]
         x = np.array([[0.347, 0.9884, 1.066]])
         feet, delta = body.exact_projection(norm, x)
@@ -260,7 +263,7 @@ class TestQuadraticRoute:
         npt.assert_allclose(direction, body.norm.gauss_map(feet - body.center), atol=1e-9)
         npt.assert_allclose(delta, [0.030456963666204664], rtol=1e-9)
         _, delta_chart = _ChartSolver(body, norm).feet_batch(x)
-        assert delta[0] <= delta_chart[0] + 1e-12
+        npt.assert_allclose(delta_chart, delta, rtol=0.0, atol=1e-12)
         (stratum,) = body.boundary_strata(n=20000)
         assert delta[0] <= norm.conjugate(x - stratum.points).min()
 
@@ -296,6 +299,38 @@ class TestQuadraticRoute:
             _, delta_chart = _ChartSolver(body, norm).feet_batch(on_axes[: 2 * body.dim])
             npt.assert_allclose(delta, delta_chart, rtol=0.0, atol=1e-9)
         npt.assert_allclose(norm.conjugate(on_axes[: 2 * body.dim] - feet), delta, rtol=1e-12)
+
+
+class TestChartNewton3d:
+    def test_smoothed_lp_body_probes_reach_their_feet(self):
+        # curvature probes of this body's n = 512 bundle whose chart Newton
+        # once settled 0.0064, 0.083 and 0.0016 past the true distance (its
+        # clipped steps turned uphill), which moved its Theta_1 from 11.42 to
+        # 13.04; a dense boundary cloud bounds the distance from above
+        body = WulffBody(SmoothedLpNorm(3, 3.0))
+        x = np.array(
+            [
+                [-0.19097203659662204, 0.1058524889195181, 1.1167560268696517],
+                [-0.76094514284018, 0.6035089625626583, 0.33851956611402234],
+                [0.0536341899834954, -1.1587449034446689, 0.08701949332782978],
+            ]
+        )
+        _, delta = _ChartSolver(body, E3).feet_batch(x)
+        (stratum,) = body.boundary_strata(n=20000)
+        cloud = np.linalg.norm(x[:, None, :] - stratum.points[None, :, :], axis=-1).min(axis=1)
+        assert (delta <= cloud).all()
+
+    def test_ill_conditioned_step_keeps_descending(self):
+        # from this seed the Newton step is long along the flat direction;
+        # clipped componentwise it turned uphill and the line search stalled
+        # 0.0012 above the distance
+        body = WulffBody(SmoothedLpNorm(3, 3.0))
+        x = np.array([[-0.3868906013031506, -0.03751949232937084, -1.0369198463478897]])
+        s0 = np.array([[2.597251667889787, 3.3046077995279495]])
+        (chart,) = body.charts()
+        _, value = _chart_minimize_2d(chart, E3, x, s0)
+        _, delta = _ChartSolver(body, E3).feet_batch(x)
+        npt.assert_allclose(value, delta, rtol=0.0, atol=1e-9)
 
 
 class TestReach:
@@ -341,6 +376,104 @@ class TestReach:
         a = np.array([[0.0, 1.0 - lens.eps]])
         r = reach_along(lens.complement(), E2, a, np.array([[0.0, -1.0]]), validate=False)
         assert r[0] == pytest.approx(1.0 - eps, abs=1e-6)
+
+
+def _halving_reference(shape, norm, a, eta, tol_pred=1e-8):
+    """Ray reach by 60 plain halvings from 10 x the bounding-box diagonal."""
+    lo, hi = shape.bounding_box()
+    s_max = 10.0 * float(np.linalg.norm(hi - lo))
+
+    def holds(s):
+        return set_distance(shape, norm, a + s[:, None] * eta) >= s - tol_pred * (1.0 + s)
+
+    at_max = holds(np.full(len(a), s_max))
+    lo_s, hi_s = np.zeros(len(a)), np.full(len(a), s_max)
+    for _ in range(60):
+        mid = 0.5 * (lo_s + hi_s)
+        h = holds(mid)
+        lo_s, hi_s = np.where(h, mid, lo_s), np.where(h, hi_s, mid)
+    return np.where(at_max, np.inf, 0.5 * (lo_s + hi_s))
+
+
+class TestReachBracket:
+    """reach_along stops once its bracket is below the predicate's tolerance."""
+
+    @staticmethod
+    def _rays(key, norm, n, complement=False):
+        shape = make_catalog_shape(key, norm)
+        if complement:
+            shape = shape.complement()
+        a, u, _, _ = bundle_nodes(shape, norm, n=n)
+        return shape, a, norm.grad(u)
+
+    def test_distance_rows_per_finite_ray(self, monkeypatch):
+        # 60 halvings cost 61 distance rows per finite ray (7,936 in all here)
+        shape, a, eta = self._rays("two-disks-gap1", Q41, 256)
+        rows = []
+        plain = projection.set_distance
+
+        def counting(shape_, norm_, x):
+            rows.append(len(x))
+            return plain(shape_, norm_, x)
+
+        monkeypatch.setattr(projection, "set_distance", counting)
+        r = reach_along(shape, Q41, a, eta, validate=False)
+        monkeypatch.undo()
+        finite = np.isfinite(r)
+        assert finite.sum() == 128
+        assert sum(rows) - (~finite).sum() <= 40 * finite.sum()
+
+    @pytest.mark.parametrize(
+        "key, norm, n, complement",
+        [
+            ("two-disks-gap1", Q41, 256, False),
+            ("three-wulff", Q41, 64, False),
+            ("segment-pair", Q41, 16, False),
+            ("cap-lens-0.5", Q41, 16, True),
+            ("unit-square", Q41, 16, True),
+        ],
+        ids=["two-disks", "three-wulff", "segment-pair", "lens-complement", "square-complement"],
+    )
+    def test_agrees_with_sixty_halvings(self, key, norm, n, complement):
+        shape, a, eta = self._rays(key, norm, n, complement)
+        r = reach_along(shape, norm, a, eta, validate=False)
+        ref = _halving_reference(shape, norm, a, eta)
+        assert np.array_equal(np.isinf(r), np.isinf(ref))
+        finite = np.isfinite(ref)
+        assert (np.abs(r[finite] - ref[finite]) <= 2e-8 * (1.0 + ref[finite])).all()
+
+
+class TestGlobalReachRays:
+    @pytest.mark.parametrize(
+        "key, norm, complement",
+        [
+            ("two-disks-gap1", Q41, False),
+            ("three-wulff", Q41, False),
+            ("cap-lens-0.5", Q41, True),
+            ("segment-pair", Q41, False),
+        ],
+        ids=["two-disks", "three-wulff", "lens-complement", "segment-pair"],
+    )
+    def test_rays_equal_the_per_fiber_loop(self, monkeypatch, key, norm, complement):
+        shape = make_catalog_shape(key, norm)
+        if complement:
+            shape = shape.complement()
+        got = {}
+
+        def capture(shape_, norm_, a, eta, **kw):
+            got["a"], got["eta"] = a, eta
+            return np.full(len(a), np.inf)
+
+        monkeypatch.setattr(projection, "reach_along", capture)
+        global_reach(shape, norm, n_samples=256, n_scan=10, seed=3)
+        rays_a, rays_eta = [], []
+        for s in shape.boundary_strata(n=256, seed=3):
+            for p, f in zip(s.points, s.fibers):
+                for ui in f.nodes(8)[0]:
+                    rays_a.append(p)
+                    rays_eta.append(norm.grad(ui))
+        assert np.array_equal(got["a"], np.stack(rays_a))
+        assert np.array_equal(got["eta"], np.stack(rays_eta))
 
 
 class TestClassify:
