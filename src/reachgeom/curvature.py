@@ -26,6 +26,10 @@ a probe with no bound (r at or past the stated reach), falls back to the
 global route ``nearest_points``: a check, not a setting.  The bound assumes
 the stated reach; an overstated one can let a stationary point at a through.
 
+``pointwise_shape_operator`` is this probe at one bundle point (a, u) with
+the same reach and probe radius as ``bundle_sample``; it returns
+K = M (I - r M)^{-1}, whose eigenvalues are the kappa above.
+
 Weights follow the bundle measure: over smooth strata the boundary area
 element divided by the tangent-space Jacobian of the bundle projection, over
 singular strata the product of the face measure and the fiber measure pushed
@@ -39,9 +43,9 @@ from typing import Optional
 
 import numpy as np
 
-from .norms import EuclideanNorm, Norm, tangent_basis
+from .norms import Norm, tangent_basis
 from .projection import _probe_feet, reach_along
-from .shapes import Shape
+from .shapes import FiberVector, Shape
 
 __all__ = [
     "BundleSample",
@@ -126,7 +130,7 @@ def elementary_symmetric(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def normal_matrices(
-    shape: Shape, norm: Norm, a, eta, r, h_frac: float = FD_FRAC, reach=np.inf
+    shape: Shape, norm: Norm, a, eta, r, reach=np.inf
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tangent-plane matrices of the normal field at probes a + r eta.
 
@@ -149,7 +153,7 @@ def normal_matrices(
     u = w / np.linalg.norm(w, axis=-1, keepdims=True)
     T = tangent_basis(u)  # (N, n, d)
     x = a + r[:, None] * eta
-    h = h_frac * r
+    h = FD_FRAC * r
     probes = (
         x[:, None, None, :]
         + np.array([1.0, -1.0])[None, None, :, None] * h[:, None, None, None] * T[:, :, None, :]
@@ -345,11 +349,7 @@ def bundle_sample(
     )
     eta = norm.grad(u)
 
-    if shape.is_convex:
-        reach = np.full(len(a), np.inf)
-    else:
-        reach = reach_along(shape, norm, a, eta, validate=False)
-    probe = np.minimum(PROBE_REACH_FRAC * reach, PROBE_DIAM_FRAC * shape.diameter)
+    reach, probe = _reach_and_probe(shape, norm, a, eta)
 
     kappa, tau, ambiguous = _curvatures_at_probe(shape, norm, a, eta, probe, reach)
     if audit:
@@ -384,6 +384,15 @@ def bundle_sample(
     )
 
 
+def _reach_and_probe(shape, norm, a, eta):
+    """Ray reach at each (a, eta) (+inf on convex sets) and the probe radius."""
+    if shape.is_convex:
+        reach = np.full(len(a), np.inf)
+    else:
+        reach = reach_along(shape, norm, a, eta, validate=False)
+    return reach, np.minimum(PROBE_REACH_FRAC * reach, PROBE_DIAM_FRAC * shape.diameter)
+
+
 def _curvatures_at_probe(shape, norm, a, eta, r, reach):
     M, T, _ = normal_matrices(shape, norm, a, eta, r, reach=reach)
     chi, vec = eig_small(M)
@@ -399,122 +408,26 @@ def _curvatures_at_probe(shape, norm, a, eta, r, reach):
 # ======================================================================
 
 
-def _refine_param_1d(ch, a, t0, iters=40):
-    """Secant solve of (p(t) - a) . p'(t) = 0 from a coarse seed."""
-
-    def F(t):
-        ta = np.atleast_1d(t)
-        return float(np.einsum("d,d->", ch.point(ta)[0] - a, ch.dpoint(ta)[0]))
-
-    span = float(ch.bounds[0, 1] - ch.bounds[0, 0])
-    t, t_prev = float(t0), float(t0) + 1e-6 * span
-    f, f_prev = F(t), F(t_prev)
-    for _ in range(iters):
-        if f == f_prev:
-            break
-        t_next = t - f * (t - t_prev) / (f - f_prev)
-        t_next = min(max(t_next, t - 0.05 * span), t + 0.05 * span)
-        t_prev, f_prev = t, f
-        t, f = t_next, F(t_next)
-        if abs(f) < 1e-15 * (1.0 + span):
-            break
-    return float(np.atleast_1d(ch.clamp(t))[0])
-
-
-def _refine_param_2d(ch, a, s0, iters=25):
-    """Newton solve of grad_s |p(s) - a|^2 = 0 with FD derivatives."""
-    s = np.asarray(s0, dtype=float).copy()
-    h = 1e-6
-
-    def F(si):
-        out = np.zeros(2)
-        p0 = ch.point(si[None, :])[0]
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            dp = (ch.point((si + e)[None, :])[0] - ch.point((si - e)[None, :])[0]) / (2 * h)
-            out[k] = (p0 - a) @ dp
-        return out
-
-    f = F(s)
-    for _ in range(iters):
-        J = np.zeros((2, 2))
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            J[:, k] = (F(s + e) - F(s - e)) / (2 * h)
-        try:
-            step = np.linalg.solve(J + 1e-12 * np.eye(2), -f)
-        except np.linalg.LinAlgError:
-            break
-        s = ch.clamp((s + np.clip(step, -0.2, 0.2))[None, :])[0]
-        f = F(s)
-        if np.abs(f).max() < 1e-15:
-            break
-    return s
-
-
-def _locate_on_chart(shape, a, tol):
-    """(chart, param) with chart.point(param) == a, or None."""
-    best = None
-    for ch in shape.charts():
-        seeds = ch.seeds(256)
-        pts = ch.point(seeds)
-        i = int(np.argmin(np.linalg.norm(pts - a, axis=-1)))
-        if ch.param_dim == 1:
-            t = _refine_param_1d(ch, a, seeds[i])
-            v = float(np.linalg.norm(ch.point(np.atleast_1d(t))[0] - a))
-        else:
-            t = _refine_param_2d(ch, a, seeds[i])
-            v = float(np.linalg.norm(ch.point(t[None, :])[0] - a))
-        if best is None or v < best[2]:
-            best = (ch, t, v)
-    if best is None or best[2] > tol:
-        return None
-    return best[0], best[1]
-
-
 def pointwise_shape_operator(
-    shape: Shape, norm: Norm, a, h_frac: float = 1e-5
+    shape: Shape, norm: Norm, a
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Anisotropic shape operator at a twice-differentiable boundary point.
+    """Anisotropic shape operator at a boundary point with a unique normal.
 
-    Differentiates the dual normal field along the boundary charts:
-    eigenvalues are the pointwise principal curvatures of A under phi.
-    Returns (M, T, u) with M (n, n) in the rows-of-T tangent frame.
+    The bundle probe at (a, u), u from ``boundary_fiber_at`` (see the module
+    docstring).  Returns (K, T, u) with K (n, n) in the rows-of-T tangent
+    frame; raises ValueError off the boundary or where the normal is not
+    unique.
     """
     a = np.asarray(a, dtype=float)
-    hit = _locate_on_chart(shape, a, tol=1e-7 * (1.0 + shape.diameter))
-    if hit is None:
-        raise ValueError("point does not lie on a smooth boundary chart")
-    ch, t = hit
-    u = np.atleast_2d(ch.normal(np.atleast_1d(t) if ch.param_dim == 1 else t[None, :]))[0]
-    T = tangent_basis(u)
-    if ch.param_dim == 1:
-        span = float(ch.bounds[0, 1] - ch.bounds[0, 0])
-        h = h_frac * span
-        tt = np.array([t + h, t - h])
-        etas = norm.grad(ch.normal(tt))
-        dp = ch.point(np.array([t + h]))[0] - ch.point(np.array([t - h]))[0]
-        deta = (etas[0] - etas[1]) / (2.0 * h)
-        speed = np.linalg.norm(dp) / (2.0 * h)
-        kap = float(deta @ T[0]) / speed
-        return np.array([[kap]]), T, u
-    # 2-parameter chart: assemble from two directional derivatives
-    spans = ch.bounds[:, 1] - ch.bounds[:, 0]
-    P = np.zeros((2, 2))
-    Nm = np.zeros((2, 2))
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = h_frac * spans[k]
-        tp = np.atleast_2d(t) + e
-        tm = np.atleast_2d(t) - e
-        dp = (ch.point(tp)[0] - ch.point(tm)[0]) / (2.0 * e[k])
-        deta = (norm.grad(ch.normal(tp))[0] - norm.grad(ch.normal(tm))[0]) / (2.0 * e[k])
-        P[:, k] = T @ dp
-        Nm[:, k] = T @ deta
-    M = Nm @ np.linalg.inv(P)
-    return M, T, u
+    fiber = shape.boundary_fiber_at(a)
+    if not isinstance(fiber, FiberVector):
+        raise ValueError("point has no unique normal")
+    a = a[None, :]
+    eta = norm.grad(np.asarray(fiber.u, dtype=float)[None, :])
+    reach, r = _reach_and_probe(shape, norm, a, eta)
+    (M,), (T,), (u,) = normal_matrices(shape, norm, a, eta, r, reach=reach)
+    K = M @ np.linalg.inv(np.eye(len(M)) - r[0] * M)
+    return K, T, u
 
 
 def pointwise_mean_curvature(shape: Shape, norm: Norm, a) -> float:

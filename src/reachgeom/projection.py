@@ -691,7 +691,9 @@ def _multi_foot_cap(shape, norm, pts):
 
 @dataclass
 class BoundaryClass:
-    kind: str  # 'alexandrov' | 'viscosity' | 'non-viscosity'
+    # 'alexandrov' (unique normal) | 'non-viscosity' (a fan, patch or pair of
+    # normals); every catalog primitive is C^2 wherever its normal is unique
+    kind: str
     fiber: object
     normal: Optional[np.ndarray] = None
     h_spectrum: Optional[np.ndarray] = None
@@ -700,9 +702,11 @@ class BoundaryClass:
 def classify_boundary_point(shape: Shape, norm: Norm, a) -> BoundaryClass:
     """Exact classification for catalog primitives.
 
-    A point is a viscosity point when the Euclidean normal is unique; it is
-    an Alexandrov point when additionally the boundary is twice differentiable
-    there, in which case the anisotropic shape-operator spectrum is attached.
+    Every catalog primitive is C^2 wherever its Euclidean normal is unique,
+    so a point with a unique normal is an Alexandrov point and carries the
+    spectrum of ``pointwise_shape_operator`` (the bundle probe at that one
+    point); any other boundary point is a non-viscosity point.  Raises
+    ValueError for a point off the boundary.
     """
     from .shapes import FiberVector
     from .curvature import eig_small, pointwise_shape_operator
@@ -711,10 +715,6 @@ def classify_boundary_point(shape: Shape, norm: Norm, a) -> BoundaryClass:
     fiber = shape.boundary_fiber_at(a)
     if not isinstance(fiber, FiberVector):
         return BoundaryClass("non-viscosity", fiber)
-    u = np.asarray(fiber.u, dtype=float)
-    try:
-        M, _, _ = pointwise_shape_operator(shape, norm, a)
-        spectrum = np.sort(eig_small(M[None, :, :])[0][0])
-        return BoundaryClass("alexandrov", fiber, u, spectrum)
-    except (ValueError, NotImplementedError):
-        return BoundaryClass("viscosity", fiber, u)
+    M, _, _ = pointwise_shape_operator(shape, norm, a)
+    spectrum = np.sort(eig_small(M[None, :, :])[0][0])
+    return BoundaryClass("alexandrov", fiber, np.asarray(fiber.u, dtype=float), spectrum)

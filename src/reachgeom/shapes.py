@@ -378,20 +378,15 @@ class _PlanarChart(Chart):
 
     param_dim = 2
 
-    def __init__(self, origin, e0, e1, extents, normal):
+    def __init__(self, origin, e0, e1, extents):
         super().__init__(np.array([[0.0, extents[0]], [0.0, extents[1]]]))
         self.origin = np.asarray(origin, dtype=float)
         self.e0 = np.asarray(e0, dtype=float)
         self.e1 = np.asarray(e1, dtype=float)
-        self._normal = np.asarray(normal, dtype=float)
 
     def point(self, t):
         t = np.atleast_2d(np.asarray(t, dtype=float))
         return self.origin + t[..., :1] * self.e0 + t[..., 1:2] * self.e1
-
-    def normal(self, t):
-        t = np.atleast_2d(np.asarray(t, dtype=float))
-        return np.broadcast_to(self._normal, t.shape[:-1] + (3,)).copy()
 
     def seeds(self, k):
         g = max(int(np.sqrt(k)), 2)
@@ -663,6 +658,8 @@ class WulffBody(Shape):
 
     def boundary_fiber_at(self, a, tol=1e-7):
         v = np.asarray(a, dtype=float) - self.center
+        if abs(float(self.norm.conjugate(v)) - self.radius) > tol:
+            raise ValueError("point is not on the boundary")
         return FiberVector(self.norm.gauss_map(v))
 
     def exact_projection(self, norm, x):
@@ -999,12 +996,10 @@ class ConvexPolytope(Shape):
                 o1, o2 = [k for k in range(3) if k != axis]
                 e0 = np.eye(3)[o1]
                 e1 = np.eye(3)[o2]
-                for side, coord in ((-1.0, lo[axis]), (1.0, hi[axis])):
+                for coord in (lo[axis], hi[axis]):
                     origin = lo.copy()
                     origin[axis] = coord
-                    nrm = np.zeros(3)
-                    nrm[axis] = side
-                    out.append(_PlanarChart(origin, e0, e1, (ext[o1], ext[o2]), nrm))
+                    out.append(_PlanarChart(origin, e0, e1, (ext[o1], ext[o2])))
             return out
         out = []
         for i in range(len(self.vertices)):
@@ -1154,9 +1149,11 @@ class CapLens(Shape):
         ):
             if np.linalg.norm(a - corner) <= tol:
                 return fib
-        which = 0 if a[1] > 0 else 1
-        v = a - self.centers[which]
-        return FiberVector(v / np.linalg.norm(v))
+        v = a - self.centers[0 if a[1] > 0 else 1]
+        length = np.linalg.norm(v)
+        if abs(length - 1.0) > tol:
+            raise ValueError("point is not on the boundary")
+        return FiberVector(v / length)
 
     def exact_projection(self, norm, x):
         if norm.kind != "euclidean":

@@ -226,12 +226,17 @@ class TestSmoothOracles:
         npt.assert_allclose(bs.kappa, 1.0, atol=1e-7)
 
     def test_generic_path_agrees_with_pointwise(self):
-        # disk under the anisotropic norm exercises the chart-solver feet
+        # disk under the anisotropic norm exercises the chart-solver feet;
+        # on the unit circle the dual normal field grad phi(u) turns at rate
+        # tau' hess phi(u) tau per unit arc length, which both routes must give
         disk = make_catalog_shape("disk", Q41)
         bs = bundle_sample(disk, Q41, n=64)
+        tau = np.stack([-bs.normals[:, 1], bs.normals[:, 0]], axis=1)
+        exact = np.einsum("nd,nde,ne->n", tau, Q41.hessian(bs.normals), tau)
+        npt.assert_allclose(bs.kappa[:, 0], exact, rtol=0, atol=1e-8)
         for i in range(0, len(bs), 9):
             kp = pointwise_mean_curvature(disk, Q41, bs.points[i])
-            assert bs.kappa[i, 0] == pytest.approx(kp, abs=1e-6)
+            assert kp == pytest.approx(exact[i], abs=1e-8)
 
     def test_anisotropic_circle_curvature_spans_hessian_range(self):
         bs = bundle_sample(make_catalog_shape("disk", Q41), Q41, n=512)
@@ -313,6 +318,19 @@ class TestPointwiseOperator:
         assert pointwise_mean_curvature(ball, E3, a) == pytest.approx(
             2.0 / ball.radius, rel=1e-8
         )
+
+    def test_disk_complement_is_negative(self):
+        comp = make_catalog_shape("disk", E2).complement()
+        assert pointwise_mean_curvature(comp, E2, np.array([0.0, 1.0])) == pytest.approx(
+            -1.0, abs=1e-9
+        )
+
+    def test_ellipse_complement_is_negated(self):
+        t = 0.7
+        a = np.array([2 * np.cos(t), np.sin(t)])
+        kap = 2.0 / (4 * np.sin(t) ** 2 + np.cos(t) ** 2) ** 1.5
+        comp = make_catalog_shape("ellipse-2-1", E2).complement()
+        assert pointwise_mean_curvature(comp, E2, a) == pytest.approx(-kap, rel=1e-7)
 
     def test_box_face_is_flat(self):
         box = make_catalog_shape("cube", E3)

@@ -30,7 +30,13 @@ from reachgeom.measures import (
 )
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm
 from reachgeom.projection import cloud_covering_radius, distance_field
-from reachgeom.shapes import Ball, ConvexPolytope, EmptyInteriorError, make_catalog_shape
+from reachgeom.shapes import (
+    Ball,
+    ConvexPolytope,
+    Ellipsoid,
+    EmptyInteriorError,
+    make_catalog_shape,
+)
 
 E2 = EuclideanNorm(2)
 E3 = EuclideanNorm(3)
@@ -166,6 +172,43 @@ class TestCurvatureMeasure:
         finally:
             sys.setswitchinterval(interval)
         assert all(b is got[0] for b in got)
+
+
+class TestMeasureProperties:
+    """Theta_m is homogeneous of degree m and additive over separated components."""
+
+    SCALED = {
+        "ellipse-q41": (
+            lambda s: Ellipsoid(s * np.array([0.3, -0.2]), s * np.array([2.0, 1.0])),
+            Q41,
+        ),
+        "box-2d-q41": (
+            lambda s: ConvexPolytope.box(s * np.array([-0.5, -0.25]), s * np.array([1.0, 0.5])),
+            Q41,
+        ),
+        "ball-3d-q411": (lambda s: Ball(s * np.array([0.2, 0.0, -0.1]), s), Q411),
+        "box-3d-q411": (
+            lambda s: ConvexPolytope.box(np.zeros(3), s * np.array([1.0, 0.5, 2.0])),
+            Q411,
+        ),
+    }
+
+    @pytest.mark.parametrize("key", list(SCALED))
+    def test_homogeneity(self, key):
+        make, norm = self.SCALED[key]
+        for m in range(norm.dim):
+            base = curvature_measure(make(1.0), norm, m).theta_total
+            for lam in (0.5, 2.0):
+                scaled = curvature_measure(make(lam), norm, m).theta_total
+                npt.assert_allclose(
+                    scaled, lam**m * base, rtol=1e-10, err_msg=f"m={m}, lambda={lam}"
+                )
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_additivity_over_components(self, m):
+        union = make_catalog_shape("two-disks-mixed", Q41)
+        parts = sum(curvature_measure(c, Q41, m).theta_total for c in union.components)
+        npt.assert_allclose(curvature_measure(union, Q41, m).theta_total, parts, rtol=1e-9)
 
 
 class TestWindows:

@@ -493,6 +493,31 @@ class TestClassify:
         seg = make_catalog_shape("segment-pair", E2)
         assert classify_boundary_point(seg, E2, np.array([0.3, 1.0])).kind == "non-viscosity"
 
+    def test_off_boundary_point_raises(self):
+        # an interior point is neither viscosity nor Alexandrov: it is rejected
+        for key, a in (("disk", [0.5, 0.5]), ("cap-lens-0.5", [0.0, 0.0])):
+            with pytest.raises(ValueError):
+                classify_boundary_point(make_catalog_shape(key, E2), E2, np.array(a))
+
+    def test_union_point_takes_its_own_component(self):
+        u = make_catalog_shape("two-disks-gap1", E2)
+        cls = classify_boundary_point(u, E2, np.array([1.5, 1.0]))
+        assert cls.kind == "alexandrov"
+        npt.assert_allclose(cls.normal, [0.0, 1.0], atol=1e-12)
+        npt.assert_allclose(cls.h_spectrum, [1.0], atol=1e-8)
+
+    def test_complement_spectrum_is_negated(self):
+        comp = make_catalog_shape("disk", E2).complement()
+        cls = classify_boundary_point(comp, E2, np.array([0.0, 1.0]))
+        assert cls.kind == "alexandrov"
+        npt.assert_allclose(cls.normal, [0.0, -1.0], atol=1e-12)
+        npt.assert_allclose(cls.h_spectrum, [-1.0], atol=1e-8)
+        t = 0.7
+        a = np.array([2 * np.cos(t), np.sin(t)])
+        kap = 2.0 / (4 * np.sin(t) ** 2 + np.cos(t) ** 2) ** 1.5
+        ell = make_catalog_shape("ellipse-2-1", E2).complement()
+        npt.assert_allclose(classify_boundary_point(ell, E2, a).h_spectrum, [-kap], rtol=1e-6)
+
     def test_ellipse_spectrum_matches_curvature(self):
         ell = make_catalog_shape("ellipse-2-1", E2)
         t = 0.7

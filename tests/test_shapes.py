@@ -135,6 +135,15 @@ class TestWulffBody:
             u = Q41.gauss_map(p - np.array([1.0, 2.0]))
             npt.assert_allclose(f.u, u, atol=1e-9)
 
+    def test_fiber_only_on_the_boundary(self):
+        w = WulffBody(Q41, center=[1.0, 2.0], radius=0.7)
+        s = w.boundary_strata(n=64)[0]
+        for p, f in list(zip(s.points, s.fibers))[::8]:
+            npt.assert_allclose(w.boundary_fiber_at(p).u, f.u, atol=1e-12)
+        for x in ([1.0, 2.0], [1.0, 2.0 + 0.7 * 1.01], [1.0 + 2 * 0.7 * 0.99, 2.0]):
+            with pytest.raises(ValueError):
+                w.boundary_fiber_at(np.array(x))
+
     def test_exact_projection_own_norm(self):
         w = WulffBody(Q41, radius=2.0)
         x = np.array([[8.0, 0.0]])
@@ -241,6 +250,14 @@ class TestCapLens:
         feet, d = lens.exact_projection(E2, np.array([[3.0, 0.0]]))
         npt.assert_allclose(feet[0], lens.corner_points()[0])
 
+    def test_fiber_off_the_boundary_rejected(self):
+        lens = make_catalog_shape("cap-lens-0.5")
+        with pytest.raises(ValueError):
+            lens.boundary_fiber_at(np.zeros(2))
+        with pytest.raises(ValueError):
+            lens.boundary_fiber_at(np.array([0.0, 0.6]))
+        npt.assert_allclose(lens.boundary_fiber_at(np.array([0.0, 0.5])).u, [0.0, 1.0])
+
     def test_eps_range_validated(self):
         with pytest.raises(ValueError):
             CapLens(0.0)
@@ -273,6 +290,13 @@ class TestSegmentsAndUnions:
         npt.assert_allclose(d, [0.5])
         npt.assert_allclose(np.abs(feet[0, 0]), 0.5)
         assert u.volume() == pytest.approx(2 * np.pi)
+
+    def test_union_fiber_comes_from_the_component_holding_the_point(self):
+        u = make_catalog_shape("two-disks-gap1")
+        npt.assert_allclose(u.boundary_fiber_at(np.array([1.5, 1.0])).u, [0.0, 1.0])
+        npt.assert_allclose(u.boundary_fiber_at(np.array([-2.5, 0.0])).u, [-1.0, 0.0])
+        with pytest.raises(ValueError):
+            u.boundary_fiber_at(np.zeros(2))
 
     def test_complement_of_segments_rejected(self):
         with pytest.raises(EmptyInteriorError):
