@@ -38,7 +38,7 @@ into dual coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -209,9 +209,13 @@ def bundle_jacobian(kappa: np.ndarray, tau: np.ndarray) -> np.ndarray:
 # ======================================================================
 
 
-@dataclass
+@dataclass(frozen=True)
 class BundleSample:
-    """Weighted quadrature over the unit normal bundle of a shape."""
+    """Weighted quadrature over the unit normal bundle of a shape.
+
+    Immutable: its arrays are read-only, since bundles are shared through
+    ``Shape.bundles`` and H_r is memoized from ``kappa``.
+    """
 
     points: np.ndarray  # (N, d) base points a
     normals: np.ndarray  # (N, d) Euclidean unit normals u
@@ -226,6 +230,12 @@ class BundleSample:
     probe: np.ndarray  # (N,) probe radius used
     ambiguous: np.ndarray  # (N,) bool
     audit_fail: Optional[np.ndarray] = None  # (N,) bool, when audited
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is not None:
+                v.setflags(write=False)
 
     def __len__(self):
         return len(self.points)
@@ -257,7 +267,15 @@ class BundleSample:
         return self.weights * self.jacobian * self.phi_u
 
     def mean_curvature(self, r: int) -> np.ndarray:
-        return mean_curvature(self.kappa, r)
+        """H_r of every sample (``mean_curvature``), memoized per r and read-only."""
+        memo = self.__dict__.setdefault("_mean_curvatures", {})
+        h = memo.get(r)
+        if h is None:
+            h = mean_curvature(self.kappa, r)
+            h.setflags(write=False)
+            # threads racing here compute the same array; all get the first
+            h = memo.setdefault(r, h)
+        return h
 
 
 def mean_curvature(kappa: np.ndarray, r: int) -> np.ndarray:

@@ -19,6 +19,13 @@ contributed by boundary points whose reach equals rho exactly.
 Flat-faced shapes admit a probe-free route (`fan_bundle`): faces carry zero
 curvature, normal fans carry infinite curvature, and face measures are
 exact, so quadrature error enters only through the fiber nodes.
+
+A check given no bundle takes the shape's default one, memoized on the
+shape in ``Shape.bundles`` by (norm key, n, seed): `fan_bundle` for a
+convex polytope, `bundle_sample` otherwise, so the tube, measure and
+verify checks of one set share it.  Bundles are immutable and their H_r
+arrays (``BundleSample.mean_curvature``, memoized per r) read-only; the ray
+reaches and reach estimates behind them are memoized in `projection`.
 """
 
 from __future__ import annotations
@@ -174,17 +181,21 @@ def fan_bundle(
 
 
 def _auto_bundle(shape, norm, bundle, n, seed):
+    """``bundle`` as one sample, or else the shape's memoized default bundle.
+
+    The default is ``fan_bundle`` for a convex polytope and ``bundle_sample``
+    otherwise, built once per (norm key, n, seed) and kept in
+    ``Shape.bundles``, so it dies with the shape it describes.
+    """
     if bundle is not None:
         return _as_bundle(bundle)
-    if isinstance(shape, ConvexPolytope):
-        # memo on the polytope itself, so it dies with the shape it describes
-        key = (norm.key, n, seed)
-        b = shape.fan_bundles.get(key)
-        if b is None:
-            # threads racing here build the same bundle; all get the first
-            b = shape.fan_bundles.setdefault(key, fan_bundle(shape, norm, n=n, seed=seed))
-        return b
-    return bundle_sample(shape, norm, n=n, seed=seed)
+    key = (norm.key, n, seed)
+    b = shape.bundles.get(key)
+    if b is None:
+        build = fan_bundle if isinstance(shape, ConvexPolytope) else bundle_sample
+        # threads racing here build the same bundle; all get the first
+        b = shape.bundles.setdefault(key, build(shape, norm, n=n, seed=seed))
+    return b
 
 
 def bundle_integral(

@@ -34,6 +34,14 @@ the seed nearest a and hands to ``nearest_points`` only the rows whose foot
 leaves that neighbourhood.  ``reach_along`` narrows each ray's bracket only to
 the tolerance of its distance predicate.
 
+Memos on the shape, each keyed by ``Norm.key`` and the arguments the value
+depends on: ``chart_solvers`` (norm key), ``boundary_clouds`` (cloud size;
+its kd-tree by (size, norm key)), ``ray_reaches`` (``reach_along``: norm
+key, s_max, tol_pred and the bytes of the whole ray batch (a, eta)) and
+``reach_estimates`` (``global_reach``: (norm key, n_samples, n_scan, seed,
+fiber_nodes)).  Ray reaches and estimates are shared, so the reach arrays
+are read-only and estimates frozen.
+
 A note on uniqueness: points with several nearest feet (the cut locus) form a
 Lebesgue-null set, and the bracket reported by ``global_reach`` reflects both
 the sampled ray infimum and any multi-foot witnesses found by scanning.
@@ -84,12 +92,17 @@ class ProjectionResult:
     residual: float  # |phi_*(x - foot) - delta|
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReachEstimate:
+    """A memoized ``global_reach`` result, shared and read-only."""
+
     per_sample: np.ndarray
     global_reach: float
     bracket: tuple[float, float]
     is_infinite: bool
+
+    def __post_init__(self):
+        self.per_sample.setflags(write=False)
 
 
 # ======================================================================
@@ -175,7 +188,8 @@ def _chart_minimize_2d(chart, norm, x, s0, iters=40):
         ok = nv > 1e-13
         if ok.any():
             g = norm.conjugate_grad(v[ok])
-            h = 1e-6
+            # central differences err by ~h^2 + eps/h, least near eps^(1/3)
+            h = 6e-6
             for k in range(2):
                 e = np.zeros(2)
                 e[k] = h
@@ -514,7 +528,15 @@ def reach_along(
     """Ray reach sup{ s : delta(a + s eta) = s } for bundle rays (a, eta).
 
     Vectorized over rows.  Returns +inf where the predicate still holds at
-    s_max (default 10 x bounding-box diameter).
+    s_max (default 10 x bounding-box diameter).  With ``validate`` every row
+    is checked to be a unit normal pair first (``InvalidNormalError``).
+
+    The reach of a whole batch is memoized on the shape
+    (``Shape.ray_reaches``) by (norm key, s_max, tol_pred) and the bytes of
+    the float64 arrays a and eta, and returned read-only.  The key is the
+    batch, not each ray, because distances differ in their last bits with the
+    rows that share their batch; so a batch always gets the values bracketed
+    from that same batch, whatever ran before it.
 
     The predicate is ``delta(a + s eta) >= s - tol_pred (1 + s)``: distances
     are only trusted to that tolerance, so a bracket [lo, hi] with lo holding
@@ -534,13 +556,6 @@ def reach_along(
     if s_max is None:
         s_max = 10.0 * float(np.linalg.norm(hi - lo))
 
-    def distance(rows, s):
-        return set_distance(shape, norm, a[rows] + s[:, None] * eta[rows])
-
-    def slack(d, s):
-        # >= 0 exactly where the predicate holds
-        return d - s + tol_pred * (1.0 + s)
-
     if validate:
         s0 = np.full(len(a), 1e-3 * float(np.linalg.norm(hi - lo)))
         pts = a + s0[:, None] * eta
@@ -555,6 +570,27 @@ def reach_along(
 
     if shape.is_convex:
         return np.full(len(a), np.inf)
+
+    memo = shape.ray_reaches
+    key = (norm.key, s_max, tol_pred, a.tobytes(), eta.tobytes())
+    reach = memo.get(key)
+    if reach is None:
+        reach = _bracket_reach(shape, norm, a, eta, s_max, tol_pred)
+        reach.setflags(write=False)
+        # threads racing here bracket the same batch; all get the first value
+        reach = memo.setdefault(key, reach)
+    return reach
+
+
+def _bracket_reach(shape, norm, a, eta, s_max, tol_pred):
+    """The bracketing of ``reach_along`` on rays of a non-convex shape."""
+
+    def distance(rows, s):
+        return set_distance(shape, norm, a[rows] + s[:, None] * eta[rows])
+
+    def slack(d, s):
+        # >= 0 exactly where the predicate holds
+        return d - s + tol_pred * (1.0 + s)
 
     lo_s = np.zeros(len(a))
     hi_s = np.full(len(a), s_max)
@@ -616,7 +652,21 @@ def global_reach(
     The result is an upper estimate; the bracket widens it downward by a
     second-order term in the boundary sample spacing, since the true infimum
     can fall between sampled rays but the reach varies smoothly there.
+
+    Memoized on the shape (``Shape.reach_estimates``) by norm key and the
+    other arguments; every caller gets the one read-only estimate.
     """
+    memo = shape.reach_estimates
+    key = (norm.key, n_samples, n_scan, seed, fiber_nodes)
+    est = memo.get(key)
+    if est is None:
+        # threads racing here build the same estimate; all get the first
+        est = _global_reach(shape, norm, n_samples, n_scan, seed, fiber_nodes)
+        est = memo.setdefault(key, est)
+    return est
+
+
+def _global_reach(shape, norm, n_samples, n_scan, seed, fiber_nodes):
     if shape.is_convex:
         return ReachEstimate(np.array([np.inf]), np.inf, (np.inf, np.inf), True)
 

@@ -402,6 +402,31 @@ class _PlanarChart(Chart):
         return np.stack([a, b], axis=-1)
 
 
+class _FlippedChart(Chart):
+    """A base chart seen from the complement: the same points, the normal negated."""
+
+    def __init__(self, base: Chart):
+        self.base = base
+        self.bounds = base.bounds
+        self.param_dim = base.param_dim
+        self.periodic = base.periodic
+
+    def point(self, t):
+        return self.base.point(t)
+
+    def dpoint(self, t):
+        return self.base.dpoint(t)
+
+    def normal(self, t):
+        return -self.base.normal(t)
+
+    def seeds(self, k):
+        return self.base.seeds(k)
+
+    def clamp(self, t):
+        return self.base.clamp(t)
+
+
 def fibonacci_sphere(n: int) -> np.ndarray:
     k = np.arange(n)
     ga = np.pi * (3.0 - np.sqrt(5.0))
@@ -462,6 +487,21 @@ class Shape:
     def boundary_clouds(self) -> dict:
         """Boundary clouds by size and their kd-trees by (size, norm key), filled by projection."""
         return self.__dict__.setdefault("_boundary_clouds", {})
+
+    @property
+    def ray_reaches(self) -> dict:
+        """Ray reach batches by (norm key, s_max, tol_pred, batch bytes), filled by projection."""
+        return self.__dict__.setdefault("_ray_reaches", {})
+
+    @property
+    def reach_estimates(self) -> dict:
+        """``global_reach`` results by norm key and sampling arguments, filled by projection."""
+        return self.__dict__.setdefault("_reach_estimates", {})
+
+    @property
+    def bundles(self) -> dict:
+        """Bundle samples by (norm key, n, seed), filled by the curvature measures."""
+        return self.__dict__.setdefault("_bundles", {})
 
     def corner_points(self) -> np.ndarray:
         """0-dimensional boundary features (candidate feet for projections)."""
@@ -761,9 +801,6 @@ class ConvexPolytope(Shape):
         v = np.asarray(vertices, dtype=float)
         self.dim = v.shape[1]
         self.name = name
-        # exact fan bundles of this polytope by (norm key, n, seed), filled
-        # by the curvature measures
-        self.fan_bundles: dict = {}
         if self.dim == 2:
             ctr = v.mean(axis=0)
             order = np.argsort(np.arctan2(v[:, 1] - ctr[1], v[:, 0] - ctr[0]))
@@ -1437,7 +1474,7 @@ class ComplementShape(Shape):
         return None
 
     def charts(self):
-        return self.base.charts()
+        return [_FlippedChart(ch) for ch in self.base.charts()]
 
     def corner_points(self):
         return self.base.corner_points()

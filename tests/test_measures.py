@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachgeom import measures
 from reachgeom.curvature import bundle_sample
 from reachgeom.measures import (
     BudgetExceeded,
@@ -160,6 +161,25 @@ class TestCurvatureMeasure:
         assert _auto_bundle(sq, EuclideanNorm(2), None, 64, 0) is first
         assert _auto_bundle(sq, Q41, None, 64, 0) is not first
         assert _auto_bundle(sq, EuclideanNorm(2), None, 64, 1) is not first
+
+    def test_smooth_set_checks_share_one_bundle_sample(self, monkeypatch):
+        ellipse = make_catalog_shape("ellipse-2-1")
+        calls = []
+        plain = measures.bundle_sample
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "bundle_sample", counting)
+        first = curvature_measure(ellipse, Q41, 1, n=64)
+        tube_record(ellipse, Q41, [0.2], h=0.05, n=64)
+        volume_derivatives(ellipse, Q41, 0.2, n=64)
+        assert curvature_measure(ellipse, EllipsoidalNorm(np.diag([4.0, 1.0])), 1, n=64) == first
+        assert len(calls) == 1
+        _auto_bundle(ellipse, Q41, None, 64, 1)
+        _auto_bundle(ellipse, Q41, None, 32, 0)
+        assert len(calls) == 3 and len(ellipse.bundles) == 3
 
     def test_auto_bundle_threads_share_one_bundle(self):
         sq = make_catalog_shape("unit-square")

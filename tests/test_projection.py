@@ -443,6 +443,112 @@ class TestReachBracket:
         assert (np.abs(r[finite] - ref[finite]) <= 2e-8 * (1.0 + ref[finite])).all()
 
 
+class TestReachMemo:
+    """Ray reach and global reach are memoized on the shape; every test builds fresh shapes."""
+
+    @staticmethod
+    def _rays(shape, norm, n=32):
+        a, u, _, _ = bundle_nodes(shape, norm, n=n)
+        return a, norm.grad(u)
+
+    def test_ray_memo_keys(self):
+        shape = make_catalog_shape("two-disks-gap1", Q41)
+        n_rays = len(self._rays(shape, Q41)[0])
+        for norm, kw in [
+            (Q41, {}),
+            (EllipsoidalNorm(np.diag([4.0, 1.0])), {}),
+            (Q41, {"tol_pred": 1e-7}),
+            (Q41, {"s_max": 20.0}),
+            (EllipsoidalNorm(np.diag([2.0, 1.0])), {}),
+        ]:
+            a_n, eta_n = self._rays(shape, norm)
+            reach_along(shape, norm, a_n, eta_n, validate=False, **kw)
+        assert len(shape.ray_reaches) == 4
+        assert all(len(reach) == n_rays for reach in shape.ray_reaches.values())
+        a, eta = self._rays(shape, Q41)
+        part = reach_along(shape, Q41, a[::2], eta[::2], validate=False)
+        assert len(shape.ray_reaches) == 5
+        # the same points with the rays pointing into the set
+        assert (reach_along(shape, Q41, a, -eta, validate=False) < 1e-6).all()
+        assert len(shape.ray_reaches) == 6
+        with pytest.raises(ValueError):
+            part[0] = 0.0
+
+    def test_estimate_memo_keys(self):
+        shape = make_catalog_shape("two-disks-gap1", Q41)
+        args = dict(n_samples=32, n_scan=50, seed=0, fiber_nodes=8)
+        first = global_reach(shape, Q41, **args)
+        assert global_reach(shape, EllipsoidalNorm(np.diag([4.0, 1.0])), **args) is first
+        for change in (
+            {"n_samples": 48}, {"n_scan": 60}, {"seed": 1}, {"fiber_nodes": 4},
+        ):
+            assert global_reach(shape, Q41, **{**args, **change}) is not first
+        assert len(shape.reach_estimates) == 5
+        with pytest.raises(ValueError):
+            first.per_sample[0] = 0.0
+
+    def test_repeated_global_reach_computes_no_distance(self, monkeypatch):
+        shape = make_catalog_shape("two-disks-gap1", Q41)
+        first = global_reach(shape, Q41, n_samples=32, n_scan=50)
+        calls = []
+
+        def counting(plain):
+            def wrapper(shape_, norm_, x):
+                calls.append(len(x))
+                return plain(shape_, norm_, x)
+
+            return wrapper
+
+        # the rays' distances and the multi-foot scan's feet
+        monkeypatch.setattr(projection, "set_distance", counting(set_distance))
+        monkeypatch.setattr(projection, "nearest_points", counting(nearest_points))
+        assert global_reach(shape, Q41, n_samples=32, n_scan=50) is first
+        assert calls == []
+
+    def test_batch_gets_its_own_values_whatever_ran_before(self, monkeypatch):
+        # SmoothedLpNorm.conjugate steps every row until the whole batch has
+        # converged, so a ray's distances move in the last bits with the rows
+        # beside it: ray 57 alone and ray 57 next to ray 87 get reaches
+        # 5e-14 apart.  A batch must still get its own values, not those a
+        # ray took in an earlier batch.
+        norm = SmoothedLpNorm(2, 3)
+        a, u, _, _ = bundle_nodes(make_catalog_shape("three-wulff", norm), norm, n=4)
+        eta = norm.grad(u)
+        shape = make_catalog_shape("three-wulff", norm)
+        reach_along(shape, norm, a[[57]], eta[[57]], validate=False)
+        pair = reach_along(shape, norm, a[[57, 87]], eta[[57, 87]], validate=False)
+        fresh = make_catalog_shape("three-wulff", norm)
+        want = reach_along(fresh, norm, a[[57, 87]], eta[[57, 87]], validate=False)
+        assert pair.tobytes() == want.tobytes()
+        calls = []
+        monkeypatch.setattr(projection, "set_distance", lambda *args: calls.append(args))
+        assert reach_along(shape, norm, a[[57, 87]], eta[[57, 87]], validate=False) is pair
+        assert calls == []
+
+    def test_validate_checks_cached_rays(self):
+        two = make_catalog_shape("two-disks-gap1", E2)
+        a, eta = np.array([[0.5, 0.0]]), np.array([[0.0, 1.0]])
+        reach_along(two, E2, a, eta, validate=False)
+        with pytest.raises(InvalidNormalError):
+            reach_along(two, E2, a, eta)
+
+    def test_threads_share_one_estimate(self):
+        shape = make_catalog_shape("two-disks-gap1", Q41)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(global_reach, shape, Q41, n_samples=32, n_scan=50)
+                    for _ in range(8)
+                ]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(est is got[0] for est in got)
+        assert list(shape.reach_estimates.values()) == [got[0]]
+
+
 class TestGlobalReachRays:
     @pytest.mark.parametrize(
         "key, norm, complement",

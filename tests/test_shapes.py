@@ -330,6 +330,28 @@ class TestComplement:
         assert all(s.index == 1 for s in strata)
         assert all(isinstance(f, FiberVector) for s in strata for f in s.fibers)
 
+    @pytest.mark.parametrize("key", ["disk", "cap-lens-0.5"])
+    def test_chart_normals_point_into_the_base(self, key):
+        base = make_catalog_shape(key)
+        K = base.complement()
+        charts = K.charts()
+        t = [ch.seeds(1 << 14) for ch in charts]
+        for ch, base_ch, ti in zip(charts, base.charts(), t):
+            npt.assert_array_equal(ch.point(ti), base_ch.point(ti))
+            npt.assert_array_equal(ch.normal(ti), -base_ch.normal(ti))
+        # each stratum fiber agrees with the normal at the nearest chart seed
+        pts = np.concatenate([ch.point(ti) for ch, ti in zip(charts, t)])
+        nrm = np.concatenate([ch.normal(ti) for ch, ti in zip(charts, t)])
+        for s in K.boundary_strata(n=64):
+            for p, f in zip(s.points, s.fibers):
+                i = np.argmin(np.linalg.norm(pts - p, axis=1))
+                assert np.dot(nrm[i], f.u) > 1.0 - 1e-6
+
+    def test_flat_chart_still_has_no_normal(self):
+        K = make_catalog_shape("cube").complement()
+        with pytest.raises(NotImplementedError):
+            K.charts()[0].normal(np.zeros((1, 2)))
+
     def test_interior_projection(self):
         K = Ball([0.0, 0.0], 1.0).complement()
         feet, d = K.exact_projection(E2, np.array([[0.5, 0.0], [2.0, 0.0]]))
