@@ -45,7 +45,8 @@ import numpy as np
 
 from .norms import Norm, tangent_basis
 from .projection import _probe_feet, reach_along
-from .shapes import FiberVector, Shape
+from .shapes import Shape, fiber_tangents
+from .shapes import fiber_nodes as fiber_quadrature
 
 __all__ = [
     "BundleSample",
@@ -136,8 +137,13 @@ def normal_matrices(
 
     ``reach`` is the ray reach at (a, eta), above r.  It sizes the
     neighbourhood of a in which the probe feet are certified (see the module
-    docstring); the default +inf is exact for convex sets, and overstating
-    the reach only shrinks the neighbourhood.
+    docstring); the default +inf is exact for convex sets.  An overstated
+    reach can certify a wrong foot: past the focal point a is still
+    stationary for the polish, so the foot stays at a and passes the
+    neighbourhood check.  On the disk complement under diag(4, 1), with
+    a = (0, 1), eta = (0, -1), r = 0.4 and a stated reach of 100, the probe
+    distance comes out 0.4 where the true one is 0.3606.  So pass the reach
+    from ``reach_along``.
 
     Returns (M, T, u): M (N, n, n) with M[i, j] = tau_i . (D nu) tau_j,
     T (N, n, d) the tangent frames (rows tau_i), u (N, d) the Euclidean unit
@@ -313,36 +319,34 @@ def bundle_nodes(
     the fiber weights into dual coordinates: 1-dimensional fans carry the
     arc length of the dual-gradient image, spherical patches its area.
     Nodes come in stratum, fiber, node order, on which the interleaved
-    half-sums of the quadrature error estimate rely; consecutive fibers of
-    one kind are expanded together.
+    half-sums of the quadrature error estimate rely; each stratum's fibers
+    are expanded together.
     """
     blocks = []
     for s in shape.boundary_strata(n=n, seed=seed):
-        for rows, run in s.fiber_runs():
-            cls = type(run[0])
-            kq = fiber_nodes if cls.dim_fiber == 1 else patch_nodes
-            uu, ww = cls.stack_nodes(run, kq)  # (F, q, d), (F, q)
-            q, d = uu.shape[1:]
-            u = uu.reshape(-1, d)
-            if cls.dim_fiber == 0:
-                transport = np.ones(len(u))
-            elif cls.dim_fiber == 1:
-                tt = cls.stack_tangents(run, kq).reshape(-1, d)
-                transport = np.linalg.norm(np.einsum("kde,ke->kd", norm.hessian(u), tt), axis=-1)
-            else:
-                E = tangent_basis(u)  # (k, 2, 3)
-                H = norm.hessian(u)
-                im0 = np.einsum("kde,ke->kd", H, E[:, 0])
-                im1 = np.einsum("kde,ke->kd", H, E[:, 1])
-                transport = np.linalg.norm(np.cross(im0, im1), axis=-1)
-            blocks.append(
-                (
-                    np.repeat(s.points[rows], q, axis=0),
-                    u,
-                    (s.weights[rows, None] * ww * transport.reshape(-1, q)).ravel(),
-                    np.full(len(u), s.index),
-                )
+        kq = patch_nodes if s.kind == "patch" else fiber_nodes
+        uu, ww = fiber_quadrature(s.kind, s.fibers, kq)  # (F, q, d), (F, q)
+        q, d = uu.shape[1:]
+        u = uu.reshape(-1, d)
+        if s.kind in ("vector", "pair"):
+            transport = np.ones(len(u))
+        elif s.kind == "patch":
+            E = tangent_basis(u)  # (k, 2, 3)
+            H = norm.hessian(u)
+            im0 = np.einsum("kde,ke->kd", H, E[:, 0])
+            im1 = np.einsum("kde,ke->kd", H, E[:, 1])
+            transport = np.linalg.norm(np.cross(im0, im1), axis=-1)
+        else:
+            tt = fiber_tangents(s.kind, s.fibers, kq).reshape(-1, d)
+            transport = np.linalg.norm(np.einsum("kde,ke->kd", norm.hessian(u), tt), axis=-1)
+        blocks.append(
+            (
+                np.repeat(s.points, q, axis=0),
+                u,
+                (s.weights[:, None] * ww * transport.reshape(-1, q)).ravel(),
+                np.full(len(u), s.index),
             )
+        )
     return tuple(np.concatenate(col) for col in zip(*blocks))
 
 
@@ -437,11 +441,11 @@ def pointwise_shape_operator(
     unique.
     """
     a = np.asarray(a, dtype=float)
-    fiber = shape.boundary_fiber_at(a)
-    if not isinstance(fiber, FiberVector):
+    kind, normal = shape.boundary_fiber_at(a)
+    if kind != "vector":
         raise ValueError("point has no unique normal")
     a = a[None, :]
-    eta = norm.grad(np.asarray(fiber.u, dtype=float)[None, :])
+    eta = norm.grad(np.asarray(normal, dtype=float)[None, :])
     reach, r = _reach_and_probe(shape, norm, a, eta)
     (M,), (T,), (u,) = normal_matrices(shape, norm, a, eta, r, reach=reach)
     K = M @ np.linalg.inv(np.eye(len(M)) - r[0] * M)

@@ -39,7 +39,7 @@ import numpy as np
 from .curvature import BundleSample, bundle_nodes, bundle_sample
 from .norms import Norm, tangent_basis
 from .projection import cloud_covering_radius, distance_field
-from .shapes import ConvexPolytope, EmptyInteriorError, FiberPair, Shape, fibonacci_sphere
+from .shapes import ConvexPolytope, EmptyInteriorError, Shape, fibonacci_sphere
 
 __all__ = [
     "Window",
@@ -318,10 +318,9 @@ def phi_perimeter(shape: Shape, norm: Norm, n: int = 4096, seed: int = 0) -> flo
         if s.index != shape.dim - 1:
             continue
         seen_top = True
-        if any(isinstance(f, FiberPair) for f in s.fibers):
+        if s.kind == "pair":
             raise EmptyInteriorError(f"{shape.name} has empty interior")
-        u = np.stack([np.asarray(f.u, dtype=float) for f in s.fibers])
-        total += float(s.weights @ norm.value(u))
+        total += float(s.weights @ norm.value(s.fibers))
     if not seen_top:
         raise EmptyInteriorError(f"{shape.name} has no top boundary stratum")
     return total

@@ -56,6 +56,7 @@ import numpy as np
 
 from .norms import EuclideanNorm, Norm
 from .shapes import Shape
+from .shapes import fiber_nodes as fiber_quadrature
 
 __all__ = [
     "ProjectionResult",
@@ -670,15 +671,18 @@ def _global_reach(shape, norm, n_samples, n_scan, seed, fiber_nodes):
     if shape.is_convex:
         return ReachEstimate(np.array([np.inf]), np.inf, (np.inf, np.inf), True)
 
-    rays_a, rays_u = [], []
+    strata = shape.boundary_strata(n=n_samples, seed=seed)
     spacing = 0.0
-    for s in shape.boundary_strata(n=n_samples, seed=seed):
-        if len(s.points) > 1:
-            spacing = max(spacing, _median(s.weights))
-        for rows, run in s.fiber_runs():
-            uu, _ = type(run[0]).stack_nodes(run, fiber_nodes)  # (F, q, d)
-            rays_a.append(np.repeat(s.points[rows], uu.shape[1], axis=0))
-            rays_u.append(uu.reshape(-1, shape.dim))
+    # a union's stratum of one dimension may come in pieces of several kinds
+    for m in {s.index for s in strata}:
+        w = np.concatenate([s.weights for s in strata if s.index == m])
+        if len(w) > 1:
+            spacing = max(spacing, _median(w))
+    rays_a, rays_u = [], []
+    for s in strata:
+        uu, _ = fiber_quadrature(s.kind, s.fibers, fiber_nodes)  # (F, q, d)
+        rays_a.append(np.repeat(s.points, uu.shape[1], axis=0))
+        rays_u.append(uu.reshape(-1, shape.dim))
     rays_eta = norm.grad(np.concatenate(rays_u))
     per_sample = reach_along(shape, norm, np.concatenate(rays_a), rays_eta, validate=False)
     g = float(per_sample.min())
@@ -744,7 +748,7 @@ class BoundaryClass:
     # 'alexandrov' (unique normal) | 'non-viscosity' (a fan, patch or pair of
     # normals); every catalog primitive is C^2 wherever its normal is unique
     kind: str
-    fiber: object
+    fiber: tuple  # (fiber kind, row) from ``boundary_fiber_at``
     normal: Optional[np.ndarray] = None
     h_spectrum: Optional[np.ndarray] = None
 
@@ -758,13 +762,12 @@ def classify_boundary_point(shape: Shape, norm: Norm, a) -> BoundaryClass:
     point); any other boundary point is a non-viscosity point.  Raises
     ValueError for a point off the boundary.
     """
-    from .shapes import FiberVector
     from .curvature import eig_small, pointwise_shape_operator
 
     a = np.asarray(a, dtype=float)
     fiber = shape.boundary_fiber_at(a)
-    if not isinstance(fiber, FiberVector):
+    if fiber[0] != "vector":
         return BoundaryClass("non-viscosity", fiber)
     M, _, _ = pointwise_shape_operator(shape, norm, a)
     spectrum = np.sort(eig_small(M[None, :, :])[0][0])
-    return BoundaryClass("alexandrov", fiber, np.asarray(fiber.u, dtype=float), spectrum)
+    return BoundaryClass("alexandrov", fiber, np.asarray(fiber[1], dtype=float), spectrum)

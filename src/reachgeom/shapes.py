@@ -4,10 +4,12 @@ Every shape knows three things about itself:
 
 * pointwise membership (vectorized, with a boundary tolerance),
 * a stratified description of its boundary: for each stratum dimension m,
-  quadrature points carrying H^m weights plus a *fiber* describing the set of
-  outward Euclidean unit normals at that point (a single vector on smooth
-  pieces, an antipodal pair on 1-codimensional sheets, an arc or spherical
-  patch at corners and edges),
+  arrays of quadrature points carrying H^m weights and one *fiber* row per
+  point describing the set of outward Euclidean unit normals there.  All the
+  fibers of a stratum share one kind: a single ``vector`` on smooth pieces,
+  an antipodal ``pair`` on 1-codimensional sheets, an ``arc`` (d=2) or
+  ``edge`` fan (d=3) at corners and edges, a spherical ``patch`` at d=3
+  vertices; ``fiber_nodes`` turns the rows into spherical quadrature,
 * parametric charts of the boundary used by the generic nearest-point solver.
 
 Strata weights are exact for polytopes (face measures split evenly across
@@ -16,7 +18,7 @@ nodes) and spectrally accurate chart quadrature on smooth pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Optional, Sequence
 
@@ -33,13 +35,9 @@ from .norms import (
 )
 
 __all__ = [
-    "Fiber",
-    "FiberVector",
-    "FiberPair",
-    "FiberArc",
-    "FiberEdgeArc",
-    "FiberPatch",
     "Stratum",
+    "fiber_nodes",
+    "fiber_tangents",
     "Chart",
     "Shape",
     "Ball",
@@ -66,137 +64,21 @@ class EmptyInteriorError(ValueError):
 # normal fibers
 # ======================================================================
 
-
-class Fiber:
-    """Set of outward Euclidean unit normals at a boundary point.
-
-    Quadrature is expanded for many fibers of one class at once with
-    ``stack_nodes``; ``nodes`` is the one-fiber case of it.
-    """
-
-    dim_fiber: int = 0
-
-    @classmethod
-    def stack_nodes(cls, fibers: Sequence["Fiber"], k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Quadrature (normals (F, q, d), weights (F, q)) of F fibers of this class."""
-        raise NotImplementedError
-
-    @classmethod
-    def stack_tangents(cls, fibers: Sequence["Fiber"], k: int) -> np.ndarray:
-        """Unit tangents du/dt (F, q, d) at the nodes of 1-dimensional fibers."""
-        raise NotImplementedError
-
-    @property
-    def stack_key(self):
-        """Fibers with equal keys can share one ``stack_nodes`` call."""
-        return type(self)
-
-    def nodes(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Quadrature (normals, weights) for the spherical measure on the fiber."""
-        u, w = self.stack_nodes([self], k)
-        return u[0], w[0]
-
-    def tangents(self, k: int) -> np.ndarray:
-        """Unit tangents du/dt at the quadrature nodes (1-dimensional fibers)."""
-        return self.stack_tangents([self], k)[0]
-
-    def measure(self) -> float:
-        """Total spherical H^{dim_fiber} measure (counting measure if 0-dim)."""
-        u, w = self.nodes(1)
-        return float(w.sum())
+def _arc_angles(fibers, k):
+    x, w = leggauss(max(int(k), 1))
+    mid = 0.5 * (fibers[:, :1] + fibers[:, 1:])
+    half = 0.5 * (fibers[:, 1:] - fibers[:, :1])
+    return mid + half * x, w * half
 
 
-@dataclass(frozen=True)
-class FiberVector(Fiber):
-    u: np.ndarray
-
-    dim_fiber = 0
-
-    @classmethod
-    def stack_nodes(cls, fibers, k):
-        u = np.array([f.u for f in fibers], dtype=float)
-        return u[:, None, :], np.ones((len(u), 1))
-
-
-@dataclass(frozen=True)
-class FiberPair(Fiber):
-    """Antipodal pair {+u, -u}: two sheets of the normal bundle."""
-
-    u: np.ndarray
-
-    dim_fiber = 0
-
-    @classmethod
-    def stack_nodes(cls, fibers, k):
-        u = np.array([f.u for f in fibers], dtype=float)
-        return np.stack([u, -u], axis=1), np.ones((len(u), 2))
-
-
-@dataclass(frozen=True)
-class FiberArc(Fiber):
-    """d=2 corner fan: normals (cos t, sin t) for t in [theta0, theta1]."""
-
-    theta0: float
-    theta1: float
-
-    dim_fiber = 1
-
-    @staticmethod
-    def _angles(fibers, k):
-        x, w = leggauss(max(int(k), 1))
-        th = np.array([(f.theta0, f.theta1) for f in fibers], dtype=float)
-        mid, half = 0.5 * (th[:, :1] + th[:, 1:]), 0.5 * (th[:, 1:] - th[:, :1])
-        return mid + half * x, w * half
-
-    @classmethod
-    def stack_nodes(cls, fibers, k):
-        t, w = cls._angles(fibers, k)
-        return np.stack([np.cos(t), np.sin(t)], axis=-1), w
-
-    @classmethod
-    def stack_tangents(cls, fibers, k):
-        t, _ = cls._angles(fibers, k)
-        return np.stack([-np.sin(t), np.cos(t)], axis=-1)
-
-
-@dataclass(frozen=True)
-class FiberEdgeArc(Fiber):
-    """d=3 edge fan: normals rotating between two adjacent facet normals."""
-
-    n0: np.ndarray
-    n1: np.ndarray
-
-    dim_fiber = 1
-
-    @staticmethod
-    def _frames(fibers):
-        """Orthonormal (e0, e1) spanning each fan's plane, and its angle."""
-        e0 = np.array([f.n0 for f in fibers], dtype=float)
-        n1 = np.array([f.n1 for f in fibers], dtype=float)
-        c = row_dot(e0, n1)
-        angle = np.arccos(np.clip(c, -1.0, 1.0))
-        e1 = unit_rows(n1 - c[:, None] * e0)
-        return e0, e1, angle
-
-    @classmethod
-    def _angles(cls, fibers, k):
-        e0, e1, angle = cls._frames(fibers)
-        x, w = leggauss(max(int(k), 1))
-        ang = angle[:, None]
-        return e0[:, None], e1[:, None], 0.5 * ang * (x + 1.0), w * 0.5 * ang
-
-    @classmethod
-    def stack_nodes(cls, fibers, k):
-        e0, e1, t, w = cls._angles(fibers, k)
-        return np.cos(t)[..., None] * e0 + np.sin(t)[..., None] * e1, w
-
-    @classmethod
-    def stack_tangents(cls, fibers, k):
-        e0, e1, t, _ = cls._angles(fibers, k)
-        return -np.sin(t)[..., None] * e0 + np.cos(t)[..., None] * e1
-
-    def measure(self):
-        return float(self._frames([self])[2][0])
+def _edge_angles(fibers, k):
+    """Orthonormal (e0, e1) spanning each fan's plane, node angles and weights."""
+    e0, n1 = fibers[:, 0], fibers[:, 1]
+    c = row_dot(e0, n1)
+    angle = np.arccos(np.clip(c, -1.0, 1.0))[:, None]
+    e1 = unit_rows(n1 - c[:, None] * e0)
+    x, w = leggauss(max(int(k), 1))
+    return e0[:, None], e1[:, None], 0.5 * angle * (x + 1.0), w * 0.5 * angle
 
 
 def _spherical_triangle_areas(a, b, c) -> np.ndarray:
@@ -213,38 +95,53 @@ def spherical_polygon_area(vertices: np.ndarray) -> float:
     return float(_spherical_triangle_areas(v[0], v[i], v[i + 1]).sum())
 
 
-@dataclass(frozen=True)
-class FiberPatch(Fiber):
-    """d=3 vertex fan: convex spherical polygon of normals (ordered vertices)."""
+def fiber_nodes(kind: str, fibers, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature (normals (F, q, d), weights (F, q)) of F fibers of one kind.
 
-    generators: np.ndarray  # (k, 3) ordered unit vectors
-
-    dim_fiber = 2
-
-    @classmethod
-    def stack_nodes(cls, fibers, k):
-        # Fan-triangulate, then refine each spherical triangle `level` times
-        # into (a,ab,ca), (ab,b,bc), (ca,bc,c), (ab,bc,ca); sub-triangle areas
-        # are exact, nodes sit at normalized centroids.
-        gens = np.array([f.generators for f in fibers], dtype=float)  # (F, G, 3)
-        level = max(int(np.ceil(np.log2(max(k, 1)) / 2)), 1)
-        i = np.arange(1, gens.shape[1] - 1)
-        a = np.broadcast_to(gens[:, :1], (len(gens), len(i), 3))
-        tri = np.stack([a, gens[:, i], gens[:, i + 1]], axis=-2)  # (F, T, 3, 3)
-        for _ in range(level):
-            a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
-            ab, bc, ca = unit_rows(a + b), unit_rows(b + c), unit_rows(c + a)
-            children = [a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]
-            tri = np.stack(children, axis=-2).reshape(len(gens), -1, 3, 3)
+    ``fibers`` holds one row per fiber in the layout of ``kind`` (see
+    ``Stratum``).  The weights integrate the spherical measure on each
+    fiber (counting measure on vectors and pairs); arcs and edges take k
+    Gauss nodes, and a patch is refined until it has about k nodes.
+    """
+    fibers = np.asarray(fibers, dtype=float)
+    if kind == "vector":
+        return fibers[:, None, :], np.ones((len(fibers), 1))
+    if kind == "pair":
+        return np.stack([fibers, -fibers], axis=1), np.ones((len(fibers), 2))
+    if kind == "arc":
+        t, w = _arc_angles(fibers, k)
+        return np.stack([np.cos(t), np.sin(t)], axis=-1), w
+    if kind == "edge":
+        e0, e1, t, w = _edge_angles(fibers, k)
+        return np.cos(t)[..., None] * e0 + np.sin(t)[..., None] * e1, w
+    if kind != "patch":
+        raise ValueError(f"unknown fiber kind {kind!r}")
+    # Fan-triangulate, then refine each spherical triangle `level` times
+    # into (a,ab,ca), (ab,b,bc), (ca,bc,c), (ab,bc,ca); sub-triangle areas
+    # are exact, nodes sit at normalized centroids.
+    level = max(int(np.ceil(np.log2(max(k, 1)) / 2)), 1)
+    i = np.arange(1, fibers.shape[1] - 1)
+    a = np.broadcast_to(fibers[:, :1], (len(fibers), len(i), 3))
+    tri = np.stack([a, fibers[:, i], fibers[:, i + 1]], axis=-2)  # (F, T, 3, 3)
+    for _ in range(level):
         a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
-        return unit_rows(a + b + c), _spherical_triangle_areas(a, b, c)
+        ab, bc, ca = unit_rows(a + b), unit_rows(b + c), unit_rows(c + a)
+        children = [a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]
+        tri = np.stack(children, axis=-2).reshape(len(fibers), -1, 3, 3)
+    a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
+    return unit_rows(a + b + c), _spherical_triangle_areas(a, b, c)
 
-    @property
-    def stack_key(self):
-        return type(self), len(self.generators)
 
-    def measure(self):
-        return spherical_polygon_area(self.generators)
+def fiber_tangents(kind: str, fibers, k: int) -> np.ndarray:
+    """Unit tangents du/dt (F, q, d) at the ``fiber_nodes`` of arcs and edges."""
+    fibers = np.asarray(fibers, dtype=float)
+    if kind == "arc":
+        t, _ = _arc_angles(fibers, k)
+        return np.stack([-np.sin(t), np.cos(t)], axis=-1)
+    if kind == "edge":
+        e0, e1, t, _ = _edge_angles(fibers, k)
+        return -np.sin(t)[..., None] * e0 + np.cos(t)[..., None] * e1
+    raise ValueError(f"{kind!r} fibers have no tangents")
 
 
 # ======================================================================
@@ -257,24 +154,25 @@ class Stratum:
     """Quadrature sample of one boundary stratum.
 
     ``index`` is the stratum dimension m; ``weights`` approximate H^m on the
-    stratum; ``fibers[i]`` describes the normal set at ``points[i]``.
+    stratum; ``fibers[i]`` describes the normal set at ``points[i]``.  All
+    fibers of a stratum have one ``kind``, which fixes the layout of a row:
+
+    - ``vector`` (N, d): the outward unit normal of a smooth point;
+    - ``pair`` (N, d): one normal u of the antipodal pair {+u, -u};
+    - ``arc`` (N, 2): angles theta0 <= theta1 of a d=2 fan (cos t, sin t);
+    - ``edge`` (N, 2, 3): the two facet normals a d=3 edge fan turns between;
+    - ``patch`` (N, G, 3): ordered unit generators of a convex spherical
+      polygon.
     """
 
     index: int
+    kind: str
     points: np.ndarray
     weights: np.ndarray
-    fibers: list
+    fibers: np.ndarray
 
     def __len__(self):
         return len(self.points)
-
-    def fiber_runs(self):
-        """(rows, fibers) for each run of consecutive fibers with one ``stack_key``."""
-        start = 0
-        for _, run in groupby(self.fibers, key=lambda f: f.stack_key):
-            run = list(run)
-            yield slice(start, start + len(run)), run
-            start += len(run)
 
 
 class Chart:
@@ -507,8 +405,11 @@ class Shape:
         """0-dimensional boundary features (candidate feet for projections)."""
         return np.empty((0, self.dim))
 
-    def boundary_fiber_at(self, a, tol: float = 1e-7) -> Fiber:
-        """Exact normal fiber at a boundary point of a catalog primitive."""
+    def boundary_fiber_at(self, a, tol: float = 1e-7) -> tuple[str, np.ndarray]:
+        """Exact normal fiber (kind, row) at a boundary point of a catalog primitive.
+
+        Raises ValueError for a point off the boundary.
+        """
         raise NotImplementedError
 
     # -------- fast paths --------------------------------------------------
@@ -550,9 +451,15 @@ def _smooth_strata(chart_specs, n, seed, dim):
         u = chart.normal(t)
         pts_all.append(p)
         wts_all.append(speed * step)
-        fibers.extend(FiberVector(ui) for ui in u)
+        fibers.append(u)
     strata.append(
-        Stratum(dim - 1, np.concatenate(pts_all), np.concatenate(wts_all), fibers)
+        Stratum(
+            dim - 1,
+            "vector",
+            np.concatenate(pts_all),
+            np.concatenate(wts_all),
+            np.concatenate(fibers),
+        )
     )
     return strata
 
@@ -631,8 +538,7 @@ class WulffBody(Shape):
         if self._volume_cache is None:
             # divergence theorem: vol = 1/d * int (x - c) . nu dA over bd W
             (s,) = self.boundary_strata(n=4096 if self.dim == 2 else 8192)
-            nu = np.array([f.u for f in s.fibers])
-            flux = np.sum(s.weights * row_dot(s.points - self.center, nu))
+            flux = np.sum(s.weights * row_dot(s.points - self.center, s.fibers))
             self._volume_cache = float(flux) / self.dim
         return self._volume_cache
 
@@ -694,13 +600,13 @@ class WulffBody(Shape):
         T = tangent_basis(u)
         dA = np.cross(self._dpoint(u, T[:, 0]), self._dpoint(u, T[:, 1]))
         w = np.linalg.norm(dA, axis=-1) * (4 * np.pi / n)
-        return [Stratum(2, self._point(u), w, [FiberVector(v) for v in self._normal(u)])]
+        return [Stratum(2, "vector", self._point(u), w, self._normal(u))]
 
     def boundary_fiber_at(self, a, tol=1e-7):
         v = np.asarray(a, dtype=float) - self.center
         if abs(float(self.norm.conjugate(v)) - self.radius) > tol:
             raise ValueError("point is not on the boundary")
-        return FiberVector(self.norm.gauss_map(v))
+        return "vector", self.norm.gauss_map(v)
 
     def exact_projection(self, norm, x):
         if norm.key != self.norm.key:
@@ -860,6 +766,10 @@ class ConvexPolytope(Shape):
             raise ValueError("vertices do not describe a convex polygon")
         self._edges, self._lengths = edges, lengths
         self._tangents, self._normals = tangents, normals
+        # corner fans: from the previous edge's normal angle to the next one's
+        t1 = np.arctan2(normals[:, 1], normals[:, 0])
+        t0 = np.roll(t1, 1)
+        self._corner_arcs = np.stack([t0, np.where(t1 < t0, t1 + 2 * np.pi, t1)], axis=1)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         x = np.asarray(x, dtype=float)
@@ -899,26 +809,19 @@ class ConvexPolytope(Shape):
         if self.dim == 2:
             v, L = self.vertices, self._lengths
             nv = len(v)
-            pts, wts, fibers = [], [], []
+            pts, wts, counts = [], [], []
             for i in range(nv):
                 m = max(int(round(n * L[i] / L.sum())), 4)
                 # midpoint rule with seeded phase: exact total weight per edge
                 s = (np.arange(m) + rng.uniform(0.2, 0.8)) / m
                 pts.append(v[i] + s[:, None] * self._edges[i])
                 wts.append(np.full(m, L[i] / m))
-                fibers += [FiberVector(self._normals[i])] * m
-            strata = [Stratum(1, np.concatenate(pts), np.concatenate(wts), fibers)]
-            corner_fibers = []
-            for i in range(nv):
-                n_prev = self._normals[i - 1]
-                n_next = self._normals[i]
-                t0 = np.arctan2(n_prev[1], n_prev[0])
-                t1 = np.arctan2(n_next[1], n_next[0])
-                if t1 < t0:
-                    t1 += 2 * np.pi
-                corner_fibers.append(FiberArc(t0, t1))
-            strata.append(Stratum(0, v.copy(), np.ones(nv), corner_fibers))
-            return strata
+                counts.append(m)
+            fibers = np.repeat(self._normals, counts, axis=0)
+            return [
+                Stratum(1, "vector", np.concatenate(pts), np.concatenate(wts), fibers),
+                Stratum(0, "arc", v.copy(), np.ones(nv), self._corner_arcs.copy()),
+            ]
         return self._box_strata(n, rng)
 
     def _box_strata(self, n, rng):
@@ -945,12 +848,16 @@ class ConvexPolytope(Shape):
                 p[:, axis] = coord
                 p[:, others[0]] = lo[others[0]] + S1.ravel() * ext[others[0]]
                 p[:, others[1]] = lo[others[1]] + S2.ravel() * ext[others[1]]
-                nrm = np.zeros(3)
-                nrm[axis] = side
+                nrm = np.zeros((g * g, 3))
+                nrm[:, axis] = side
                 pts.append(p)
                 wts.append(np.full(g * g, np.prod(ext[others]) / (g * g)))
-                fibers += [FiberVector(nrm)] * (g * g)
-        strata = [Stratum(2, np.concatenate(pts), np.concatenate(wts), fibers)]
+                fibers.append(nrm)
+        strata = [
+            Stratum(
+                2, "vector", np.concatenate(pts), np.concatenate(wts), np.concatenate(fibers)
+            )
+        ]
         # edges (stratum 1)
         e_pts, e_wts, e_fibers = [], [], []
         for axis in range(3):
@@ -965,64 +872,47 @@ class ConvexPolytope(Shape):
                     p[:, axis] = lo[axis] + s * ext[axis]
                     p[:, others[0]] = ca
                     p[:, others[1]] = cb
-                    n0 = np.zeros(3)
-                    n0[others[0]] = -1.0 if sa == 0 else 1.0
-                    n1 = np.zeros(3)
-                    n1[others[1]] = -1.0 if sb == 0 else 1.0
+                    fan = np.zeros((m, 2, 3))
+                    fan[:, 0, others[0]] = -1.0 if sa == 0 else 1.0
+                    fan[:, 1, others[1]] = -1.0 if sb == 0 else 1.0
                     e_pts.append(p)
                     e_wts.append(np.full(m, ext[axis] / m))
-                    e_fibers += [FiberEdgeArc(n0, n1)] * m
-        strata.append(Stratum(1, np.concatenate(e_pts), np.concatenate(e_wts), e_fibers))
-        # vertices (stratum 0)
-        v_fibers = []
-        for vtx in self.vertices:
-            gens = []
-            for axis in range(3):
-                g = np.zeros(3)
-                g[axis] = -1.0 if np.isclose(vtx[axis], lo[axis]) else 1.0
-                gens.append(g)
-            # order generators so consecutive ones are adjacent (any order of 3 works)
-            v_fibers.append(FiberPatch(np.stack(gens)))
-        strata.append(Stratum(0, self.vertices.copy(), np.ones(len(self.vertices)), v_fibers))
+                    e_fibers.append(fan)
+        strata.append(
+            Stratum(
+                1, "edge", np.concatenate(e_pts), np.concatenate(e_wts), np.concatenate(e_fibers)
+            )
+        )
+        # vertices (stratum 0): the octant of outward axis normals; any order
+        # of 3 generators has consecutive ones adjacent
+        gens = np.zeros((len(self.vertices), 3, 3))
+        gens[:, range(3), range(3)] = np.where(np.isclose(self.vertices, lo), -1.0, 1.0)
+        strata.append(Stratum(0, "patch", self.vertices.copy(), np.ones(len(self.vertices)), gens))
         return strata
 
     def boundary_fiber_at(self, a, tol=1e-7):
         a = np.asarray(a, dtype=float)
         if self.dim == 3:
-            on_lo = np.isclose(a, self.lo, atol=tol)
-            on_hi = np.isclose(a, self.hi, atol=tol)
-            k = int(on_lo.sum() + on_hi.sum())
-            gens = []
-            for axis in range(3):
-                if on_lo[axis]:
-                    g = np.zeros(3)
-                    g[axis] = -1.0
-                    gens.append(g)
-                elif on_hi[axis]:
-                    g = np.zeros(3)
-                    g[axis] = 1.0
-                    gens.append(g)
-            if k == 1:
-                return FiberVector(gens[0])
-            if k == 2:
-                return FiberEdgeArc(gens[0], gens[1])
-            return FiberPatch(np.stack(gens))
+            on_lo = np.abs(a - self.lo) <= tol
+            on_hi = np.abs(a - self.hi) <= tol
+            on = on_lo | on_hi
+            in_box = ((a >= self.lo - tol) & (a <= self.hi + tol)).all()
+            if not (in_box and on.any()):
+                raise ValueError("point is not on the boundary")
+            gens = np.diag(np.where(on_lo, -1.0, 1.0))[on]
+            if len(gens) == 1:
+                return "vector", gens[0]
+            return ("edge" if len(gens) == 2 else "patch"), gens
         # 2d: vertex or edge?
         for i, vtx in enumerate(self.vertices):
             if np.linalg.norm(a - vtx) <= tol:
-                n_prev = self._normals[i - 1]
-                n_next = self._normals[i]
-                t0 = np.arctan2(n_prev[1], n_prev[0])
-                t1 = np.arctan2(n_next[1], n_next[0])
-                if t1 < t0:
-                    t1 += 2 * np.pi
-                return FiberArc(t0, t1)
+                return "arc", self._corner_arcs[i].copy()
         for i in range(len(self.vertices)):
             rel = a - self.vertices[i]
             t = rel @ self._tangents[i]
             if -tol <= t <= self._lengths[i] + tol:
                 if abs(rel @ self._normals[i]) <= tol:
-                    return FiberVector(self._normals[i])
+                    return "vector", self._normals[i].copy()
         raise ValueError("point is not on the boundary")
 
     def charts(self):
@@ -1125,6 +1015,10 @@ class CapLens(Shape):
         self.half_width = np.sqrt(1.0 - eps * eps)
         self.centers = np.array([[0.0, -eps], [0.0, eps]])  # upper arc, lower arc
         self.beta = np.arcsin(eps)  # corner fan half-width
+        # right and left corner fans, in ``corner_points`` order
+        self._corner_arcs = np.array(
+            [[-self.beta, self.beta], [np.pi - self.beta, np.pi + self.beta]]
+        )
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         x = np.asarray(x, dtype=float)
@@ -1171,26 +1065,21 @@ class CapLens(Shape):
         strata = _smooth_strata(
             [(ch, arc_len) for ch in self.charts()], n, seed, self.dim
         )
-        corner_fibers = [
-            FiberArc(-self.beta, self.beta),  # right corner
-            FiberArc(np.pi - self.beta, np.pi + self.beta),  # left corner
-        ]
-        strata.append(Stratum(0, self.corner_points(), np.ones(2), corner_fibers))
+        strata.append(
+            Stratum(0, "arc", self.corner_points(), np.ones(2), self._corner_arcs.copy())
+        )
         return strata
 
     def boundary_fiber_at(self, a, tol=1e-7):
         a = np.asarray(a, dtype=float)
-        for corner, fib in zip(
-            self.corner_points(),
-            [FiberArc(-self.beta, self.beta), FiberArc(np.pi - self.beta, np.pi + self.beta)],
-        ):
+        for corner, arc in zip(self.corner_points(), self._corner_arcs):
             if np.linalg.norm(a - corner) <= tol:
-                return fib
+                return "arc", arc.copy()
         v = a - self.centers[0 if a[1] > 0 else 1]
         length = np.linalg.norm(v)
         if abs(length - 1.0) > tol:
             raise ValueError("point is not on the boundary")
-        return FiberVector(v / length)
+        return "vector", v / length
 
     def exact_projection(self, norm, x):
         if norm.kind != "euclidean":
@@ -1237,6 +1126,15 @@ class SegmentUnion(Shape):
         self.segments = segs
         self.name = name
         self.is_convex = len(segs) == 1
+        # endpoints and their half-circle fans opening away from the segment
+        ends, arcs = [], []
+        for p, q in segs:
+            e = (q - p) / np.linalg.norm(q - p)
+            for pt, outward in ((p, -e), (q, e)):
+                t_mid = np.arctan2(outward[1], outward[0])
+                ends.append(pt)
+                arcs.append((t_mid - np.pi / 2, t_mid + np.pi / 2))
+        self._ends, self._end_arcs = np.stack(ends), np.array(arcs)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -1266,7 +1164,7 @@ class SegmentUnion(Shape):
         return sum(float(np.linalg.norm(q - p)) for p, q in self.segments)
 
     def corner_points(self):
-        return np.concatenate([[p, q] for p, q in self.segments])
+        return self._ends.copy()
 
     def charts(self):
         out = []
@@ -1290,41 +1188,27 @@ class SegmentUnion(Shape):
         for p, q in self.segments:
             L = float(np.linalg.norm(q - p))
             e = (q - p) / L
-            nrm = np.array([e[1], -e[0]])
             m = max(int(round(n * L / total)), 8)
             s = (np.arange(m) + rng.uniform(0.2, 0.8)) / m
             pts.append(p + (s * L)[:, None] * e)
             wts.append(np.full(m, L / m))
-            fibers += [FiberPair(nrm)] * m
-        strata = [Stratum(1, np.concatenate(pts), np.concatenate(wts), fibers)]
-        # endpoints: half-circle fans opening away from the segment
-        e_pts, e_fibers = [], []
-        for p, q in self.segments:
-            e = (q - p) / np.linalg.norm(q - p)
-            for pt, outward in ((p, -e), (q, e)):
-                t_mid = np.arctan2(outward[1], outward[0])
-                e_pts.append(pt)
-                e_fibers.append(FiberArc(t_mid - np.pi / 2, t_mid + np.pi / 2))
-        strata.append(
-            Stratum(0, np.stack(e_pts), np.ones(len(e_pts)), e_fibers)
-        )
-        return strata
+            fibers.append(np.tile([e[1], -e[0]], (m, 1)))
+        return [
+            Stratum(1, "pair", np.concatenate(pts), np.concatenate(wts), np.concatenate(fibers)),
+            Stratum(0, "arc", self._ends.copy(), np.ones(len(self._ends)), self._end_arcs.copy()),
+        ]
 
     def boundary_fiber_at(self, a, tol=1e-7):
         a = np.asarray(a, dtype=float)
-        for p, q in self.segments:
-            e = (q - p) / np.linalg.norm(q - p)
-            for pt, outward in ((p, -e), (q, e)):
-                if np.linalg.norm(a - pt) <= tol:
-                    t_mid = np.arctan2(outward[1], outward[0])
-                    return FiberArc(t_mid - np.pi / 2, t_mid + np.pi / 2)
+        for pt, arc in zip(self._ends, self._end_arcs):
+            if np.linalg.norm(a - pt) <= tol:
+                return "arc", arc.copy()
         for p, q in self.segments:
             e = q - p
             t = (a - p) @ e / (e @ e)
             foot = p + t * e
             if 0 <= t <= 1 and np.linalg.norm(a - foot) <= tol:
-                nrm = np.array([e[1], -e[0]]) / np.linalg.norm(e)
-                return FiberPair(nrm)
+                return "pair", np.array([e[1], -e[0]]) / np.linalg.norm(e)
         raise ValueError("point is not on the set")
 
     def exact_projection(self, norm, x):
@@ -1403,18 +1287,27 @@ class DisjointUnion(Shape):
         return [ch for c in self.components for ch in c.charts()]
 
     def boundary_strata(self, n=512, seed=0):
-        merged: dict[int, list[Stratum]] = {}
-        for k, comp in enumerate(self.components):
-            for s in comp.boundary_strata(n=max(n // len(self.components), 32), seed=seed + k):
-                merged.setdefault(s.index, []).append(s)
+        m = max(n // len(self.components), 32)
+        parts = [
+            s
+            for k, comp in enumerate(self.components)
+            for s in comp.boundary_strata(n=m, seed=seed + k)
+        ]
+        # by dimension, components in order within one; consecutive parts
+        # whose fiber rows have one kind and shape become one stratum
+        parts.sort(key=lambda s: -s.index)
         out = []
-        for idx, parts in sorted(merged.items(), reverse=True):
+        for (index, kind, _), run in groupby(
+            parts, key=lambda s: (s.index, s.kind, s.fibers.shape[1:])
+        ):
+            run = list(run)
             out.append(
                 Stratum(
-                    idx,
-                    np.concatenate([p.points for p in parts]),
-                    np.concatenate([p.weights for p in parts]),
-                    [f for p in parts for f in p.fibers],
+                    index,
+                    kind,
+                    np.concatenate([s.points for s in run]),
+                    np.concatenate([s.weights for s in run]),
+                    np.concatenate([s.fibers for s in run]),
                 )
             )
         return out
@@ -1480,33 +1373,20 @@ class ComplementShape(Shape):
         return self.base.corner_points()
 
     def boundary_strata(self, n=512, seed=0):
+        # vectors flip and pairs stay; corner fans of the base vanish on the
+        # complement side
         out = []
         for s in self.base.boundary_strata(n=n, seed=seed):
-            flipped = []
-            for f in s.fibers:
-                if isinstance(f, FiberVector):
-                    flipped.append(FiberVector(-np.asarray(f.u)))
-                elif isinstance(f, FiberPair):
-                    flipped.append(FiberPair(np.asarray(f.u)))
-                else:
-                    # corner fans of the base vanish on the complement side
-                    flipped.append(None)
-            keep = [i for i, f in enumerate(flipped) if f is not None]
-            if keep:
-                out.append(
-                    Stratum(
-                        s.index,
-                        s.points[keep],
-                        s.weights[keep],
-                        [flipped[i] for i in keep],
-                    )
-                )
+            if s.kind == "vector":
+                out.append(Stratum(s.index, s.kind, s.points, s.weights, -s.fibers))
+            elif s.kind == "pair":
+                out.append(s)
         return out
 
     def boundary_fiber_at(self, a, tol=1e-7):
-        f = self.base.boundary_fiber_at(a, tol)
-        if isinstance(f, FiberVector):
-            return FiberVector(-np.asarray(f.u))
+        kind, u = self.base.boundary_fiber_at(a, tol)
+        if kind == "vector":
+            return kind, -u
         raise ValueError("complement has no normals at base corner points")
 
     @staticmethod

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachgeom import curvature, projection
+from reachgeom import curvature, projection, shapes
 from reachgeom.curvature import (
     bundle_jacobian,
     bundle_nodes,
@@ -19,7 +19,7 @@ from reachgeom.curvature import (
     pointwise_shape_operator,
 )
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm, tangent_basis
-from reachgeom.shapes import WulffBody, make_catalog_shape
+from reachgeom.shapes import Ball, DisjointUnion, SegmentUnion, WulffBody, make_catalog_shape
 
 E2 = EuclideanNorm(2)
 E3 = EuclideanNorm(3)
@@ -170,18 +170,34 @@ class TestSquareBundle:
         assert bundle_integral(bs, 0) == pytest.approx(theta1, rel=1e-10)
 
 
+def _segment_disk_segment():
+    """A union whose top stratum runs pair, vector, pair fibers."""
+    return DisjointUnion(
+        [
+            SegmentUnion([((-4.0, 0.0), (-2.0, 0.0))], "left"),
+            Ball([0.0, 0.0], 1.0, "disk"),
+            SegmentUnion([((2.0, 0.0), (4.0, 0.0))], "right"),
+        ],
+        name="segment-disk-segment",
+    )
+
+
 class TestBundleNodes:
     @pytest.mark.parametrize(
-        "key,norm",
+        "make,norm",
         [
-            ("cube", E3),
-            ("cube", EllipsoidalNorm([[3.0, 0.5, 0.1], [0.5, 2.0, 0.2], [0.1, 0.2, 1.0]])),
-            ("segment-pair", Q41),
+            (lambda: make_catalog_shape("cube"), E3),
+            (
+                lambda: make_catalog_shape("cube"),
+                EllipsoidalNorm([[3.0, 0.5, 0.1], [0.5, 2.0, 0.2], [0.1, 0.2, 1.0]]),
+            ),
+            (lambda: make_catalog_shape("segment-pair"), Q41),
+            (_segment_disk_segment, Q41),
         ],
-        ids=["cube-euclid", "cube-aniso", "segments-q41"],
+        ids=["cube-euclid", "cube-aniso", "segments-q41", "segment-disk-segment-q41"],
     )
-    def test_order_and_values_match_per_node_loop(self, key, norm):
-        shape = make_catalog_shape(key)
+    def test_order_and_values_match_per_node_loop(self, make, norm):
+        shape = make()
         got = bundle_nodes(shape, norm, n=96, seed=4, fiber_nodes=8, patch_nodes=64)
         ref = _bundle_nodes_per_node(shape, norm, n=96, seed=4, fiber_nodes=8, patch_nodes=64)
         npt.assert_array_equal(got[0], ref[0])
@@ -189,19 +205,33 @@ class TestBundleNodes:
         npt.assert_allclose(got[1], ref[1], rtol=0, atol=1e-14)
         npt.assert_allclose(got[2], ref[2], rtol=1e-14, atol=0)
 
+    def test_union_top_stratum_keeps_component_order(self):
+        union = _segment_disk_segment()
+        strata = union.boundary_strata(n=96, seed=4)
+        assert [(s.index, s.kind) for s in strata] == [
+            (1, "pair"), (1, "vector"), (1, "pair"), (0, "arc")
+        ]
+        tops = [
+            c.boundary_strata(n=32, seed=4 + k)[0] for k, c in enumerate(union.components)
+        ]
+        for s, top in zip(strata, tops):
+            npt.assert_array_equal(s.points, top.points)
+            npt.assert_array_equal(s.fibers, top.fibers)
+
 
 def _bundle_nodes_per_node(shape, norm, n, seed, fiber_nodes, patch_nodes):
     """bundle_nodes one fiber and one node at a time, in stratum/fiber/node order."""
     pts, us, w_base, strat = [], [], [], []
     for s in shape.boundary_strata(n=n, seed=seed):
-        for p, w_a, fib in zip(s.points, s.weights, s.fibers):
-            kq = fiber_nodes if fib.dim_fiber == 1 else patch_nodes
-            uu, ww = fib.nodes(kq)
-            if fib.dim_fiber == 0:
+        kq = patch_nodes if s.kind == "patch" else fiber_nodes
+        for i, (p, w_a) in enumerate(zip(s.points, s.weights)):
+            row = s.fibers[i : i + 1]
+            (uu,), (ww,) = shapes.fiber_nodes(s.kind, row, kq)
+            if s.kind in ("vector", "pair"):
                 transport = np.ones(len(uu))
-            elif fib.dim_fiber == 1:
-                im = np.einsum("kde,ke->kd", norm.hessian(uu), fib.tangents(kq))
-                transport = np.linalg.norm(im, axis=-1)
+            elif s.kind in ("arc", "edge"):
+                tt = shapes.fiber_tangents(s.kind, row, kq)[0]
+                transport = np.linalg.norm(np.einsum("kde,ke->kd", norm.hessian(uu), tt), axis=-1)
             else:
                 E = tangent_basis(uu)
                 H = norm.hessian(uu)

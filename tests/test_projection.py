@@ -28,7 +28,14 @@ from reachgeom.projection import (
     reach_along,
     set_distance,
 )
-from reachgeom.shapes import Ball, CapLens, Ellipsoid, WulffBody, make_catalog_shape
+from reachgeom.shapes import (
+    Ball,
+    CapLens,
+    Ellipsoid,
+    WulffBody,
+    fiber_nodes,
+    make_catalog_shape,
+)
 
 E2 = EuclideanNorm(2)
 Q41 = EllipsoidalNorm(np.diag([4.0, 1.0]))
@@ -574,8 +581,8 @@ class TestGlobalReachRays:
         global_reach(shape, norm, n_samples=256, n_scan=10, seed=3)
         rays_a, rays_eta = [], []
         for s in shape.boundary_strata(n=256, seed=3):
-            for p, f in zip(s.points, s.fibers):
-                for ui in f.nodes(8)[0]:
+            for i, p in enumerate(s.points):
+                for ui in fiber_nodes(s.kind, s.fibers[i : i + 1], 8)[0][0]:
                     rays_a.append(p)
                     rays_eta.append(norm.grad(ui))
         assert np.array_equal(got["a"], np.stack(rays_a))
@@ -600,10 +607,15 @@ class TestClassify:
         assert classify_boundary_point(seg, E2, np.array([0.3, 1.0])).kind == "non-viscosity"
 
     def test_off_boundary_point_raises(self):
-        # an interior point is neither viscosity nor Alexandrov: it is rejected
-        for key, a in (("disk", [0.5, 0.5]), ("cap-lens-0.5", [0.0, 0.0])):
-            with pytest.raises(ValueError):
-                classify_boundary_point(make_catalog_shape(key, E2), E2, np.array(a))
+        # an interior point is neither viscosity nor Alexandrov: it is rejected,
+        # and so is a point on a face's plane but off the box
+        for key, norm, a in (
+            ("disk", E2, [0.5, 0.5]),
+            ("cap-lens-0.5", E2, [0.0, 0.0]),
+            ("cube", E3, [1.0, 5.0, 0.5]),
+        ):
+            with pytest.raises(ValueError, match="not on the boundary"):
+                classify_boundary_point(make_catalog_shape(key, norm), norm, np.array(a))
 
     def test_union_point_takes_its_own_component(self):
         u = make_catalog_shape("two-disks-gap1", E2)

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from reachgeom.norms import EllipsoidalNorm, EuclideanNorm
+from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, unit_rows
 from reachgeom.projection import _ChartSolver
 from reachgeom.shapes import (
     Ball,
@@ -11,11 +11,10 @@ from reachgeom.shapes import (
     DisjointUnion,
     EmptyInteriorError,
     Ellipsoid,
-    FiberArc,
-    FiberPair,
-    FiberVector,
     SegmentUnion,
     WulffBody,
+    fiber_nodes,
+    fiber_tangents,
     make_catalog_shape,
     spherical_polygon_area,
 )
@@ -28,6 +27,11 @@ def _total_weight(shape, index, n=512, seed=0):
     return sum(
         s.weights.sum() for s in shape.boundary_strata(n=n, seed=seed) if s.index == index
     )
+
+
+def _fiber_measures(s):
+    """Spherical measure of each fiber of a stratum: its k = 1 weight total."""
+    return fiber_nodes(s.kind, s.fibers, 1)[1].sum(axis=1)
 
 
 class TestBall:
@@ -68,9 +72,8 @@ class TestPolytope:
         assert _total_weight(sq, 1) == pytest.approx(4.0, abs=1e-9)
         strata = {s.index: s for s in sq.boundary_strata()}
         assert len(strata[0]) == 4
-        for f in strata[0].fibers:
-            assert isinstance(f, FiberArc)
-            npt.assert_allclose(f.measure(), np.pi / 2)
+        assert strata[0].kind == "arc" and strata[0].fibers.shape == (4, 2)
+        npt.assert_allclose(_fiber_measures(strata[0]), np.pi / 2)
 
     def test_vertex_order_and_convexity_validation(self):
         # shuffled input gets sorted; non-convex input rejected
@@ -110,10 +113,30 @@ class TestPolytope:
         assert _total_weight(cube, 2, n=600) == pytest.approx(6.0, abs=1e-9)
         assert _total_weight(cube, 1, n=600) == pytest.approx(12.0, abs=1e-9)
         strata = {s.index: s for s in cube.boundary_strata(n=600)}
-        for f in strata[0].fibers:
-            npt.assert_allclose(f.measure(), np.pi / 2)  # octant
-        for f in strata[1].fibers:
-            npt.assert_allclose(f.measure(), np.pi / 2)  # right dihedral fan
+        assert (strata[0].kind, strata[1].kind, strata[2].kind) == ("patch", "edge", "vector")
+        npt.assert_allclose(_fiber_measures(strata[0]), np.pi / 2)  # octant
+        npt.assert_allclose(_fiber_measures(strata[1]), np.pi / 2)  # right dihedral fan
+
+    def test_box_fiber_only_on_the_boundary(self):
+        cube = make_catalog_shape("cube")
+        kind, u = cube.boundary_fiber_at(np.array([1.0, 0.5, 0.5]))
+        assert kind == "vector"
+        npt.assert_array_equal(u, [1.0, 0.0, 0.0])
+        kind, fan = cube.boundary_fiber_at(np.array([1.0, 0.0, 0.5]))
+        assert kind == "edge"
+        npt.assert_array_equal(fan, [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+        kind, gens = cube.boundary_fiber_at(np.array([0.0, 1.0, 1.0]))
+        assert kind == "patch"
+        npt.assert_array_equal(gens, np.diag([-1.0, 1.0, 1.0]))
+        # on a face's plane but off the face, on an edge's line past the box,
+        # and inside
+        for a in ([1.0, 5.0, 0.5], [1.0, 1.0, 7.0], [0.5, 0.5, 0.5]):
+            with pytest.raises(ValueError, match="not on the boundary"):
+                cube.boundary_fiber_at(np.array(a))
+        # the tolerance is absolute: 5e-3 inside a large box is not on its face
+        box = ConvexPolytope.box([0.0, 0.0, 0.0], [1000.0, 1000.0, 1000.0])
+        with pytest.raises(ValueError, match="not on the boundary"):
+            box.boundary_fiber_at(np.array([1000.0 - 5e-3, 500.0, 500.0]))
 
     def test_3d_requires_box(self):
         with pytest.raises(NotImplementedError):
@@ -131,15 +154,17 @@ class TestWulffBody:
     def test_boundary_normals_consistent(self):
         w = WulffBody(Q41, center=[1.0, 2.0], radius=0.7)
         s = w.boundary_strata(n=128)[0]
-        for p, f in list(zip(s.points, s.fibers))[::16]:
-            u = Q41.gauss_map(p - np.array([1.0, 2.0]))
-            npt.assert_allclose(f.u, u, atol=1e-9)
+        assert s.kind == "vector"
+        u = Q41.gauss_map(s.points - np.array([1.0, 2.0]))
+        npt.assert_allclose(s.fibers, u, atol=1e-9)
 
     def test_fiber_only_on_the_boundary(self):
         w = WulffBody(Q41, center=[1.0, 2.0], radius=0.7)
         s = w.boundary_strata(n=64)[0]
-        for p, f in list(zip(s.points, s.fibers))[::8]:
-            npt.assert_allclose(w.boundary_fiber_at(p).u, f.u, atol=1e-12)
+        for p, u in list(zip(s.points, s.fibers))[::8]:
+            kind, row = w.boundary_fiber_at(p)
+            assert kind == "vector"
+            npt.assert_allclose(row, u, atol=1e-12)
         for x in ([1.0, 2.0], [1.0, 2.0 + 0.7 * 1.01], [1.0 + 2 * 0.7 * 0.99, 2.0]):
             with pytest.raises(ValueError):
                 w.boundary_fiber_at(np.array(x))
@@ -187,8 +212,7 @@ class TestQuadraticWulffBody:
         npt.assert_allclose(nu, norm.gauss_map(p - c), rtol=0, atol=1e-12)
         (s,) = w.boundary_strata(n=256)
         npt.assert_allclose(norm.conjugate(s.points - c), 0.7, rtol=0, atol=1e-12)
-        u = np.array([f.u for f in s.fibers])
-        npt.assert_allclose(u, norm.gauss_map(s.points - c), rtol=0, atol=1e-12)
+        npt.assert_allclose(s.fibers, norm.gauss_map(s.points - c), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_closed_form_volume_matches_divergence_quadrature(self, dim):
@@ -236,8 +260,7 @@ class TestCapLens:
     def test_corner_fans(self):
         lens = CapLens(0.25)
         strata = {s.index: s for s in lens.boundary_strata()}
-        for f in strata[0].fibers:
-            npt.assert_allclose(f.measure(), 2 * np.arcsin(0.25))
+        npt.assert_allclose(_fiber_measures(strata[0]), 2 * np.arcsin(0.25))
         npt.assert_allclose(strata[1].weights.sum(), 4 * np.arccos(0.25), rtol=1e-6)
 
     def test_exact_projection(self):
@@ -256,7 +279,9 @@ class TestCapLens:
             lens.boundary_fiber_at(np.zeros(2))
         with pytest.raises(ValueError):
             lens.boundary_fiber_at(np.array([0.0, 0.6]))
-        npt.assert_allclose(lens.boundary_fiber_at(np.array([0.0, 0.5])).u, [0.0, 1.0])
+        kind, u = lens.boundary_fiber_at(np.array([0.0, 0.5]))
+        assert kind == "vector"
+        npt.assert_allclose(u, [0.0, 1.0])
 
     def test_eps_range_validated(self):
         with pytest.raises(ValueError):
@@ -269,10 +294,9 @@ class TestSegmentsAndUnions:
     def test_segment_fibers(self):
         segs = make_catalog_shape("segment-pair")
         strata = {s.index: s for s in segs.boundary_strata()}
-        assert all(isinstance(f, FiberPair) for f in strata[1].fibers)
+        assert strata[1].kind == "pair"
         assert len(strata[0]) == 4  # endpoints
-        for f in strata[0].fibers:
-            npt.assert_allclose(f.measure(), np.pi)
+        npt.assert_allclose(_fiber_measures(strata[0]), np.pi)
         npt.assert_allclose(strata[1].weights.sum(), 8.0)
         assert segs.volume() == 0.0
 
@@ -293,8 +317,8 @@ class TestSegmentsAndUnions:
 
     def test_union_fiber_comes_from_the_component_holding_the_point(self):
         u = make_catalog_shape("two-disks-gap1")
-        npt.assert_allclose(u.boundary_fiber_at(np.array([1.5, 1.0])).u, [0.0, 1.0])
-        npt.assert_allclose(u.boundary_fiber_at(np.array([-2.5, 0.0])).u, [-1.0, 0.0])
+        npt.assert_allclose(u.boundary_fiber_at(np.array([1.5, 1.0]))[1], [0.0, 1.0])
+        npt.assert_allclose(u.boundary_fiber_at(np.array([-2.5, 0.0]))[1], [-1.0, 0.0])
         with pytest.raises(ValueError):
             u.boundary_fiber_at(np.zeros(2))
 
@@ -314,8 +338,8 @@ class TestComplement:
         disk = Ball([0.0, 0.0], 1.0)
         K = disk.complement()
         s = K.boundary_strata(n=64)[0]
-        for p, f in zip(s.points, s.fibers):
-            npt.assert_allclose(np.asarray(f.u), -p / np.linalg.norm(p), atol=1e-12)
+        assert s.kind == "vector"
+        npt.assert_allclose(s.fibers, -unit_rows(s.points), atol=1e-12)
 
     def test_ellipsoid_interior_projection_under_its_own_norm_only(self):
         K = Ellipsoid([1.0, 0.0], [2.0, 1.0]).complement()
@@ -327,8 +351,7 @@ class TestComplement:
     def test_square_corner_fans_dropped(self):
         K = make_catalog_shape("unit-square").complement()
         strata = K.boundary_strata()
-        assert all(s.index == 1 for s in strata)
-        assert all(isinstance(f, FiberVector) for s in strata for f in s.fibers)
+        assert [(s.index, s.kind) for s in strata] == [(1, "vector")]
 
     @pytest.mark.parametrize("key", ["disk", "cap-lens-0.5"])
     def test_chart_normals_point_into_the_base(self, key):
@@ -343,9 +366,9 @@ class TestComplement:
         pts = np.concatenate([ch.point(ti) for ch, ti in zip(charts, t)])
         nrm = np.concatenate([ch.normal(ti) for ch, ti in zip(charts, t)])
         for s in K.boundary_strata(n=64):
-            for p, f in zip(s.points, s.fibers):
-                i = np.argmin(np.linalg.norm(pts - p, axis=1))
-                assert np.dot(nrm[i], f.u) > 1.0 - 1e-6
+            assert s.kind == "vector"
+            i = np.argmin(np.linalg.norm(pts[None] - s.points[:, None], axis=-1), axis=1)
+            assert (np.einsum("nd,nd->n", nrm[i], s.fibers) > 1.0 - 1e-6).all()
 
     def test_flat_chart_still_has_no_normal(self):
         K = make_catalog_shape("cube").complement()
@@ -361,8 +384,7 @@ class TestComplement:
 
 class TestFiberQuadrature:
     def test_arc_nodes_integrate_angle(self):
-        arc = FiberArc(0.3, 1.1)
-        u, w = arc.nodes(8)
+        (u,), (w,) = fiber_nodes("arc", [[0.3, 1.1]], 8)
         npt.assert_allclose(w.sum(), 0.8)
         npt.assert_allclose(np.linalg.norm(u, axis=-1), 1.0)
         # Gauss nodes integrate smooth integrands to high order
@@ -374,10 +396,7 @@ class TestFiberQuadrature:
         npt.assert_allclose(spherical_polygon_area(octant), np.pi / 2)
 
     def test_patch_nodes_weights_exact_total(self):
-        from reachgeom.shapes import FiberPatch
-
-        patch = FiberPatch(np.eye(3))
-        u, w = patch.nodes(256)
+        (u,), (w,) = fiber_nodes("patch", np.eye(3)[None], 256)
         npt.assert_allclose(w.sum(), np.pi / 2, atol=1e-12)
         npt.assert_allclose(np.linalg.norm(u, axis=-1), 1.0)
         # centroid rule converges: integrating z over the octant = pi/4
@@ -386,32 +405,30 @@ class TestFiberQuadrature:
 
     @pytest.mark.parametrize("n_gens", [3, 4])
     def test_patch_nodes_match_recursive_reference(self, n_gens):
-        from reachgeom.shapes import FiberPatch
-
         gens = np.array([[0.0, 0.0, 1.0], [1.0, 0.1, 0.3], [0.1, 1.0, 0.2], [-1.0, 0.3, 0.4]])
         gens = gens[:n_gens] / np.linalg.norm(gens[:n_gens], axis=1, keepdims=True)
         for k in (1, 16, 300):
-            u, w = FiberPatch(gens).nodes(k)
+            (u,), (w,) = fiber_nodes("patch", gens[None], k)
             u_ref, w_ref = _patch_nodes_reference(gens, k)
             npt.assert_allclose(u, u_ref, rtol=0, atol=1e-14)
             npt.assert_allclose(w, w_ref, rtol=1e-14, atol=0)
+        # the k = 1 weight total is the polygon's exact area
+        npt.assert_allclose(
+            fiber_nodes("patch", gens[None], 1)[1].sum(), spherical_polygon_area(gens), rtol=1e-14
+        )
 
     def test_stacked_patches_equal_single_ones(self):
-        from reachgeom.shapes import FiberPatch
-
-        patches = [FiberPatch(np.diag(s)) for s in ([1, 1, 1], [-1, 1, 1], [1, -1, -1])]
-        u, w = FiberPatch.stack_nodes(patches, 64)
-        for i, p in enumerate(patches):
-            ui, wi = p.nodes(64)
+        patches = np.stack([np.diag(s) for s in ([1.0, 1, 1], [-1.0, 1, 1], [1.0, -1, -1])])
+        u, w = fiber_nodes("patch", patches, 64)
+        for i in range(len(patches)):
+            (ui,), (wi,) = fiber_nodes("patch", patches[i : i + 1], 64)
             npt.assert_array_equal(u[i], ui)
             npt.assert_array_equal(w[i], wi)
 
     def test_edge_arc_nodes_match_per_fiber_formula(self):
-        from reachgeom.shapes import FiberEdgeArc
-
         n0, n1 = np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.8, 0.0])
-        arc = FiberEdgeArc(n0, n1)
-        u, w = arc.nodes(7)
+        edge = np.stack([n0, n1])[None]
+        (u,), (w,) = fiber_nodes("edge", edge, 7)
         x, wx = np.polynomial.legendre.leggauss(7)
         angle = np.arccos(0.6)
         t = 0.5 * angle * (x + 1.0)
@@ -419,9 +436,24 @@ class TestFiberQuadrature:
         npt.assert_allclose(u, np.outer(np.cos(t), n0) + np.outer(np.sin(t), e1), atol=1e-15)
         npt.assert_allclose(w, wx * 0.5 * angle, rtol=1e-15)
         npt.assert_allclose(
-            arc.tangents(7), np.outer(-np.sin(t), n0) + np.outer(np.cos(t), e1), atol=1e-15
+            fiber_tangents("edge", edge, 7)[0],
+            np.outer(-np.sin(t), n0) + np.outer(np.cos(t), e1),
+            atol=1e-15,
         )
-        npt.assert_allclose(arc.measure(), angle, rtol=1e-15)
+        npt.assert_allclose(fiber_nodes("edge", edge, 1)[1].sum(), angle, rtol=1e-15)
+
+    def test_vectors_and_pairs_are_counted(self):
+        u = np.array([[0.6, 0.8], [0.0, -1.0]])
+        nodes, w = fiber_nodes("vector", u, 8)
+        npt.assert_array_equal(nodes[:, 0], u)
+        npt.assert_array_equal(w, 1.0)
+        nodes, w = fiber_nodes("pair", u, 8)
+        npt.assert_array_equal(nodes, np.stack([u, -u], axis=1))
+        npt.assert_array_equal(w, 1.0)
+        with pytest.raises(ValueError):
+            fiber_tangents("pair", u, 8)
+        with pytest.raises(ValueError):
+            fiber_nodes("sheet", u, 8)
 
 
 def _patch_nodes_reference(gens, k):
