@@ -121,6 +121,68 @@ def _as_points(x, dim):
     return x
 
 
+def _solve_rows(A, b):
+    """x with A x = b for each row; a row whose A is singular gets x = b."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return b.copy()
+        return np.concatenate([_solve_rows(A[i : i + 1], b[i : i + 1]) for i in range(len(A))])
+
+
+# relative change of a merit that counts as rounding: near a minimum the
+# merit is flat to within a few ulps, and only the residual still tells
+# a better point from a worse one
+_FLAT = 16 * np.finfo(float).eps
+
+
+def _newton_rows(x, probe, step, retract, iters, tol, halvings):
+    """Damped Newton iteration on each row of x (n, k).
+
+    ``probe(xa, rows)`` gives the merit and the residual at xa, points of
+    the batch rows ``rows``; ``step(xa, rows)`` gives their Newton steps;
+    ``retract`` maps a stepped point back onto the manifold (the sphere, a
+    chart's box).  A row is done once its residual is <= tol.  Otherwise its
+    step is halved until the trial point strictly lowers the merit, or
+    strictly lowers the residual with the merit no higher than rounding
+    (``_FLAT``) allows.  A row with no such trial after ``halvings``
+    halvings has stalled and stays where it is, as does a row still running
+    after ``iters`` steps; the caller judges the residuals.
+
+    Row independence: the three functions only ever see the rows still
+    running, so if they compute each row from that row alone (elementwise
+    and batched linear algebra, as ``_solve_rows``), a row's answer is the
+    same bit for bit whatever else shares its batch.
+
+    Returns the final points, merits and residuals.
+    """
+    x = np.array(x, dtype=float)
+    val, res = probe(x, np.arange(len(x)))
+    rows = np.flatnonzero(~(res <= tol))
+    for _ in range(iters):
+        if not len(rows):
+            break
+        x0 = x[rows]
+        delta = step(x0, rows)
+        trying = np.arange(len(rows))
+        for _ in range(halvings + 1):
+            trial = retract(x0[trying] + delta[trying])
+            v, r = probe(trial, rows[trying])
+            v0, r0 = val[rows[trying]], res[rows[trying]]
+            better = (v < v0) | ((v <= v0 + _FLAT * np.abs(v0)) & (r < r0))
+            took = rows[trying[better]]
+            x[took], val[took], res[took] = trial[better], v[better], r[better]
+            trying = trying[~better]
+            if not len(trying):
+                break
+            delta[trying] *= 0.5
+        going = ~(res[rows] <= tol)
+        going[trying] = False  # stalled
+        rows = rows[going]
+    return x, val, res
+
+
 class Norm:
     """Base class; concrete norms fill in value/grad (+ optional closed forms)."""
 
@@ -174,20 +236,6 @@ class Norm:
     def conjugate_grad(self, y) -> np.ndarray:
         raise NotImplementedError
 
-    def conjugate_hessian(self, y) -> np.ndarray:
-        y = _as_points(y, self.dim)
-        self._check_nonzero(y)
-        h = FD_STEP_HESS * np.maximum(1.0, np.linalg.norm(y, axis=-1))
-        H = np.empty(y.shape + (self.dim,))
-        for j in range(self.dim):
-            step = np.zeros(self.dim)
-            step[j] = 1.0
-            H[..., j, :] = (
-                self.conjugate_grad(y + h[..., None] * step)
-                - self.conjugate_grad(y - h[..., None] * step)
-            ) / (2.0 * h[..., None])
-        return 0.5 * (H + np.swapaxes(H, -1, -2))
-
     # ------------------------------------------------------------------
     # boundary-of-W parametrization by Euclidean normals
     # ------------------------------------------------------------------
@@ -199,73 +247,32 @@ class Norm:
         """Unit Euclidean normal of bd W at eta: inverts ``gauss_inverse``.
 
         The input is scaled onto bd W first, so any nonzero eta works.
-        Damped Newton on the sphere (50 iterations, tol 1e-10) with a
-        projected-gradient fallback.
+        ``_newton_rows`` on the sphere solves grad phi(u) = eta / phi_*(eta),
+        seeded at the unit eta, lowering |grad phi(u) - eta / phi_*(eta)|
+        (50 iterations, tol 1e-10, 20 halvings).  Raises NonConvergenceError
+        if a row ends with a residual above 1e-8.
         """
         eta = _as_points(eta, self.dim)
         self._check_nonzero(eta)
-        scalar_in = eta.ndim == 1
         pts = eta.reshape(-1, self.dim)
         target = pts / self.conjugate(pts)[..., None]
-        u = target / np.linalg.norm(target, axis=-1, keepdims=True)  # seed
-        u = self._gauss_newton(u, target)
-        return u[0] if scalar_in else u.reshape(eta.shape)
 
-    def _gauss_newton(self, u, target, iters=50, tol=1e-10):
-        n_pts = u.shape[0]
-        active = np.ones(n_pts, dtype=bool)
-        for _ in range(iters):
-            F = self.grad(u) - target
-            res = np.linalg.norm(F, axis=-1)
-            active = res > tol
-            if not active.any():
-                break
-            ua = u[active]
-            Fa = F[active]
-            T = tangent_basis(ua)  # (m, d-1, d)
-            H = self.hessian(ua)  # (m, d, d)
-            A = T @ H @ np.swapaxes(T, -1, -2)  # (m, d-1, d-1)
-            b = -np.einsum("mkd,md->mk", T, Fa)
-            try:
-                delta = np.linalg.solve(A, b[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                delta = b  # gradient-ish fallback step
-            step = np.einsum("mk,mkd->md", delta, T)
-            # damped update with simple backtracking
-            new = ua + step
-            new /= np.linalg.norm(new, axis=-1, keepdims=True)
-            worse = np.linalg.norm(self.grad(new) - target[active], axis=-1) > res[active]
-            tries = 0
-            while worse.any() and tries < 20:
-                step[worse] *= 0.5
-                new[worse] = ua[worse] + step[worse]
-                new[worse] /= np.linalg.norm(new[worse], axis=-1, keepdims=True)
-                worse = np.linalg.norm(self.grad(new) - target[active], axis=-1) > res[active]
-                tries += 1
-            u = u.copy()
-            u[active] = new
-        else:
-            # Newton budget exhausted: projected-gradient fallback on the residual
-            u = self._gauss_fallback(u, target, tol)
-        return u
+        def probe(u, rows):
+            r = np.linalg.norm(self.grad(u) - target[rows], axis=-1)
+            return r, r
 
-    def _gauss_fallback(self, u, target, tol, iters=400):
-        for _ in range(iters):
-            F = self.grad(u) - target
-            res = np.linalg.norm(F, axis=-1)
-            if (res <= tol).all():
-                return u
-            g = np.einsum("mde,me->md", self.hessian(u), F)  # gradient of |F|^2/2
-            g -= u * np.einsum("md,md->m", g, u)[..., None]
-            gn = np.linalg.norm(g, axis=-1, keepdims=True)
-            u = u - 0.02 * g / np.maximum(gn, 1e-30) * res[..., None]
-            u /= np.linalg.norm(u, axis=-1, keepdims=True)
-        res = np.linalg.norm(self.grad(u) - target, axis=-1)
-        if (res > max(tol, 1e-8)).any():
+        def step(u, rows):
+            T = tangent_basis(u)
+            A = T @ self.hessian(u) @ np.swapaxes(T, -1, -2)
+            b = -np.einsum("mkd,md->mk", T, self.grad(u) - target[rows])
+            return np.einsum("mk,mkd->md", _solve_rows(A, b), T)
+
+        u, _, res = _newton_rows(unit_rows(target), probe, step, unit_rows, 50, 1e-10, 20)
+        if not (res <= 1e-8).all():
             raise NonConvergenceError(
                 f"gauss_map failed to converge: worst residual {res.max():.3e}"
             )
-        return u
+        return u.reshape(eta.shape)
 
     # ------------------------------------------------------------------
     def _check_nonzero(self, x):
@@ -465,13 +472,15 @@ class SmoothedLpNorm(Norm):
         v = self._support_argmax(pts)
         return v[0] if scalar_in else v.reshape(y.shape)
 
-    def _support_argmax(self, y, tol=1e-12):
+    def _support_argmax(self, y):
         """argmax of v.y over {phi(v) = 1}; also the gradient of phi_* at y.
 
-        Dense directional sweep for a seed, then sphere Newton on the
-        stationarity condition of u.y/phi(u).
+        Each row is seeded at the best of a dense sweep of directions, then
+        ``_newton_rows`` on the sphere solves the stationarity condition of
+        f(u) = u.y/phi(u) with -f as merit (60 iterations, tol 1e-12 on the
+        tangential gradient of f over |y|, 25 halvings).
+        Raises NonConvergenceError if a row ends with a residual above 1e-7.
         """
-        m = y.shape[0]
         if self.dim == 2:
             th = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
             dirs = np.c_[np.cos(th), np.sin(th)]
@@ -484,51 +493,33 @@ class SmoothedLpNorm(Norm):
             dirs = dirs[:, : self.dim]
             dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
         ratio = (dirs @ y.T) / self.value(dirs)[:, None]  # (ndirs, m)
-        u = dirs[np.argmax(ratio, axis=0)]
-        yn = np.linalg.norm(y, axis=-1)
-        for _ in range(60):
+        u0 = dirs[np.argmax(ratio, axis=0)]
+        yn = np.maximum(np.linalg.norm(y, axis=-1), 1e-300)
+
+        def ascent(u, rows):
+            # f(u) = u.y/phi(u), its value, phi(u) and its gradient on the sphere
             pu = self.value(u)
-            gu = self.grad(u)
-            uy = np.einsum("md,md->m", u, y)
-            # gradient of f(u) = u.y/phi(u) on the sphere
-            gf = (y - (uy / pu)[:, None] * gu) / pu[:, None]
+            fu = np.einsum("md,md->m", u, y[rows]) / pu
+            gf = (y[rows] - fu[:, None] * self.grad(u)) / pu[:, None]
             gf -= u * np.einsum("md,md->m", gf, u)[:, None]
-            res = np.linalg.norm(gf, axis=-1) / np.maximum(yn, 1e-300)
-            if (res <= tol).all():
-                break
+            return fu, pu, gf
+
+        def probe(u, rows):
+            fu, _, gf = ascent(u, rows)
+            return -fu, np.linalg.norm(gf, axis=-1) / yn[rows]
+
+        def step(u, rows):
+            fu, pu, gf = ascent(u, rows)
             T = tangent_basis(u)
+            # Hessian of -f on the tangent space (Gauss-Newton flavored)
             H = self.hessian(u)
-            # Hessian of -f on the tangent space (Gauss-Newton flavored):
-            A = (uy / pu)[:, None, None] * (T @ H @ np.swapaxes(T, -1, -2)) / pu[:, None, None]
-            A += np.eye(self.dim - 1) * (uy / pu)[:, None, None] * 1e-12
-            b = np.einsum("mkd,md->mk", T, gf)
-            try:
-                delta = np.linalg.solve(A, b[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                delta = b
-            step = np.einsum("mk,mkd->md", delta, T)
-            fn = uy / pu
-            new = u + step
-            new /= np.linalg.norm(new, axis=-1, keepdims=True)
-            worse = np.einsum("md,md->m", new, y) / self.value(new) < fn
-            tries = 0
-            while worse.any() and tries < 25:
-                step[worse] *= 0.5
-                new[worse] = u[worse] + step[worse]
-                new[worse] /= np.linalg.norm(new[worse], axis=-1, keepdims=True)
-                worse = np.einsum("md,md->m", new, y) / self.value(new) < fn
-                tries += 1
-            u = new
-        else:
-            pu = self.value(u)
-            uy = np.einsum("md,md->m", u, y)
-            gf = (y - (uy / pu)[:, None] * self.grad(u)) / pu[:, None]
-            gf -= u * np.einsum("md,md->m", gf, u)[:, None]
-            res = np.linalg.norm(gf, axis=-1) / np.maximum(yn, 1e-300)
-            if (res > 1e-7).any():
-                raise NonConvergenceError(
-                    f"dual-norm ascent stalled: worst residual {res.max():.3e}"
-                )
+            A = fu[:, None, None] * (T @ H @ np.swapaxes(T, -1, -2)) / pu[:, None, None]
+            A += np.eye(self.dim - 1) * fu[:, None, None] * 1e-12
+            return np.einsum("mk,mkd->md", _solve_rows(A, np.einsum("mkd,md->mk", T, gf)), T)
+
+        u, _, res = _newton_rows(u0, probe, step, unit_rows, 60, 1e-12, 25)
+        if not (res <= 1e-7).all():
+            raise NonConvergenceError(f"dual-norm ascent stalled: worst residual {res.max():.3e}")
         return u / self.value(u)[:, None]
 
 

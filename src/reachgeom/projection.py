@@ -54,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .norms import EuclideanNorm, Norm
+from .norms import EuclideanNorm, Norm, _newton_rows, _solve_rows
 from .shapes import Shape
 from .shapes import fiber_nodes as fiber_quadrature
 
@@ -176,14 +176,17 @@ def _chart_minimize_1d(chart, norm, x, t0, iters_golden=24, iters_secant=18):
 
 
 def _chart_minimize_2d(chart, norm, x, s0, iters=40):
-    """d=3 charts: damped Newton on the 2d stationarity system (FD Jacobian)."""
-    s = chart.clamp(s0)
+    """d=3 charts: damped Newton on the 2d stationarity system F(s) = 0.
 
-    def val(si):
-        return norm.conjugate(x - chart.point(si))
+    F is the gradient of phi_*(x - p(s)) in the chart parameters, by central
+    differences of chart points, and its Jacobian a finite difference of F.
+    ``_newton_rows`` runs on the chart's box (``chart.clamp`` retracts),
+    lowering phi_*(x - p(s)): 40 iterations, done at |F|inf <= 1e-12, 15
+    halvings.  Returns (s, value).
+    """
 
-    def F(si):
-        v = x - chart.point(si)
+    def value_and_F(si, rows):
+        v = x[rows] - chart.point(si)
         nv = norm.conjugate(v)
         out = np.zeros(si.shape)
         ok = nv > 1e-13
@@ -198,46 +201,40 @@ def _chart_minimize_2d(chart, norm, x, s0, iters=40):
                     2 * h
                 )
                 out[ok, k] = -np.einsum("md,md->m", g, dp)
-        return out
+        return nv, out
 
-    f = F(s)
-    for _ in range(iters):
+    def probe(si, rows):
+        nv, f = value_and_F(si, rows)
+        return nv, np.abs(f).max(axis=1)
+
+    def step(si, rows):
+        def F(t):
+            return value_and_F(t, rows)[1]
+
+        f = F(si)
         # FD Jacobian of F
-        J = np.zeros(s.shape[:1] + (2, 2))
+        J = np.zeros(si.shape[:1] + (2, 2))
         h = 1e-5
         for k in range(2):
             e = np.zeros(2)
             e[k] = h
-            J[:, :, k] = (F(chart.clamp(s + e)) - F(chart.clamp(s - e))) / (2 * h)
+            J[:, :, k] = (F(chart.clamp(si + e)) - F(chart.clamp(si - e))) / (2 * h)
         J = J + 1e-10 * np.eye(2)
-        try:
-            step = np.linalg.solve(J, -f[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = -f
+        delta = _solve_rows(J, -f)
         # F is the value's gradient, so where J is indefinite Newton can
         # climb; there step with |J| (eigenvalues by modulus) instead
-        uphill = np.einsum("mk,mk->m", step, f) > 0
+        uphill = np.einsum("mk,mk->m", delta, f) > 0
         if uphill.any():
             lam, V = np.linalg.eigh(J[uphill])
             coef = np.einsum("mki,mk->mi", V, f[uphill]) / np.maximum(np.abs(lam), 1e-12)
-            step[uphill] = -np.einsum("mki,mi->mk", V, coef)
+            delta[uphill] = -np.einsum("mki,mi->mk", V, coef)
         # shorten, don't clip: clipping one component can turn a descent
         # direction uphill, and the line search then stalls
-        step *= np.minimum(1.0, 0.3 / np.maximum(np.abs(step).max(axis=1), 1e-300))[:, None]
-        v0 = val(s)
-        s_new = chart.clamp(s + step)
-        worse = val(s_new) > v0
-        tries = 0
-        while worse.any() and tries < 15:
-            step[worse] *= 0.5
-            s_new[worse] = chart.clamp(s[worse] + step[worse])
-            worse = val(s_new) > v0
-            tries += 1
-        s = s_new
-        f = F(s)
-        if (np.abs(f) < 1e-12).all():
-            break
-    return s, val(s)
+        delta *= np.minimum(1.0, 0.3 / np.maximum(np.abs(delta).max(axis=1), 1e-300))[:, None]
+        return delta
+
+    s, value, _ = _newton_rows(chart.clamp(s0), probe, step, chart.clamp, iters, 1e-12, 15)
+    return s, value
 
 
 class _ChartSolver:

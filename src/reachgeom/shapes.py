@@ -49,7 +49,6 @@ __all__ = [
     "DisjointUnion",
     "ComplementShape",
     "EmptyInteriorError",
-    "spherical_polygon_area",
     "make_catalog_shape",
 ]
 
@@ -86,13 +85,6 @@ def _spherical_triangle_areas(a, b, c) -> np.ndarray:
     num = np.abs(row_dot(a, np.cross(b, c)))
     den = 1.0 + row_dot(a, b) + row_dot(b, c) + row_dot(c, a)
     return 2.0 * np.arctan2(num, den)
-
-
-def spherical_polygon_area(vertices: np.ndarray) -> float:
-    """Area of a convex spherical polygon given ordered unit vertices (exact)."""
-    v = np.asarray(vertices, dtype=float)
-    i = np.arange(1, len(v) - 1)
-    return float(_spherical_triangle_areas(v[0], v[i], v[i + 1]).sum())
 
 
 def fiber_nodes(kind: str, fibers, k: int) -> tuple[np.ndarray, np.ndarray]:

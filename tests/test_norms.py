@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from reachgeom.norms import (
     EuclideanNorm,
     EllipsoidalNorm,
+    NonConvergenceError,
     NormParameterError,
     SmoothedLpNorm,
     ZeroVectorError,
@@ -172,6 +173,50 @@ class TestSmoothedLp:
             SmoothedLpNorm(2, p=1.0)
         with pytest.raises(ValueError):
             SmoothedLpNorm(2, p=3.0, eps=-0.1)
+
+
+class _StiffLp(SmoothedLpNorm):
+    """A smoothed-lp norm whose Hessian is 1000 times too stiff within 26 degrees of e_0.
+
+    Newton steps there are a thousandth of their length, so a solve whose
+    answer lies in that cone ends its budget far above its tolerance.
+    """
+
+    def hessian(self, x):
+        x = np.asarray(x, dtype=float)
+        stiff = x[..., 0] > 0.9 * np.linalg.norm(x, axis=-1)
+        return np.where(stiff[..., None, None], 1e3, 1.0) * super().hessian(x)
+
+
+class TestRowIndependence:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("method", ["conjugate", "conjugate_grad", "gauss_map"])
+    def test_row_alone_equals_row_in_batch(self, dim, method):
+        nrm = SmoothedLpNorm(dim, p=3.0)
+        rng = np.random.default_rng(37)
+        y = rng.standard_normal((400, dim)) * rng.uniform(0.1, 5.0, (400, 1))
+        batch = getattr(nrm, method)(y)
+        for i in range(0, len(y), 8):
+            alone = getattr(nrm, method)(y[i : i + 1])
+            assert alone.tobytes() == batch[i : i + 1].tobytes(), i
+
+    def test_unconverged_row_raises(self):
+        nrm = _StiffLp(2, p=3.0)
+        y = np.array([[0.0, 1.0], [1.0, 0.1], [-1.0, 0.3]])  # row 1 in the stiff cone
+        plain = SmoothedLpNorm(2, p=3.0)
+        npt.assert_allclose(nrm.conjugate(y[[0, 2]]), plain.conjugate(y[[0, 2]]))
+        for method in (nrm.conjugate, nrm.conjugate_grad):
+            with pytest.raises(NonConvergenceError, match="dual-norm ascent"):
+                method(y)
+
+    def test_unconverged_gauss_row_raises(self):
+        nrm = _StiffLp(2, p=3.0)
+        nrm.conjugate = SmoothedLpNorm(2, p=3.0).conjugate  # exact targets
+        u = np.array([[0.0, 1.0], [np.cos(0.3), np.sin(0.3)], [-1.0, 0.0]])
+        eta = nrm.gauss_inverse(u)
+        npt.assert_allclose(nrm.gauss_map(eta[[0, 2]]), u[[0, 2]], atol=1e-9)
+        with pytest.raises(NonConvergenceError, match="gauss_map"):
+            nrm.gauss_map(eta)
 
 
 class TestErrorsAndFactory:

@@ -339,6 +339,21 @@ class TestChartNewton3d:
         _, delta = _ChartSolver(body, E3).feet_batch(x)
         npt.assert_allclose(value, delta, rtol=0.0, atol=1e-9)
 
+    def test_row_alone_equals_row_in_batch(self):
+        body = WulffBody(SmoothedLpNorm(3, 3.0))
+        (chart,) = body.charts()
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((400, 3))
+        x *= rng.uniform(0.5, 1.5, (400, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+        grid = chart.seeds(256)
+        near = np.linalg.norm(x[:, None, :] - chart.point(grid)[None, :, :], axis=-1)
+        s0 = grid[np.argmin(near, axis=1)]
+        s, value = _chart_minimize_2d(chart, E3, x, s0)
+        for i in range(0, len(x), 16):
+            s_i, value_i = _chart_minimize_2d(chart, E3, x[i : i + 1], s0[i : i + 1])
+            assert s_i.tobytes() == s[i : i + 1].tobytes(), i
+            assert value_i.tobytes() == value[i : i + 1].tobytes(), i
+
 
 class TestReach:
     def test_two_disks_inner_ray(self):
@@ -513,20 +528,20 @@ class TestReachMemo:
         assert calls == []
 
     def test_batch_gets_its_own_values_whatever_ran_before(self, monkeypatch):
-        # SmoothedLpNorm.conjugate steps every row until the whole batch has
-        # converged, so a ray's distances move in the last bits with the rows
-        # beside it: ray 57 alone and ray 57 next to ray 87 get reaches
-        # 5e-14 apart.  A batch must still get its own values, not those a
-        # ray took in an earlier batch.
+        # the memo is keyed by the whole ray batch: a batch must get its own
+        # values, not those a ray took in an earlier batch.  Under the
+        # smoothed-lp norm every distance comes from row-independent support
+        # solves, so ray 57 alone and ray 57 next to ray 87 agree bit for bit
         norm = SmoothedLpNorm(2, 3)
         a, u, _, _ = bundle_nodes(make_catalog_shape("three-wulff", norm), norm, n=4)
         eta = norm.grad(u)
         shape = make_catalog_shape("three-wulff", norm)
-        reach_along(shape, norm, a[[57]], eta[[57]], validate=False)
+        alone = reach_along(shape, norm, a[[57]], eta[[57]], validate=False)
         pair = reach_along(shape, norm, a[[57, 87]], eta[[57, 87]], validate=False)
         fresh = make_catalog_shape("three-wulff", norm)
         want = reach_along(fresh, norm, a[[57, 87]], eta[[57, 87]], validate=False)
         assert pair.tobytes() == want.tobytes()
+        assert alone.tobytes() == pair[:1].tobytes()
         calls = []
         monkeypatch.setattr(projection, "set_distance", lambda *args: calls.append(args))
         assert reach_along(shape, norm, a[[57, 87]], eta[[57, 87]], validate=False) is pair

@@ -13,14 +13,21 @@ from reachgeom.shapes import (
     Ellipsoid,
     SegmentUnion,
     WulffBody,
+    _spherical_triangle_areas,
     fiber_nodes,
     fiber_tangents,
     make_catalog_shape,
-    spherical_polygon_area,
 )
 
 E2 = EuclideanNorm(2)
 Q41 = EllipsoidalNorm(np.diag([4.0, 1.0]))
+
+
+def spherical_polygon_area(vertices: np.ndarray) -> float:
+    """Area of a convex spherical polygon given ordered unit vertices (exact)."""
+    v = np.asarray(vertices, dtype=float)
+    i = np.arange(1, len(v) - 1)
+    return float(_spherical_triangle_areas(v[0], v[i], v[i + 1]).sum())
 
 
 def _total_weight(shape, index, n=512, seed=0):
