@@ -166,8 +166,16 @@ def _newton_rows(x, probe, step, retract, iters, tol, halvings):
         x0 = x[rows]
         delta = step(x0, rows)
         trying = np.arange(len(rows))
+        stalled = np.zeros(len(rows), dtype=bool)
         for _ in range(halvings + 1):
             trial = retract(x0[trying] + delta[trying])
+            # a trial retracted back onto x0 stays there at every shorter
+            # step (a step out of a chart's box, or one below rounding)
+            moved = (trial != x0[trying]).any(axis=1)
+            stalled[trying[~moved]] = True
+            trying, trial = trying[moved], trial[moved]
+            if not len(trying):
+                break
             v, r = probe(trial, rows[trying])
             v0, r0 = val[rows[trying]], res[rows[trying]]
             better = (v < v0) | ((v <= v0 + _FLAT * np.abs(v0)) & (r < r0))
@@ -177,9 +185,8 @@ def _newton_rows(x, probe, step, retract, iters, tol, halvings):
             if not len(trying):
                 break
             delta[trying] *= 0.5
-        going = ~(res[rows] <= tol)
-        going[trying] = False  # stalled
-        rows = rows[going]
+        stalled[trying] = True
+        rows = rows[~stalled & ~(res[rows] <= tol)]
     return x, val, res
 
 

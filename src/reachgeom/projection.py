@@ -19,13 +19,14 @@ Everything vectorizes over batches of query points, on one of three routes:
   code: any shape but a ``WulffBody`` of its own norm under a
   ``smoothed-lp`` norm, a ``smoothed-lp`` ``WulffBody`` under any other
   norm, ``CapLens`` and polygons under ellipsoidal norms (but axis boxes
-  under diagonal ones), and the other complements.  It runs multi-start
-  minimization over the shape's boundary charts, golden-section
-  globalization followed by a secant polish of the stationarity condition,
-  so feet are accurate to near machine precision under the analytic norms;
-* kd-tree boundary cloud, for the same pairs in ``distance_field`` (see
-  there).  This is the package's only use of scipy (``cKDTree``), imported
-  on the route's first use, so no other route loads scipy.
+  under diagonal ones), and the other complements.  It polishes each
+  chart's nearest seeds by damped Newton on the stationarity condition
+  (``_chart_minimize``), so feet are accurate to near machine precision on
+  1d charts and to ~1e-11 on 2d ones;
+* kd-tree boundary cloud, for the same pairs in ``distance_field`` under
+  euclidean and ellipsoidal norms (the others take the chart solver there).
+  This is the package's only use of scipy (``cKDTree``), imported on the
+  route's first use, so no other route loads scipy.
 
 Curvature probes, points a + r eta + O(h) next to a bundle point (a, eta)
 with r below the ray reach, skip the multi-start search: their feet lie in a
@@ -54,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .norms import EuclideanNorm, Norm, _newton_rows, _solve_rows
+from .norms import EuclideanNorm, Norm, _newton_rows, _solve_rows, row_dot
 from .shapes import Shape
 from .shapes import fiber_nodes as fiber_quadrature
 
@@ -77,6 +78,9 @@ __all__ = [
 TOL_FOOT_RESIDUAL = 1e-9
 TOL_MULTI_REL = 1e-4  # foot separation, relative to shape diameter
 TOL_EQ_REL = 1e-7  # delta equality for multiplicity, relative to 1 + delta
+SEED_GRID = 64  # seeds per 1d chart, 4x that per 2d chart
+SEEDS_PER_CHART = 8  # nearest seeds polished per chart and query point
+_CHART_CHUNK = 256  # points per chart-route batch of distance_field
 
 
 class InvalidNormalError(ValueError):
@@ -111,96 +115,33 @@ class ReachEstimate:
 # ======================================================================
 
 
-def _chart_minimize_1d(chart, norm, x, t0, iters_golden=24, iters_secant=18):
-    """Minimize phi_*(x - p(t)) from seeds t0; vectorized over rows of x.
+def _chart_minimize(chart, norm, x, s0, iters=40):
+    """Damped Newton on the stationarity system F(s) = 0 of a k-d chart.
 
-    Returns (t, value).  Golden-section around each seed (bracket = one seed
-    spacing) followed by a secant solve of g'(t) = -grad phi_*(x-p) . p'(t).
+    F(s) = -Dp(s)^T grad phi_*(x - p(s)) is the gradient of phi_*(x - p(s))
+    in the chart parameters, Dp from ``chart.dpoint``, and its Jacobian a
+    central difference of F.  ``_newton_rows`` runs on the chart's box
+    (``chart.clamp`` retracts), lowering phi_*(x - p(s)): 40 iterations, 15
+    halvings, done at |F|inf <= 1e-14 on 1d charts, whose closed-form Dp
+    makes F exact to rounding, and at 1e-12 on 2d ones (F good to ~1e-11).
+    Returns (s, value), s shaped as the chart takes it: (N,) for 1d charts.
     """
-    lo, hi = chart.bounds[0]
-    span = hi - lo
-    # periodic point functions evaluate fine unwrapped; wrapping mid-iteration
-    # would break the secant differences, so only box charts get clamped
-    keep = (lambda t: t) if chart.periodic else (lambda t: np.clip(t, lo, hi))
-
-    def val(t):
-        v = x - chart.point(keep(t))
-        return norm.conjugate(v)
-
-    # bracket around the seed: one coarse-grid cell each side
-    h0 = span / 64.0
-    a = t0 - h0
-    b = t0 + h0
-    if not chart.periodic:
-        a = np.clip(a, lo, hi)
-        b = np.clip(b, lo, hi)
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = val(c), val(d)
-    for _ in range(iters_golden):
-        take_c = fc < fd
-        b = np.where(take_c, d, b)
-        a = np.where(take_c, a, c)
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc = val(c)
-        fd = val(d)
-    t = np.where(fc < fd, c, d)
-
-    # secant polish on the stationarity condition
-    def slope(t):
-        tc = keep(t)
-        v = x - chart.point(tc)
-        nv = norm.conjugate(v)
-        g = np.zeros_like(t)
-        ok = nv > 1e-13
-        if ok.any():
-            gp = norm.conjugate_grad(v[ok])
-            g[ok] = -np.einsum("md,md->m", gp, chart.dpoint(tc[ok]))
-        return g
-
-    t_prev = t + 1e-7 * max(span, 1.0)
-    g_prev = slope(t_prev)
-    g = slope(t)
-    for _ in range(iters_secant):
-        denom = g - g_prev
-        safe = np.where(np.abs(denom) > 1e-300, denom, 1.0)
-        step = np.where(np.abs(denom) > 1e-300, -g * (t - t_prev) / safe, 0.0)
-        step = np.clip(step, -h0, h0)
-        t_prev, g_prev = t, g
-        t = keep(t + step)
-        g = slope(t)
-    t = chart.clamp(t)
-    return t, val(t)
-
-
-def _chart_minimize_2d(chart, norm, x, s0, iters=40):
-    """d=3 charts: damped Newton on the 2d stationarity system F(s) = 0.
-
-    F is the gradient of phi_*(x - p(s)) in the chart parameters, by central
-    differences of chart points, and its Jacobian a finite difference of F.
-    ``_newton_rows`` runs on the chart's box (``chart.clamp`` retracts),
-    lowering phi_*(x - p(s)): 40 iterations, done at |F|inf <= 1e-12, 15
-    halvings.  Returns (s, value).
-    """
+    k = chart.param_dim
+    # 1-d charts take their parameters flat
+    flat = (lambda s: s[:, 0]) if k == 1 else (lambda s: s)
 
     def value_and_F(si, rows):
-        v = x[rows] - chart.point(si)
-        nv = norm.conjugate(v)
+        v = x[rows] - chart.point(flat(si))
+        nv = np.zeros(len(si))
         out = np.zeros(si.shape)
-        ok = nv > 1e-13
+        ok = row_dot(v, v) > 1e-26
         if ok.any():
+            # one support solve: phi_* is 1-homogeneous, phi_*(v) = v . grad phi_*(v)
             g = norm.conjugate_grad(v[ok])
-            # central differences err by ~h^2 + eps/h, least near eps^(1/3)
-            h = 6e-6
-            for k in range(2):
-                e = np.zeros(2)
-                e[k] = h
-                dp = (chart.point(chart.clamp(si[ok] + e)) - chart.point(chart.clamp(si[ok] - e))) / (
-                    2 * h
-                )
-                out[ok, k] = -np.einsum("md,md->m", g, dp)
+            nv[ok] = np.einsum("md,md->m", g, v[ok])
+            dp = chart.dpoint(flat(si[ok])).reshape(len(g), k, -1)
+            for j in range(k):
+                out[ok, j] = -np.einsum("md,md->m", g, dp[:, j])
         return nv, out
 
     def probe(si, rows):
@@ -213,13 +154,12 @@ def _chart_minimize_2d(chart, norm, x, s0, iters=40):
 
         f = F(si)
         # FD Jacobian of F
-        J = np.zeros(si.shape[:1] + (2, 2))
         h = 1e-5
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            J[:, :, k] = (F(chart.clamp(si + e)) - F(chart.clamp(si - e))) / (2 * h)
-        J = J + 1e-10 * np.eye(2)
+        J = np.stack(
+            [(F(chart.clamp(si + e)) - F(chart.clamp(si - e))) / (2 * h) for e in h * np.eye(k)],
+            axis=-1,
+        )
+        J = J + 1e-10 * np.eye(k)
         delta = _solve_rows(J, -f)
         # F is the value's gradient, so where J is indefinite Newton can
         # climb; there step with |J| (eigenvalues by modulus) instead
@@ -233,16 +173,17 @@ def _chart_minimize_2d(chart, norm, x, s0, iters=40):
         delta *= np.minimum(1.0, 0.3 / np.maximum(np.abs(delta).max(axis=1), 1e-300))[:, None]
         return delta
 
-    s, value, _ = _newton_rows(chart.clamp(s0), probe, step, chart.clamp, iters, 1e-12, 15)
-    return s, value
+    tol = 1e-14 if k == 1 else 1e-12
+    s0 = np.reshape(s0, (len(s0), k))
+    s, value, _ = _newton_rows(chart.clamp(s0), probe, step, chart.clamp, iters, tol, 15)
+    return flat(s), value
 
 
 class _ChartSolver:
     """Multi-start nearest-boundary-point search over a shape's charts."""
 
-    def __init__(self, shape: Shape, norm: Norm, k_seed: int = 8, grid: int = 64):
+    def __init__(self, shape: Shape, norm: Norm):
         self.norm = norm
-        self.k_seed = k_seed
         self.charts = shape.charts()
         if not self.charts:
             raise NotImplementedError(f"{shape.name} exposes no boundary charts")
@@ -250,7 +191,7 @@ class _ChartSolver:
         self._seed_pts = []
         self._seed_params = []
         for ch in self.charts:
-            t = ch.seeds(grid if ch.param_dim == 1 else 4 * grid)
+            t = ch.seeds(SEED_GRID if ch.param_dim == 1 else 4 * SEED_GRID)
             self._seed_params.append(t)
             self._seed_pts.append(ch.point(t))
 
@@ -260,7 +201,7 @@ class _ChartSolver:
         seeds = []
         for params, pts in zip(self._seed_params, self._seed_pts):
             vals = self.norm.conjugate(x[:, None, :] - pts[None, :, :])
-            k = min(self.k_seed, len(params))
+            k = min(SEEDS_PER_CHART, len(params))
             seeds.append(np.argpartition(vals, k - 1, axis=1)[:, :k])
         feet, vals = self.candidates(x, seeds)
         best = np.argmin(vals, axis=1)
@@ -279,8 +220,8 @@ class _ChartSolver:
         cand_vals = []
         for ch, params, order in zip(self.charts, self._seed_params, seeds):
             k = order.shape[1]
-            minimize = _chart_minimize_1d if ch.param_dim == 1 else _chart_minimize_2d
-            t, fv = minimize(ch, self.norm, np.repeat(x, k, axis=0), params[order.reshape(-1)])
+            s0 = params[order.reshape(-1)]
+            t, fv = _chart_minimize(ch, self.norm, np.repeat(x, k, axis=0), s0)
             cand_feet.append(ch.point(t).reshape(m, k, -1))
             cand_vals.append(fv.reshape(m, k))
         if len(self.corners):
@@ -441,8 +382,8 @@ def project(shape: Shape, norm: Norm, x) -> ProjectionResult:
 def _cloud(shape: Shape, norm: Norm, k: int):
     """The shape's k-point boundary cloud and its kd-tree under ``norm``.
 
-    The tree holds the cloud in coordinates where phi_* is Euclidean (None
-    for norms without them).  Both are memoized on the shape, the cloud by
+    The tree holds the cloud in coordinates where phi_* is Euclidean (the
+    norm's ``dual_transform``).  Both are memoized on the shape, the cloud by
     ``k`` and the tree by ``(k, norm.key)``, so they die with the shape.
     """
     memo = shape.boundary_clouds
@@ -450,7 +391,7 @@ def _cloud(shape: Shape, norm: Norm, k: int):
     if cpts is None:
         cpts = memo.setdefault(k, shape.boundary_cloud(k=k)[0])
     tree = memo.get((k, norm.key))
-    if tree is None and norm.dual_transform is not None:
+    if tree is None:
         from scipy.spatial import cKDTree
 
         tree = memo.setdefault((k, norm.key), cKDTree(cpts @ norm.dual_transform.T))
@@ -464,44 +405,42 @@ def distance_field(
 
     Uses the shape's closed form when it has one (see the module docstring;
     that includes every quadratic ``WulffBody`` under any euclidean or
-    ellipsoidal norm), which gives interior points 0 itself.  Otherwise
-    nearest-neighbor queries against a dense boundary cloud: a kd-tree in
-    coordinates where the dual norm is Euclidean for euclidean and ellipsoidal
-    norms, an explicit minimum over the cloud for the others, each with a
-    chord-sag error ~(P/cloud)^2, and interior points are set to 0.  The
-    cloud and its tree are built once per shape, cloud size and norm.
+    ellipsoidal norm), which gives interior points 0 itself.  Otherwise, for
+    euclidean and ellipsoidal norms, nearest-neighbor queries against a dense
+    boundary cloud in coordinates where the dual norm is Euclidean (a kd-tree
+    built once per shape, cloud size and norm), with a chord-sag error
+    ~(P/cloud)^2, and interior points set to 0.  Other norms have no such
+    coordinates and take ``set_distance``, exact and cheaper per point than
+    a minimum over the cloud, in chunks that bound its seed search's memory.
     """
     points = np.asarray(points, dtype=float)
     d = shape.exact_distance(norm, points)
     if d is None:
-        cpts, tree = _cloud(shape, norm, cloud)
-        if tree is not None:
-            d, _ = tree.query(points @ norm.dual_transform.T, workers=-1)
-        else:
-            # generic norm: chunked explicit minimum over the cloud
+        if norm.dual_transform is None:
             d = np.empty(len(points))
-            step = max(1, 2_000_000 // max(len(cpts), 1))
-            for i in range(0, len(points), step):
-                v = points[i : i + step, None, :] - cpts[None, :, :]
-                d[i : i + step] = norm.conjugate(v).min(axis=1)
-        d = np.asarray(d)
-        inside = shape.contains(points)
-        d[inside] = 0.0
+            for i in range(0, len(points), _CHART_CHUNK):
+                d[i : i + _CHART_CHUNK] = set_distance(shape, norm, points[i : i + _CHART_CHUNK])
+            return d
+        _, tree = _cloud(shape, norm, cloud)
+        d, _ = tree.query(points @ norm.dual_transform.T, workers=-1)
+        d[shape.contains(points)] = 0.0
     return d
 
 
 def cloud_covering_radius(shape: Shape, norm: Norm, cloud: int = 4096) -> float:
     """How far ``distance_field`` may overestimate delta just outside the set.
 
-    0 when the pair has a closed form.  On the cloud route a boundary point
-    lies within the cloud's covering radius (in phi_*) of some cloud point,
-    so the cloud distance exceeds delta by at most that much.  The bound
-    returned is derived from the cloud's own spacing: twice the largest
-    phi_* gap, either way, from a cloud point to its d nearest neighbours
-    (nearest in the Euclidean metric), which also absorbs the membership
-    tolerance of ``Shape.contains``.
+    0 when ``distance_field`` is exact: the pair has a closed form, or the
+    norm has no ``dual_transform`` (the chart route).  On the cloud route a
+    boundary point lies within the cloud's covering radius (in phi_*) of
+    some cloud point, so the cloud distance exceeds delta by at most that
+    much.  The bound returned is derived from the cloud's own spacing: twice
+    the largest phi_* gap, either way, from a cloud point to its d nearest
+    neighbours (nearest in the Euclidean metric), which also absorbs the
+    membership tolerance of ``Shape.contains``.
     """
-    if shape.exact_distance(norm, shape.bounding_box()[0][None, :]) is not None:
+    corner = shape.bounding_box()[0][None, :]
+    if norm.dual_transform is None or shape.exact_distance(norm, corner) is not None:
         return 0.0
     cpts, tree = _cloud(shape, EuclideanNorm(shape.dim), cloud)
     _, nbr = tree.query(cpts, k=shape.dim + 1)
@@ -670,8 +609,9 @@ def _global_reach(shape, norm, n_samples, n_scan, seed, fiber_nodes):
 
     strata = shape.boundary_strata(n=n_samples, seed=seed)
     spacing = 0.0
-    # a union's stratum of one dimension may come in pieces of several kinds
-    for m in {s.index for s in strata}:
+    # a union's stratum of one dimension may come in pieces of several kinds;
+    # corners (dimension 0) carry weight 1 each and no spacing
+    for m in {s.index for s in strata} - {0}:
         w = np.concatenate([s.weights for s in strata if s.index == m])
         if len(w) > 1:
             spacing = max(spacing, _median(w))
@@ -725,14 +665,11 @@ def _multi_foot_cap(shape, norm, pts):
         return np.inf
     tol = TOL_EQ_REL * (1.0 + val)
     near = vals_all <= val[:, None] + tol[:, None]
-    cap = np.inf
-    for i in range(len(pts)):
-        f = feet_all[i][near[i]]
-        if len(f) > 1:
-            spread = np.linalg.norm(f - f[0], axis=-1).max()
-            if spread > sep:
-                cap = min(cap, float(val[i]))
-    return cap
+    # project's greedy dedupe finds a second foot exactly when a near foot
+    # lies farther than sep from the first one
+    first = feet_all[np.arange(len(pts)), np.argmax(near, axis=1)]
+    multi = (near & (np.linalg.norm(feet_all - first[:, None, :], axis=-1) > sep)).any(axis=1)
+    return float(val[multi].min()) if multi.any() else np.inf
 
 
 # ======================================================================

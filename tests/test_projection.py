@@ -16,10 +16,12 @@ from reachgeom.curvature import bundle_nodes
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm
 from reachgeom.projection import (
     InvalidNormalError,
-    _chart_minimize_2d,
+    _chart_minimize,
     _ChartSolver,
+    _multi_foot_cap,
     _solver,
     classify_boundary_point,
+    cloud_covering_radius,
     distance_field,
     global_reach,
     grad_delta,
@@ -191,6 +193,17 @@ class TestDistanceField:
         npt.assert_allclose(d_field, d_solver, atol=5e-7)
         assert (d_field >= d_solver - 1e-12).all()
 
+    def test_norm_without_dual_transform_takes_the_chart_route(self):
+        # no coordinates make a smoothed-lp dual norm Euclidean, so there is
+        # no kd-tree; the field is set_distance itself, and exact
+        lens = make_catalog_shape("cap-lens-0.5", E2)
+        norm = SmoothedLpNorm(2, 3.0)
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.2, 1.2, size=(24, 2))
+        assert lens.contains(x).any() and not lens.contains(x).all()
+        assert distance_field(lens, norm, x).tobytes() == set_distance(lens, norm, x).tobytes()
+        assert cloud_covering_radius(lens, norm) == 0.0
+
 
 def _rot(dim, angles):
     # 2-d: one rotation; 3-d: the z-x-z Euler rotation
@@ -335,24 +348,51 @@ class TestChartNewton3d:
         x = np.array([[-0.3868906013031506, -0.03751949232937084, -1.0369198463478897]])
         s0 = np.array([[2.597251667889787, 3.3046077995279495]])
         (chart,) = body.charts()
-        _, value = _chart_minimize_2d(chart, E3, x, s0)
+        _, value = _chart_minimize(chart, E3, x, s0)
         _, delta = _ChartSolver(body, E3).feet_batch(x)
         npt.assert_allclose(value, delta, rtol=0.0, atol=1e-9)
 
-    def test_row_alone_equals_row_in_batch(self):
-        body = WulffBody(SmoothedLpNorm(3, 3.0))
-        (chart,) = body.charts()
+    @pytest.mark.parametrize(
+        "shape, norm",
+        [
+            (WulffBody(SmoothedLpNorm(3, 3.0)), EuclideanNorm(3)),
+            (make_catalog_shape("cap-lens-0.5", Q41), Q41),
+        ],
+        ids=["sphere-chart", "lens-arc"],
+    )
+    def test_row_alone_equals_row_in_batch(self, shape, norm):
+        chart = shape.charts()[0]
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((400, 3))
+        x = rng.standard_normal((400, shape.dim))
         x *= rng.uniform(0.5, 1.5, (400, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
         grid = chart.seeds(256)
         near = np.linalg.norm(x[:, None, :] - chart.point(grid)[None, :, :], axis=-1)
         s0 = grid[np.argmin(near, axis=1)]
-        s, value = _chart_minimize_2d(chart, E3, x, s0)
+        s, value = _chart_minimize(chart, norm, x, s0)
         for i in range(0, len(x), 16):
-            s_i, value_i = _chart_minimize_2d(chart, E3, x[i : i + 1], s0[i : i + 1])
+            s_i, value_i = _chart_minimize(chart, norm, x[i : i + 1], s0[i : i + 1])
             assert s_i.tobytes() == s[i : i + 1].tobytes(), i
             assert value_i.tobytes() == value[i : i + 1].tobytes(), i
+
+    def test_one_support_solve_per_chart_evaluation(self, monkeypatch):
+        # phi_*(v) = v . grad phi_*(v), so the value costs no second solve
+        norm = SmoothedLpNorm(2, 3.0)
+        chart = make_catalog_shape("cap-lens-0.5", norm).charts()[0]
+        calls = {"point": 0, "support": 0}
+        point, support = chart.point, norm._support_argmax
+
+        def counted(name, f):
+            def g(*args):
+                calls[name] += 1
+                return f(*args)
+
+            return g
+
+        monkeypatch.setattr(chart, "point", counted("point", point))
+        monkeypatch.setattr(norm, "_support_argmax", counted("support", support))
+        x = np.random.default_rng(2).uniform(-1.0, 1.0, size=(20, 2)) + [0.0, 1.5]
+        _chart_minimize(chart, norm, x, chart.seeds(20))
+        assert calls["support"] == calls["point"] > 0
 
 
 class TestReach:
@@ -388,6 +428,30 @@ class TestReach:
             make_catalog_shape("segment-pair", E2), E2, n_samples=512, n_scan=2000
         )
         assert est.global_reach == pytest.approx(1.0, rel=1e-2)
+        # the endpoints' weights are no sample spacing
+        assert est.bracket[0] > 0.99
+
+    def test_multi_foot_cap_matches_the_greedy_dedupe(self):
+        # inside the lens, the complement's cut locus lies on the axes
+        comp = make_catalog_shape("cap-lens-0.5", Q41).complement()
+        rng = np.random.default_rng(4)
+        axis = np.c_[np.linspace(-0.6, 0.6, 9), np.zeros(9)]
+        pts = np.concatenate([rng.uniform(-0.8, 0.8, size=(40, 2)) * [1.0, 0.4], axis])
+        pts = pts[~comp.contains(pts)]
+        _, val, feet_all, vals_all = _solver(comp, Q41).feet_batch(pts, want_all=True)
+        near = vals_all <= (val + projection.TOL_EQ_REL * (1.0 + val))[:, None]
+        sep = projection.TOL_MULTI_REL * comp.diameter
+        multi = []
+        for f in (feet_all[i][near[i]] for i in range(len(pts))):
+            distinct = [f[0]]
+            for g in f[1:]:
+                if not any(np.linalg.norm(g - h) <= sep for h in distinct):
+                    distinct.append(g)
+            multi.append(len(distinct) > 1)
+        assert 0 < sum(multi) < len(pts)
+        for i, m in enumerate(multi):
+            assert np.isfinite(_multi_foot_cap(comp, Q41, pts[i : i + 1])) == m, i
+        assert _multi_foot_cap(comp, Q41, pts) == min(val[np.array(multi)])
 
     @given(st.floats(min_value=0.05, max_value=0.45))
     @settings(max_examples=20, deadline=None)
