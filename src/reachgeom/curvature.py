@@ -250,23 +250,6 @@ class BundleSample:
     def n(self) -> int:
         return self.kappa.shape[1]
 
-    def select(self, mask: np.ndarray) -> "BundleSample":
-        return BundleSample(
-            self.points[mask],
-            self.normals[mask],
-            self.eta[mask],
-            self.phi_u[mask],
-            self.weights[mask],
-            self.jacobian[mask],
-            self.kappa[mask],
-            self.tau[mask],
-            self.stratum[mask],
-            self.reach[mask],
-            self.probe[mask],
-            self.ambiguous[mask],
-            None if self.audit_fail is None else self.audit_fail[mask],
-        )
-
     @property
     def density(self) -> np.ndarray:
         """(N,) weight * jacobian * phi(u): the measure every bundle integral uses."""

@@ -588,17 +588,17 @@ def tube_record(
     n: int = 512,
     seed: int = 0,
     truncate: bool = True,
-    voxel_cap: int = 60_000_000,
-    on_budget: str = "mc",
 ) -> TubeRecord:
-    """Side-by-side voxel measurement and bundle prediction of tube volumes."""
+    """Side-by-side voxel measurement and bundle prediction of tube volumes.
+
+    Raises ``BudgetExceeded`` when the voxel grid at pitch h is over the
+    cap: a Monte-Carlo estimate would not be a count at pitch h.
+    """
     rho = np.atleast_1d(np.asarray(rho_grid, dtype=float))
     d = shape.dim
     if h is None:
         h = shape.diameter / (512.0 if d == 2 else 128.0)
-    vol, err = voxel_tube_volume(
-        shape, norm, rho, h, voxel_cap=voxel_cap, on_budget=on_budget, seed=seed
-    )
+    vol, err = voxel_tube_volume(shape, norm, rho, h, on_budget="raise", seed=seed)
     b = _auto_bundle(shape, norm, bundle, n, seed)
     pred = steiner_predict(b, rho, truncate=truncate)
     return TubeRecord(

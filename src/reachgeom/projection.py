@@ -11,16 +11,18 @@ Everything vectorizes over batches of query points, on one of three routes:
 * closed form (``Shape.exact_projection``): a ``WulffBody`` under its own
   norm (radial scaling) and a quadratic one (every ``Ball``, ``Ellipsoid``
   and euclidean or ellipsoidal ``WulffBody``) under any euclidean or
-  ellipsoidal norm (a secular equation); polygons and segments under the
-  Euclidean norm; axis boxes under diagonal ellipsoidal norms; ``CapLens``
-  under the Euclidean norm; the complement of a ``WulffBody`` under its own
-  norm; and unions whose components all have one;
+  ellipsoidal norm (a secular equation); polygons and segment unions under
+  every euclidean or ellipsoidal norm (a Euclidean projection onto their
+  image under the norm's ``dual_transform``); axis boxes, 2d and 3d, under
+  the diagonal ones (a clamp); ``CapLens`` under the Euclidean norm only;
+  the complement of a ``WulffBody`` under its own norm; and unions whose
+  components all have one;
 * chart solver, for every other pair in ``nearest_points`` and the reach
   code: any shape but a ``WulffBody`` of its own norm under a
   ``smoothed-lp`` norm, a ``smoothed-lp`` ``WulffBody`` under any other
-  norm, ``CapLens`` and polygons under ellipsoidal norms (but axis boxes
-  under diagonal ones), and the other complements.  It polishes each
-  chart's nearest seeds by damped Newton on the stationarity condition
+  norm, ``CapLens`` under ellipsoidal norms, 3d boxes under non-diagonal
+  ones, and the other complements.  It polishes each chart's nearest
+  seeds by damped Newton on the stationarity condition
   (``_chart_minimize``), so feet are accurate to near machine precision on
   1d charts and to ~1e-11 on 2d ones;
 * kd-tree boundary cloud, for the same pairs in ``distance_field`` under
@@ -80,7 +82,7 @@ TOL_MULTI_REL = 1e-4  # foot separation, relative to shape diameter
 TOL_EQ_REL = 1e-7  # delta equality for multiplicity, relative to 1 + delta
 SEED_GRID = 64  # seeds per 1d chart, 4x that per 2d chart
 SEEDS_PER_CHART = 8  # nearest seeds polished per chart and query point
-_CHART_CHUNK = 256  # points per chart-route batch of distance_field
+_CHART_CHUNK = 256  # rows per seed search of _ChartSolver.feet_batch
 
 
 class InvalidNormalError(ValueError):
@@ -196,14 +198,22 @@ class _ChartSolver:
             self._seed_pts.append(ch.point(t))
 
     def feet_batch(self, x: np.ndarray, want_all: bool = False):
-        """(feet, delta) per row of x; with want_all also every candidate."""
+        """(feet, delta) per row of x; with want_all also every candidate.
+
+        Rows go in chunks of ``_CHART_CHUNK``: the seed search holds phi_* of
+        every seed for every row, ~265 KB a row under a smoothed-lp norm.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        seeds = []
-        for params, pts in zip(self._seed_params, self._seed_pts):
-            vals = self.norm.conjugate(x[:, None, :] - pts[None, :, :])
-            k = min(SEEDS_PER_CHART, len(params))
-            seeds.append(np.argpartition(vals, k - 1, axis=1)[:, :k])
-        feet, vals = self.candidates(x, seeds)
+        chunks = []
+        for i in range(0, max(len(x), 1), _CHART_CHUNK):
+            xi = x[i : i + _CHART_CHUNK]
+            seeds = []
+            for params, pts in zip(self._seed_params, self._seed_pts):
+                vals = self.norm.conjugate(xi[:, None, :] - pts[None, :, :])
+                k = min(SEEDS_PER_CHART, len(params))
+                seeds.append(np.argpartition(vals, k - 1, axis=1)[:, :k])
+            chunks.append(self.candidates(xi, seeds))
+        feet, vals = (np.concatenate(part) for part in zip(*chunks))
         best = np.argmin(vals, axis=1)
         idx = np.arange(len(x))
         if want_all:
@@ -222,7 +232,7 @@ class _ChartSolver:
             k = order.shape[1]
             s0 = params[order.reshape(-1)]
             t, fv = _chart_minimize(ch, self.norm, np.repeat(x, k, axis=0), s0)
-            cand_feet.append(ch.point(t).reshape(m, k, -1))
+            cand_feet.append(ch.point(t).reshape(m, k, x.shape[1]))
             cand_vals.append(fv.reshape(m, k))
         if len(self.corners):
             vc = x[:, None, :] - self.corners[None, :, :]
@@ -411,16 +421,13 @@ def distance_field(
     built once per shape, cloud size and norm), with a chord-sag error
     ~(P/cloud)^2, and interior points set to 0.  Other norms have no such
     coordinates and take ``set_distance``, exact and cheaper per point than
-    a minimum over the cloud, in chunks that bound its seed search's memory.
+    a minimum over the cloud.
     """
     points = np.asarray(points, dtype=float)
     d = shape.exact_distance(norm, points)
     if d is None:
         if norm.dual_transform is None:
-            d = np.empty(len(points))
-            for i in range(0, len(points), _CHART_CHUNK):
-                d[i : i + _CHART_CHUNK] = set_distance(shape, norm, points[i : i + _CHART_CHUNK])
-            return d
+            return set_distance(shape, norm, points)
         _, tree = _cloud(shape, norm, cloud)
         d, _ = tree.query(points @ norm.dual_transform.T, workers=-1)
         d[shape.contains(points)] = 0.0

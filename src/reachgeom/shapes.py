@@ -460,6 +460,37 @@ def _smooth_strata(chart_specs, n, seed, dim):
     return strata
 
 
+def _segment_charts(starts, edges, normals):
+    """One 1d chart per segment start + t edge, t in [0, 1], with its normal."""
+    return [
+        _FuncChart(
+            (0.0, 1.0),
+            lambda t, p=p, e=e: p + np.asarray(t)[..., None] * e,
+            lambda t, e=e: np.broadcast_to(e, np.shape(t) + (2,)).copy(),
+            lambda t, nrm=nrm: np.broadcast_to(nrm, np.shape(t) + (2,)).copy(),
+        )
+        for p, e, nrm in zip(starts, edges, normals)
+    ]
+
+
+def _segment_projection(x, starts, edges, L):
+    """Feet on the segments start + t edge (t in [0, 1]) nearest x under |L v|.
+
+    phi_*(v) = |L v| makes this a Euclidean projection onto the segments'
+    images under L: each orthogonal projection is clamped to [0, 1] and the
+    nearest segment kept (the first on ties).  Returns (feet, distances).
+    """
+    w = edges @ L.T
+    rel = (x @ L.T)[:, None, :] - starts @ L.T  # (N, segments, d)
+    t = np.clip(np.einsum("nsd,sd->ns", rel, w) / row_dot(w, w), 0.0, 1.0)
+    gap = rel - t[..., None] * w
+    d2 = (gap * gap).sum(-1)
+    best = np.argmin(d2, axis=1)
+    rows = np.arange(len(x))
+    feet = starts[best] + t[rows, best, None] * edges[best]
+    return feet, np.sqrt(d2[rows, best])
+
+
 # ======================================================================
 # concrete shapes
 # ======================================================================
@@ -708,6 +739,10 @@ class ConvexPolytope(Shape):
             order = np.argsort(np.arctan2(v[:, 1] - ctr[1], v[:, 0] - ctr[0]))
             self.vertices = v[order]
             self._setup_polygon()
+            lo, hi = self.vertices.min(axis=0), self.vertices.max(axis=0)
+            corners = {(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])}
+            is_box = len(v) == 4 and {tuple(p) for p in self.vertices} == corners
+            self._box = (lo, hi) if is_box else None
         elif self.dim == 3:
             lo, hi = v.min(axis=0), v.max(axis=0)
             box = np.array(
@@ -721,6 +756,7 @@ class ConvexPolytope(Shape):
                     "3d polytopes are supported as axis-aligned boxes only"
                 )
             self.lo, self.hi = lo, hi
+            self._box = (lo, hi)
             self.vertices = box
         else:
             raise ValueError("dim must be 2 or 3")
@@ -746,15 +782,8 @@ class ConvexPolytope(Shape):
         if (lengths < 1e-12).any():
             raise ValueError("degenerate polygon edge")
         tangents = edges / lengths[:, None]
-        normals = np.c_[tangents[:, 1], -tangents[:, 0]]  # outward for ccw order
-        # enforce ccw orientation
-        area2 = float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
-        if area2 < 0:
-            self.vertices = v = v[::-1]
-            edges = v[(np.arange(nv) + 1) % nv] - v
-            lengths = np.linalg.norm(edges, axis=-1)
-            tangents = edges / lengths[:, None]
-            normals = np.c_[tangents[:, 1], -tangents[:, 0]]
+        # outward: sorted by angle about their mean, the vertices run ccw
+        normals = np.c_[tangents[:, 1], -tangents[:, 0]]
         cross = tangents[:, 0] * np.roll(tangents[:, 1], -1) - tangents[:, 1] * np.roll(
             tangents[:, 0], -1
         )
@@ -924,69 +953,23 @@ class ConvexPolytope(Shape):
                     origin[axis] = coord
                     out.append(_PlanarChart(origin, e0, e1, (ext[o1], ext[o2])))
             return out
-        out = []
-        for i in range(len(self.vertices)):
-            v0 = self.vertices[i]
-            e = self._edges[i]
-            nrm = self._normals[i]
-            out.append(
-                _FuncChart(
-                    (0.0, 1.0),
-                    lambda t, v0=v0, e=e: v0 + np.asarray(t)[..., None] * e,
-                    lambda t, e=e: np.broadcast_to(e, np.shape(t) + (2,)).copy(),
-                    lambda t, nrm=nrm: np.broadcast_to(nrm, np.shape(t) + (2,)).copy(),
-                )
-            )
-        return out
+        return _segment_charts(self.vertices, self._edges, self._normals)
 
     def exact_projection(self, norm, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.dim == 3:
-            if norm.kind == "euclidean":
-                feet = np.clip(x, self.lo, self.hi)
-                return feet, np.linalg.norm(x - feet, axis=-1)
-            if norm.kind == "ellipsoidal" and np.allclose(
-                norm.Q, np.diag(np.diag(norm.Q))
-            ):
-                # diagonal dual transform preserves axis boxes, so clamping
-                # in original coordinates is the exact nearest point
-                feet = np.clip(x, self.lo, self.hi)
-                return feet, norm.conjugate(x - feet)
+        L = norm.dual_transform
+        if L is None:
             return None
-        if norm.kind == "euclidean":
-            return self._euclid_polygon_projection(x)
-        if norm.kind == "ellipsoidal" and self._is_axis_box() and np.allclose(
-            norm.Q, np.diag(np.diag(norm.Q))
-        ):
-            lo, hi = self.bounding_box()
-            feet = np.clip(x, lo, hi)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if self._box is not None and not (L - np.diag(np.diag(L))).any():
+            # a diagonal L keeps the box an axis box, where the nearest
+            # point is the clamp in original coordinates
+            feet = np.clip(x, *self._box)
             return feet, norm.conjugate(x - feet)
-        return None
-
-    def _is_axis_box(self):
-        if self.dim != 2 or len(self.vertices) != 4:
-            return False
-        lo, hi = self.bounding_box()
-        want = {(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])}
-        got = {tuple(v) for v in self.vertices}
-        return want == got
-
-    def _euclid_polygon_projection(self, x):
-        v = self.vertices
-        nv = len(v)
-        best_d2 = np.full(len(x), np.inf)
-        best_foot = np.empty_like(x)
-        for i in range(nv):
-            rel = x - v[i]
-            t = np.clip(rel @ self._edges[i] / self._lengths[i] ** 2, 0.0, 1.0)
-            foot = v[i] + t[:, None] * self._edges[i]
-            d2 = ((x - foot) ** 2).sum(-1)
-            better = d2 < best_d2
-            best_d2[better] = d2[better]
-            best_foot[better] = foot[better]
+        if self.dim == 3:
+            return None
+        feet, delta = _segment_projection(x, self.vertices, self._edges, L)
         inside = self.contains(x, tol=0.0)
-        feet = np.where(inside[:, None], x, best_foot)
-        return feet, np.where(inside, 0.0, np.sqrt(best_d2))
+        return np.where(inside[:, None], x, feet), np.where(inside, 0.0, delta)
 
     def complement(self):
         return ComplementShape(self)
@@ -1131,26 +1114,19 @@ class SegmentUnion(Shape):
                 ends.append(pt)
                 arcs.append((t_mid - np.pi / 2, t_mid + np.pi / 2))
         self._ends, self._end_arcs = np.stack(ends), np.array(arcs)
+        self._starts = np.stack([p for p, _ in segs])
+        self._edges = np.stack([q - p for p, q in segs])
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        hit = np.zeros(len(x), dtype=bool)
-        for p, q in self.segments:
-            e = q - p
-            L2 = e @ e
-            t = np.clip((x - p) @ e / L2, 0.0, 1.0)
-            foot = p + t[:, None] * e
-            hit |= np.linalg.norm(x - foot, axis=-1) <= tol
-        return hit
+        return _segment_projection(x, self._starts, self._edges, np.eye(2))[1] <= tol
 
     def bounding_box(self):
-        allp = np.concatenate([[p, q] for p, q in self.segments])
-        return allp.min(axis=0), allp.max(axis=0)
+        return self._ends.min(axis=0), self._ends.max(axis=0)
 
     @property
     def diameter(self):
-        allp = np.concatenate([[p, q] for p, q in self.segments])
-        d2 = ((allp[:, None, :] - allp[None, :, :]) ** 2).sum(-1)
+        d2 = ((self._ends[:, None, :] - self._ends[None, :, :]) ** 2).sum(-1)
         return float(np.sqrt(d2.max()))
 
     def volume(self):
@@ -1163,19 +1139,9 @@ class SegmentUnion(Shape):
         return self._ends.copy()
 
     def charts(self):
-        out = []
-        for p, q in self.segments:
-            e = q - p
-            nrm = np.array([e[1], -e[0]]) / np.linalg.norm(e)
-            out.append(
-                _FuncChart(
-                    (0.0, 1.0),
-                    lambda t, p=p, e=e: p + np.asarray(t)[..., None] * e,
-                    lambda t, e=e: np.broadcast_to(e, np.shape(t) + (2,)).copy(),
-                    lambda t, nrm=nrm: np.broadcast_to(nrm, np.shape(t) + (2,)).copy(),
-                )
-            )
-        return out
+        e = self._edges
+        normals = np.c_[e[:, 1], -e[:, 0]] / np.linalg.norm(e, axis=-1)[:, None]
+        return _segment_charts(self._starts, e, normals)
 
     def boundary_strata(self, n=512, seed=0):
         rng = np.random.default_rng(seed)
@@ -1208,20 +1174,10 @@ class SegmentUnion(Shape):
         raise ValueError("point is not on the set")
 
     def exact_projection(self, norm, x):
-        if norm.kind != "euclidean":
+        if norm.dual_transform is None:
             return None
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        best_d = np.full(len(x), np.inf)
-        best_foot = np.empty_like(x)
-        for p, q in self.segments:
-            e = q - p
-            t = np.clip((x - p) @ e / (e @ e), 0.0, 1.0)
-            foot = p + t[:, None] * e
-            d = np.linalg.norm(x - foot, axis=-1)
-            upd = d < best_d
-            best_d[upd] = d[upd]
-            best_foot[upd] = foot[upd]
-        return best_foot, best_d
+        return _segment_projection(x, self._starts, self._edges, norm.dual_transform)
 
 
 class DisjointUnion(Shape):

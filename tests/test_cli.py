@@ -277,6 +277,14 @@ class TestMainEntry:
         assert main(["run-all", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_voxel_budget_exits_three(self, tmp_path, capsys):
+        # pitch 1e-4 over the padded disk is ~4.4e8 cells, above the voxel cap
+        text = MINI.replace("catalog = unit-square", "catalog = disk")
+        text += "\n[check tube]\ntype = tube\nshape = square\nnorm = euclid\n"
+        text += "rho = 0.5\nh = 0.0001\n"
+        assert main(["tube", str(write_config(tmp_path, text))]) == 3
+        assert "budget exceeded" in capsys.readouterr().err
+
     def test_smoothed_lp_norm_check(self, tmp_path, capsys):
         text = MINI.replace("kind = euclidean", "kind = smoothed-lp\np = 3\neps = 0.05")
         assert main(["norm-check", str(write_config(tmp_path, text))]) == 0

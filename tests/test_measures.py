@@ -2,6 +2,7 @@
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachgeom import measures
-from reachgeom.curvature import bundle_sample
+from reachgeom.curvature import BundleSample, bundle_sample
 from reachgeom.measures import (
     BudgetExceeded,
     CurvatureReport,
@@ -140,7 +141,10 @@ class TestCurvatureMeasure:
     def test_coverage_gap_raises(self):
         sq = make_catalog_shape("unit-square")
         fb = fan_bundle(sq, E2)
-        edges_only = fb.select(fb.stratum == 1)
+        keep = fb.stratum == 1
+        edges_only = BundleSample(
+            *(None if v is None else v[keep] for v in (getattr(fb, f.name) for f in fields(fb)))
+        )
         with pytest.raises(StrataCoverageGap):
             curvature_measure(sq, E2, 0, bundle=edges_only)
 

@@ -122,6 +122,31 @@ class TestSolverMemo:
         assert len(lens.chart_solvers) == 2
 
 
+class TestSeedSearchChunks:
+    def test_feet_batch_equals_its_chunks(self):
+        norm = EllipsoidalNorm(np.diag([4.0, 1.0]))
+        solver = _ChartSolver(make_catalog_shape("cap-lens-0.5"), norm)
+        x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(600, 2))
+        rows = []
+        conjugate = norm.conjugate
+
+        def spy(y):
+            if np.ndim(y) == 3:  # a seed search: (query rows, seeds, d)
+                rows.append(len(y))
+            return conjugate(y)
+
+        norm.conjugate = spy
+        whole = solver.feet_batch(x, want_all=True)
+        assert rows and max(rows) <= 256
+        parts = [solver.feet_batch(x[i : i + 256], want_all=True) for i in (0, 256, 512)]
+        for got, want in zip(whole, zip(*parts)):
+            assert got.tobytes() == np.concatenate(want).tobytes()
+
+    def test_empty_batch(self):
+        lens = make_catalog_shape("cap-lens-0.5")
+        assert distance_field(lens, SmoothedLpNorm(2, 3.0), np.zeros((0, 2))).shape == (0,)
+
+
 class TestDistanceInvariants:
     def setup_method(self):
         rng = np.random.default_rng(11)

@@ -334,6 +334,30 @@ class TestSegmentsAndUnions:
             make_catalog_shape("segment-pair").complement()
 
 
+SEGMENT_SETS = {
+    "unit-square": make_catalog_shape("unit-square"),
+    "triangle": ConvexPolytope([[0.0, 0.0], [1.5, 0.2], [0.3, 1.1]]),
+    "quadrilateral": ConvexPolytope([[0.0, 0.0], [2.0, 0.3], [1.6, 1.4], [-0.2, 1.0]]),
+    "segment-pair": make_catalog_shape("segment-pair"),
+}
+_R = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+ROTATED = EllipsoidalNorm(_R @ np.diag([3.0, 0.5]) @ _R.T)
+
+
+class TestSegmentProjection:
+    # phi_*(v) = |L v| makes each of these a Euclidean projection onto L A
+    @pytest.mark.parametrize("key", list(SEGMENT_SETS))
+    @pytest.mark.parametrize("norm", [Q41, ROTATED, E2], ids=["q41", "rotated", "euclid"])
+    def test_closed_form_matches_the_chart_solver(self, key, norm):
+        shape = SEGMENT_SETS[key]
+        lo, hi = shape.bounding_box()
+        x = np.random.default_rng(2).uniform(lo - 1.5, hi + 1.5, size=(400, 2))
+        x = x[~shape.contains(x, tol=0.0)]
+        feet, d = shape.exact_projection(norm, x)
+        npt.assert_allclose(d, _ChartSolver(shape, norm).feet_batch(x)[1], rtol=0, atol=1e-12)
+        assert shape.contains(feet, tol=1e-9).all()
+
+
 class TestComplement:
     def test_membership_flips(self):
         K = Ball([0.0, 0.0], 1.0).complement()
