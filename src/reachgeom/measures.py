@@ -38,7 +38,7 @@ import numpy as np
 
 from .curvature import BundleSample, bundle_nodes, bundle_sample
 from .norms import Norm, tangent_basis
-from .projection import cloud_covering_radius, distance_field
+from .projection import distance_field
 from .shapes import ConvexPolytope, EmptyInteriorError, Shape, fibonacci_sphere
 
 __all__ = [
@@ -383,7 +383,6 @@ def voxel_tube_volume(
     on_budget: str = "mc",
     mc_budget: int = 10_000_000,
     seed: int = 0,
-    cloud: Optional[int] = None,
     window: Optional[tuple] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tube volumes (outside the set, within phi-distance rho) by counting.
@@ -407,10 +406,8 @@ def voxel_tube_volume(
     whole.  On a convex set a block whose corner centers all have delta = 0
     is interior and counts nothing.  Every other block splits, down to
     single voxels evaluated at the dense grid's own coordinates, so counts
-    and error estimates equal those of evaluating every center.  On the
-    kd-tree cloud route, which overestimates delta near the boundary by up
-    to the cloud's covering radius (``cloud_covering_radius``), "above 0"
-    is widened by that radius.
+    and error estimates equal those of evaluating every center.  delta
+    comes from ``distance_field``, exact on both of its routes.
 
     Returns (volumes, error estimates) aligned with ``rho_grid``.
     """
@@ -420,8 +417,6 @@ def voxel_tube_volume(
     d = shape.dim
     if h is None:
         h = shape.diameter / (512.0 if d == 2 else 128.0)
-    if cloud is None:
-        cloud = 4096 if d == 2 else 32768
     lo, hi = shape.bounding_box()
     pad = float(rho.max()) * _unit_ball_radius(norm) + 3.0 * h
     lo, hi = lo - pad, hi + pad
@@ -438,11 +433,10 @@ def voxel_tube_volume(
                 f"{total} voxels exceed the cap of {voxel_cap}; "
                 "pass a coarser h or on_budget='mc'"
             )
-        return _mc_tube_volume(shape, norm, rho, lo, hi, mc_budget, seed, cloud)
+        return _mc_tube_volume(shape, norm, rho, lo, hi, mc_budget, seed)
 
     r_half = 0.5 * h * np.sqrt(d)
     levels = np.sort(np.concatenate(([r_half], rho, rho - r_half, rho + r_half)))
-    floor = cloud_covering_radius(shape, norm, cloud)
     tiny = 1e-9 * (h + float(rho.max()))
     kids = np.array(list(itertools.product((0, 1), repeat=d)))
     corner_sel = kids.astype(bool)
@@ -454,7 +448,7 @@ def voxel_tube_volume(
     org = np.zeros((1, d), dtype=np.int64)
     while len(org):
         ext = np.minimum(size, counts_axis - org)
-        delta = distance_field(shape, norm, lo + (org + 0.5 * ext) * h, cloud=cloud)
+        delta = distance_field(shape, norm, lo + (org + 0.5 * ext) * h)
         if size == 1:
             whole = np.ones(len(org), dtype=bool)
         else:
@@ -463,7 +457,7 @@ def voxel_tube_volume(
             R[clipped] = _box_radius(norm, 0.5 * (ext[clipped] - 1) * h)
             R = R * (1.0 + 1e-9) + tiny
             b_lo, b_hi = delta - R, delta + R
-            whole = (b_lo > floor) & (
+            whole = (b_lo > 0.0) & (
                 np.searchsorted(levels, b_lo, side="left")
                 == np.searchsorted(levels, b_hi, side="right")
             )
@@ -475,7 +469,7 @@ def voxel_tube_volume(
         cand = np.flatnonzero(split & (delta == 0.0))
         if shape.is_convex and size > 1 and len(cand):
             corners = org[cand, None, :] + np.where(corner_sel, ext[cand, None, :] - 1, 0)
-            dc = distance_field(shape, norm, lo + (corners.reshape(-1, d) + 0.5) * h, cloud=cloud)
+            dc = distance_field(shape, norm, lo + (corners.reshape(-1, d) + 0.5) * h)
             split[cand[(dc.reshape(len(cand), -1) == 0.0).all(axis=1)]] = False
         size //= 2
         org = (org[split, None, :] + size * kids).reshape(-1, d)
@@ -484,7 +478,7 @@ def voxel_tube_volume(
     return cnt * cell, (cross + 2 * inner) * cell
 
 
-def _mc_tube_volume(shape, norm, rho, lo, hi, budget, seed, cloud):
+def _mc_tube_volume(shape, norm, rho, lo, hi, budget, seed):
     # one jittered sample per cell of a near-isotropic stratified grid
     d = len(lo)
     ext = hi - lo
@@ -502,7 +496,7 @@ def _mc_tube_volume(shape, norm, rho, lo, hi, budget, seed, cloud):
         sub = [axes_idx[0][i0 : i0 + block]] + axes_idx[1:]
         idx = np.stack(np.meshgrid(*sub, indexing="ij"), axis=-1).reshape(-1, d)
         pts = lo + (idx + rng.uniform(size=idx.shape)) * cell_size
-        delta = distance_field(shape, norm, pts, cloud=cloud)
+        delta = distance_field(shape, norm, pts)
         pos = np.sort(delta[delta > 0.0])
         cnt += np.searchsorted(pos, rho, side="right")
     p_hat = cnt / n_cells

@@ -45,7 +45,6 @@ _NORM_PARAMS = {"euclidean": (), "ellipsoidal": ("Q",), "smoothed-lp": ("p", "ep
 NORM_KINDS = tuple(_NORM_PARAMS)
 
 # Finite-difference steps (relative to max(1, |x|)).
-FD_STEP_GRAD = 1e-6
 FD_STEP_HESS = 1e-4
 
 _GAMMA_SAMPLES = 10_000

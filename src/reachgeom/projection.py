@@ -6,7 +6,7 @@ direction ``nu = (x - foot)/delta`` (a point of the dual unit body's
 boundary), the ray reach ``sup { s : delta(a + s eta) = s }`` and a global
 reach estimate are all computed here.
 
-Everything vectorizes over batches of query points, on one of three routes:
+Everything vectorizes over batches of query points, on one of two routes:
 
 * closed form (``Shape.exact_projection``): a ``WulffBody`` under its own
   norm (radial scaling) and a quadratic one (every ``Ball``, ``Ellipsoid``
@@ -14,21 +14,16 @@ Everything vectorizes over batches of query points, on one of three routes:
   ellipsoidal norm (a secular equation); polygons and segment unions under
   every euclidean or ellipsoidal norm (a Euclidean projection onto their
   image under the norm's ``dual_transform``); axis boxes, 2d and 3d, under
-  the diagonal ones (a clamp); ``CapLens`` under the Euclidean norm only;
-  the complement of a ``WulffBody`` under its own norm; and unions whose
-  components all have one;
-* chart solver, for every other pair in ``nearest_points`` and the reach
-  code: any shape but a ``WulffBody`` of its own norm under a
-  ``smoothed-lp`` norm, a ``smoothed-lp`` ``WulffBody`` under any other
-  norm, ``CapLens`` under ellipsoidal norms, 3d boxes under non-diagonal
-  ones, and the other complements.  It polishes each chart's nearest
-  seeds by damped Newton on the stationarity condition
-  (``_chart_minimize``), so feet are accurate to near machine precision on
-  1d charts and to ~1e-11 on 2d ones;
-* kd-tree boundary cloud, for the same pairs in ``distance_field`` under
-  euclidean and ellipsoidal norms (the others take the chart solver there).
-  This is the package's only use of scipy (``cKDTree``), imported on the
-  route's first use, so no other route loads scipy.
+  the diagonal ones (a clamp); ``CapLens`` under every euclidean or
+  ellipsoidal norm (its two disks' feet, or a corner); the complement of a
+  ``WulffBody`` under its own norm; and unions whose components all have
+  one;
+* chart solver, for every other pair: any shape but a ``WulffBody`` of its
+  own norm under a ``smoothed-lp`` norm, a ``smoothed-lp`` ``WulffBody``
+  under any other norm, 3d boxes under non-diagonal quadratic norms, and
+  the other complements.  It polishes each chart's nearest seeds by damped
+  Newton on the stationarity condition (``_chart_minimize``), so feet are
+  accurate to near machine precision on 1d charts and to ~1e-11 on 2d ones.
 
 Curvature probes, points a + r eta + O(h) next to a bundle point (a, eta)
 with r below the ray reach, skip the multi-start search: their feet lie in a
@@ -38,9 +33,8 @@ leaves that neighbourhood.  ``reach_along`` narrows each ray's bracket only to
 the tolerance of its distance predicate.
 
 Memos on the shape, each keyed by ``Norm.key`` and the arguments the value
-depends on: ``chart_solvers`` (norm key), ``boundary_clouds`` (cloud size;
-its kd-tree by (size, norm key)), ``ray_reaches`` (``reach_along``: norm
-key, s_max, tol_pred and the bytes of the whole ray batch (a, eta)) and
+depends on: ``chart_solvers`` (norm key), ``ray_reaches`` (``reach_along``:
+norm key, s_max, tol_pred and the bytes of the whole ray batch (a, eta)) and
 ``reach_estimates`` (``global_reach``: (norm key, n_samples, n_scan, seed,
 fiber_nodes)).  Ray reaches and estimates are shared, so the reach arrays
 are read-only and estimates frozen.
@@ -57,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .norms import EuclideanNorm, Norm, _newton_rows, _solve_rows, row_dot
+from .norms import Norm, _newton_rows, _solve_rows, row_dot
 from .shapes import Shape
 from .shapes import fiber_nodes as fiber_quadrature
 
@@ -69,7 +63,6 @@ __all__ = [
     "nearest_points",
     "set_distance",
     "distance_field",
-    "cloud_covering_radius",
     "grad_delta",
     "reach_along",
     "global_reach",
@@ -341,41 +334,36 @@ def project(shape: Shape, norm: Norm, x) -> ProjectionResult:
     if bool(np.atleast_1d(shape.contains(x[None, :], tol=0.0))[0]):
         return ProjectionResult(0.0, x.copy(), None, "unique", x[None, :].copy(), 0.0)
 
-    # gather candidates from the generic solver (even when an exact path
-    # exists: multiplicity needs every near-optimal foot)
-    try:
-        foot_g, val_g, feet_all, vals_all = _solver(shape, norm).feet_batch(
-            x[None, :], want_all=True
-        )
-        feet_all, vals_all = feet_all[0], vals_all[0]
-        delta = float(val_g[0])
-        foot = foot_g[0]
-    except NotImplementedError:
-        feet_all = vals_all = None
-        foot = delta = None
-
+    # every near-optimal foot counts for multiplicity: the closed-form foot
+    # first where there is one, then the chart candidates, corners last
+    cand_feet, cand_vals, n_corners = [], [], 0
     res = shape.exact_projection(norm, x[None, :])
     if res is not None:
-        f_exact, d_exact = res[0][0], float(res[1][0])
-        if delta is None or d_exact <= delta + 1e-12:
-            foot, delta = f_exact, d_exact
-        if feet_all is None:
-            feet_all = f_exact[None, :]
-            vals_all = np.array([d_exact])
-        else:
-            feet_all = np.concatenate([feet_all, f_exact[None, :]])
-            vals_all = np.concatenate([vals_all, [d_exact]])
+        cand_feet.append(res[0])
+        cand_vals.append(res[1])
+    try:
+        solver = _solver(shape, norm)
+        _, _, feet_all, vals_all = solver.feet_batch(x[None, :], want_all=True)
+        cand_feet.append(feet_all[0])
+        cand_vals.append(vals_all[0])
+        n_corners = len(solver.corners)
+    except NotImplementedError:
+        pass
+    feet_all, vals_all = np.concatenate(cand_feet), np.concatenate(cand_vals)
+    best = int(np.argmin(vals_all))
+    if res is not None and vals_all[0] <= vals_all[best] + 1e-12:
+        best = 0
+    foot, delta = feet_all[best], float(vals_all[best])
 
-    tol_eq = TOL_EQ_REL * (1.0 + delta)
-    near = vals_all <= delta + tol_eq
-    feet_near = feet_all[near]
-    # dedupe by separation
     sep = TOL_MULTI_REL * shape.diameter
-    distinct = []
-    for f in feet_near:
-        if not any(np.linalg.norm(f - g) <= sep for g in distinct):
-            distinct.append(f)
-    distinct = np.stack(distinct) if distinct else foot[None, :]
+    near, first, apart = _near_and_apart(
+        feet_all[None], vals_all[None], np.array([delta]), n_corners, sep
+    )
+    # the first near foot, then one per cluster of those apart from it
+    others = feet_all[apart[0]]
+    close = np.linalg.norm(others[:, None, :] - others[None, :, :], axis=-1) <= sep
+    others = others[~np.tril(close, -1).any(axis=1)]
+    distinct = np.concatenate([first if near.any() else foot[None, :], others])
     multiplicity = "multiple" if len(distinct) > 1 else "unique"
     residual = abs(float(norm.conjugate(x - foot)) - delta)
     if residual > TOL_FOOT_RESIDUAL * (1.0 + delta):
@@ -389,70 +377,16 @@ def project(shape: Shape, norm: Norm, x) -> ProjectionResult:
 # ======================================================================
 
 
-def _cloud(shape: Shape, norm: Norm, k: int):
-    """The shape's k-point boundary cloud and its kd-tree under ``norm``.
-
-    The tree holds the cloud in coordinates where phi_* is Euclidean (the
-    norm's ``dual_transform``).  Both are memoized on the shape, the cloud by
-    ``k`` and the tree by ``(k, norm.key)``, so they die with the shape.
-    """
-    memo = shape.boundary_clouds
-    cpts = memo.get(k)
-    if cpts is None:
-        cpts = memo.setdefault(k, shape.boundary_cloud(k=k)[0])
-    tree = memo.get((k, norm.key))
-    if tree is None:
-        from scipy.spatial import cKDTree
-
-        tree = memo.setdefault((k, norm.key), cKDTree(cpts @ norm.dual_transform.T))
-    return cpts, tree
-
-
-def distance_field(
-    shape: Shape, norm: Norm, points: np.ndarray, cloud: int = 4096
-) -> np.ndarray:
+def distance_field(shape: Shape, norm: Norm, points: np.ndarray) -> np.ndarray:
     """delta over a large batch of points, built for voxel grids.
 
-    Uses the shape's closed form when it has one (see the module docstring;
-    that includes every quadratic ``WulffBody`` under any euclidean or
-    ellipsoidal norm), which gives interior points 0 itself.  Otherwise, for
-    euclidean and ellipsoidal norms, nearest-neighbor queries against a dense
-    boundary cloud in coordinates where the dual norm is Euclidean (a kd-tree
-    built once per shape, cloud size and norm), with a chord-sag error
-    ~(P/cloud)^2, and interior points set to 0.  Other norms have no such
-    coordinates and take ``set_distance``, exact and cheaper per point than
-    a minimum over the cloud.
+    The shape's closed form where it has one (see the module docstring),
+    else ``set_distance`` on the chart solver; exact either way, with
+    interior points at 0.
     """
     points = np.asarray(points, dtype=float)
     d = shape.exact_distance(norm, points)
-    if d is None:
-        if norm.dual_transform is None:
-            return set_distance(shape, norm, points)
-        _, tree = _cloud(shape, norm, cloud)
-        d, _ = tree.query(points @ norm.dual_transform.T, workers=-1)
-        d[shape.contains(points)] = 0.0
-    return d
-
-
-def cloud_covering_radius(shape: Shape, norm: Norm, cloud: int = 4096) -> float:
-    """How far ``distance_field`` may overestimate delta just outside the set.
-
-    0 when ``distance_field`` is exact: the pair has a closed form, or the
-    norm has no ``dual_transform`` (the chart route).  On the cloud route a
-    boundary point lies within the cloud's covering radius (in phi_*) of
-    some cloud point, so the cloud distance exceeds delta by at most that
-    much.  The bound returned is derived from the cloud's own spacing: twice
-    the largest phi_* gap, either way, from a cloud point to its d nearest
-    neighbours (nearest in the Euclidean metric), which also absorbs the
-    membership tolerance of ``Shape.contains``.
-    """
-    corner = shape.bounding_box()[0][None, :]
-    if norm.dual_transform is None or shape.exact_distance(norm, corner) is not None:
-        return 0.0
-    cpts, tree = _cloud(shape, EuclideanNorm(shape.dim), cloud)
-    _, nbr = tree.query(cpts, k=shape.dim + 1)
-    gaps = (cpts[nbr[:, 1:]] - cpts[:, None, :]).reshape(-1, shape.dim)
-    return 2.0 * float(np.maximum(norm.conjugate(gaps), norm.conjugate(-gaps)).max())
+    return set_distance(shape, norm, points) if d is None else d
 
 
 # ======================================================================
@@ -667,16 +601,30 @@ def _multi_foot_cap(shape, norm, pts):
                 multi |= both & apart
         return float(dmin[multi].min()) if multi.any() else np.inf
     try:
-        foot, val, feet_all, vals_all = _solver(shape, norm).feet_batch(pts, want_all=True)
+        solver = _solver(shape, norm)
     except NotImplementedError:
         return np.inf
-    tol = TOL_EQ_REL * (1.0 + val)
-    near = vals_all <= val[:, None] + tol[:, None]
-    # project's greedy dedupe finds a second foot exactly when a near foot
-    # lies farther than sep from the first one
-    first = feet_all[np.arange(len(pts)), np.argmax(near, axis=1)]
-    multi = (near & (np.linalg.norm(feet_all - first[:, None, :], axis=-1) > sep)).any(axis=1)
+    _, val, feet_all, vals_all = solver.feet_batch(pts, want_all=True)
+    multi = _near_and_apart(feet_all, vals_all, val, len(solver.corners), sep)[2].any(axis=1)
     return float(val[multi].min()) if multi.any() else np.inf
+
+
+def _near_and_apart(feet, vals, val, n_corners, sep):
+    """Near-optimal candidates (m, c), the first of them (m, d), those apart from it.
+
+    ``feet`` (m, c, d) and ``vals`` (m, c) are candidates with the shape's
+    ``n_corners`` corners last, ``val`` (m,) the best value.  A candidate is
+    near within ``TOL_EQ_REL`` (1 + val), and a row has several feet when a
+    near one lies farther than ``sep`` from the first.  Corners never count:
+    off the end of a chart the value rises only quadratically, so a corner
+    can come within the tolerance of a foot a little way along the chart,
+    and a genuine corner foot is reached by the chart's clamped polish too.
+    """
+    near = vals <= (val + TOL_EQ_REL * (1.0 + val))[:, None]
+    near[:, vals.shape[1] - n_corners :] = False
+    first = feet[np.arange(len(feet)), np.argmax(near, axis=1)]
+    apart = near & (np.linalg.norm(feet - first[:, None, :], axis=-1) > sep)
+    return near, first, apart
 
 
 # ======================================================================

@@ -378,11 +378,6 @@ class Shape:
         return self.__dict__.setdefault("_chart_solvers", {})
 
     @property
-    def boundary_clouds(self) -> dict:
-        """Boundary clouds by size and their kd-trees by (size, norm key), filled by projection."""
-        return self.__dict__.setdefault("_boundary_clouds", {})
-
-    @property
     def ray_reaches(self) -> dict:
         """Ray reach batches by (norm key, s_max, tol_pred, batch bytes), filled by projection."""
         return self.__dict__.setdefault("_ray_reaches", {})
@@ -993,6 +988,7 @@ class CapLens(Shape):
         self.name = name
         self.half_width = np.sqrt(1.0 - eps * eps)
         self.centers = np.array([[0.0, -eps], [0.0, eps]])  # upper arc, lower arc
+        self._disks = [Ball(c, 1.0) for c in self.centers]
         self.beta = np.arcsin(eps)  # corner fan half-width
         # right and left corner fans, in ``corner_points`` order
         self._corner_arcs = np.array(
@@ -1061,33 +1057,30 @@ class CapLens(Shape):
         return "vector", v / length
 
     def exact_projection(self, norm, x):
-        if norm.kind != "euclidean":
-            return None
+        """Feet under every norm with a ``dual_transform``, from the two disks'.
+
+        A disk's foot that lies in the other disk is the lens's foot, since
+        the lens lies in that disk.  Any other foot is a corner: off the
+        corners the lens is locally one disk, where by convexity a foot is
+        that disk's unique foot.  An interior point is its own foot on both
+        disks, at distance 0.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        beta = self.beta
-        best_d = np.full(len(x), np.inf)
-        best_foot = np.empty_like(x)
-        for c, (t0, t1) in [
-            (self.centers[0], (beta, np.pi - beta)),
-            (self.centers[1], (np.pi + beta, 2 * np.pi - beta)),
-        ]:
-            v = x - c
-            ang = np.mod(np.arctan2(v[:, 1], v[:, 0]), 2 * np.pi)
-            valid = (ang >= t0) & (ang <= t1)
-            r = np.linalg.norm(v, axis=-1)
-            foot = c + v / np.maximum(r, 1e-300)[:, None]
-            d = np.abs(r - 1.0)
-            upd = valid & (d < best_d)
-            best_d[upd] = d[upd]
-            best_foot[upd] = foot[upd]
-        for corner in self.corner_points():
-            d = np.linalg.norm(x - corner, axis=-1)
-            upd = d < best_d
-            best_d[upd] = d[upd]
-            best_foot[upd] = corner
-        inside = self.contains(x, tol=0.0)
-        feet = np.where(inside[:, None], x, best_foot)
-        return feet, np.where(inside, 0.0, best_d)
+        feet, delta = np.empty_like(x), np.empty(len(x))
+        rows = np.arange(len(x))
+        # the upper arc's disk first, so it wins where both feet qualify
+        for disk, other in zip(self._disks, self.centers[::-1]):
+            res = disk.exact_projection(norm, x[rows])
+            if res is None:
+                return None
+            ok = np.linalg.norm(res[0] - other, axis=-1) <= 1.0
+            feet[rows[ok]], delta[rows[ok]] = res[0][ok], res[1][ok]
+            rows = rows[~ok]
+        corners = self.corner_points()
+        dc = np.stack([norm.conjugate(x[rows] - c) for c in corners])
+        near = np.argmin(dc, axis=0)
+        feet[rows], delta[rows] = corners[near], dc[near, np.arange(len(rows))]
+        return feet, delta
 
     def complement(self):
         return ComplementShape(self)

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import numpy.testing as npt
 import pytest
 
@@ -332,24 +331,23 @@ class TestImportFootprint:
         rows = (out / "verify_triple-verdicts.csv").read_text(encoding="utf-8")
         assert "alexandrov-r1,true,count=3," in rows
 
-    def test_cloud_route_imports_the_kd_tree(self):
+    def test_chart_route_field_loads_no_scipy(self):
+        # the lens complement has no closed form under diag(4, 1)
         code = (
             "import json, sys\n"
             "import numpy as np\n"
             "from reachgeom.norms import EllipsoidalNorm\n"
-            "from reachgeom.projection import cloud_covering_radius, distance_field\n"
-            "from reachgeom.projection import set_distance\n"
+            "from reachgeom.projection import distance_field, set_distance\n"
             "from reachgeom.shapes import make_catalog_shape\n"
-            "lens, q = make_catalog_shape('cap-lens-0.5'), EllipsoidalNorm(np.diag([4.0, 1.0]))\n"
-            "pts = np.array([[0.0, 1.2], [1.4, 0.3], [-0.7, -0.9], [2.5, 2.0]])\n"
-            "assert lens.exact_distance(q, pts) is None\n"
-            f"before = {SCIPY_MODULES}\n"
-            "cloud = distance_field(lens, q, pts)\n"
-            "print(json.dumps([before, 'scipy.spatial' in sys.modules, cloud.tolist(),\n"
-            "                  set_distance(lens, q, pts).tolist(),\n"
-            "                  cloud_covering_radius(lens, q)]))\n"
+            "outside = make_catalog_shape('cap-lens-0.5').complement()\n"
+            "q = EllipsoidalNorm(np.diag([4.0, 1.0]))\n"
+            "pts = np.array([[0.0, 0.2], [0.4, -0.1], [-0.7, 0.05], [2.5, 2.0]])\n"
+            "assert outside.exact_distance(q, pts) is None\n"
+            "field = distance_field(outside, q, pts)\n"
+            f"print(json.dumps([{SCIPY_MODULES}, field.tolist(),\n"
+            "                  set_distance(outside, q, pts).tolist()]))\n"
         )
-        before, loaded, cloud, exact, cover = json.loads(fresh_python(code).splitlines()[-1])
-        assert before == [] and loaded
-        assert 0.0 < cover < 0.01
-        npt.assert_array_less(np.abs(np.subtract(cloud, exact)), cover)
+        loaded, field, exact = json.loads(fresh_python(code).splitlines()[-1])
+        assert loaded == []
+        assert field == exact
+        assert min(field[:3]) > 0.0 and field[3] == 0.0

@@ -31,7 +31,7 @@ from reachgeom.measures import (
     voxel_tube_volume,
 )
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm
-from reachgeom.projection import cloud_covering_radius, distance_field
+from reachgeom.projection import distance_field
 from reachgeom.shapes import (
     Ball,
     ConvexPolytope,
@@ -361,14 +361,12 @@ class TestVoxelTube:
         npt.assert_array_equal(a1[0], a2[0])
 
 
-def _dense_tube_volume(shape, norm, rho, h=None, cloud=None, window=None):
+def _dense_tube_volume(shape, norm, rho, h=None, window=None):
     """Reference count: delta at every center of the grid voxel_tube_volume lays."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     d = shape.dim
     if h is None:
         h = shape.diameter / (512.0 if d == 2 else 128.0)
-    if cloud is None:
-        cloud = 4096 if d == 2 else 32768
     lo, hi = shape.bounding_box()
     pad = float(rho.max()) * _unit_ball_radius(norm) + 3.0 * h
     lo, hi = lo - pad, hi + pad
@@ -385,7 +383,7 @@ def _dense_tube_volume(shape, norm, rho, h=None, cloud=None, window=None):
     for i0 in range(0, counts_axis[0], block):
         sub = [axes[0][i0 : i0 + block]] + axes[1:]
         pts = np.stack(np.meshgrid(*sub, indexing="ij"), axis=-1).reshape(-1, d)
-        delta = distance_field(shape, norm, pts, cloud=cloud)
+        delta = distance_field(shape, norm, pts)
         pos = np.sort(delta[delta > 0.0])
         cnt += np.searchsorted(pos, rho, side="right")
         cross += np.searchsorted(pos, rho + r_half, side="right") - np.searchsorted(
@@ -407,7 +405,6 @@ class TestPrunedCount:
             (key, norm)
             for key in ("disk", "unit-square", "ellipse-2-1", "cap-lens-0.5", "two-disks-gap1")
             for norm in (E2, Q41)
-            if (key, norm) != ("cap-lens-0.5", Q41)  # the cloud route, below
         ]
         + [("cube", E3), ("cube", Q411)],
         ids=lambda v: v if isinstance(v, str) else v.kind,
@@ -438,45 +435,6 @@ class TestPrunedCount:
         want = _dense_tube_volume(outside, E2, self.RHO, h)
         npt.assert_array_equal(got[0], want[0])
         npt.assert_array_equal(got[1], want[1])
-
-    @pytest.mark.parametrize("cloud", [4096, 64])
-    def test_equals_dense_grid_on_the_cloud_route(self, cloud):
-        # a coarse cloud overestimates delta near the boundary by more than r_half
-        lens = make_catalog_shape("cap-lens-0.5")
-        assert lens.exact_projection(Q41, np.zeros((1, 2))) is None
-        assert cloud_covering_radius(lens, Q41, cloud) > 0.0
-        h = lens.diameter / 256
-        got = voxel_tube_volume(lens, Q41, self.RHO, h, cloud=cloud)
-        want = _dense_tube_volume(lens, Q41, self.RHO, h, cloud=cloud)
-        npt.assert_array_equal(got[0], want[0])
-        npt.assert_array_equal(got[1], want[1])
-
-    def test_one_boundary_cloud_per_count(self, monkeypatch):
-        lens = make_catalog_shape("cap-lens-0.5")
-        built = []
-        real = type(lens).boundary_cloud
-
-        def counted(shape, k=2048):
-            built.append(k)
-            return real(shape, k)
-
-        monkeypatch.setattr(type(lens), "boundary_cloud", counted)
-        h = lens.diameter / 256
-        got = voxel_tube_volume(lens, Q41, self.RHO, h)
-        assert built == [4096]
-        # the kd-tree is keyed by the norm's parameters, not by the object
-        again = voxel_tube_volume(lens, EllipsoidalNorm(np.diag([4.0, 1.0])), self.RHO, h)
-        assert built == [4096]
-        npt.assert_array_equal(again[0], got[0])
-        # another norm gets its own tree over the same cloud
-        Q14 = EllipsoidalNorm(np.diag([1.0, 4.0]))
-        pts = np.array([[0.0, 1.2], [1.4, 0.3], [-0.7, -0.9]])
-        fresh = make_catalog_shape("cap-lens-0.5")
-        npt.assert_array_equal(distance_field(lens, Q14, pts), distance_field(fresh, Q14, pts))
-        assert built == [4096, 4096]
-
-    def test_closed_form_pairs_need_no_cloud_slack(self):
-        assert cloud_covering_radius(make_catalog_shape("disk"), Q41) == 0.0
 
 
 def _box_2d(center, half):

@@ -21,7 +21,6 @@ from reachgeom.projection import (
     _multi_foot_cap,
     _solver,
     classify_boundary_point,
-    cloud_covering_radius,
     distance_field,
     global_reach,
     grad_delta,
@@ -90,12 +89,13 @@ class TestProject:
 
 
 class TestSolverMemo:
-    # a lens under Q41 has no closed-form projection: every call needs a solver
+    # a lens complement under Q41 has no closed-form projection: every call
+    # needs a solver
     def test_solvers_die_with_their_shapes(self):
         refs = []
         for i in range(30):
-            lens = CapLens(0.3 + 0.01 * i)
-            nearest_points(lens, Q41, np.array([[3.0, 0.5]]))
+            lens = CapLens(0.3 + 0.01 * i).complement()
+            nearest_points(lens, Q41, np.array([[0.0, 0.1]]))
             assert len(lens.chart_solvers) == 1
             refs.append(weakref.ref(lens))
             del lens
@@ -103,7 +103,7 @@ class TestSolverMemo:
         assert [r for r in refs if r() is not None] == []
 
     def test_threads_share_one_solver(self):
-        lens = CapLens(0.5)
+        lens = CapLens(0.5).complement()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -116,9 +116,9 @@ class TestSolverMemo:
         assert list(lens.chart_solvers.values()) == [got[0]]
 
     def test_solver_is_shared_by_equal_norms_only(self):
-        lens = CapLens(0.5)
+        lens = CapLens(0.5).complement()
         for norm in (Q41, EllipsoidalNorm(np.diag([4.0, 1.0])), EllipsoidalNorm(np.diag([2.0, 1.0]))):
-            nearest_points(lens, norm, np.array([[3.0, 0.5]]))
+            nearest_points(lens, norm, np.array([[0.0, 0.1]]))
         assert len(lens.chart_solvers) == 2
 
 
@@ -206,28 +206,24 @@ class TestDistanceField:
         feet = np.clip(g, [-0.5, -0.5], [0.5, 0.5])
         npt.assert_allclose(d, Q41.conjugate(g - feet), atol=1e-12)
 
-    def test_cloud_fallback_close_to_solver(self):
-        # a smoothed-lp Wulff body under the anisotropic norm has no closed
-        # form: the KD-tree route against a dense boundary cloud must agree
-        # with the chart solver up to the chord sag of the cloud
-        shape = WulffBody(SmoothedLpNorm(2, 3.0), radius=1.0)
-        rng = np.random.default_rng(7)
-        x = rng.uniform(-2.5, 2.5, size=(50, 2))
-        d_field = distance_field(shape, Q41, x, cloud=8192)
-        d_solver = set_distance(shape, Q41, x)
-        npt.assert_allclose(d_field, d_solver, atol=5e-7)
-        assert (d_field >= d_solver - 1e-12).all()
-
     def test_norm_without_dual_transform_takes_the_chart_route(self):
-        # no coordinates make a smoothed-lp dual norm Euclidean, so there is
-        # no kd-tree; the field is set_distance itself, and exact
+        # no closed form under a smoothed-lp norm: the field is set_distance
+        # itself, and exact
         lens = make_catalog_shape("cap-lens-0.5", E2)
         norm = SmoothedLpNorm(2, 3.0)
         rng = np.random.default_rng(3)
         x = rng.uniform(-1.2, 1.2, size=(24, 2))
         assert lens.contains(x).any() and not lens.contains(x).all()
         assert distance_field(lens, norm, x).tobytes() == set_distance(lens, norm, x).tobytes()
-        assert cloud_covering_radius(lens, norm) == 0.0
+
+    def test_quadratic_norm_without_a_closed_form_takes_the_chart_route(self):
+        # the lens complement has no closed form under diag(4, 1) either
+        outside = make_catalog_shape("cap-lens-0.5", Q41).complement()
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.2, 1.2, size=(24, 2))
+        assert outside.exact_projection(Q41, x) is None
+        assert outside.contains(x).any() and not outside.contains(x).all()
+        assert distance_field(outside, Q41, x).tobytes() == set_distance(outside, Q41, x).tobytes()
 
 
 def _rot(dim, angles):
@@ -487,6 +483,29 @@ class TestReach:
         a = np.array([[0.0, 1.0 - lens.eps]])
         r = reach_along(lens.complement(), E2, a, np.array([[0.0, -1.0]]), validate=False)
         assert r[0] == pytest.approx(1.0 - eps, abs=1e-6)
+
+
+class TestCornerCandidates:
+    """An unpolished corner candidate near a chart foot is no second foot."""
+
+    # under diag(4, 1) the corner (-2, 1) lies 8.9e-4 (more than the foot
+    # separation) from this point's foot and only 1.45e-7 above its distance
+    WITNESS = np.array([-1.99911, 1.67679])
+
+    def test_project_reports_one_foot_near_a_segment_end(self):
+        res = project(make_catalog_shape("segment-pair"), Q41, self.WITNESS)
+        assert res.multiplicity == "unique"
+        assert len(res.feet) == 1
+        npt.assert_allclose(res.foot, [-1.99911, 1.0], atol=1e-12)
+
+    def test_multi_foot_cap_skips_the_corner(self):
+        segs = make_catalog_shape("segment-pair")
+        assert _multi_foot_cap(segs, Q41, self.WITNESS[None, :]) == np.inf
+
+    def test_segment_pair_global_reach(self):
+        # the cut locus is y = 0, so the reach is 1
+        est = global_reach(make_catalog_shape("segment-pair"), Q41, seed=5)
+        assert 0.99 <= est.global_reach <= 1.0001
 
 
 def _halving_reference(shape, norm, a, eta, tol_pred=1e-8):

@@ -339,13 +339,17 @@ SEGMENT_SETS = {
     "triangle": ConvexPolytope([[0.0, 0.0], [1.5, 0.2], [0.3, 1.1]]),
     "quadrilateral": ConvexPolytope([[0.0, 0.0], [2.0, 0.3], [1.6, 1.4], [-0.2, 1.0]]),
     "segment-pair": make_catalog_shape("segment-pair"),
+    # not segments: a lens's feet are its disks' quadratic feet or a corner
+    "cap-lens-0.2": make_catalog_shape("cap-lens-0.2"),
+    "cap-lens-0.5": make_catalog_shape("cap-lens-0.5"),
 }
 _R = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
 ROTATED = EllipsoidalNorm(_R @ np.diag([3.0, 0.5]) @ _R.T)
 
 
 class TestSegmentProjection:
-    # phi_*(v) = |L v| makes each of these a Euclidean projection onto L A
+    # phi_*(v) = |L v| makes each polygon and segment union a Euclidean
+    # projection onto L A
     @pytest.mark.parametrize("key", list(SEGMENT_SETS))
     @pytest.mark.parametrize("norm", [Q41, ROTATED, E2], ids=["q41", "rotated", "euclid"])
     def test_closed_form_matches_the_chart_solver(self, key, norm):
