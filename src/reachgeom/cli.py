@@ -52,11 +52,12 @@ from .measures import (
 )
 from .norms import NORM_KINDS, NormParameterError, make_norm
 from .projection import global_reach
-from .shapes import EmptyInteriorError, Shape, make_catalog_shape
+from .shapes import EmptyInteriorError, make_catalog_shape
 from .theorems import (
     PreconditionFailed,
     alexandrov_classify,
     heintze_karcher_check,
+    json_safe,
     lower_bound_rigidity,
     mean_convexity_ledger,
     minkowski_check,
@@ -365,12 +366,23 @@ def _run_tube(cfg: ExperimentConfig, spec: CheckSpec) -> dict:
     if "rho" not in spec.params:
         raise ConfigError(f"check {spec.name!r} needs a rho grid", line=spec.line, field_="rho")
     rho = _as_float_list(spec.params["rho"], "rho", spec.line)
+    if not rho or not all(r > 0 for r in rho):
+        raise ConfigError(
+            f"check {spec.name!r} needs positive tube radii", line=spec.line, field_="rho"
+        )
+    h = spec.params.get("h")
+    if h is not None and not (isinstance(h, (int, float)) and 0 < h < np.inf):
+        raise ConfigError(
+            f"check {spec.name!r}: voxel pitch must be a positive number",
+            line=spec.line,
+            field_="h",
+        )
     tol = float(spec.params.get("tolerance", 0.01))
     rec = tube_record(
         shape,
         norm,
         rho,
-        h=spec.params.get("h"),
+        h=h,
         n=int(spec.params.get("samples", 512)),
         seed=cfg.seed,
     )
@@ -401,6 +413,12 @@ def _run_measures(cfg: ExperimentConfig, spec: CheckSpec) -> dict:
     orders = spec.params.get("m", list(range(n + 1)))
     if isinstance(orders, (int, float)):
         orders = [orders]
+    if not all(m in range(n + 1) for m in orders):
+        raise ConfigError(
+            f"check {spec.name!r}: every m must be an integer in 0..{n}",
+            line=spec.line,
+            field_="m",
+        )
     reports = [
         curvature_measure(
             shape, norm, int(m), n=int(spec.params.get("samples", 512)), seed=cfg.seed
@@ -520,22 +538,6 @@ _RUNNERS = {
 # ======================================================================
 
 
-def _json_safe(v):
-    """Strict-JSON image of a result tree: non-finite floats become strings."""
-    if isinstance(v, dict):
-        return {k: _json_safe(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_json_safe(x) for x in v]
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        return f if np.isfinite(f) else repr(f)
-    if isinstance(v, (np.integer, np.bool_)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return _json_safe(v.tolist())
-    return v
-
-
 def _csv_cell(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
@@ -547,7 +549,7 @@ def _csv_cell(v) -> str:
 def _write_reports(out_dir: Path, summary: dict, tables: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "summary.json", "w", encoding="utf-8") as f:
-        json.dump(_json_safe(summary), f, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(json_safe(summary), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
     for fname, (header, rows) in tables.items():
         with open(out_dir / fname, "w", encoding="utf-8", newline="") as f:
@@ -634,7 +636,7 @@ def main(argv=None) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     if config.out is None:
-        json.dump(_json_safe(summary), sys.stdout, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(json_safe(summary), sys.stdout, indent=2, sort_keys=True, allow_nan=False)
         print()
     else:
         print(f"{'ok' if status == 0 else 'FAIL'}: reports in {config.out}")

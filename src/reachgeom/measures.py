@@ -47,7 +47,6 @@ __all__ = [
     "TubeRecord",
     "StrataCoverageGap",
     "BudgetExceeded",
-    "concat_bundles",
     "fan_bundle",
     "bundle_integral",
     "curvature_measure",
@@ -110,37 +109,6 @@ class Window:
 # ======================================================================
 
 
-def concat_bundles(samples: Sequence[BundleSample]) -> BundleSample:
-    """Concatenate bundle samples (e.g. per-component unions) into one."""
-    ss = list(samples)
-    if not ss:
-        raise ValueError("no bundle samples given")
-    if len(ss) == 1:
-        return ss[0]
-    audits = [s.audit_fail for s in ss]
-    return BundleSample(
-        points=np.concatenate([s.points for s in ss]),
-        normals=np.concatenate([s.normals for s in ss]),
-        eta=np.concatenate([s.eta for s in ss]),
-        phi_u=np.concatenate([s.phi_u for s in ss]),
-        weights=np.concatenate([s.weights for s in ss]),
-        jacobian=np.concatenate([s.jacobian for s in ss]),
-        kappa=np.concatenate([s.kappa for s in ss]),
-        tau=np.concatenate([s.tau for s in ss]),
-        stratum=np.concatenate([s.stratum for s in ss]),
-        reach=np.concatenate([s.reach for s in ss]),
-        probe=np.concatenate([s.probe for s in ss]),
-        ambiguous=np.concatenate([s.ambiguous for s in ss]),
-        audit_fail=None if any(a is None for a in audits) else np.concatenate(audits),
-    )
-
-
-def _as_bundle(bundle: Union[BundleSample, Sequence[BundleSample]]) -> BundleSample:
-    if isinstance(bundle, BundleSample):
-        return bundle
-    return concat_bundles(bundle)
-
-
 def fan_bundle(
     shape: ConvexPolytope,
     norm: Norm,
@@ -181,14 +149,14 @@ def fan_bundle(
 
 
 def _auto_bundle(shape, norm, bundle, n, seed):
-    """``bundle`` as one sample, or else the shape's memoized default bundle.
+    """``bundle`` if given, or else the shape's memoized default bundle.
 
     The default is ``fan_bundle`` for a convex polytope and ``bundle_sample``
     otherwise, built once per (norm key, n, seed) and kept in
     ``Shape.bundles``, so it dies with the shape it describes.
     """
     if bundle is not None:
-        return _as_bundle(bundle)
+        return bundle
     key = (norm.key, n, seed)
     b = shape.bundles.get(key)
     if b is None:
@@ -198,21 +166,16 @@ def _auto_bundle(shape, norm, bundle, n, seed):
     return b
 
 
-def bundle_integral(
-    bundle: Union[BundleSample, Sequence[BundleSample]],
-    r: int,
-    window: Optional[Window] = None,
-) -> float:
+def bundle_integral(bundle: BundleSample, r: int, window: Optional[Window] = None) -> float:
     """Weighted bundle integral of the r-th symmetric curvature function.
 
     Computes sum of weight * jacobian * phi(u) * H_r over the (optionally
     windowed) samples — the raw integral the curvature measures, the tube
     formula, and the rigidity checks are all built from.
     """
-    b = _as_bundle(bundle)
-    c = b.density * b.mean_curvature(r)
+    c = bundle.density * bundle.mean_curvature(r)
     if window is not None:
-        c = c[window.mask(b)]
+        c = c[window.mask(bundle)]
     return float(c.sum())
 
 
@@ -253,7 +216,7 @@ def curvature_measure(
     norm: Norm,
     m: int,
     window: Union[Window, Sequence[Window], None] = None,
-    bundle: Union[BundleSample, Sequence[BundleSample], None] = None,
+    bundle: Optional[BundleSample] = None,
     *,
     n: int = 512,
     seed: int = 0,
@@ -510,36 +473,28 @@ def _mc_tube_volume(shape, norm, rho, lo, hi, budget, seed):
 # ======================================================================
 
 
-def steiner_coefficients(
-    bundle: Union[BundleSample, Sequence[BundleSample]],
-) -> np.ndarray:
+def steiner_coefficients(bundle: BundleSample) -> np.ndarray:
     """Coefficients of rho^(j+1), j = 0..n, in the below-reach tube polynomial."""
-    b = _as_bundle(bundle)
-    base = b.density
+    base = bundle.density
     return np.array(
-        [float(base @ b.mean_curvature(j)) / (j + 1) for j in range(b.n + 1)]
+        [float(base @ bundle.mean_curvature(j)) / (j + 1) for j in range(bundle.n + 1)]
     )
 
 
-def steiner_predict(
-    bundle: Union[BundleSample, Sequence[BundleSample]],
-    rho_grid,
-    truncate: bool = True,
-) -> np.ndarray:
+def steiner_predict(bundle: BundleSample, rho_grid, truncate: bool = True) -> np.ndarray:
     """Tube volumes predicted from bundle data.
 
     With ``truncate`` each normal ray contributes min(rho, its reach) —
     valid for every rho.  Without it the pure polynomial in rho is
     evaluated, valid only below the global reach.
     """
-    b = _as_bundle(bundle)
     rho = np.atleast_1d(np.asarray(rho_grid, dtype=float))
-    base = b.density
+    base = bundle.density
     out = np.zeros(len(rho))
-    for j in range(b.n + 1):
-        hj = b.mean_curvature(j)
+    for j in range(bundle.n + 1):
+        hj = bundle.mean_curvature(j)
         if truncate:
-            reach_cap = np.minimum(rho[:, None], b.reach[None, :])
+            reach_cap = np.minimum(rho[:, None], bundle.reach[None, :])
             out += (reach_cap ** (j + 1)) @ (base * hj) / (j + 1)
         else:
             out += rho ** (j + 1) * float(base @ hj) / (j + 1)
@@ -577,7 +532,7 @@ def tube_record(
     norm: Norm,
     rho_grid,
     h: Optional[float] = None,
-    bundle: Union[BundleSample, Sequence[BundleSample], None] = None,
+    bundle: Optional[BundleSample] = None,
     *,
     n: int = 512,
     seed: int = 0,
@@ -615,7 +570,7 @@ def volume_derivatives(
     norm: Norm,
     rho: float,
     window: Optional[Window] = None,
-    bundle: Union[BundleSample, Sequence[BundleSample], None] = None,
+    bundle: Optional[BundleSample] = None,
     *,
     n: int = 512,
     seed: int = 0,

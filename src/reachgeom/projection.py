@@ -385,8 +385,8 @@ def distance_field(shape: Shape, norm: Norm, points: np.ndarray) -> np.ndarray:
     interior points at 0.
     """
     points = np.asarray(points, dtype=float)
-    d = shape.exact_distance(norm, points)
-    return set_distance(shape, norm, points) if d is None else d
+    res = shape.exact_projection(norm, points)
+    return set_distance(shape, norm, points) if res is None else res[1]
 
 
 # ======================================================================

@@ -63,6 +63,11 @@ class EmptyInteriorError(ValueError):
 # normal fibers
 # ======================================================================
 
+def _circle(t):
+    """Unit vectors (cos t, sin t), (N,) -> (N, 2)."""
+    return np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+
 def _arc_angles(fibers, k):
     x, w = leggauss(max(int(k), 1))
     mid = 0.5 * (fibers[:, :1] + fibers[:, 1:])
@@ -102,7 +107,7 @@ def fiber_nodes(kind: str, fibers, k: int) -> tuple[np.ndarray, np.ndarray]:
         return np.stack([fibers, -fibers], axis=1), np.ones((len(fibers), 2))
     if kind == "arc":
         t, w = _arc_angles(fibers, k)
-        return np.stack([np.cos(t), np.sin(t)], axis=-1), w
+        return _circle(t), w
     if kind == "edge":
         e0, e1, t, w = _edge_angles(fibers, k)
         return np.cos(t)[..., None] * e0 + np.sin(t)[..., None] * e1, w
@@ -168,7 +173,11 @@ class Stratum:
 
 
 class Chart:
-    """Parametric boundary piece used by the generic nearest-point solver."""
+    """Parametric boundary piece: what the generic nearest-point solver reads.
+
+    A chart has points, their derivatives, seeds and a clamp to its box, and
+    no normals: the normals of the bundle live on the strata.
+    """
 
     param_dim: int = 1
     periodic: bool = False
@@ -191,9 +200,6 @@ class Chart:
         dp = [self.point(self.clamp(t + e)) - self.point(self.clamp(t - e)) for e in steps]
         return np.stack(dp, axis=-2) / (2 * h)
 
-    def normal(self, t) -> np.ndarray:
-        raise NotImplementedError
-
     def seeds(self, k: int) -> np.ndarray:
         lo, hi = self.bounds[0]
         if self.periodic:
@@ -211,9 +217,9 @@ class Chart:
 class _FuncChart(Chart):
     """1d chart from callables (all vectorized over t)."""
 
-    def __init__(self, bounds, point_fn, dpoint_fn, normal_fn, periodic=False):
+    def __init__(self, bounds, point_fn, dpoint_fn, periodic=False):
         super().__init__(np.atleast_2d(bounds))
-        self._p, self._dp, self._n = point_fn, dpoint_fn, normal_fn
+        self._p, self._dp = point_fn, dpoint_fn
         self.periodic = periodic
 
     def point(self, t):
@@ -221,9 +227,6 @@ class _FuncChart(Chart):
 
     def dpoint(self, t):
         return self._dp(np.asarray(t, dtype=float))
-
-    def normal(self, t):
-        return self._n(np.asarray(t, dtype=float))
 
 
 class SphereChart(Chart):
@@ -235,10 +238,9 @@ class SphereChart(Chart):
 
     param_dim = 2
 
-    def __init__(self, embed: Callable, normal_of: Callable):
+    def __init__(self, embed: Callable):
         super().__init__(np.array([[1e-6, np.pi - 1e-6], [0.0, 2 * np.pi]]))
         self.embed = embed
-        self.normal_of = normal_of
 
     @staticmethod
     def to_unit(t):
@@ -249,9 +251,6 @@ class SphereChart(Chart):
 
     def point(self, t):
         return self.embed(self.to_unit(t))
-
-    def normal(self, t):
-        return self.normal_of(self.to_unit(t))
 
     def seeds(self, k):
         # Fibonacci lattice pulled back to (theta, phi)
@@ -296,31 +295,6 @@ class _PlanarChart(Chart):
         return np.stack([a, b], axis=-1)
 
 
-class _FlippedChart(Chart):
-    """A base chart seen from the complement: the same points, the normal negated."""
-
-    def __init__(self, base: Chart):
-        self.base = base
-        self.bounds = base.bounds
-        self.param_dim = base.param_dim
-        self.periodic = base.periodic
-
-    def point(self, t):
-        return self.base.point(t)
-
-    def dpoint(self, t):
-        return self.base.dpoint(t)
-
-    def normal(self, t):
-        return -self.base.normal(t)
-
-    def seeds(self, k):
-        return self.base.seeds(k)
-
-    def clamp(self, t):
-        return self.base.clamp(t)
-
-
 def fibonacci_sphere(n: int) -> np.ndarray:
     k = np.arange(n)
     ga = np.pi * (3.0 - np.sqrt(5.0))
@@ -360,14 +334,6 @@ class Shape:
     # -------- boundary structure ----------------------------------------
     def boundary_strata(self, n: int = 512, seed: int = 0) -> list[Stratum]:
         raise NotImplementedError
-
-    def boundary_cloud(self, k: int = 2048) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (points, H^n weights) over the top boundary stratum."""
-        strata = self.boundary_strata(n=k, seed=0)
-        top = [s for s in strata if s.index == self.dim - 1]
-        pts = np.concatenate([s.points for s in top])
-        wts = np.concatenate([s.weights for s in top])
-        return pts, wts
 
     def charts(self) -> list[Chart]:
         raise NotImplementedError
@@ -411,10 +377,6 @@ class Shape:
         """
         return None
 
-    def exact_distance(self, norm: Norm, x) -> Optional[np.ndarray]:
-        res = self.exact_projection(norm, x)
-        return None if res is None else res[1]
-
     def complement(self) -> "Shape":
         raise EmptyInteriorError(f"{self.name} has no complement view")
 
@@ -425,13 +387,16 @@ class Shape:
 def _smooth_strata(chart_specs, n, seed, dim):
     """Uniform-parameter midpoint sampling of smooth 1d charts (d=2).
 
-    The (chart, length) pairs split the n samples in proportion to length.
+    Each (chart, normal, length) triple pairs a chart with ``normal(t)``, the
+    outward unit normal at ``chart.point(t)``: charts only feed the
+    nearest-point solver, so the normals of the bundle come from here.  The
+    triples split the n samples in proportion to length.
     """
     rng = np.random.default_rng(seed)
     strata = []
-    total_len = sum(length for _, length in chart_specs)
+    total_len = sum(length for *_, length in chart_specs)
     pts_all, wts_all, fibers = [], [], []
-    for chart, length in chart_specs:
+    for chart, normal, length in chart_specs:
         m = max(int(round(n * length / total_len)), 8)
         lo, hi = chart.bounds[0]
         step = (hi - lo) / m
@@ -439,10 +404,9 @@ def _smooth_strata(chart_specs, n, seed, dim):
         t = lo + phase + step * np.arange(m)
         p = chart.point(t)
         speed = np.linalg.norm(chart.dpoint(t), axis=-1)
-        u = chart.normal(t)
         pts_all.append(p)
         wts_all.append(speed * step)
-        fibers.append(u)
+        fibers.append(normal(t))
     strata.append(
         Stratum(
             dim - 1,
@@ -455,16 +419,15 @@ def _smooth_strata(chart_specs, n, seed, dim):
     return strata
 
 
-def _segment_charts(starts, edges, normals):
-    """One 1d chart per segment start + t edge, t in [0, 1], with its normal."""
+def _segment_charts(starts, edges):
+    """One 1d chart per segment start + t edge, t in [0, 1]."""
     return [
         _FuncChart(
             (0.0, 1.0),
             lambda t, p=p, e=e: p + np.asarray(t)[..., None] * e,
             lambda t, e=e: np.broadcast_to(e, np.shape(t) + (2,)).copy(),
-            lambda t, nrm=nrm: np.broadcast_to(nrm, np.shape(t) + (2,)).copy(),
         )
-        for p, e, nrm in zip(starts, edges, normals)
+        for p, e in zip(starts, edges)
     ]
 
 
@@ -566,56 +529,21 @@ class WulffBody(Shape):
 
     def charts(self):
         if self.dim == 3:
-            return [SphereChart(self._point, self._normal)]
-
-        def circle(t):
-            return np.stack([np.cos(t), np.sin(t)], axis=-1)
-
-        if self._A is None:
-
-            def pt(t):
-                return self._point(circle(t))
-
-            def dp(t):
-                return self._dpoint(circle(t), np.stack([-np.sin(t), np.cos(t)], axis=-1))
-
-        else:
-            # c + rho A (cos t, sin t) for the lower triangular A, written out
-            # in place: the chart solver calls these in its inner loop on up
-            # to ~1e5 rows, where a 2x2 product over stacked rows and fresh
-            # temporaries cost more; axis-aligned bodies (every Ball and
-            # Ellipsoid) have m10 == 0
-            (m00, _), (m10, m11) = self.radius * self._A
-            c = self.center
-
-            def pt(t):
-                x, y = np.cos(t), np.sin(t)
-                y *= m11
-                if m10:
-                    y += m10 * x
-                x *= m00
-                p = np.stack([x, y], axis=-1)
-                p += c
-                return p
-
-            def dp(t):
-                dx, dy = np.sin(t), np.cos(t)
-                dy *= m11
-                if m10:
-                    dy -= m10 * dx
-                dx *= -m00
-                return np.stack([dx, dy], axis=-1)
-
+            return [SphereChart(self._point)]
         return [
             _FuncChart(
-                (0.0, 2 * np.pi), pt, dp, lambda t: self._normal(circle(t)), periodic=True
+                (0.0, 2 * np.pi),
+                lambda t: self._point(_circle(t)),
+                lambda t: self._dpoint(_circle(t), np.stack([-np.sin(t), np.cos(t)], axis=-1)),
+                periodic=True,
             )
         ]
 
     def boundary_strata(self, n=512, seed=0):
         if self.dim == 2:
             # one chart takes all n samples, whatever its length
-            return _smooth_strata([(self.charts()[0], 1.0)], n, seed, self.dim)
+            spec = (self.charts()[0], lambda t: self._normal(_circle(t)), 1.0)
+            return _smooth_strata([spec], n, seed, self.dim)
         from .norms import tangent_basis
 
         u = fibonacci_sphere(n)
@@ -948,7 +876,7 @@ class ConvexPolytope(Shape):
                     origin[axis] = coord
                     out.append(_PlanarChart(origin, e0, e1, (ext[o1], ext[o2])))
             return out
-        return _segment_charts(self.vertices, self._edges, self._normals)
+        return _segment_charts(self.vertices, self._edges)
 
     def exact_projection(self, norm, x):
         L = norm.dual_transform
@@ -1028,9 +956,8 @@ class CapLens(Shape):
             out.append(
                 _FuncChart(
                     (t0, t1),
-                    lambda t, c=c: c + np.stack([np.cos(t), np.sin(t)], axis=-1),
+                    lambda t, c=c: c + _circle(t),
                     lambda t: np.stack([-np.sin(t), np.cos(t)], axis=-1),
-                    lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1),
                 )
             )
         return out
@@ -1038,7 +965,7 @@ class CapLens(Shape):
     def boundary_strata(self, n=512, seed=0):
         arc_len = 2.0 * np.arccos(self.eps)
         strata = _smooth_strata(
-            [(ch, arc_len) for ch in self.charts()], n, seed, self.dim
+            [(ch, _circle, arc_len) for ch in self.charts()], n, seed, self.dim
         )
         strata.append(
             Stratum(0, "arc", self.corner_points(), np.ones(2), self._corner_arcs.copy())
@@ -1132,9 +1059,7 @@ class SegmentUnion(Shape):
         return self._ends.copy()
 
     def charts(self):
-        e = self._edges
-        normals = np.c_[e[:, 1], -e[:, 0]] / np.linalg.norm(e, axis=-1)[:, None]
-        return _segment_charts(self._starts, e, normals)
+        return _segment_charts(self._starts, self._edges)
 
     def boundary_strata(self, n=512, seed=0):
         rng = np.random.default_rng(seed)
@@ -1189,7 +1114,11 @@ class DisjointUnion(Shape):
         self._validate_gaps(margin)
 
     def _validate_gaps(self, margin):
-        clouds = [c.boundary_cloud(k=256)[0] for c in self.components]
+        top = self.dim - 1
+        clouds = [
+            np.concatenate([s.points for s in c.boundary_strata(n=256) if s.index == top])
+            for c in self.components
+        ]
         for i in range(len(clouds)):
             for j in range(len(clouds)):
                 if i == j:
@@ -1312,7 +1241,7 @@ class ComplementShape(Shape):
         return None
 
     def charts(self):
-        return [_FlippedChart(ch) for ch in self.base.charts()]
+        return self.base.charts()
 
     def corner_points(self):
         return self.base.corner_points()

@@ -27,8 +27,8 @@ claim so failures stay diagnosable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "PreconditionFailed",
     "TheoremVerdict",
     "BubbleVerdict",
+    "json_safe",
     "symmetric_sums",
     "maclaurin_check",
     "minkowski_check",
@@ -60,17 +61,19 @@ class PreconditionFailed(RuntimeError):
         self.witnesses = witnesses if witnesses is not None else []
 
 
-def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
+def json_safe(v):
+    """Strict-JSON image of a result tree: non-finite floats become strings."""
     if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
+        return {k: json_safe(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, (TheoremVerdict, BubbleVerdict)):
-        return v.to_dict()
+        return [json_safe(x) for x in v]
+    if isinstance(v, (float, np.floating)):
+        f = float(v)
+        return f if np.isfinite(f) else repr(f)
+    if isinstance(v, (np.integer, np.bool_)):
+        return v.item()
+    if isinstance(v, np.ndarray):
+        return json_safe(v.tolist())
     return v
 
 
@@ -93,16 +96,7 @@ class TheoremVerdict:
     notes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": _jsonable(self.lhs),
-            "rhs": _jsonable(self.rhs),
-            "residual": _jsonable(self.residual),
-            "tolerance": _jsonable(self.tolerance),
-            "passed": bool(self.passed),
-            "witnesses": _jsonable(self.witnesses),
-            "notes": _jsonable(self.notes),
-        }
+        return json_safe(asdict(self))
 
 
 @dataclass
@@ -124,15 +118,7 @@ class BubbleVerdict:
     notes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "is_bubble_union": bool(self.is_bubble_union),
-            "count": int(self.count),
-            "centers": _jsonable(self.centers),
-            "radius": _jsonable(self.radius),
-            "radius_consistency": _jsonable(self.radius_consistency),
-            "failure_reason": self.failure_reason,
-            "notes": _jsonable(self.notes),
-        }
+        return json_safe(asdict(self))
 
 
 # ======================================================================

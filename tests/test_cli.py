@@ -276,6 +276,33 @@ class TestMainEntry:
         assert main(["run-all", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ctype, params, field",
+        [
+            ("tube", "rho = -0.1, 0.5", "rho"),
+            ("tube", "rho = 0.5\nh = 0", "h"),
+            ("tube", "rho = 0.5\nh = -0.01", "h"),
+            ("measures", "m = 5", "m"),
+        ],
+        ids=["negative-rho", "zero-h", "negative-h", "m-above-dim"],
+    )
+    def test_out_of_range_check_value_exits_two(self, tmp_path, capsys, ctype, params, field):
+        text = MINI + f"\n[check bad]\ntype = {ctype}\nshape = square\nnorm = euclid\n{params}\n"
+        line = text.splitlines().index("[check bad]") + 1
+        assert main([ctype, str(write_config(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}" in err and f"field {field!r}" in err
+        assert "Traceback" not in err
+
+    def test_empty_rho_list_in_json_config_exits_two(self, tmp_path, capsys):
+        doc = {
+            "norms": {"euclid": {"kind": "euclidean", "dim": 2}},
+            "shapes": {"disk": {"catalog": "disk"}},
+            "checks": [{"name": "t", "type": "tube", "shape": "disk", "norm": "euclid", "rho": []}],
+        }
+        assert main(["tube", str(write_config(tmp_path, json.dumps(doc), "exp.json"))]) == 2
+        assert "field 'rho'" in capsys.readouterr().err
+
     def test_voxel_budget_exits_three(self, tmp_path, capsys):
         # pitch 1e-4 over the padded disk is ~4.4e8 cells, above the voxel cap
         text = MINI.replace("catalog = unit-square", "catalog = disk")
@@ -342,7 +369,7 @@ class TestImportFootprint:
             "outside = make_catalog_shape('cap-lens-0.5').complement()\n"
             "q = EllipsoidalNorm(np.diag([4.0, 1.0]))\n"
             "pts = np.array([[0.0, 0.2], [0.4, -0.1], [-0.7, 0.05], [2.5, 2.0]])\n"
-            "assert outside.exact_distance(q, pts) is None\n"
+            "assert outside.exact_projection(q, pts) is None\n"
             "field = distance_field(outside, q, pts)\n"
             f"print(json.dumps([{SCIPY_MODULES}, field.tolist(),\n"
             "                  set_distance(outside, q, pts).tolist()]))\n"

@@ -192,7 +192,7 @@ class TestHeintzeKarcher:
             make_catalog_shape("disk"), E2, bundle=cached_bundle("disk", E2),
             classify_equality=True,
         )
-        json.dumps(v.to_dict())
+        json.dumps(v.to_dict(), allow_nan=False)
 
 
 class TestMeanConvexity:
@@ -277,6 +277,13 @@ class TestAlexandrovClassify:
         assert v.failure_reason == "singular-strata budget exceeded"
         assert v.notes["singular_fraction"] > 1e-3
 
+    def test_rejected_verdict_is_strict_json(self):
+        v = alexandrov_classify(make_catalog_shape("unit-square"), E2, 1)
+        assert np.isnan(v.radius)
+        d = json.loads(json.dumps(v.to_dict(), allow_nan=False))
+        assert (d["is_bubble_union"], d["count"], d["centers"]) == (False, 0, [])
+        assert d["radius"] == "nan" and d["radius_consistency"] == ["nan", "nan"]
+
     def test_mixed_radii_disqualify(self):
         v = alexandrov_classify(
             make_catalog_shape("two-disks-mixed"), E2, 1,
@@ -318,7 +325,7 @@ class TestAlexandrovClassify:
             make_catalog_shape("three-wulff", Q41), Q41, 1,
             bundle=cached_bundle("three-wulff", Q41),
         )
-        json.dumps(v.to_dict())
+        json.dumps(v.to_dict(), allow_nan=False)
 
 
 def _scipy_components(points):
@@ -394,7 +401,9 @@ class TestClassifierAgainstScipy:
 
     def test_twenty_thousand_point_cloud(self):
         # several row blocks, each meeting only a window of the sweep
-        points = make_catalog_shape("two-balls-3d").boundary_cloud(k=20_000)[0]
+        top = make_catalog_shape("two-balls-3d").boundary_strata(n=20_000)[0]
+        assert top.index == 2
+        points = top.points
         assert len(points) == 20_000
         self.check(points, E3)
 
