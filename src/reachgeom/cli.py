@@ -275,6 +275,14 @@ def _as_config(parsed: dict, path: Optional[str] = None) -> ExperimentConfig:
                 raise ConfigError(f"check {name!r} needs a norm", line=line, field_="norm")
         elif "shape" not in decl:
             raise ConfigError(f"check {name!r} needs a shape", line=line, field_="shape")
+        samples = decl.get("samples")
+        # every check type but shape-info reads it
+        if ctype != "shape-info" and samples is not None and not (
+            isinstance(samples, int) and not isinstance(samples, bool) and samples > 0
+        ):
+            raise ConfigError(
+                f"check {name!r}: samples must be a positive integer", line=line, field_="samples"
+            )
         cfg.checks.append(CheckSpec(name, ctype, decl, expect, line))
     return cfg
 

@@ -29,8 +29,21 @@ Curvature probes, points a + r eta + O(h) next to a bundle point (a, eta)
 with r below the ray reach, skip the multi-start search: their feet lie in a
 Lipschitz neighbourhood of a, so ``_probe_feet`` polishes once per chart from
 the seed nearest a and hands to ``nearest_points`` only the rows whose foot
-leaves that neighbourhood.  ``reach_along`` narrows each ray's bracket only to
-the tolerance of its distance predicate.
+leaves that neighbourhood.
+
+Reach takes one of two routes:
+
+* a ``DisjointUnion`` of convex components: ``reach_along`` is exact, by
+  Newton on each component's slack of the distance predicate
+  (``_union_reach``); when the components are all ``WulffBody``s,
+  ``global_reach`` is half their least pairwise phi_* gap, with certified
+  bounds (``_gap_bounds``);
+* complements, ``SegmentUnion``s and unions with a non-convex component:
+  ``reach_along`` brackets each ray to the tolerance of the predicate
+  (``_bracket_reach``).  These, and unions with a convex component that is
+  no ``WulffBody``, keep ``global_reach``'s Monte-Carlo multi-foot scan,
+  which reads ties between a union's components or a segment union's
+  segments, and the chart solver's candidates on a complement.
 
 Memos on the shape, each keyed by ``Norm.key`` and the arguments the value
 depends on: ``chart_solvers`` (norm key), ``ray_reaches`` (``reach_along``:
@@ -40,8 +53,9 @@ fiber_nodes)).  Ray reaches and estimates are shared, so the reach arrays
 are read-only and estimates frozen.
 
 A note on uniqueness: points with several nearest feet (the cut locus) form a
-Lebesgue-null set, and the bracket reported by ``global_reach`` reflects both
-the sampled ray infimum and any multi-foot witnesses found by scanning.
+Lebesgue-null set.  Off the gap route, the bracket reported by
+``global_reach`` reflects both the sampled ray infimum and any multi-foot
+witnesses found by scanning.
 """
 
 from __future__ import annotations
@@ -51,8 +65,8 @@ from typing import Optional
 
 import numpy as np
 
-from .norms import Norm, _newton_rows, _solve_rows, row_dot
-from .shapes import Shape
+from .norms import Norm, _newton_rows, _solve_rows, row_dot, tangent_basis, unit_rows
+from .shapes import DisjointUnion, SegmentUnion, Shape, WulffBody, _circle, fibonacci_sphere
 from .shapes import fiber_nodes as fiber_quadrature
 
 __all__ = [
@@ -76,6 +90,9 @@ TOL_EQ_REL = 1e-7  # delta equality for multiplicity, relative to 1 + delta
 SEED_GRID = 64  # seeds per 1d chart, 4x that per 2d chart
 SEEDS_PER_CHART = 8  # nearest seeds polished per chart and query point
 _CHART_CHUNK = 256  # rows per seed search of _ChartSolver.feet_batch
+GAP_GRID = 256  # directions of the 2d gap search, 8x that on the 3d Fibonacci sphere
+GOLDEN_STEPS = 32  # shrink the 2d gap bracket, 2 x 2 pi / GAP_GRID wide, to 1e-8
+RAY_NEWTON_ITERS = 60  # Newton steps of _union_reach per ray and piece
 
 
 class InvalidNormalError(ValueError):
@@ -416,8 +433,10 @@ def reach_along(
     rows that share their batch; so a batch always gets the values bracketed
     from that same batch, whatever ran before it.
 
-    The predicate is ``delta(a + s eta) >= s - tol_pred (1 + s)``: distances
-    are only trusted to that tolerance, so a bracket [lo, hi] with lo holding
+    The predicate is ``delta(a + s eta) >= s - tol_pred (1 + s)``.  On a
+    union of disjoint convex pieces ``_union_reach`` finds its first failure
+    exactly, by Newton on each piece.  On every other shape distances are
+    only trusted to that tolerance, so a bracket [lo, hi] with lo holding
     and hi failing is narrowed until ``hi - lo <= tol_pred (1 + lo)`` and its
     midpoint returned; finer brackets would only resolve the noise of delta.
     Past the reach, delta(a + s eta) follows the foot branch that takes over
@@ -453,10 +472,71 @@ def reach_along(
     key = (norm.key, s_max, tol_pred, a.tobytes(), eta.tobytes())
     reach = memo.get(key)
     if reach is None:
-        reach = _bracket_reach(shape, norm, a, eta, s_max, tol_pred)
+        pieces = _convex_components(shape)
+        if pieces is None:
+            reach = _bracket_reach(shape, norm, a, eta, s_max, tol_pred)
+        else:
+            reach = _union_reach(pieces, norm, a, eta, s_max, tol_pred)
         reach.setflags(write=False)
         # threads racing here bracket the same batch; all get the first value
         reach = memo.setdefault(key, reach)
+    return reach
+
+
+def _convex_components(shape):
+    """The components of a ``DisjointUnion`` whose components are all convex, else None."""
+    if isinstance(shape, DisjointUnion) and all(c.is_convex for c in shape.components):
+        return shape.components
+    return None
+
+
+def _union_reach(pieces, norm, a, eta, s_max, tol_pred):
+    """The exact ray reach of ``reach_along`` on a union of disjoint convex pieces.
+
+    Against a piece B the predicate fails where the slack
+    h_B(s) = s (1 - tol_pred) - tol_pred - delta_B(a + s eta) turns positive.
+    delta_B is convex along the line, so h_B is concave, with slope
+    1 - tol_pred - grad delta_B . eta (grad delta_B = grad phi_*(x - foot),
+    or 0 inside B).  h_B(0) < 0, so when h_B(s_max) > 0 it has one root in
+    (0, s_max), and Newton from s = 0 rises to it monotonically: each tangent
+    root lies below the root.  A piece with h_B(s_max) <= 0 never fails the
+    ray before s_max, as the ray's own piece on an outward ray (there
+    delta_B(a + s eta) = s); a slope <= 0 while h_B < 0, or an iterate past
+    s_max, also gives +inf.  An inward ray fails its own piece at once.  The
+    ray's reach is the least root over the pieces, +inf where there is none.
+    Every operation acts row by row, so a ray's reach does not depend on the
+    batch it comes in.
+    """
+
+    def slack(piece, rows, s):
+        # h and its slope on rays ``rows`` at s
+        x = a[rows] + s[:, None] * eta[rows]
+        feet, d = nearest_points(piece, norm, x)
+        v = x - feet
+        grad = np.zeros_like(x)
+        out = row_dot(v, v) > 0  # a foot within rounding of x counts as inside
+        if out.any():
+            grad[out] = norm.conjugate_grad(v[out])
+        return s * (1.0 - tol_pred) - tol_pred - d, 1.0 - tol_pred - row_dot(grad, eta[rows])
+
+    reach = np.full(len(a), np.inf)
+    for piece in pieces:
+        s = np.zeros(len(a))
+        root = np.full(len(a), np.inf)
+        rows = np.flatnonzero(slack(piece, np.arange(len(a)), np.full(len(a), s_max))[0] > 0)
+        for _ in range(RAY_NEWTON_ITERS):
+            if not len(rows):
+                break
+            h, dh = slack(piece, rows, s[rows])
+            lost = (h < 0) & ~(dh > 0)
+            step = np.where(h < 0, -h / np.where(dh > 0, dh, 1.0), 0.0)
+            s[rows] += step
+            done = ~lost & (step <= 1e-12 * (1.0 + s[rows]))
+            root[rows[done]] = s[rows[done]]
+            rows = rows[~lost & ~done & (s[rows] <= s_max)]
+        # a row still running after the last step sits just below its root
+        root[rows] = s[rows]
+        reach = np.minimum(reach, np.where(root <= s_max, root, np.inf))
     return reach
 
 
@@ -525,11 +605,16 @@ def global_reach(
     seed: int = 0,
     fiber_nodes: int = 8,
 ) -> ReachEstimate:
-    """Infimum of ray reach over a sampled normal bundle + a cut-locus scan.
+    """Global reach, with the ray reach of a sampled normal bundle per sample.
 
-    The result is an upper estimate; the bracket widens it downward by a
-    second-order term in the boundary sample spacing, since the true infimum
-    can fall between sampled rays but the reach varies smoothly there.
+    On a union of disjoint ``WulffBody``s it is half the least pairwise
+    phi_* gap, and the bracket holds the certified lower and upper bounds of
+    that half gap.  Elsewhere it is the infimum of the sampled ray reaches
+    and of the distances of multi-foot points found by a Monte-Carlo scan of
+    ``n_scan`` points, an upper estimate; the bracket widens it downward by
+    a second-order term in the boundary sample spacing, since the true
+    infimum can fall between sampled rays but the reach varies smoothly
+    there.
 
     Memoized on the shape (``Shape.reach_estimates``) by norm key and the
     other arguments; every caller gets the one read-only estimate.
@@ -549,13 +634,6 @@ def _global_reach(shape, norm, n_samples, n_scan, seed, fiber_nodes):
         return ReachEstimate(np.array([np.inf]), np.inf, (np.inf, np.inf), True)
 
     strata = shape.boundary_strata(n=n_samples, seed=seed)
-    spacing = 0.0
-    # a union's stratum of one dimension may come in pieces of several kinds;
-    # corners (dimension 0) carry weight 1 each and no spacing
-    for m in {s.index for s in strata} - {0}:
-        w = np.concatenate([s.weights for s in strata if s.index == m])
-        if len(w) > 1:
-            spacing = max(spacing, _median(w))
     rays_a, rays_u = [], []
     for s in strata:
         uu, _ = fiber_quadrature(s.kind, s.fibers, fiber_nodes)  # (F, q, d)
@@ -563,7 +641,24 @@ def _global_reach(shape, norm, n_samples, n_scan, seed, fiber_nodes):
         rays_u.append(uu.reshape(-1, shape.dim))
     rays_eta = norm.grad(np.concatenate(rays_u))
     per_sample = reach_along(shape, norm, np.concatenate(rays_a), rays_eta, validate=False)
+
+    pieces = _convex_components(shape)
+    if pieces is not None and all(isinstance(c, WulffBody) for c in pieces):
+        # a point with two feet lies between two pieces, at least half their
+        # gap from both, and the midpoint of their nearest pair attains that
+        pairs = [(p, q) for i, p in enumerate(pieces) for q in pieces[i + 1 :]]
+        lower, upper = _gap_bounds(pairs, norm)
+        g = 0.5 * float(upper.min())
+        return ReachEstimate(per_sample, g, (0.5 * float(lower.min()), g), False)
+
     g = float(per_sample.min())
+    spacing = 0.0
+    # a union's stratum of one dimension may come in pieces of several kinds;
+    # corners (dimension 0) carry weight 1 each and no spacing
+    for m in {s.index for s in strata} - {0}:
+        w = np.concatenate([s.weights for s in strata if s.index == m])
+        if len(w) > 1:
+            spacing = max(spacing, _median(w))
 
     # Monte-Carlo scan for multi-foot points: any hit caps the reach from above
     rng = np.random.default_rng(seed + 1)
@@ -580,15 +675,115 @@ def _global_reach(shape, norm, n_samples, n_scan, seed, fiber_nodes):
     return ReachEstimate(per_sample, g2, bracket, not np.isfinite(g2))
 
 
-def _multi_foot_cap(shape, norm, pts):
-    """Smallest distance among scanned points with >= 2 distinct feet."""
-    from .shapes import DisjointUnion
+def _gap_bounds(pairs, norm) -> tuple[np.ndarray, np.ndarray]:
+    """Certified bounds on the phi_* gap min phi_*(b - a) of Wulff body pairs (A, B).
 
+    The gap is the distance from 0 to B - A, so by separation it is the
+    maximum over u of f(u) = N(u)/phi(u), N(u) = -h_A(u) - h_B(-u) with h
+    from ``WulffBody.support``.  N is concave and f 0-homogeneous, so f has
+    one maximal arc where it is positive.  N(u) = u.(b - a), a and b the
+    support points of A at u and of B at -u, so f(u) <= phi_*(b - a) for
+    every u: at the u* found, f(u*) is a lower bound and phi_*(b* - a*) an
+    upper one, equal at the maximum.  u* is the best of ``GAP_GRID`` angles
+    refined by a golden section between its neighbours (2d), or the best
+    point of an 8 ``GAP_GRID`` Fibonacci sphere refined by Newton on the
+    tangent plane (3d), with -(Psi'' + |f| phi'')/phi as the Hessian of f,
+    Psi = rho_A psi_A + rho_B psi_B: negative definite, and exact at the
+    maximum, where grad f = 0.  Returns (lower, upper) per pair; a lower
+    bound <= 0 means the bodies meet.
+    """
+
+    def values(u):
+        # f at u (P, m, d) for the search: N = (c_B - c_A).u - rho_A psi_A(u)
+        # - rho_B psi_B(u), as psi is even, with each body norm evaluated once
+        n = np.einsum("pmd,pd->pm", u, np.stack([B.center - A.center for A, B in pairs]))
+        psi = {}
+        for k, pair in enumerate(pairs):
+            for body in pair:
+                if body.norm.key not in psi:
+                    psi[body.norm.key] = body.norm.value(u)
+                n[k] -= body.radius * psi[body.norm.key][k]
+        return n / norm.value(u)
+
+    def supports(sub, u):
+        # f and the support points a of A at u and b of B at -u, for pairs
+        # ``sub`` at u (P, d)
+        sa = [A.support(v) for (A, _), v in zip(sub, u)]
+        sb = [B.support(-v) for (_, B), v in zip(sub, u)]
+        f = -np.array([ha + hb for (ha, _), (hb, _) in zip(sa, sb)]) / norm.value(u)
+        return f, np.stack([p for _, p in sa]), np.stack([p for _, p in sb])
+
+    P = len(pairs)
+    if norm.dim == 2:
+        step = 2.0 * np.pi / GAP_GRID
+        th = step * np.arange(GAP_GRID)
+        lo = th[np.argmax(values(np.broadcast_to(_circle(th), (P, GAP_GRID, 2))), axis=1)]
+        lo, hi = lo - step, lo + step
+
+        def F(t):
+            return values(_circle(t)[:, None, :])[:, 0]
+
+        g = (np.sqrt(5.0) - 1.0) / 2.0
+        x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+        f1, f2 = F(x1), F(x2)
+        for _ in range(GOLDEN_STEPS):
+            # the maximum lies in [lo, x2] or in [x1, hi]; the kept inner
+            # point is the new bracket's x2 or x1
+            left = f1 >= f2
+            hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
+            keep, f_keep = np.where(left, x1, x2), np.where(left, f1, f2)
+            new = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
+            f_new = F(new)
+            x1, f1 = np.where(left, new, keep), np.where(left, f_new, f_keep)
+            x2, f2 = np.where(left, keep, new), np.where(left, f_keep, f_new)
+        u = _circle(np.where(f1 >= f2, x1, x2))
+    else:
+        dirs = fibonacci_sphere(8 * GAP_GRID)
+
+        def ascent(u, rows):
+            sub = [pairs[i] for i in rows]
+            f, a, b = supports(sub, u)
+            pu = norm.value(u)
+            gf = ((b - a) - f[:, None] * norm.grad(u)) / pu[:, None]
+            return sub, f, pu, gf - u * row_dot(gf, u)[:, None]
+
+        def probe(u, rows):
+            _, f, _, gf = ascent(u, rows)
+            return -f, np.linalg.norm(gf, axis=-1)
+
+        def newton_step(u, rows):
+            sub, f, pu, gf = ascent(u, rows)
+            T = tangent_basis(u)
+            # Psi'' at u; psi is even, so B's term at -u equals its term at u
+            H = np.stack([A.radius * A.norm.hessian(v) + B.radius * B.norm.hessian(v)
+                          for (A, B), v in zip(sub, u)])
+            H = (H + np.abs(f)[:, None, None] * norm.hessian(u)) / pu[:, None, None]
+            coef = _solve_rows(T @ H @ np.swapaxes(T, -1, -2), np.einsum("mkd,md->mk", T, gf))
+            return np.einsum("mk,mkd->md", coef, T)
+
+        u0 = dirs[np.argmax(values(np.broadcast_to(dirs, (P,) + dirs.shape)), axis=1)]
+        u, _, _ = _newton_rows(u0, probe, newton_step, unit_rows, 30, 1e-12, 20)
+    f, a, b = supports(pairs, u)
+    upper = norm.conjugate(b - a)
+    return np.minimum(f, upper), upper
+
+
+def _multi_foot_cap(shape, norm, pts):
+    """Smallest distance among scanned points with >= 2 distinct feet.
+
+    A union's components and a segment union's segments each give one
+    candidate foot per point, and a tie between two that lie apart is a
+    second foot; other shapes read the chart solver's candidates.
+    """
     sep = TOL_MULTI_REL * shape.diameter
     if isinstance(shape, DisjointUnion):
-        per = []
-        for c in shape.components:
-            per.append(nearest_points(c, norm, pts))
+        pieces = shape.components
+    elif isinstance(shape, SegmentUnion):
+        pieces = [SegmentUnion([seg]) for seg in shape.segments]
+    else:
+        pieces = None
+    if pieces is not None:
+        per = [nearest_points(c, norm, pts) for c in pieces]
         deltas = np.stack([p[1] for p in per])  # (k, N)
         feet = np.stack([p[0] for p in per])  # (k, N, d)
         dmin = deltas.min(axis=0)

@@ -508,6 +508,15 @@ class WulffBody(Shape):
         x = np.asarray(x, dtype=float)
         return self.norm.conjugate(x - self.center) <= self.radius + tol
 
+    def support(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """Support function h(u) = c.u + rho psi(u) and the support point c + rho grad psi(u).
+
+        psi is the body's own norm; u (..., d) need not be a unit vector.
+        """
+        u = np.asarray(u, dtype=float)
+        h = u @ self.center + self.radius * self.norm.value(u)
+        return h, self.center + self.radius * self.norm.grad(u)
+
     def bounding_box(self):
         # support of W in axis directions: h_W(e) = phi(e)
         ext = np.array(
@@ -1114,6 +1123,20 @@ class DisjointUnion(Shape):
         self._validate_gaps(margin)
 
     def _validate_gaps(self, margin):
+        comps = self.components
+        if all(isinstance(c, WulffBody) for c in comps):
+            from .projection import _gap_bounds
+
+            # the exact Euclidean gap of each pair: its lower bound, which is
+            # signed, negative where the bodies overlap
+            idx = [(i, j) for i in range(len(comps)) for j in range(i + 1, len(comps))]
+            lower, _ = _gap_bounds([(comps[i], comps[j]) for i, j in idx], EuclideanNorm(self.dim))
+            for (i, j), gap in zip(idx, lower):
+                if gap <= 0:
+                    raise ValueError(f"components {i} and {j} overlap")
+                if gap <= margin:
+                    raise ValueError(f"components {i} and {j} are not separated (gap {gap:.2e})")
+            return
         top = self.dim - 1
         clouds = [
             np.concatenate([s.points for s in c.boundary_strata(n=256) if s.index == top])

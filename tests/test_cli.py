@@ -294,6 +294,18 @@ class TestMainEntry:
         assert f"line {line}" in err and f"field {field!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("samples", ["-5", "0"])
+    @pytest.mark.parametrize("ctype", ["measures", "tube", "verify", "reach", "norm-check"])
+    def test_nonpositive_samples_exits_two(self, tmp_path, capsys, ctype, samples):
+        rho = "rho = 0.5\n" if ctype == "tube" else ""
+        text = MINI + f"\n[check bad]\ntype = {ctype}\nshape = square\nnorm = euclid\n"
+        text += f"{rho}samples = {samples}\n"
+        line = text.splitlines().index("[check bad]") + 1
+        assert main([ctype, str(write_config(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}" in err and "field 'samples'" in err
+        assert "Traceback" not in err
+
     def test_empty_rho_list_in_json_config_exits_two(self, tmp_path, capsys):
         doc = {
             "norms": {"euclid": {"kind": "euclidean", "dim": 2}},

@@ -32,6 +32,7 @@ from reachgeom.projection import (
 from reachgeom.shapes import (
     Ball,
     CapLens,
+    DisjointUnion,
     Ellipsoid,
     WulffBody,
     fiber_nodes,
@@ -474,6 +475,17 @@ class TestReach:
             assert np.isfinite(_multi_foot_cap(comp, Q41, pts[i : i + 1])) == m, i
         assert _multi_foot_cap(comp, Q41, pts) == min(val[np.array(multi)])
 
+    def test_segment_ties_take_no_chart_solver(self, monkeypatch):
+        # on y = 0 the two segments of segment-pair are both nearest, at
+        # phi_*((0, 1)) = 1 under diag(4, 1); (1, 0.5) has one foot
+        def no_solver(*args):
+            raise AssertionError("the chart solver ran")
+
+        monkeypatch.setattr(projection, "_solver", no_solver)
+        pts = np.array([[0.3, 0.0], [1.0, 0.5], [-1.5, 0.0]])
+        assert _multi_foot_cap(make_catalog_shape("segment-pair"), Q41, pts) == 1.0
+        assert _multi_foot_cap(make_catalog_shape("segment-pair"), Q41, pts[1:2]) == np.inf
+
     @given(st.floats(min_value=0.05, max_value=0.45))
     @settings(max_examples=20, deadline=None)
     def test_lens_complement_reach_hits_cut_locus(self, eps):
@@ -710,6 +722,84 @@ class TestGlobalReachRays:
                     rays_eta.append(norm.grad(ui))
         assert np.array_equal(got["a"], np.stack(rays_a))
         assert np.array_equal(got["eta"], np.stack(rays_eta))
+
+
+def _moved(union, lam, t):
+    """lam * union + t, component by component."""
+    return DisjointUnion(
+        [WulffBody(c.norm, lam * c.center + t, lam * c.radius) for c in union.components]
+    )
+
+
+class TestUnionGap:
+    """The reach of a union of disjoint Wulff bodies is half their least phi_* gap."""
+
+    @pytest.mark.parametrize(
+        "key, norm, want",
+        [
+            ("two-disks-gap1", EllipsoidalNorm(np.diag([2.0, 1.0])), 1.0 / (2.0 * np.sqrt(2.0))),
+            ("two-disks-gap1", Q41, 0.25),
+            ("two-disks-gap1", EllipsoidalNorm(np.diag([9.0, 1.0])), 1.0 / 6.0),
+            ("two-disks-gap1", E2, 0.5),
+            ("two-balls-3d", EuclideanNorm(3), 2.0),
+        ],
+        ids=["diag-2", "diag-4", "diag-9", "E2", "two-balls-E3"],
+    )
+    def test_half_gap_matches_the_closed_form(self, key, norm, want):
+        est = global_reach(make_catalog_shape(key, norm), norm, n_samples=64)
+        r = est.global_reach
+        assert abs(r - want) <= 1e-12
+        lo, hi = est.bracket
+        assert lo <= r <= hi and hi - lo <= 1e-12 * (1.0 + r)
+        assert abs(lo - want) <= 1e-12
+        assert not est.is_infinite
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_gap_of_dual_balls_under_their_own_norm(self, dim):
+        # phi_* balls of radii r1, r2 lie phi_*(c2 - c1) - r1 - r2 apart
+        norm = SmoothedLpNorm(dim, 3)
+        rng = np.random.default_rng(dim)
+        pairs, want = [], []
+        for _ in range(4):
+            c = rng.standard_normal(dim)
+            c *= 4.0 / np.linalg.norm(c)
+            r1, r2 = rng.uniform(0.5, 1.2, 2)
+            pairs.append((WulffBody(norm, np.zeros(dim), r1), WulffBody(norm, c, r2)))
+            want.append(float(norm.conjugate(c)) - r1 - r2)
+        lower, upper = projection._gap_bounds(pairs, norm)
+        assert (lower <= upper).all()
+        npt.assert_allclose(lower, want, rtol=0, atol=1e-12)
+        npt.assert_allclose(upper, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "key, norm",
+        [
+            ("two-disks-mixed", Q41),
+            ("three-wulff", Q41),
+            ("three-wulff", SmoothedLpNorm(2, 3)),
+            ("two-balls-3d", EllipsoidalNorm(np.diag([4.0, 1.0, 2.0]))),
+        ],
+        ids=["mixed", "three-wulff", "three-wulff-lp", "two-balls"],
+    )
+    def test_translation_invariance_and_scaling(self, key, norm):
+        shape = make_catalog_shape(key, norm)
+        r = global_reach(shape, norm, n_samples=32).global_reach
+        t = np.linspace(0.3, -1.7, shape.dim)
+        assert global_reach(_moved(shape, 1.0, t), norm, n_samples=32).global_reach == (
+            pytest.approx(r, rel=1e-12)
+        )
+        for lam in (0.5, 3.0):
+            got = global_reach(_moved(shape, lam, t), norm, n_samples=32).global_reach
+            assert got == pytest.approx(lam * r, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "key, norm",
+        [("two-disks-gap1", Q41), ("three-wulff", Q41), ("two-balls-3d", EuclideanNorm(3))],
+        ids=["two-disks", "three-wulff", "two-balls"],
+    )
+    def test_half_gap_is_at_most_every_ray_reach(self, key, norm):
+        est = global_reach(make_catalog_shape(key, norm), norm, n_samples=256)
+        assert est.global_reach <= est.per_sample.min()
 
 
 class TestClassify:

@@ -309,6 +309,24 @@ class TestSegmentsAndUnions:
         with pytest.raises(ValueError):
             DisjointUnion([Ball([0.0, 0.0], 1.0), Ball([1.9, 0.0], 1.0)])
 
+    def test_shallow_overlap_is_an_overlap(self):
+        # the balls overlap by 1e-4, a cap no 256-point boundary cloud samples
+        with pytest.raises(ValueError, match="overlap"):
+            DisjointUnion([Ball([0.0, 0.0, 0.0], 1.0), Ball([0.0, 0.0, 1.9999], 1.0)])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_touching_pair_is_rejected_and_a_gap_above_the_margin_is_not(self, dim):
+        def pair(gap):
+            far = np.zeros(dim)
+            far[0] = 2.0 + gap
+            return [Ball(np.zeros(dim), 1.0), Ball(far, 1.0)]
+
+        with pytest.raises(ValueError, match="overlap|not separated"):
+            DisjointUnion(pair(0.0))
+        with pytest.raises(ValueError, match="not separated"):
+            DisjointUnion(pair(1e-7))
+        assert DisjointUnion(pair(1e-5)).dim == dim
+
     def test_union_projection_picks_nearest_component(self):
         u = make_catalog_shape("two-disks-gap1")
         feet, d = u.exact_projection(E2, np.array([[0.3, 0.0], [2.0, 0.0]]))
