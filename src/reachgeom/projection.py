@@ -37,7 +37,7 @@ Reach takes one of two routes:
   Newton on each component's slack of the distance predicate
   (``_union_reach``); when the components are all ``WulffBody``s,
   ``global_reach`` is half their least pairwise phi_* gap, with certified
-  bounds (``_gap_bounds``);
+  bounds (``shapes._gap_bounds``);
 * complements, ``SegmentUnion``s and unions with a non-convex component:
   ``reach_along`` brackets each ray to the tolerance of the predicate
   (``_bracket_reach``).  These, and unions with a convex component that is
@@ -65,8 +65,8 @@ from typing import Optional
 
 import numpy as np
 
-from .norms import Norm, _newton_rows, _solve_rows, row_dot, tangent_basis, unit_rows
-from .shapes import DisjointUnion, SegmentUnion, Shape, WulffBody, _circle, fibonacci_sphere
+from .norms import Norm, _newton_rows, _solve_rows, row_dot
+from .shapes import DisjointUnion, SegmentUnion, Shape, WulffBody, _gap_bounds
 from .shapes import fiber_nodes as fiber_quadrature
 
 __all__ = [
@@ -90,8 +90,6 @@ TOL_EQ_REL = 1e-7  # delta equality for multiplicity, relative to 1 + delta
 SEED_GRID = 64  # seeds per 1d chart, 4x that per 2d chart
 SEEDS_PER_CHART = 8  # nearest seeds polished per chart and query point
 _CHART_CHUNK = 256  # rows per seed search of _ChartSolver.feet_batch
-GAP_GRID = 256  # directions of the 2d gap search, 8x that on the 3d Fibonacci sphere
-GOLDEN_STEPS = 32  # shrink the 2d gap bracket, 2 x 2 pi / GAP_GRID wide, to 1e-8
 RAY_NEWTON_ITERS = 60  # Newton steps of _union_reach per ray and piece
 
 
@@ -673,99 +671,6 @@ def _global_reach(shape, norm, n_samples, n_scan, seed, fiber_nodes):
     slack = 2.0 * spacing**2 / max(g2, 1e-12)
     bracket = (max(g2 - slack, 0.0), g2)
     return ReachEstimate(per_sample, g2, bracket, not np.isfinite(g2))
-
-
-def _gap_bounds(pairs, norm) -> tuple[np.ndarray, np.ndarray]:
-    """Certified bounds on the phi_* gap min phi_*(b - a) of Wulff body pairs (A, B).
-
-    The gap is the distance from 0 to B - A, so by separation it is the
-    maximum over u of f(u) = N(u)/phi(u), N(u) = -h_A(u) - h_B(-u) with h
-    from ``WulffBody.support``.  N is concave and f 0-homogeneous, so f has
-    one maximal arc where it is positive.  N(u) = u.(b - a), a and b the
-    support points of A at u and of B at -u, so f(u) <= phi_*(b - a) for
-    every u: at the u* found, f(u*) is a lower bound and phi_*(b* - a*) an
-    upper one, equal at the maximum.  u* is the best of ``GAP_GRID`` angles
-    refined by a golden section between its neighbours (2d), or the best
-    point of an 8 ``GAP_GRID`` Fibonacci sphere refined by Newton on the
-    tangent plane (3d), with -(Psi'' + |f| phi'')/phi as the Hessian of f,
-    Psi = rho_A psi_A + rho_B psi_B: negative definite, and exact at the
-    maximum, where grad f = 0.  Returns (lower, upper) per pair; a lower
-    bound <= 0 means the bodies meet.
-    """
-
-    def values(u):
-        # f at u (P, m, d) for the search: N = (c_B - c_A).u - rho_A psi_A(u)
-        # - rho_B psi_B(u), as psi is even, with each body norm evaluated once
-        n = np.einsum("pmd,pd->pm", u, np.stack([B.center - A.center for A, B in pairs]))
-        psi = {}
-        for k, pair in enumerate(pairs):
-            for body in pair:
-                if body.norm.key not in psi:
-                    psi[body.norm.key] = body.norm.value(u)
-                n[k] -= body.radius * psi[body.norm.key][k]
-        return n / norm.value(u)
-
-    def supports(sub, u):
-        # f and the support points a of A at u and b of B at -u, for pairs
-        # ``sub`` at u (P, d)
-        sa = [A.support(v) for (A, _), v in zip(sub, u)]
-        sb = [B.support(-v) for (_, B), v in zip(sub, u)]
-        f = -np.array([ha + hb for (ha, _), (hb, _) in zip(sa, sb)]) / norm.value(u)
-        return f, np.stack([p for _, p in sa]), np.stack([p for _, p in sb])
-
-    P = len(pairs)
-    if norm.dim == 2:
-        step = 2.0 * np.pi / GAP_GRID
-        th = step * np.arange(GAP_GRID)
-        lo = th[np.argmax(values(np.broadcast_to(_circle(th), (P, GAP_GRID, 2))), axis=1)]
-        lo, hi = lo - step, lo + step
-
-        def F(t):
-            return values(_circle(t)[:, None, :])[:, 0]
-
-        g = (np.sqrt(5.0) - 1.0) / 2.0
-        x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
-        f1, f2 = F(x1), F(x2)
-        for _ in range(GOLDEN_STEPS):
-            # the maximum lies in [lo, x2] or in [x1, hi]; the kept inner
-            # point is the new bracket's x2 or x1
-            left = f1 >= f2
-            hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
-            keep, f_keep = np.where(left, x1, x2), np.where(left, f1, f2)
-            new = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
-            f_new = F(new)
-            x1, f1 = np.where(left, new, keep), np.where(left, f_new, f_keep)
-            x2, f2 = np.where(left, keep, new), np.where(left, f_keep, f_new)
-        u = _circle(np.where(f1 >= f2, x1, x2))
-    else:
-        dirs = fibonacci_sphere(8 * GAP_GRID)
-
-        def ascent(u, rows):
-            sub = [pairs[i] for i in rows]
-            f, a, b = supports(sub, u)
-            pu = norm.value(u)
-            gf = ((b - a) - f[:, None] * norm.grad(u)) / pu[:, None]
-            return sub, f, pu, gf - u * row_dot(gf, u)[:, None]
-
-        def probe(u, rows):
-            _, f, _, gf = ascent(u, rows)
-            return -f, np.linalg.norm(gf, axis=-1)
-
-        def newton_step(u, rows):
-            sub, f, pu, gf = ascent(u, rows)
-            T = tangent_basis(u)
-            # Psi'' at u; psi is even, so B's term at -u equals its term at u
-            H = np.stack([A.radius * A.norm.hessian(v) + B.radius * B.norm.hessian(v)
-                          for (A, B), v in zip(sub, u)])
-            H = (H + np.abs(f)[:, None, None] * norm.hessian(u)) / pu[:, None, None]
-            coef = _solve_rows(T @ H @ np.swapaxes(T, -1, -2), np.einsum("mkd,md->mk", T, gf))
-            return np.einsum("mk,mkd->md", coef, T)
-
-        u0 = dirs[np.argmax(values(np.broadcast_to(dirs, (P,) + dirs.shape)), axis=1)]
-        u, _, _ = _newton_rows(u0, probe, newton_step, unit_rows, 30, 1e-12, 20)
-    f, a, b = supports(pairs, u)
-    upper = norm.conjugate(b - a)
-    return np.minimum(f, upper), upper
 
 
 def _multi_foot_cap(shape, norm, pts):

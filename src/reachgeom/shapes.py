@@ -30,7 +30,10 @@ from .norms import (
     EuclideanNorm,
     NonConvergenceError,
     Norm,
+    _newton_rows,
+    _solve_rows,
     row_dot,
+    tangent_basis,
     unit_rows,
 )
 
@@ -53,6 +56,8 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-9
+GAP_GRID = 256  # directions of the 2d gap search, 8x that on the 3d Fibonacci sphere
+GOLDEN_STEPS = 32  # shrink the 2d gap bracket, 2 x 2 pi / GAP_GRID wide, to 1e-8
 
 
 class EmptyInteriorError(ValueError):
@@ -508,14 +513,14 @@ class WulffBody(Shape):
         x = np.asarray(x, dtype=float)
         return self.norm.conjugate(x - self.center) <= self.radius + tol
 
-    def support(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """Support function h(u) = c.u + rho psi(u) and the support point c + rho grad psi(u).
-
-        psi is the body's own norm; u (..., d) need not be a unit vector.
-        """
+    def support(self, u) -> np.ndarray:
+        """Support function h(u) = c.u + rho psi(u), psi the body's own norm; u (..., d)."""
         u = np.asarray(u, dtype=float)
-        h = u @ self.center + self.radius * self.norm.value(u)
-        return h, self.center + self.radius * self.norm.grad(u)
+        return u @ self.center + self.radius * self.norm.value(u)
+
+    def support_point(self, u) -> np.ndarray:
+        """The point c + rho grad psi(u) of the body where u attains h(u)."""
+        return self.center + self.radius * self.norm.grad(u)
 
     def bounding_box(self):
         # support of W in axis directions: h_W(e) = phi(e)
@@ -629,6 +634,90 @@ class WulffBody(Shape):
 
     def complement(self):
         return ComplementShape(self)
+
+
+def _gap_bounds(pairs, norm) -> tuple[np.ndarray, np.ndarray]:
+    """Certified bounds on the phi_* gap min phi_*(b - a) of Wulff body pairs (A, B).
+
+    The gap is the distance from 0 to B - A, so by separation it is the
+    maximum over u of f(u) = N(u)/phi(u), N(u) = -h_A(u) - h_B(-u) with h
+    from ``WulffBody.support``.  N is concave and f 0-homogeneous, so f has
+    one maximal arc where it is positive.  N(u) = u.(b - a), a and b the
+    support points (``WulffBody.support_point``) of A at u and of B at -u,
+    so f(u) <= phi_*(b - a) for every u: at the u* found, f(u*) is a lower
+    bound and phi_*(b* - a*) an upper one, equal at the maximum.  u* is
+    the best of ``GAP_GRID`` angles refined by a golden section between its
+    neighbours (2d), or the best point of an 8 ``GAP_GRID`` Fibonacci
+    sphere refined by Newton on the tangent plane (3d), with
+    -(Psi'' + |f| phi'')/phi as the Hessian of f, Psi = rho_A psi_A +
+    rho_B psi_B: negative definite, and exact at the maximum, where
+    grad f = 0.  Returns (lower, upper) per pair; a lower bound <= 0 means
+    the bodies meet.
+    """
+
+    def values(sub, u):
+        # f at u (P, ..., d), one row per pair of ``sub``
+        h = np.array([A.support(v) + B.support(-v) for (A, B), v in zip(sub, u)])
+        return -h / norm.value(u)
+
+    def points(sub, u):
+        # the support points a of A at u and b of B at -u, u (P, d)
+        a = np.stack([A.support_point(v) for (A, _), v in zip(sub, u)])
+        return a, np.stack([B.support_point(-v) for (_, B), v in zip(sub, u)])
+
+    P = len(pairs)
+    if norm.dim == 2:
+        step = 2.0 * np.pi / GAP_GRID
+        th = step * np.arange(GAP_GRID)
+        lo = th[np.argmax(values(pairs, np.broadcast_to(_circle(th), (P, GAP_GRID, 2))), axis=1)]
+        lo, hi = lo - step, lo + step
+
+        def F(t):
+            return values(pairs, _circle(t))
+
+        g = (np.sqrt(5.0) - 1.0) / 2.0
+        x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+        f1, f2 = F(x1), F(x2)
+        for _ in range(GOLDEN_STEPS):
+            # the maximum lies in [lo, x2] or in [x1, hi]; the kept inner
+            # point is the new bracket's x2 or x1
+            left = f1 >= f2
+            hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
+            keep, f_keep = np.where(left, x1, x2), np.where(left, f1, f2)
+            new = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
+            f_new = F(new)
+            x1, f1 = np.where(left, new, keep), np.where(left, f_new, f_keep)
+            x2, f2 = np.where(left, keep, new), np.where(left, f_keep, f_new)
+        u = _circle(np.where(f1 >= f2, x1, x2))
+    else:
+        dirs = fibonacci_sphere(8 * GAP_GRID)
+
+        def ascent(u, rows):
+            sub = [pairs[i] for i in rows]
+            f, (a, b) = values(sub, u), points(sub, u)
+            pu = norm.value(u)
+            gf = ((b - a) - f[:, None] * norm.grad(u)) / pu[:, None]
+            return sub, f, pu, gf - u * row_dot(gf, u)[:, None]
+
+        def probe(u, rows):
+            _, f, _, gf = ascent(u, rows)
+            return -f, np.linalg.norm(gf, axis=-1)
+
+        def newton_step(u, rows):
+            sub, f, pu, gf = ascent(u, rows)
+            T = tangent_basis(u)
+            # Psi'' at u; psi is even, so B's term at -u equals its term at u
+            H = np.stack([A.radius * A.norm.hessian(v) + B.radius * B.norm.hessian(v)
+                          for (A, B), v in zip(sub, u)])
+            H = (H + np.abs(f)[:, None, None] * norm.hessian(u)) / pu[:, None, None]
+            coef = _solve_rows(T @ H @ np.swapaxes(T, -1, -2), np.einsum("mkd,md->mk", T, gf))
+            return np.einsum("mk,mkd->md", coef, T)
+
+        u0 = dirs[np.argmax(values(pairs, np.broadcast_to(dirs, (P,) + dirs.shape)), axis=1)]
+        u, _, _ = _newton_rows(u0, probe, newton_step, unit_rows, 30, 1e-12, 20)
+    a, b = points(pairs, u)
+    upper = norm.conjugate(b - a)
+    return np.minimum(values(pairs, u), upper), upper
 
 
 class Ball(WulffBody):
@@ -1125,8 +1214,6 @@ class DisjointUnion(Shape):
     def _validate_gaps(self, margin):
         comps = self.components
         if all(isinstance(c, WulffBody) for c in comps):
-            from .projection import _gap_bounds
-
             # the exact Euclidean gap of each pair: its lower bound, which is
             # signed, negative where the bodies overlap
             idx = [(i, j) for i in range(len(comps)) for j in range(i + 1, len(comps))]

@@ -35,6 +35,7 @@ from reachgeom.shapes import (
     DisjointUnion,
     Ellipsoid,
     WulffBody,
+    _gap_bounds,
     fiber_nodes,
     make_catalog_shape,
 )
@@ -566,6 +567,31 @@ class TestReachBracket:
         assert sum(rows) - (~finite).sum() <= 40 * finite.sum()
 
     @pytest.mark.parametrize(
+        "key, n, complement, n_finite",
+        [("segment-pair", 64, False, 96), ("cap-lens-0.5", 16, True, 16)],
+        ids=["segment-pair", "lens-complement"],
+    )
+    def test_bracketed_rays_take_at_most_forty_rows(
+        self, monkeypatch, key, n, complement, n_finite
+    ):
+        # shapes off the union route bracket every ray through set_distance
+        shape, a, eta = self._rays(key, Q41, n, complement)
+        rows = []
+        plain = projection.set_distance
+
+        def counting(shape_, norm_, x):
+            rows.append(len(x))
+            return plain(shape_, norm_, x)
+
+        monkeypatch.setattr(projection, "set_distance", counting)
+        r = reach_along(shape, Q41, a, eta, validate=False)
+        monkeypatch.undo()
+        finite = np.isfinite(r)
+        assert finite.sum() == n_finite
+        assert rows[0] == len(a)
+        assert sum(rows) - (~finite).sum() <= 40 * finite.sum()
+
+    @pytest.mark.parametrize(
         "key, norm, n, complement",
         [
             ("two-disks-gap1", Q41, 256, False),
@@ -766,7 +792,7 @@ class TestUnionGap:
             r1, r2 = rng.uniform(0.5, 1.2, 2)
             pairs.append((WulffBody(norm, np.zeros(dim), r1), WulffBody(norm, c, r2)))
             want.append(float(norm.conjugate(c)) - r1 - r2)
-        lower, upper = projection._gap_bounds(pairs, norm)
+        lower, upper = _gap_bounds(pairs, norm)
         assert (lower <= upper).all()
         npt.assert_allclose(lower, want, rtol=0, atol=1e-12)
         npt.assert_allclose(upper, want, rtol=0, atol=1e-12)
