@@ -37,8 +37,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .curvature import BundleSample, bundle_nodes, bundle_sample
-from .norms import Norm, tangent_basis
-from .projection import distance_field
+from .norms import Norm, row_dot, tangent_basis
+from .projection import _convex_components, distance_field
 from .shapes import ConvexPolytope, EmptyInteriorError, Shape, fibonacci_sphere
 
 __all__ = [
@@ -312,17 +312,7 @@ def _unit_ball_radius(norm: Norm) -> float:
     return 1.05 * float((1.0 / norm.conjugate(u)).max())
 
 
-def _count_chunk(delta: np.ndarray, weight: np.ndarray, rho: np.ndarray, r_half: float):
-    # each delta stands for ``weight`` voxel centers
-    pos = delta > 0.0
-    order = np.argsort(delta[pos])
-    srt = delta[pos][order]
-    upto = np.concatenate(([0], np.cumsum(weight[pos][order])))
-
-    def at_most(t):
-        return upto[np.searchsorted(srt, t, side="right")]
-
-    return at_most(rho), at_most(rho + r_half) - at_most(rho - r_half), at_most(r_half)
+_BRACKET_SIZE = 4  # edge in voxels of the blocks whose middles are projected with feet
 
 
 def _box_radius(norm: Norm, half: np.ndarray) -> np.ndarray:
@@ -360,17 +350,27 @@ def voxel_tube_volume(
     count to the tube's intersection with the box.
 
     The count descends a quadtree/octree of voxel blocks instead of
-    evaluating delta at every center.  delta is 1-Lipschitz for phi_*, so
-    with R the largest phi_* over the corner offsets of a block's box of
-    centers, every center lies within R of delta at the block's middle.  A
-    block whose band [delta - R, delta + R] (R widened by 1e-9 relative plus
-    a tiny absolute term, for rounding) lies above 0 and holds none of the
-    counting levels r_half, rho, rho - r_half, rho + r_half is credited
-    whole.  On a convex set a block whose corner centers all have delta = 0
-    is interior and counts nothing.  Every other block splits, down to
-    single voxels evaluated at the dense grid's own coordinates, so counts
-    and error estimates equal those of evaluating every center.  delta
-    comes from ``distance_field``, exact on both of its routes.
+    evaluating delta at every center.  A band known to hold delta that holds
+    none of the counting levels 0, r_half, rho, rho - r_half, rho + r_half
+    (padded by 1e-9 relative plus a tiny absolute term, for rounding)
+    settles what it covers:
+
+    * delta is 1-Lipschitz for phi_*, so with R the largest phi_* over the
+      corner offsets of a block's box of centers, every center lies in
+      delta(m) +- R, m the block's middle; such a band settles the block.
+    * On a convex set with a closed-form ``exact_projection``, each
+      unclipped 4 x 4 (x 4) block with delta(m) > h (so m - p is far above
+      rounding, and never 0) is projected with its foot p.  With g = grad phi_*(m - p),
+      the set lies in {y : g . (y - p) <= 0} and phi(g) = 1, so each center
+      x has g . (x - p) <= delta(x) <= phi_*(x - p), a band that settles x;
+      the block's other centers are evaluated.  Chart feet are not exact,
+      so other pairs keep the Lipschitz band alone.
+
+    On a convex set, or on a ``DisjointUnion`` of convex components, a block
+    whose corner centers all have delta = 0 on the set or on one component
+    is interior.  Every other block splits, down to single voxels evaluated
+    at the dense grid's own coordinates, so counts and error estimates equal
+    those of evaluating every center with ``distance_field``.
 
     Returns (volumes, error estimates) aligned with ``rho_grid``.
     """
@@ -399,44 +399,80 @@ def voxel_tube_volume(
         return _mc_tube_volume(shape, norm, rho, lo, hi, mc_budget, seed)
 
     r_half = 0.5 * h * np.sqrt(d)
-    levels = np.sort(np.concatenate(([r_half], rho, rho - r_half, rho + r_half)))
+    targets = np.concatenate(([r_half], rho, rho - r_half, rho + r_half))
+    # 0 is a level, so a band that holds no level lies above 0 or at or below it
+    levels = np.sort(np.append(targets, 0.0))
+    above = np.append(levels, np.inf)
+    # hist[k]: voxels with delta > 0 and k = searchsorted(levels, delta)
+    hist = np.zeros(len(above))
+
+    def exact(delta):
+        """Credit rows of evaluated delta."""
+        hist[:] += np.bincount(np.searchsorted(levels, delta[delta > 0.0]), minlength=len(hist))
+
+    def settle(low, high, weight=None):
+        """Credit the rows whose band [low, high] holds no level; return their mask."""
+        k = np.searchsorted(levels, low)
+        ok = above[k] > high
+        hist[:] += np.bincount(k[ok], None if weight is None else weight[ok], len(hist))
+        return ok
+
     tiny = 1e-9 * (h + float(rho.max()))
-    kids = np.array(list(itertools.product((0, 1), repeat=d)))
-    corner_sel = kids.astype(bool)
-    cnt = np.zeros(len(rho), dtype=np.int64)
-    cross = np.zeros(len(rho), dtype=np.int64)
-    inner = 0
-    # level-synchronous descent from one root block over all voxel indices
+    pieces = [shape] if shape.is_convex else _convex_components(shape) or []
+    kids = np.array(list(itertools.product((0, 1), repeat=d))).T
+    # a bracketed block's centers: index offsets, and offsets from its middle
+    offsets = np.array(list(itertools.product(range(_BRACKET_SIZE), repeat=d))).T
+    steps = (offsets.T - 0.5 * (_BRACKET_SIZE - 1)) * h
+    r_unit = _box_radius(norm, np.ones((1, d)))[0]
+    # level-synchronous descent from one root block over all voxel indices;
+    # org and ext are (d, blocks), so row tests reduce over the short axis 0
     size = 1 << int(np.ceil(np.log2(counts_axis.max())))
-    org = np.zeros((1, d), dtype=np.int64)
-    while len(org):
-        ext = np.minimum(size, counts_axis - org)
-        delta = distance_field(shape, norm, lo + (org + 0.5 * ext) * h)
+    org = np.zeros((d, 1), dtype=np.int64)
+    while org.shape[1]:
+        ext = np.minimum(size, counts_axis[:, None] - org)
+        mid = (lo[:, None] + (org + 0.5 * ext) * h).T
+        res = None
+        if size == _BRACKET_SIZE and shape.is_convex:
+            res = shape.exact_projection(norm, mid)
+        delta = distance_field(shape, norm, mid) if res is None else res[1]
         if size == 1:
-            whole = np.ones(len(org), dtype=bool)
-        else:
-            R = np.full(len(org), _box_radius(norm, np.full((1, d), 0.5 * (size - 1) * h))[0])
-            clipped = (ext < size).any(axis=1)
-            R[clipped] = _box_radius(norm, 0.5 * (ext[clipped] - 1) * h)
-            R = R * (1.0 + 1e-9) + tiny
-            b_lo, b_hi = delta - R, delta + R
-            whole = (b_lo > 0.0) & (
-                np.searchsorted(levels, b_lo, side="left")
-                == np.searchsorted(levels, b_hi, side="right")
-            )
-        c, x, i = _count_chunk(delta[whole], ext[whole].prod(axis=1), rho, r_half)
-        cnt += c
-        cross += x
-        inner += int(i)
-        split = ~whole
+            exact(delta)
+            break
+        R = np.full(len(delta), 0.5 * (size - 1) * h * r_unit)
+        clipped = (ext < size).any(axis=0)
+        R[clipped] = _box_radius(norm, 0.5 * (ext[:, clipped].T - 1) * h)
+        R = R * (1.0 + 1e-9) + tiny
+        split = ~settle(delta - R, delta + R, ext.prod(axis=0))
         cand = np.flatnonzero(split & (delta == 0.0))
-        if shape.is_convex and size > 1 and len(cand):
-            corners = org[cand, None, :] + np.where(corner_sel, ext[cand, None, :] - 1, 0)
-            dc = distance_field(shape, norm, lo + (corners.reshape(-1, d) + 0.5) * h)
-            split[cand[(dc.reshape(len(cand), -1) == 0.0).all(axis=1)]] = False
+        if pieces and len(cand):
+            corners = org[:, cand, None] + kids[:, None, :] * (ext[:, cand, None] - 1)
+            pts = (lo[:, None, None] + (corners + 0.5) * h).reshape(d, -1).T
+            interior = np.zeros(len(cand), dtype=bool)
+            for piece in pieces:
+                dc = distance_field(piece, norm, pts).reshape(len(cand), -1)
+                interior |= (dc == 0.0).all(axis=1)
+            split[cand[interior]] = False
+        if res is not None:
+            v = mid - res[0]
+            br = np.flatnonzero(split & ~clipped & (delta > h))
+            if len(br):
+                split[br] = False
+                g = norm.conjugate_grad(v[br])
+                lower = row_dot(g, v[br])[:, None] + g @ steps.T
+                upper = norm.conjugate((v[br, None, :] + steps).reshape(-1, d))
+                upper = upper.reshape(len(br), -1)
+                eps = 1e-9 * upper + tiny
+                blk, j = np.nonzero(~settle(lower - eps, upper + eps))
+                if len(blk):
+                    x = lo + (org[:, br[blk]] + offsets[:, j] + 0.5).T * h
+                    exact(distance_field(shape, norm, x))
         size //= 2
-        org = (org[split, None, :] + size * kids).reshape(-1, d)
-        org = org[(org < counts_axis).all(axis=1)]
+        org = (org[:, split, None] + size * kids[:, None, :]).reshape(d, -1)
+        org = org[:, (org < counts_axis[:, None]).all(axis=0)]
+    count = np.cumsum(hist).astype(np.int64)[np.searchsorted(levels, targets)]
+    n = len(rho)
+    inner, cnt = count[0], count[1 : n + 1]
+    cross = count[2 * n + 1 :] - count[n + 1 : 2 * n + 1]
     cell = h**d
     return cnt * cell, (cross + 2 * inner) * cell
 

@@ -333,12 +333,17 @@ def set_distance(shape: Shape, norm: Norm, x) -> np.ndarray:
 
 
 def grad_delta(shape: Shape, norm: Norm, x) -> np.ndarray:
-    """Gradient of the distance at exterior points: grad phi_*(x - foot)."""
+    """Gradient of the distance at exterior points: grad phi_*(x - foot).
+
+    A point whose foot is itself is not exterior, even where rounding leaves
+    its distance a few ulps above 0.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     feet, delta = nearest_points(shape, norm, x)
-    if (delta <= 0).any():
+    v = x - feet
+    if (delta <= 0).any() or not v.any(axis=-1).all():
         raise ValueError("grad_delta is defined at exterior points only")
-    return norm.conjugate_grad(x - feet)
+    return norm.conjugate_grad(v)
 
 
 def project(shape: Shape, norm: Norm, x) -> ProjectionResult:

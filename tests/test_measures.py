@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachgeom import measures
+from reachgeom import measures, shapes
 from reachgeom.curvature import BundleSample, bundle_sample
 from reachgeom.measures import (
     BudgetExceeded,
@@ -30,13 +30,14 @@ from reachgeom.measures import (
     volume_derivatives,
     voxel_tube_volume,
 )
-from reachgeom.norms import EllipsoidalNorm, EuclideanNorm
+from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm
 from reachgeom.projection import distance_field
 from reachgeom.shapes import (
     Ball,
     ConvexPolytope,
     Ellipsoid,
     EmptyInteriorError,
+    WulffBody,
     make_catalog_shape,
 )
 
@@ -433,6 +434,84 @@ class TestPrunedCount:
         h = outside.diameter / 256
         got = voxel_tube_volume(outside, E2, self.RHO, h)
         want = _dense_tube_volume(outside, E2, self.RHO, h)
+        npt.assert_array_equal(got[0], want[0])
+        npt.assert_array_equal(got[1], want[1])
+
+
+def _delta_rows(monkeypatch, shape, norm, rho, h):
+    """delta evaluations of one voxel count: the rows of outermost exact_projection calls.
+
+    Every distance, on a closed-form pair, starts in a shape's
+    ``exact_projection``; a union's or a lens's calls into its own pieces are
+    not counted again.
+    """
+    rows, depth = [0], [0]
+
+    def counting(fn):
+        def wrapper(self, norm, x):
+            if not depth[0]:
+                rows[0] += len(np.atleast_2d(x))
+            depth[0] += 1
+            try:
+                return fn(self, norm, x)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for cls in vars(shapes).values():
+        if isinstance(cls, type) and issubclass(cls, shapes.Shape):
+            if "exact_projection" in vars(cls):
+                wrapped = counting(vars(cls)["exact_projection"])
+                monkeypatch.setattr(cls, "exact_projection", wrapped)
+    got = voxel_tube_volume(shape, norm, rho, h)
+    monkeypatch.undo()
+    want = _dense_tube_volume(shape, norm, rho, h)
+    npt.assert_array_equal(got[0], want[0])
+    npt.assert_array_equal(got[1], want[1])
+    return rows[0]
+
+
+class TestFootBrackets:
+    """Foot brackets and the per-component interior rule keep the dense count."""
+
+    RHO = TestPrunedCount.RHO
+
+    def test_brackets_settle_most_block_centers(self, monkeypatch):
+        # the Lipschitz band alone needs 41,271 delta rows on this grid
+        disk = make_catalog_shape("disk")
+        assert _delta_rows(monkeypatch, disk, Q41, self.RHO, disk.diameter / 256) <= 41_271 // 2
+
+    def test_interior_rule_per_union_component(self, monkeypatch):
+        # a union of convex disks is not convex, but a block inside one disk
+        # is interior; without the rule the count needs 35,444 delta rows
+        two = make_catalog_shape("two-disks-gap1")
+        assert _delta_rows(monkeypatch, two, E2, self.RHO, two.diameter / 256) <= 25_000
+
+    @pytest.mark.parametrize(
+        "shape,norm,h",
+        [
+            (Ball([0.1, 0.0, -0.2], 1.0), Q411, 2.0 / 40),
+            (WulffBody(SmoothedLpNorm(2, 3.0)), SmoothedLpNorm(2, 3.0), None),
+        ],
+        ids=["ball-3d-quadratic", "wulff-own-norm"],
+    )
+    def test_equals_dense_grid(self, shape, norm, h):
+        h = h or shape.diameter / 128
+        got = voxel_tube_volume(shape, norm, self.RHO, h)
+        want = _dense_tube_volume(shape, norm, self.RHO, h)
+        npt.assert_array_equal(got[0], want[0])
+        npt.assert_array_equal(got[1], want[1])
+
+    def test_equals_dense_grid_off_the_closed_form(self):
+        # no closed form for the disk under smoothed-lp: its chart feet are
+        # not exact enough for a bracket, so the Lipschitz band stays alone
+        disk, norm = make_catalog_shape("disk"), SmoothedLpNorm(2, 3.0)
+        # 8 x 4 voxels, so the descent passes a 4 x 4 level below the root
+        rho, h, win = (0.1, 0.15), disk.diameter / 64, ([1.05, 0.0], [1.29, 0.12])
+        got = voxel_tube_volume(disk, norm, rho, h, window=win)
+        want = _dense_tube_volume(disk, norm, rho, h, window=win)
+        assert want[0][-1] > 0
         npt.assert_array_equal(got[0], want[0])
         npt.assert_array_equal(got[1], want[1])
 

@@ -170,6 +170,18 @@ class TestDistanceInvariants:
             )
             npt.assert_allclose(fd, g[:, k], atol=1e-4)
 
+    def test_gradient_rejects_boundary_points_with_rounded_distance(self):
+        # on the boundary the closed form can return delta ~ 1e-16 with the
+        # foot equal to the point; there is no exterior gradient to give
+        ball = Ball([1.5, 0.0], 1.0)
+        t = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)
+        x = np.c_[1.5 + np.cos(t), np.sin(t)]
+        feet, delta = nearest_points(ball, Q41, x)
+        rounded = x[(delta > 0) & ~(x - feet).any(axis=1)]
+        assert len(rounded)
+        with pytest.raises(ValueError, match="exterior points only"):
+            grad_delta(ball, Q41, rounded[0])
+
     @pytest.mark.parametrize("norm", [E2, Q41], ids=["euclid", "q41"])
     def test_foot_constant_along_normal_ray(self, norm):
         shape = make_catalog_shape("disk", norm)
