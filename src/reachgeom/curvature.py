@@ -15,16 +15,10 @@ read as an infinite curvature.  This single code path covers smooth strata
 out infinite automatically, since there the level set locally matches a
 sphere of radius r around the stratum).
 
-The probes a + r eta +- h tau sit within h of a + r eta, whose foot is a,
-so their feet are found by a local polish from a rather than a global search
-(``projection._probe_feet``).  Inside the reach the nearest-point map is
-Lipschitz with constant reach/(reach - r) (Federer 1959, Thm 4.8; in the
-coordinates where the dual norm is Euclidean, hence a norm-equivalence factor
-in ambient ones), and r is at most ``PROBE_REACH_FRAC`` of the ray reach, or
-twice that for the audit.  A polished foot farther from a than that bound, or
-a probe with no bound (r at or past the stated reach), falls back to the
-global route ``nearest_points``: a check, not a setting.  The bound assumes
-the stated reach; an overstated one can let a stationary point at a through.
+The probes a + r eta +- h tau, with r at most ``PROBE_REACH_FRAC`` of the ray
+reach (twice that for the audit), take their feet from ``nearest_points``:
+the shape's closed form, or the support search, which is global, so a probe
+needs no reach to be certified.
 
 ``pointwise_shape_operator`` is this probe at one bundle point (a, u) with
 the same reach and probe radius as ``bundle_sample``; it returns
@@ -44,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .norms import Norm, tangent_basis
-from .projection import _probe_feet, reach_along
+from .projection import nearest_points, reach_along
 from .shapes import Shape, fiber_tangents
 from .shapes import fiber_nodes as fiber_quadrature
 
@@ -131,20 +125,11 @@ def elementary_symmetric(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def normal_matrices(
-    shape: Shape, norm: Norm, a, eta, r, reach=np.inf
+    shape: Shape, norm: Norm, a, eta, r
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tangent-plane matrices of the normal field at probes a + r eta.
 
-    ``reach`` is the ray reach at (a, eta), above r.  It sizes the
-    neighbourhood of a in which the probe feet are certified (see the module
-    docstring); the default +inf is exact for convex sets.  An overstated
-    reach can certify a wrong foot: past the focal point a is still
-    stationary for the polish, so the foot stays at a and passes the
-    neighbourhood check.  On the disk complement under diag(4, 1), with
-    a = (0, 1), eta = (0, -1), r = 0.4 and a stated reach of 100, the probe
-    distance comes out 0.4 where the true one is 0.3606.  So pass the reach
-    from ``reach_along``.
-
+    r should lie below the ray reach at (a, eta), where a is the foot.
     Returns (M, T, u): M (N, n, n) with M[i, j] = tau_i . (D nu) tau_j,
     T (N, n, d) the tangent frames (rows tau_i), u (N, d) the Euclidean unit
     normals recovered from eta.
@@ -152,7 +137,6 @@ def normal_matrices(
     a = np.atleast_2d(np.asarray(a, dtype=float))
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
     r = np.broadcast_to(np.asarray(r, dtype=float), (len(a),))
-    reach = np.broadcast_to(np.asarray(reach, dtype=float), (len(a),))
     d = a.shape[1]
     n = d - 1
     w = norm.conjugate_grad(eta)  # parallel to the Euclidean normal
@@ -164,9 +148,9 @@ def normal_matrices(
         x[:, None, None, :]
         + np.array([1.0, -1.0])[None, None, :, None] * h[:, None, None, None] * T[:, :, None, :]
     )  # (N, n, 2, d)
-    probes = probes.reshape(len(a), 2 * n, d)
-    feet, delta = _probe_feet(shape, norm, probes, a, r, reach, h)
-    nu = ((probes - feet) / delta[..., None]).reshape(len(a), n, 2, d)
+    probes = probes.reshape(-1, d)
+    feet, delta = nearest_points(shape, norm, probes)
+    nu = ((probes - feet) / delta[:, None]).reshape(len(a), n, 2, d)
     cols = (nu[:, :, 0, :] - nu[:, :, 1, :]) / (2.0 * h[:, None, None])  # (N, j, d)
     M = np.einsum("nid,njd->nij", T, cols)
     return M, T, u
@@ -356,9 +340,9 @@ def bundle_sample(
 
     reach, probe = _reach_and_probe(shape, norm, a, eta)
 
-    kappa, tau, ambiguous = _curvatures_at_probe(shape, norm, a, eta, probe, reach)
+    kappa, tau, ambiguous = _curvatures_at_probe(shape, norm, a, eta, probe)
     if audit:
-        kap2, _, _ = _curvatures_at_probe(shape, norm, a, eta, 2.0 * probe, reach)
+        kap2, _, _ = _curvatures_at_probe(shape, norm, a, eta, 2.0 * probe)
         both_fin = np.isfinite(kappa) & np.isfinite(kap2)
         with np.errstate(invalid="ignore"):  # inf - inf where both diverge
             diff = np.where(both_fin, np.abs(kappa - kap2), 0.0)
@@ -398,8 +382,8 @@ def _reach_and_probe(shape, norm, a, eta):
     return reach, np.minimum(PROBE_REACH_FRAC * reach, PROBE_DIAM_FRAC * shape.diameter)
 
 
-def _curvatures_at_probe(shape, norm, a, eta, r, reach):
-    M, T, _ = normal_matrices(shape, norm, a, eta, r, reach=reach)
+def _curvatures_at_probe(shape, norm, a, eta, r):
+    M, T, _ = normal_matrices(shape, norm, a, eta, r)
     chi, vec = eig_small(M)
     kappa, infinite, ambiguous = kappa_from_chi(chi, r)
     tau = np.einsum("nki,nid->nkd", vec, T)  # eigencoords -> ambient
@@ -429,8 +413,8 @@ def pointwise_shape_operator(
         raise ValueError("point has no unique normal")
     a = a[None, :]
     eta = norm.grad(np.asarray(normal, dtype=float)[None, :])
-    reach, r = _reach_and_probe(shape, norm, a, eta)
-    (M,), (T,), (u,) = normal_matrices(shape, norm, a, eta, r, reach=reach)
+    _, r = _reach_and_probe(shape, norm, a, eta)
+    (M,), (T,), (u,) = normal_matrices(shape, norm, a, eta, r)
     K = M @ np.linalg.inv(np.eye(len(M)) - r[0] * M)
     return K, T, u
 

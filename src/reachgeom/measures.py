@@ -358,13 +358,13 @@ def voxel_tube_volume(
     * delta is 1-Lipschitz for phi_*, so with R the largest phi_* over the
       corner offsets of a block's box of centers, every center lies in
       delta(m) +- R, m the block's middle; such a band settles the block.
-    * On a convex set with a closed-form ``exact_projection``, each
-      unclipped 4 x 4 (x 4) block with delta(m) > h (so m - p is far above
-      rounding, and never 0) is projected with its foot p.  With g = grad phi_*(m - p),
-      the set lies in {y : g . (y - p) <= 0} and phi(g) = 1, so each center
-      x has g . (x - p) <= delta(x) <= phi_*(x - p), a band that settles x;
-      the block's other centers are evaluated.  Chart feet are not exact,
-      so other pairs keep the Lipschitz band alone.
+    * On a convex set, each unclipped 4 x 4 (x 4) block with delta(m) > h
+      (so m - p is far above rounding, and never 0) is projected with its
+      foot p (``exact_projection``: a closed form, or a support point of
+      the support search, on the boundary to rounding).  With
+      g = grad phi_*(m - p), the set lies in {y : g . (y - p) <= 0} and
+      phi(g) = 1, so each center x has g . (x - p) <= delta(x) <= phi_*(x - p),
+      a band that settles x; the block's other centers are evaluated.
 
     On a convex set, or on a ``DisjointUnion`` of convex components, a block
     whose corner centers all have delta = 0 on the set or on one component

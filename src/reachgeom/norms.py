@@ -141,8 +141,8 @@ def _newton_rows(x, probe, step, retract, iters, tol, halvings):
 
     ``probe(xa, rows)`` gives the merit and the residual at xa, points of
     the batch rows ``rows``; ``step(xa, rows)`` gives their Newton steps;
-    ``retract`` maps a stepped point back onto the manifold (the sphere, a
-    chart's box).  A row is done once its residual is <= tol.  Otherwise its
+    ``retract`` maps a stepped point back onto the manifold (the sphere, an
+    interval).  A row is done once its residual is <= tol.  Otherwise its
     step is halved until the trial point strictly lowers the merit, or
     strictly lowers the residual with the merit no higher than rounding
     (``_FLAT``) allows.  A row with no such trial after ``halvings``
@@ -169,7 +169,7 @@ def _newton_rows(x, probe, step, retract, iters, tol, halvings):
         for _ in range(halvings + 1):
             trial = retract(x0[trying] + delta[trying])
             # a trial retracted back onto x0 stays there at every shorter
-            # step (a step out of a chart's box, or one below rounding)
+            # step (a step out of an interval, or one below rounding)
             moved = (trial != x0[trying]).any(axis=1)
             stalled[trying[~moved]] = True
             trying, trial = trying[moved], trial[moved]

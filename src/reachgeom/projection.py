@@ -6,30 +6,35 @@ direction ``nu = (x - foot)/delta`` (a point of the dual unit body's
 boundary), the ray reach ``sup { s : delta(a + s eta) = s }`` and a global
 reach estimate are all computed here.
 
-Everything vectorizes over batches of query points, on one of two routes:
+Everything vectorizes over batches of query points, and every catalog shape
+projects itself under every norm (``Shape.exact_projection``):
 
-* closed form (``Shape.exact_projection``): a ``WulffBody`` under its own
-  norm (radial scaling) and a quadratic one (every ``Ball``, ``Ellipsoid``
-  and euclidean or ellipsoidal ``WulffBody``) under any euclidean or
-  ellipsoidal norm (a secular equation); polygons and segment unions under
-  every euclidean or ellipsoidal norm (a Euclidean projection onto their
-  image under the norm's ``dual_transform``); axis boxes, 2d and 3d, under
-  the diagonal ones (a clamp); ``CapLens`` under every euclidean or
-  ellipsoidal norm (its two disks' feet, or a corner); the complement of a
-  ``WulffBody`` under its own norm; and unions whose components all have
-  one;
-* chart solver, for every other pair: any shape but a ``WulffBody`` of its
-  own norm under a ``smoothed-lp`` norm, a ``smoothed-lp`` ``WulffBody``
-  under any other norm, 3d boxes under non-diagonal quadratic norms, and
-  the other complements.  It polishes each chart's nearest seeds by damped
-  Newton on the stationarity condition (``_chart_minimize``), so feet are
-  accurate to near machine precision on 1d charts and to ~1e-11 on 2d ones.
+* closed forms: a ``WulffBody`` under its own norm (radial scaling) and a
+  quadratic one (every ``Ball``, ``Ellipsoid`` and euclidean or ellipsoidal
+  ``WulffBody``) under any euclidean or ellipsoidal norm (a secular
+  equation); axis boxes under the diagonal ones (a clamp); the complement of
+  a ``WulffBody`` under its own norm;
+* the support search (``shapes._support_search``) for a ``WulffBody`` under
+  any other norm, from outside or, for its complement, from inside: by
+  separation the signed distance is max over u of (u.x - h(u))/phi(u), h
+  the body's support function, found on a grid of directions and polished
+  by Newton on the sphere, with the support point at the maximizer as foot;
+* polygons and segment unions, under every norm: the feet x - s grad phi(n)
+  on their edges' lines where those land on the edge, else the nearer
+  endpoint; 3d boxes under other norms: the facets' plane feet where they
+  land, and each edge's nearest point by 1d Newton;
+* complements of polytopes: the facet formula min_i (b_i - a_i.x)/phi(a_i),
+  with foot x + delta grad phi(a_i);
+* ``CapLens``, unions and the other complements composed from their pieces:
+  a lens from its two disks' feet or a corner, a union from its
+  components', the complement of a lens as the union of its two disks'
+  complements, the complement of a union from the component a point is in.
 
-Curvature probes, points a + r eta + O(h) next to a bundle point (a, eta)
-with r below the ray reach, skip the multi-start search: their feet lie in a
-Lipschitz neighbourhood of a, so ``_probe_feet`` polishes once per chart from
-the seed nearest a and hands to ``nearest_points`` only the rows whose foot
-leaves that neighbourhood.
+``project`` and the multi-foot scan of ``global_reach`` read second feet
+from ties between ``Shape.foot_candidates``: a union's components, a
+segment union's segments, a complement's facets or disks, and every local
+maximum of the support search that Newton polishes.  Curvature probes take
+``nearest_points`` like any other point.
 
 Reach takes one of two routes:
 
@@ -42,15 +47,14 @@ Reach takes one of two routes:
   ``reach_along`` brackets each ray to the tolerance of the predicate
   (``_bracket_reach``).  These, and unions with a convex component that is
   no ``WulffBody``, keep ``global_reach``'s Monte-Carlo multi-foot scan,
-  which reads ties between a union's components or a segment union's
-  segments, and the chart solver's candidates on a complement.
+  which reads ties between ``Shape.foot_candidates``.
 
 Memos on the shape, each keyed by ``Norm.key`` and the arguments the value
-depends on: ``chart_solvers`` (norm key), ``ray_reaches`` (``reach_along``:
-norm key, s_max, tol_pred and the bytes of the whole ray batch (a, eta)) and
-``reach_estimates`` (``global_reach``: (norm key, n_samples, n_scan, seed,
-fiber_nodes)).  Ray reaches and estimates are shared, so the reach arrays
-are read-only and estimates frozen.
+depends on: ``ray_reaches`` (``reach_along``: norm key, s_max, tol_pred and
+the bytes of the whole ray batch (a, eta)) and ``reach_estimates``
+(``global_reach``: (norm key, n_samples, n_scan, seed, fiber_nodes)).  Ray
+reaches and estimates are shared, so the reach arrays are read-only and
+estimates frozen.
 
 A note on uniqueness: points with several nearest feet (the cut locus) form a
 Lebesgue-null set.  Off the gap route, the bracket reported by
@@ -65,8 +69,8 @@ from typing import Optional
 
 import numpy as np
 
-from .norms import Norm, _newton_rows, _solve_rows, row_dot
-from .shapes import DisjointUnion, SegmentUnion, Shape, WulffBody, _gap_bounds
+from .norms import Norm, row_dot
+from .shapes import DisjointUnion, Shape, WulffBody, _gap_bounds
 from .shapes import fiber_nodes as fiber_quadrature
 
 __all__ = [
@@ -87,9 +91,6 @@ __all__ = [
 TOL_FOOT_RESIDUAL = 1e-9
 TOL_MULTI_REL = 1e-4  # foot separation, relative to shape diameter
 TOL_EQ_REL = 1e-7  # delta equality for multiplicity, relative to 1 + delta
-SEED_GRID = 64  # seeds per 1d chart, 4x that per 2d chart
-SEEDS_PER_CHART = 8  # nearest seeds polished per chart and query point
-_CHART_CHUNK = 256  # rows per seed search of _ChartSolver.feet_batch
 RAY_NEWTON_ITERS = 60  # Newton steps of _union_reach per ray and piece
 
 
@@ -121,210 +122,13 @@ class ReachEstimate:
 
 
 # ======================================================================
-# chart solver
-# ======================================================================
-
-
-def _chart_minimize(chart, norm, x, s0, iters=40):
-    """Damped Newton on the stationarity system F(s) = 0 of a k-d chart.
-
-    F(s) = -Dp(s)^T grad phi_*(x - p(s)) is the gradient of phi_*(x - p(s))
-    in the chart parameters, Dp from ``chart.dpoint``, and its Jacobian a
-    central difference of F.  ``_newton_rows`` runs on the chart's box
-    (``chart.clamp`` retracts), lowering phi_*(x - p(s)): 40 iterations, 15
-    halvings, done at |F|inf <= 1e-14 on 1d charts, whose closed-form Dp
-    makes F exact to rounding, and at 1e-12 on 2d ones (F good to ~1e-11).
-    Returns (s, value), s shaped as the chart takes it: (N,) for 1d charts.
-    """
-    k = chart.param_dim
-    # 1-d charts take their parameters flat
-    flat = (lambda s: s[:, 0]) if k == 1 else (lambda s: s)
-
-    def value_and_F(si, rows):
-        v = x[rows] - chart.point(flat(si))
-        nv = np.zeros(len(si))
-        out = np.zeros(si.shape)
-        ok = row_dot(v, v) > 1e-26
-        if ok.any():
-            # one support solve: phi_* is 1-homogeneous, phi_*(v) = v . grad phi_*(v)
-            g = norm.conjugate_grad(v[ok])
-            nv[ok] = np.einsum("md,md->m", g, v[ok])
-            dp = chart.dpoint(flat(si[ok])).reshape(len(g), k, -1)
-            for j in range(k):
-                out[ok, j] = -np.einsum("md,md->m", g, dp[:, j])
-        return nv, out
-
-    def probe(si, rows):
-        nv, f = value_and_F(si, rows)
-        return nv, np.abs(f).max(axis=1)
-
-    def step(si, rows):
-        def F(t):
-            return value_and_F(t, rows)[1]
-
-        f = F(si)
-        # FD Jacobian of F
-        h = 1e-5
-        J = np.stack(
-            [(F(chart.clamp(si + e)) - F(chart.clamp(si - e))) / (2 * h) for e in h * np.eye(k)],
-            axis=-1,
-        )
-        J = J + 1e-10 * np.eye(k)
-        delta = _solve_rows(J, -f)
-        # F is the value's gradient, so where J is indefinite Newton can
-        # climb; there step with |J| (eigenvalues by modulus) instead
-        uphill = np.einsum("mk,mk->m", delta, f) > 0
-        if uphill.any():
-            lam, V = np.linalg.eigh(J[uphill])
-            coef = np.einsum("mki,mk->mi", V, f[uphill]) / np.maximum(np.abs(lam), 1e-12)
-            delta[uphill] = -np.einsum("mki,mi->mk", V, coef)
-        # shorten, don't clip: clipping one component can turn a descent
-        # direction uphill, and the line search then stalls
-        delta *= np.minimum(1.0, 0.3 / np.maximum(np.abs(delta).max(axis=1), 1e-300))[:, None]
-        return delta
-
-    tol = 1e-14 if k == 1 else 1e-12
-    s0 = np.reshape(s0, (len(s0), k))
-    s, value, _ = _newton_rows(chart.clamp(s0), probe, step, chart.clamp, iters, tol, 15)
-    return flat(s), value
-
-
-class _ChartSolver:
-    """Multi-start nearest-boundary-point search over a shape's charts."""
-
-    def __init__(self, shape: Shape, norm: Norm):
-        self.norm = norm
-        self.charts = shape.charts()
-        if not self.charts:
-            raise NotImplementedError(f"{shape.name} exposes no boundary charts")
-        self.corners = shape.corner_points()
-        self._seed_pts = []
-        self._seed_params = []
-        for ch in self.charts:
-            t = ch.seeds(SEED_GRID if ch.param_dim == 1 else 4 * SEED_GRID)
-            self._seed_params.append(t)
-            self._seed_pts.append(ch.point(t))
-
-    def feet_batch(self, x: np.ndarray, want_all: bool = False):
-        """(feet, delta) per row of x; with want_all also every candidate.
-
-        Rows go in chunks of ``_CHART_CHUNK``: the seed search holds phi_* of
-        every seed for every row, ~265 KB a row under a smoothed-lp norm.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        chunks = []
-        for i in range(0, max(len(x), 1), _CHART_CHUNK):
-            xi = x[i : i + _CHART_CHUNK]
-            seeds = []
-            for params, pts in zip(self._seed_params, self._seed_pts):
-                vals = self.norm.conjugate(xi[:, None, :] - pts[None, :, :])
-                k = min(SEEDS_PER_CHART, len(params))
-                seeds.append(np.argpartition(vals, k - 1, axis=1)[:, :k])
-            chunks.append(self.candidates(xi, seeds))
-        feet, vals = (np.concatenate(part) for part in zip(*chunks))
-        best = np.argmin(vals, axis=1)
-        idx = np.arange(len(x))
-        if want_all:
-            return feet[idx, best], vals[idx, best], feet, vals
-        return feet[idx, best], vals[idx, best]
-
-    def candidates(self, x: np.ndarray, seeds: list) -> tuple[np.ndarray, np.ndarray]:
-        """Polished feet (m, c, d) and values (m, c), the corners last.
-
-        ``seeds[i]`` indexes chart i's seed grid, k seeds per row of x (m, k).
-        """
-        m = len(x)
-        cand_feet = []
-        cand_vals = []
-        for ch, params, order in zip(self.charts, self._seed_params, seeds):
-            k = order.shape[1]
-            s0 = params[order.reshape(-1)]
-            t, fv = _chart_minimize(ch, self.norm, np.repeat(x, k, axis=0), s0)
-            cand_feet.append(ch.point(t).reshape(m, k, x.shape[1]))
-            cand_vals.append(fv.reshape(m, k))
-        if len(self.corners):
-            vc = x[:, None, :] - self.corners[None, :, :]
-            cand_feet.append(np.broadcast_to(self.corners, (m,) + self.corners.shape).copy())
-            cand_vals.append(self.norm.conjugate(vc))
-        return np.concatenate(cand_feet, axis=1), np.concatenate(cand_vals, axis=1)
-
-
-def _solver(shape, norm) -> _ChartSolver:
-    # memo on the shape itself, so it dies with the shape it describes
-    solver = shape.chart_solvers.get(norm.key)
-    if solver is None:
-        # threads racing here build the same solver; all get the first
-        solver = shape.chart_solvers.setdefault(norm.key, _ChartSolver(shape, norm))
-    return solver
-
-
-# ======================================================================
 # public projection API
 # ======================================================================
 
 
 def nearest_points(shape: Shape, norm: Norm, x) -> tuple[np.ndarray, np.ndarray]:
     """Feet and distances for a batch of query points (interior -> itself)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    res = shape.exact_projection(norm, x)
-    if res is not None:
-        return res
-    feet, delta = _solver(shape, norm).feet_batch(x)
-    inside = shape.contains(x, tol=0.0)
-    if inside.any():
-        feet = np.where(inside[:, None], x, feet)
-        delta = np.where(inside, 0.0, delta)
-    return feet, delta
-
-
-def _probe_feet(shape, norm, x, a, r, reach, h):
-    """``nearest_points`` of curvature probes: x (N, k, d) within h of a + r eta.
-
-    a + r eta has the foot a when r is below the ray reach, and inside the
-    reach the nearest-point map is Lipschitz with constant reach/(reach - r)
-    in coordinates where phi_* is Euclidean (Federer 1959, Thm 4.8).  So the
-    foot of each probe lies within c h reach/(reach - r) of a, c the
-    norm-equivalence ratio (doubled here for safety), and one polish per
-    chart from the seed nearest a finds it.  Rows whose best candidate falls
-    outside that neighbourhood, or whose bound is void (r >= reach), go to
-    ``nearest_points``; closed-form pairs take ``exact_projection`` as there.
-    Returns feet (N, k, d) and distances (N, k); r, reach and h are (N,).
-    """
-    N, k, d = x.shape
-    flat = x.reshape(-1, d)
-    res = shape.exact_projection(norm, flat)
-    if res is None:
-        solver = _solver(shape, norm)
-        seeds = [
-            np.repeat(np.argmin((pts * pts).sum(-1) - 2.0 * a @ pts.T, axis=1), k)[:, None]
-            for pts in solver._seed_pts
-        ]
-        cand_feet, cand_vals = solver.candidates(flat, seeds)
-        best = np.argmin(cand_vals, axis=1)
-        rows = np.arange(len(flat))
-        feet, delta = cand_feet[rows, best], cand_vals[rows, best]
-        r, reach = np.asarray(r, dtype=float), np.asarray(reach, dtype=float)
-        with np.errstate(divide="ignore"):
-            lip = np.where(r < reach, 1.0 / (1.0 - r / reach), np.nan)
-        radius = np.repeat(2.0 * _equivalence_ratio(norm) * lip * h, k)
-        moved = np.linalg.norm(feet - np.repeat(a, k, axis=0), axis=-1)
-        redo = ~(moved <= radius) | shape.contains(flat, tol=0.0)
-        if redo.any():
-            feet[redo], delta[redo] = nearest_points(shape, norm, flat[redo])
-        res = feet, delta
-    return res[0].reshape(N, k, d), res[1].reshape(N, k)
-
-
-def _equivalence_ratio(norm: Norm) -> float:
-    """max phi / min phi over Euclidean unit vectors (the same for phi_*).
-
-    Taken over a dense sample of directions, the surface of the cube [-1, 1]^d.
-    """
-    g = np.linspace(-1.0, 1.0, 65 if norm.dim == 2 else 17)
-    u = np.stack(np.meshgrid(*[g] * norm.dim), axis=-1).reshape(-1, norm.dim)
-    u = u[np.abs(u).max(axis=1) == 1.0]
-    phi = norm.value(u) / np.linalg.norm(u, axis=1)
-    return float(phi.max() / phi.min())
+    return shape.exact_projection(norm, np.atleast_2d(np.asarray(x, dtype=float)))
 
 
 def set_distance(shape: Shape, norm: Norm, x) -> np.ndarray:
@@ -354,31 +158,18 @@ def project(shape: Shape, norm: Norm, x) -> ProjectionResult:
     if bool(np.atleast_1d(shape.contains(x[None, :], tol=0.0))[0]):
         return ProjectionResult(0.0, x.copy(), None, "unique", x[None, :].copy(), 0.0)
 
-    # every near-optimal foot counts for multiplicity: the closed-form foot
-    # first where there is one, then the chart candidates, corners last
-    cand_feet, cand_vals, n_corners = [], [], 0
+    # every near-optimal candidate counts for multiplicity; the foot is
+    # exact_projection's unless a candidate beats it
+    feet, vals = shape.foot_candidates(norm, x[None, :])
     res = shape.exact_projection(norm, x[None, :])
-    if res is not None:
-        cand_feet.append(res[0])
-        cand_vals.append(res[1])
-    try:
-        solver = _solver(shape, norm)
-        _, _, feet_all, vals_all = solver.feet_batch(x[None, :], want_all=True)
-        cand_feet.append(feet_all[0])
-        cand_vals.append(vals_all[0])
-        n_corners = len(solver.corners)
-    except NotImplementedError:
-        pass
-    feet_all, vals_all = np.concatenate(cand_feet), np.concatenate(cand_vals)
+    feet_all, vals_all = np.concatenate([res[0], feet[0]]), np.concatenate([res[1], vals[0]])
     best = int(np.argmin(vals_all))
-    if res is not None and vals_all[0] <= vals_all[best] + 1e-12:
+    if vals_all[0] <= vals_all[best] + 1e-12:
         best = 0
     foot, delta = feet_all[best], float(vals_all[best])
 
     sep = TOL_MULTI_REL * shape.diameter
-    near, first, apart = _near_and_apart(
-        feet_all[None], vals_all[None], np.array([delta]), n_corners, sep
-    )
+    near, first, apart = _near_and_apart(feet_all[None], vals_all[None], np.array([delta]), sep)
     # the first near foot, then one per cluster of those apart from it
     others = feet_all[apart[0]]
     close = np.linalg.norm(others[:, None, :] - others[None, :, :], axis=-1) <= sep
@@ -398,15 +189,8 @@ def project(shape: Shape, norm: Norm, x) -> ProjectionResult:
 
 
 def distance_field(shape: Shape, norm: Norm, points: np.ndarray) -> np.ndarray:
-    """delta over a large batch of points, built for voxel grids.
-
-    The shape's closed form where it has one (see the module docstring),
-    else ``set_distance`` on the chart solver; exact either way, with
-    interior points at 0.
-    """
-    points = np.asarray(points, dtype=float)
-    res = shape.exact_projection(norm, points)
-    return set_distance(shape, norm, points) if res is None else res[1]
+    """delta over a large batch of points, built for voxel grids, interior points at 0."""
+    return shape.exact_projection(norm, np.asarray(points, dtype=float))[1]
 
 
 # ======================================================================
@@ -681,52 +465,26 @@ def _global_reach(shape, norm, n_samples, n_scan, seed, fiber_nodes):
 def _multi_foot_cap(shape, norm, pts):
     """Smallest distance among scanned points with >= 2 distinct feet.
 
-    A union's components and a segment union's segments each give one
-    candidate foot per point, and a tie between two that lie apart is a
-    second foot; other shapes read the chart solver's candidates.
+    Ties between the shape's candidate feet (``Shape.foot_candidates``: a
+    union's components, a segment union's segments, a complement's facets,
+    disks or local maxima of the support search) that lie apart are second
+    feet.
     """
-    sep = TOL_MULTI_REL * shape.diameter
-    if isinstance(shape, DisjointUnion):
-        pieces = shape.components
-    elif isinstance(shape, SegmentUnion):
-        pieces = [SegmentUnion([seg]) for seg in shape.segments]
-    else:
-        pieces = None
-    if pieces is not None:
-        per = [nearest_points(c, norm, pts) for c in pieces]
-        deltas = np.stack([p[1] for p in per])  # (k, N)
-        feet = np.stack([p[0] for p in per])  # (k, N, d)
-        dmin = deltas.min(axis=0)
-        tol = TOL_EQ_REL * (1.0 + dmin)
-        multi = np.zeros(len(pts), dtype=bool)
-        for i in range(len(per)):
-            for j in range(i + 1, len(per)):
-                both = (np.abs(deltas[i] - dmin) <= tol) & (np.abs(deltas[j] - dmin) <= tol)
-                apart = np.linalg.norm(feet[i] - feet[j], axis=-1) > sep
-                multi |= both & apart
-        return float(dmin[multi].min()) if multi.any() else np.inf
-    try:
-        solver = _solver(shape, norm)
-    except NotImplementedError:
-        return np.inf
-    _, val, feet_all, vals_all = solver.feet_batch(pts, want_all=True)
-    multi = _near_and_apart(feet_all, vals_all, val, len(solver.corners), sep)[2].any(axis=1)
+    feet, vals = shape.foot_candidates(norm, pts)
+    val = vals.min(axis=1)
+    multi = _near_and_apart(feet, vals, val, TOL_MULTI_REL * shape.diameter)[2].any(axis=1)
     return float(val[multi].min()) if multi.any() else np.inf
 
 
-def _near_and_apart(feet, vals, val, n_corners, sep):
+def _near_and_apart(feet, vals, val, sep):
     """Near-optimal candidates (m, c), the first of them (m, d), those apart from it.
 
-    ``feet`` (m, c, d) and ``vals`` (m, c) are candidates with the shape's
-    ``n_corners`` corners last, ``val`` (m,) the best value.  A candidate is
-    near within ``TOL_EQ_REL`` (1 + val), and a row has several feet when a
-    near one lies farther than ``sep`` from the first.  Corners never count:
-    off the end of a chart the value rises only quadratically, so a corner
-    can come within the tolerance of a foot a little way along the chart,
-    and a genuine corner foot is reached by the chart's clamped polish too.
+    ``feet`` (m, c, d) and ``vals`` (m, c) are candidates, ``val`` (m,) the
+    best value.  A candidate is near within ``TOL_EQ_REL`` (1 + val), and a
+    row has several feet when a near one lies farther than ``sep`` from the
+    first.
     """
     near = vals <= (val + TOL_EQ_REL * (1.0 + val))[:, None]
-    near[:, vals.shape[1] - n_corners :] = False
     first = feet[np.arange(len(feet)), np.argmax(near, axis=1)]
     apart = near & (np.linalg.norm(feet - first[:, None, :], axis=-1) > sep)
     return near, first, apart

@@ -10,17 +10,24 @@ Every shape knows three things about itself:
   an antipodal ``pair`` on 1-codimensional sheets, an ``arc`` (d=2) or
   ``edge`` fan (d=3) at corners and edges, a spherical ``patch`` at d=3
   vertices; ``fiber_nodes`` turns the rows into spherical quadrature,
-* parametric charts of the boundary used by the generic nearest-point solver.
+* its projection under every norm (``exact_projection``) and the candidate
+  feet whose ties are second feet (``foot_candidates``).  Closed forms where
+  they exist; else a Wulff body's support function h gives the signed
+  distance max over u of (u.x - h(u))/phi(u) (``_support_search``), a
+  polygon or segment its edges' line feet and endpoints, a box its facets'
+  plane feet and its edges' nearest points, and a polytope's complement the
+  facet formula.  Lenses, unions and complements compose their pieces'.
 
 Strata weights are exact for polytopes (face measures split evenly across
-nodes) and spectrally accurate chart quadrature on smooth pieces.
+nodes) and spectrally accurate 1d chart quadrature on smooth 2d pieces.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -56,8 +63,8 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-9
-GAP_GRID = 256  # directions of the 2d gap search, 8x that on the 3d Fibonacci sphere
-GOLDEN_STEPS = 32  # shrink the 2d gap bracket, 2 x 2 pi / GAP_GRID wide, to 1e-8
+GAP_GRID = 256  # directions of the 2d support search, 8x that on the 3d Fibonacci sphere
+_GRID_VALUES = 1 << 20  # grid values the support search holds at once
 
 
 class EmptyInteriorError(ValueError):
@@ -147,7 +154,7 @@ def fiber_tangents(kind: str, fibers, k: int) -> np.ndarray:
 
 
 # ======================================================================
-# strata and charts
+# strata, charts and the pieces of projections
 # ======================================================================
 
 
@@ -178,126 +185,16 @@ class Stratum:
 
 
 class Chart:
-    """Parametric boundary piece: what the generic nearest-point solver reads.
+    """A 1d parametric boundary piece (d=2), t in ``bounds``, for ``_smooth_strata``.
 
-    A chart has points, their derivatives, seeds and a clamp to its box, and
-    no normals: the normals of the bundle live on the strata.
+    ``point`` and ``dpoint`` map t (N,) to boundary points and their
+    derivatives (N, d).  A chart has no normals: the normals of the bundle
+    live on the strata.
     """
 
-    param_dim: int = 1
-    periodic: bool = False
-
-    def __init__(self, bounds):
-        self.bounds = np.asarray(bounds, dtype=float)  # (param_dim, 2)
-
-    def point(self, t) -> np.ndarray:
-        raise NotImplementedError
-
-    def dpoint(self, t) -> np.ndarray:
-        """Partial derivatives of ``point``, (N, k) -> (N, k, d).
-
-        1d charts give theirs in closed form, (N,) -> (N, d).  Here central
-        differences inside the box, whose error ~h^2 + eps/h is least near
-        h = eps^(1/3).
-        """
-        t, h = np.atleast_2d(np.asarray(t, dtype=float)), 6e-6
-        steps = h * np.eye(self.param_dim)
-        dp = [self.point(self.clamp(t + e)) - self.point(self.clamp(t - e)) for e in steps]
-        return np.stack(dp, axis=-2) / (2 * h)
-
-    def seeds(self, k: int) -> np.ndarray:
-        lo, hi = self.bounds[0]
-        if self.periodic:
-            return np.linspace(lo, hi, k, endpoint=False)
-        return np.linspace(lo, hi, k)
-
-    def clamp(self, t):
-        lo, hi = self.bounds[0]
-        t = np.asarray(t, dtype=float)
-        if self.periodic:
-            return lo + np.mod(t - lo, hi - lo)
-        return np.clip(t, lo, hi)
-
-
-class _FuncChart(Chart):
-    """1d chart from callables (all vectorized over t)."""
-
-    def __init__(self, bounds, point_fn, dpoint_fn, periodic=False):
-        super().__init__(np.atleast_2d(bounds))
-        self._p, self._dp = point_fn, dpoint_fn
-        self.periodic = periodic
-
-    def point(self, t):
-        return self._p(np.asarray(t, dtype=float))
-
-    def dpoint(self, t):
-        return self._dp(np.asarray(t, dtype=float))
-
-
-class SphereChart(Chart):
-    """d=3 chart over the unit sphere via (polar, azimuth) angles.
-
-    ``embed(u)`` maps unit vectors to boundary points; the chart composes it
-    with standard spherical coordinates.
-    """
-
-    param_dim = 2
-
-    def __init__(self, embed: Callable):
-        super().__init__(np.array([[1e-6, np.pi - 1e-6], [0.0, 2 * np.pi]]))
-        self.embed = embed
-
-    @staticmethod
-    def to_unit(t):
-        t = np.atleast_2d(np.asarray(t, dtype=float))
-        th, ph = t[..., 0], t[..., 1]
-        s = np.sin(th)
-        return np.stack([s * np.cos(ph), s * np.sin(ph), np.cos(th)], axis=-1)
-
-    def point(self, t):
-        return self.embed(self.to_unit(t))
-
-    def seeds(self, k):
-        # Fibonacci lattice pulled back to (theta, phi)
-        u = fibonacci_sphere(max(k, 8))
-        th = np.arccos(np.clip(u[:, 2], -1, 1))
-        ph = np.mod(np.arctan2(u[:, 1], u[:, 0]), 2 * np.pi)
-        return np.c_[th, ph]
-
-    def clamp(self, t):
-        t = np.atleast_2d(np.asarray(t, dtype=float))
-        th = np.clip(t[..., 0], *self.bounds[0])
-        ph = np.mod(t[..., 1], 2 * np.pi)
-        return np.stack([th, ph], axis=-1)
-
-
-class _PlanarChart(Chart):
-    """d=3 flat rectangular facet: origin + t0 e0 + t1 e1."""
-
-    param_dim = 2
-
-    def __init__(self, origin, e0, e1, extents):
-        super().__init__(np.array([[0.0, extents[0]], [0.0, extents[1]]]))
-        self.origin = np.asarray(origin, dtype=float)
-        self.e0 = np.asarray(e0, dtype=float)
-        self.e1 = np.asarray(e1, dtype=float)
-
-    def point(self, t):
-        t = np.atleast_2d(np.asarray(t, dtype=float))
-        return self.origin + t[..., :1] * self.e0 + t[..., 1:2] * self.e1
-
-    def seeds(self, k):
-        g = max(int(np.sqrt(k)), 2)
-        s0 = np.linspace(0.0, self.bounds[0, 1], g)
-        s1 = np.linspace(0.0, self.bounds[1, 1], g)
-        A, B = np.meshgrid(s0, s1, indexing="ij")
-        return np.c_[A.ravel(), B.ravel()]
-
-    def clamp(self, t):
-        t = np.atleast_2d(np.asarray(t, dtype=float))
-        a = np.clip(t[..., 0], *self.bounds[0])
-        b = np.clip(t[..., 1], *self.bounds[1])
-        return np.stack([a, b], axis=-1)
+    def __init__(self, bounds, point, dpoint):
+        self.bounds = np.atleast_2d(np.asarray(bounds, dtype=float))  # (1, 2)
+        self.point, self.dpoint = point, dpoint
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -340,14 +237,6 @@ class Shape:
     def boundary_strata(self, n: int = 512, seed: int = 0) -> list[Stratum]:
         raise NotImplementedError
 
-    def charts(self) -> list[Chart]:
-        raise NotImplementedError
-
-    @property
-    def chart_solvers(self) -> dict:
-        """Nearest-point solvers over ``charts()`` by norm key, filled by projection."""
-        return self.__dict__.setdefault("_chart_solvers", {})
-
     @property
     def ray_reaches(self) -> dict:
         """Ray reach batches by (norm key, s_max, tol_pred, batch bytes), filled by projection."""
@@ -363,10 +252,6 @@ class Shape:
         """Bundle samples by (norm key, n, seed), filled by the curvature measures."""
         return self.__dict__.setdefault("_bundles", {})
 
-    def corner_points(self) -> np.ndarray:
-        """0-dimensional boundary features (candidate feet for projections)."""
-        return np.empty((0, self.dim))
-
     def boundary_fiber_at(self, a, tol: float = 1e-7) -> tuple[str, np.ndarray]:
         """Exact normal fiber (kind, row) at a boundary point of a catalog primitive.
 
@@ -374,13 +259,23 @@ class Shape:
         """
         raise NotImplementedError
 
-    # -------- fast paths --------------------------------------------------
-    def exact_projection(self, norm: Norm, x) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """(feet, deltas) under `norm` when a closed form exists, else None.
+    # -------- projection ------------------------------------------------
+    def exact_projection(self, norm: Norm, x) -> tuple[np.ndarray, np.ndarray]:
+        """(feet, deltas) of the points x (N, d) under ``norm``.
 
         Interior points are their own feet, at distance 0.
         """
-        return None
+        raise NotImplementedError(f"{self.name} has no projection")
+
+    def foot_candidates(self, norm: Norm, x) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate feet (N, c, d) of the points x and their distances (N, c).
+
+        Two candidates that tie at the least distance and lie apart are two
+        feet.  By default the one foot of ``exact_projection``; shapes made
+        of pieces give one candidate per piece, or more.
+        """
+        feet, delta = self.exact_projection(norm, x)
+        return feet[:, None], delta[:, None]
 
     def complement(self) -> "Shape":
         raise EmptyInteriorError(f"{self.name} has no complement view")
@@ -393,9 +288,8 @@ def _smooth_strata(chart_specs, n, seed, dim):
     """Uniform-parameter midpoint sampling of smooth 1d charts (d=2).
 
     Each (chart, normal, length) triple pairs a chart with ``normal(t)``, the
-    outward unit normal at ``chart.point(t)``: charts only feed the
-    nearest-point solver, so the normals of the bundle come from here.  The
-    triples split the n samples in proportion to length.
+    outward unit normal at ``chart.point(t)``.  The triples split the n
+    samples in proportion to length.
     """
     rng = np.random.default_rng(seed)
     strata = []
@@ -424,34 +318,87 @@ def _smooth_strata(chart_specs, n, seed, dim):
     return strata
 
 
-def _segment_charts(starts, edges):
-    """One 1d chart per segment start + t edge, t in [0, 1]."""
-    return [
-        _FuncChart(
-            (0.0, 1.0),
-            lambda t, p=p, e=e: p + np.asarray(t)[..., None] * e,
-            lambda t, e=e: np.broadcast_to(e, np.shape(t) + (2,)).copy(),
-        )
-        for p, e in zip(starts, edges)
-    ]
+def _best(feet, delta):
+    """The first least candidate of each row: feet (N, d) and distances (N,)."""
+    k = np.argmin(delta, axis=1)
+    rows = np.arange(len(delta))
+    return feet[rows, k], delta[rows, k]
 
 
-def _segment_projection(x, starts, edges, L):
-    """Feet on the segments start + t edge (t in [0, 1]) nearest x under |L v|.
+def _candidates(x, rows, feet, delta):
+    """Candidate arrays (N, c, d), (N, c) from the feet of rows ``rows`` (ascending).
 
-    phi_*(v) = |L v| makes this a Euclidean projection onto the segments'
-    images under L: each orthogonal projection is clamped to [0, 1] and the
-    nearest segment kept (the first on ties).  Returns (feet, distances).
+    Each row x holds its own feet, padded with distance inf; a row with none
+    is its own foot at distance 0.
     """
-    w = edges @ L.T
-    rel = (x @ L.T)[:, None, :] - starts @ L.T  # (N, segments, d)
-    t = np.clip(np.einsum("nsd,sd->ns", rel, w) / row_dot(w, w), 0.0, 1.0)
-    gap = rel - t[..., None] * w
-    d2 = (gap * gap).sum(-1)
-    best = np.argmin(d2, axis=1)
-    rows = np.arange(len(x))
-    feet = starts[best] + t[rows, best, None] * edges[best]
-    return feet, np.sqrt(d2[rows, best])
+    count = np.bincount(rows, minlength=len(x))
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+    cand = np.repeat(x[:, None, :], max(int(count.max(initial=0)), 1), axis=1)
+    dist = np.full(cand.shape[:2], np.inf)
+    dist[count == 0, 0] = 0.0
+    cand[rows, slot], dist[rows, slot] = feet, delta
+    return cand, dist
+
+
+def _plane_feet(norm, x, A, b):
+    """Signed distances s (N, F) of x from the planes a.y = b, rows a of A, and their feet.
+
+    s = (a.x - b)/phi(a), positive on the side a points to, and the foot on
+    the plane is x - s grad phi(a) (N, F, d): phi_* of x minus it is |s|.
+    """
+    s = (row_dot(x[:, None, :], A) - b) / norm.value(A)
+    return s, x[:, None, :] - s[..., None] * norm.grad(A)
+
+
+def _segment_feet(norm, x, starts, edges):
+    """Feet (N, S, 2) and distances (N, S) of x on the segments start + t edge, t in [0, 1].
+
+    A segment's foot is its line's foot (``_plane_feet``) where that lands
+    on the segment, else the nearer endpoint, since the distance is convex
+    along the line.
+    """
+    n = np.c_[edges[:, 1], -edges[:, 0]]
+    s, line = _plane_feet(norm, x, n, row_dot(starts, n))
+    t = np.einsum("nsd,sd->ns", line - starts, edges) / row_dot(edges, edges)
+    ends = np.stack([starts, starts + edges])  # (2, S, 2)
+    dist = norm.conjugate(x[:, None, None, :] - ends)  # (N, 2, S)
+    near = np.argmin(dist, axis=1)
+    lands = (t >= 0.0) & (t <= 1.0)
+    feet = np.where(lands[..., None], line, ends[near, np.arange(len(starts))])
+    return feet, np.where(lands, np.abs(s), np.min(dist, axis=1))
+
+
+def _edge_feet(norm, x, starts, edges):
+    """Feet (N, S, d) and distances (N, S) of x on the segments start + t edge, any d.
+
+    phi_*(x - start - t edge) is convex in t; ``_newton_rows`` minimizes it
+    over t in [0, 1] from the middle, with the second derivative a central
+    difference of the first (40 iterations, 15 halvings, done at a slope
+    below 1e-12 |edge|).  No point of a segment may be x.
+    """
+    N, S, d = len(x), len(starts), x.shape[1]
+    v0 = np.repeat(x, S, axis=0) - np.tile(starts, (N, 1))
+    e = np.tile(edges, (N, 1))
+    size = np.sqrt(row_dot(e, e))
+
+    def value_slope(t, rows):
+        # phi_*(v) = v . grad phi_*(v), and its derivative in t
+        v = v0[rows] - t * e[rows]
+        g = norm.conjugate_grad(v)
+        return row_dot(v, g), -row_dot(e[rows], g)
+
+    def probe(t, rows):
+        value, dv = value_slope(t, rows)
+        return value, np.abs(dv) / size[rows]
+
+    def step(t, rows):
+        dd = (value_slope(t + 1e-6, rows)[1] - value_slope(t - 1e-6, rows)[1]) / 2e-6
+        return -(value_slope(t, rows)[1] / np.maximum(dd, 1e-300))[:, None]
+
+    t, value, _ = _newton_rows(np.full((N * S, 1), 0.5), probe, step,
+                               lambda t: np.clip(t, 0.0, 1.0), 40, 1e-12, 15)
+    feet = np.tile(starts, (N, 1)) + t * e
+    return feet.reshape(N, S, d), value.reshape(N, S)
 
 
 # ======================================================================
@@ -469,7 +416,7 @@ class WulffBody(Shape):
     the projection under every quadratic norm, its own or another.  Other
     norms use the normal parametrization c + rho grad phi(u), whose outward
     normal is u itself, and have a closed-form projection under their own
-    norm only.
+    norm only.  Every other pair takes the support search.
     """
 
     is_convex = True
@@ -522,6 +469,10 @@ class WulffBody(Shape):
         """The point c + rho grad psi(u) of the body where u attains h(u)."""
         return self.center + self.radius * self.norm.grad(u)
 
+    def support_hessian(self, u) -> np.ndarray:
+        """D2h(u) = rho D2psi(u)."""
+        return self.radius * self.norm.hessian(u)
+
     def bounding_box(self):
         # support of W in axis directions: h_W(e) = phi(e)
         ext = np.array(
@@ -542,14 +493,12 @@ class WulffBody(Shape):
         return self._volume_cache
 
     def charts(self):
-        if self.dim == 3:
-            return [SphereChart(self._point)]
+        """The boundary (d=2) as one chart over the angle of the sphere parameter."""
         return [
-            _FuncChart(
+            Chart(
                 (0.0, 2 * np.pi),
                 lambda t: self._point(_circle(t)),
                 lambda t: self._dpoint(_circle(t), np.stack([-np.sin(t), np.cos(t)], axis=-1)),
-                periodic=True,
             )
         ]
 
@@ -573,11 +522,19 @@ class WulffBody(Shape):
         return "vector", self.norm.gauss_map(v)
 
     def exact_projection(self, norm, x):
-        if norm.key != self.norm.key:
-            if self._A is None or norm.dual_transform is None:
-                return None
-            return self._quadratic_projection(norm, x)
+        """Feet and distances: in closed form under the body's own norm (radial
+        scaling) and, for a quadratic body, under every quadratic norm
+        (``_quadratic_projection``); from the support search under any other.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if norm.key != self.norm.key:
+            if self._A is not None and norm.dual_transform is not None:
+                return self._quadratic_projection(norm, x)
+            feet, delta = x.copy(), np.zeros(len(x))
+            out = np.flatnonzero(~self.contains(x, tol=0.0))
+            _, u, f = _support_search(self, norm, x[out])
+            feet[out], delta[out] = self.support_point(u), np.maximum(f, 0.0)
+            return feet, delta
         v = x - self.center
         g = norm.conjugate(v)
         out = g > self.radius
@@ -635,89 +592,150 @@ class WulffBody(Shape):
     def complement(self):
         return ComplementShape(self)
 
+    def _complement_feet(self, norm, x):
+        """``foot_candidates`` of the complement: every polished local grid
+        maximum of the support search from points of the interior."""
+        inside = np.flatnonzero(self.norm.conjugate(x - self.center) < self.radius)
+        rows, u, f = _support_search(self, norm, x[inside], local=True)
+        return _candidates(x, inside[rows], self.support_point(u), np.maximum(-f, 0.0))
+
+
+class _Difference:
+    """The set A - B = {a - b} of two Wulff bodies, through its support function."""
+
+    def __init__(self, A, B):
+        self.A, self.B = A, B
+
+    def support(self, u):
+        return self.A.support(u) + self.B.support(-u)
+
+    def support_point(self, u):
+        return self.A.support_point(u) - self.B.support_point(-u)
+
+    def support_hessian(self, u):
+        return self.A.support_hessian(u) + self.B.support_hessian(-u)
+
+
+@functools.lru_cache(maxsize=None)
+def _search_grid(dim):
+    """The support search's grid directions, each with its neighbours on the grid.
+
+    ``GAP_GRID`` angles (d=2), or 8 ``GAP_GRID`` points of the Fibonacci
+    sphere with their 8 nearest (d=3).  Shared, so read-only.
+    """
+    if dim == 2:
+        k = np.arange(GAP_GRID)
+        dirs, nbrs = _circle(2.0 * np.pi / GAP_GRID * k), np.c_[k - 1, (k + 1) % GAP_GRID]
+    else:
+        dirs = fibonacci_sphere(8 * GAP_GRID)
+        near = [np.argsort(-(dirs[i : i + 256] @ dirs.T), axis=1)[:, 1:9]
+                for i in range(0, len(dirs), 256)]
+        nbrs = np.concatenate(near)
+    dirs.setflags(write=False)
+    nbrs.setflags(write=False)
+    return dirs, nbrs
+
+
+def _support_search(body, norm, x, local=False):
+    """Maximize F(u) = (u.x - h(u))/phi(u) over unit u, for each row of x (N, d).
+
+    h is the support function of the convex ``body`` (its ``support``, with
+    ``support_point`` the gradient of h and ``support_hessian`` its Hessian).
+    By separation (Schneider, *Convex Bodies: The Brunn-Minkowski Theory*)
+    max F is the signed distance of x: delta_K(x) outside K, and minus the
+    distance to the complement inside K.  Where u attains it, the support
+    point of u is the foot, on the boundary of K.
+
+    F is first evaluated on ``_search_grid``, explicit values in chunks of
+    rows that hold at most ``_GRID_VALUES`` of them.  The best direction of
+    each row is a seed, or with ``local`` every direction no lower than its
+    grid neighbours: outside K F has one local maximum where it is positive,
+    inside it may have several.  ``_newton_rows`` on the sphere then lowers
+    -F from each seed (30 iterations, 20 halvings, done at |grad F| <=
+    1e-15 max(1, |x|) or where rounding stops it, so that feet are good to
+    rounding for the finite differences of curvature probes), with the
+    tangent Hessian -(D2h + F D2phi)/phi, exact
+    where grad F = 0; where that is not negative definite (F is not concave
+    inside K) its eigenvalues are taken by modulus.  Steps are at most 0.25.
+    Returns (rows, u, F): the row of x of each seed, ascending, its polished
+    direction and F there.
+    """
+    if not len(x):
+        return np.zeros(0, dtype=int), np.zeros((0, norm.dim)), np.zeros(0)
+    dirs, nbrs = _search_grid(norm.dim)
+    rows, seeds = [], []
+    h, phi = body.support(dirs), norm.value(dirs)
+    chunk = max(_GRID_VALUES // len(dirs), 1)
+    for i in range(0, len(x), chunk):
+        xi = x[i : i + chunk]
+        f = xi[:, :1] * dirs[:, 0]
+        for k in range(1, norm.dim):
+            f += xi[:, k : k + 1] * dirs[:, k]
+        f = (f - h) / phi
+        if local:
+            top = f[:, nbrs[:, 0]]
+            for j in range(1, nbrs.shape[1]):
+                np.maximum(top, f[:, nbrs[:, j]], out=top)
+            r, j = np.nonzero(f >= top)
+        else:
+            r, j = np.arange(len(f)), np.argmax(f, axis=1)
+        rows.append(i + r)
+        seeds.append(j)
+    rows = np.concatenate(rows)
+    xr = x[rows]
+    scale = np.maximum(1.0, np.sqrt(row_dot(xr, xr)))
+
+    def ascent(u, idx):
+        # F, phi(u) and the tangential gradient of F
+        pu = norm.value(u)
+        f = (row_dot(u, xr[idx]) - body.support(u)) / pu
+        g = (xr[idx] - body.support_point(u) - f[:, None] * norm.grad(u)) / pu[:, None]
+        return f, pu, g - u * row_dot(g, u)[:, None]
+
+    def probe(u, idx):
+        # F is good to rounding of u.x and h, of order |x|, not of |F|: the
+        # merit -F - 2 max(1, |x|) makes the flat allowance of _newton_rows
+        # cover that
+        f, _, g = ascent(u, idx)
+        return -f - 2.0 * scale[idx], np.sqrt(row_dot(g, g)) / scale[idx]
+
+    def step(u, idx):
+        f, pu, g = ascent(u, idx)
+        T = tangent_basis(u)
+        H = (body.support_hessian(u) + f[:, None, None] * norm.hessian(u)) / pu[:, None, None]
+        A = T @ H @ np.swapaxes(T, -1, -2)
+        b = np.einsum("mkd,md->mk", T, g)
+        coef = _solve_rows(A, b)
+        down = ~(np.einsum("mk,mk->m", coef, b) > 0)
+        if down.any():
+            lam, V = np.linalg.eigh(A[down])
+            w = np.einsum("mki,mk->mi", V, b[down]) / np.maximum(np.abs(lam), 1e-12)
+            coef[down] = np.einsum("mki,mi->mk", V, w)
+        coef *= np.minimum(1.0, 0.25 / np.maximum(np.sqrt(row_dot(coef, coef)), 1e-300))[:, None]
+        return np.einsum("mk,mkd->md", coef, T)
+
+    u, _, _ = _newton_rows(dirs[np.concatenate(seeds)], probe, step, unit_rows, 30, 1e-15, 20)
+    return rows, u, ascent(u, slice(None))[0]
+
 
 def _gap_bounds(pairs, norm) -> tuple[np.ndarray, np.ndarray]:
     """Certified bounds on the phi_* gap min phi_*(b - a) of Wulff body pairs (A, B).
 
-    The gap is the distance from 0 to B - A, so by separation it is the
-    maximum over u of f(u) = N(u)/phi(u), N(u) = -h_A(u) - h_B(-u) with h
-    from ``WulffBody.support``.  N is concave and f 0-homogeneous, so f has
-    one maximal arc where it is positive.  N(u) = u.(b - a), a and b the
-    support points (``WulffBody.support_point``) of A at u and of B at -u,
-    so f(u) <= phi_*(b - a) for every u: at the u* found, f(u*) is a lower
-    bound and phi_*(b* - a*) an upper one, equal at the maximum.  u* is
-    the best of ``GAP_GRID`` angles refined by a golden section between its
-    neighbours (2d), or the best point of an 8 ``GAP_GRID`` Fibonacci
-    sphere refined by Newton on the tangent plane (3d), with
-    -(Psi'' + |f| phi'')/phi as the Hessian of f, Psi = rho_A psi_A +
-    rho_B psi_B: negative definite, and exact at the maximum, where
-    grad f = 0.  Returns (lower, upper) per pair; a lower bound <= 0 means
-    the bodies meet.
+    The gap is the distance from 0 to A - B (``_Difference``), which
+    ``_support_search`` finds at x = 0: it maximizes f(u) = -h(u)/phi(u),
+    h(u) = h_A(u) + h_B(-u).  With a and b the support points of A at u and
+    of B at -u, -h(u) = u.(b - a) <= phi(u) phi_*(b - a), so at the u* found
+    f(u*) is a lower bound and phi_*(b* - a*) an upper one, equal at the
+    maximum.  Returns (lower, upper) per pair; a lower bound <= 0 means the
+    bodies meet.
     """
-
-    def values(sub, u):
-        # f at u (P, ..., d), one row per pair of ``sub``
-        h = np.array([A.support(v) + B.support(-v) for (A, B), v in zip(sub, u)])
-        return -h / norm.value(u)
-
-    def points(sub, u):
-        # the support points a of A at u and b of B at -u, u (P, d)
-        a = np.stack([A.support_point(v) for (A, _), v in zip(sub, u)])
-        return a, np.stack([B.support_point(-v) for (_, B), v in zip(sub, u)])
-
-    P = len(pairs)
-    if norm.dim == 2:
-        step = 2.0 * np.pi / GAP_GRID
-        th = step * np.arange(GAP_GRID)
-        lo = th[np.argmax(values(pairs, np.broadcast_to(_circle(th), (P, GAP_GRID, 2))), axis=1)]
-        lo, hi = lo - step, lo + step
-
-        def F(t):
-            return values(pairs, _circle(t))
-
-        g = (np.sqrt(5.0) - 1.0) / 2.0
-        x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
-        f1, f2 = F(x1), F(x2)
-        for _ in range(GOLDEN_STEPS):
-            # the maximum lies in [lo, x2] or in [x1, hi]; the kept inner
-            # point is the new bracket's x2 or x1
-            left = f1 >= f2
-            hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
-            keep, f_keep = np.where(left, x1, x2), np.where(left, f1, f2)
-            new = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
-            f_new = F(new)
-            x1, f1 = np.where(left, new, keep), np.where(left, f_new, f_keep)
-            x2, f2 = np.where(left, keep, new), np.where(left, f_keep, f_new)
-        u = _circle(np.where(f1 >= f2, x1, x2))
-    else:
-        dirs = fibonacci_sphere(8 * GAP_GRID)
-
-        def ascent(u, rows):
-            sub = [pairs[i] for i in rows]
-            f, (a, b) = values(sub, u), points(sub, u)
-            pu = norm.value(u)
-            gf = ((b - a) - f[:, None] * norm.grad(u)) / pu[:, None]
-            return sub, f, pu, gf - u * row_dot(gf, u)[:, None]
-
-        def probe(u, rows):
-            _, f, _, gf = ascent(u, rows)
-            return -f, np.linalg.norm(gf, axis=-1)
-
-        def newton_step(u, rows):
-            sub, f, pu, gf = ascent(u, rows)
-            T = tangent_basis(u)
-            # Psi'' at u; psi is even, so B's term at -u equals its term at u
-            H = np.stack([A.radius * A.norm.hessian(v) + B.radius * B.norm.hessian(v)
-                          for (A, B), v in zip(sub, u)])
-            H = (H + np.abs(f)[:, None, None] * norm.hessian(u)) / pu[:, None, None]
-            coef = _solve_rows(T @ H @ np.swapaxes(T, -1, -2), np.einsum("mkd,md->mk", T, gf))
-            return np.einsum("mk,mkd->md", coef, T)
-
-        u0 = dirs[np.argmax(values(pairs, np.broadcast_to(dirs, (P,) + dirs.shape)), axis=1)]
-        u, _, _ = _newton_rows(u0, probe, newton_step, unit_rows, 30, 1e-12, 20)
-    a, b = points(pairs, u)
-    upper = norm.conjugate(b - a)
-    return np.minimum(values(pairs, u), upper), upper
+    lower, upper = np.empty(len(pairs)), np.empty(len(pairs))
+    for i, (A, B) in enumerate(pairs):
+        body = _Difference(A, B)
+        _, u, f = _support_search(body, norm, np.zeros((1, norm.dim)))
+        upper[i] = norm.conjugate(-body.support_point(u))[0]
+        lower[i] = min(f[0], upper[i])
+    return lower, upper
 
 
 class Ball(WulffBody):
@@ -779,6 +797,11 @@ class ConvexPolytope(Shape):
             self.lo, self.hi = lo, hi
             self._box = (lo, hi)
             self.vertices = box
+            self._facets = (np.concatenate([-np.eye(3), np.eye(3)]), np.concatenate([-lo, hi]))
+            # the 12 edges start + t edge, from each corner along the axes it is low on
+            starts = [(p, k) for p in box for k in range(3) if p[k] == lo[k]]
+            self._edge_starts = np.array([p for p, _ in starts])
+            self._edge_vecs = np.diag(hi - lo)[[k for _, k in starts]]
         else:
             raise ValueError("dim must be 2 or 3")
 
@@ -812,6 +835,7 @@ class ConvexPolytope(Shape):
             raise ValueError("vertices do not describe a convex polygon")
         self._edges, self._lengths = edges, lengths
         self._tangents, self._normals = tangents, normals
+        self._facets = (normals, row_dot(normals, v))
         # corner fans: from the previous edge's normal angle to the next one's
         t1 = np.arctan2(normals[:, 1], normals[:, 0])
         t0 = np.roll(t1, 1)
@@ -845,9 +869,6 @@ class ConvexPolytope(Shape):
         return 0.5 * float(
             np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
         )
-
-    def corner_points(self):
-        return self.vertices.copy()
 
     # ---------------- strata ----------------
     def boundary_strata(self, n=512, seed=0):
@@ -961,36 +982,57 @@ class ConvexPolytope(Shape):
                     return "vector", self._normals[i].copy()
         raise ValueError("point is not on the boundary")
 
-    def charts(self):
-        if self.dim == 3:
-            lo, hi, ext = self.lo, self.hi, self.hi - self.lo
-            out = []
-            for axis in range(3):
-                o1, o2 = [k for k in range(3) if k != axis]
-                e0 = np.eye(3)[o1]
-                e1 = np.eye(3)[o2]
-                for coord in (lo[axis], hi[axis]):
-                    origin = lo.copy()
-                    origin[axis] = coord
-                    out.append(_PlanarChart(origin, e0, e1, (ext[o1], ext[o2])))
-            return out
-        return _segment_charts(self.vertices, self._edges)
-
     def exact_projection(self, norm, x):
-        L = norm.dual_transform
-        if L is None:
-            return None
+        """Feet and distances: the clamp for a box under a norm whose
+        ``dual_transform`` is diagonal; else, from outside, the least of the
+        feet on each edge of a polygon (``_segment_feet``), or of the
+        candidates of ``_box_feet``.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self._box is not None and not (L - np.diag(np.diag(L))).any():
+        L = norm.dual_transform
+        if self._box is not None and L is not None and not (L - np.diag(np.diag(L))).any():
             # a diagonal L keeps the box an axis box, where the nearest
             # point is the clamp in original coordinates
             feet = np.clip(x, *self._box)
             return feet, norm.conjugate(x - feet)
-        if self.dim == 3:
-            return None
-        feet, delta = _segment_projection(x, self.vertices, self._edges, L)
-        inside = self.contains(x, tol=0.0)
-        return np.where(inside[:, None], x, feet), np.where(inside, 0.0, delta)
+        feet, delta = x.copy(), np.zeros(len(x))
+        out = np.flatnonzero(~self.contains(x, tol=0.0))
+        if len(out):
+            if self.dim == 2:
+                cand = _segment_feet(norm, x[out], self.vertices, self._edges)
+            else:
+                cand = self._box_feet(norm, x[out])
+            feet[out], delta[out] = _best(*cand)
+        return feet, delta
+
+    def _box_feet(self, norm, x):
+        """Candidate feet (N, 18, 3) and distances of points outside the box.
+
+        A facet's candidate is its plane's foot (``_plane_feet``) where that
+        lands on the facet; an edge's is its nearest point (``_edge_feet``),
+        a corner where the edge's end is.
+        """
+        s, plane = _plane_feet(norm, x, *self._facets)
+        own = np.eye(3, dtype=bool)[np.arange(6) % 3]  # a facet's normal axis
+        lands = (own | ((plane >= self.lo) & (plane <= self.hi))).all(axis=-1)
+        feet, delta = _edge_feet(norm, x, self._edge_starts, self._edge_vecs)
+        return (
+            np.concatenate([plane, feet], axis=1),
+            np.concatenate([np.where(lands, np.abs(s), np.inf), delta], axis=1),
+        )
+
+    def _complement_feet(self, norm, x):
+        """``foot_candidates`` of the complement, one per facet (the facet formula).
+
+        From a point inside, facet i (a_i . y <= b_i) is (b_i - a_i.x)/phi(a_i)
+        away, at its plane's foot (``_plane_feet``); the least is the distance.
+        """
+        s, feet = _plane_feet(norm, x, *self._facets)
+        delta = np.maximum(-s, 0.0)
+        out = ~self.contains(x, tol=0.0)
+        feet[out], delta[out] = x[out, None], np.inf
+        delta[out, 0] = 0.0
+        return feet, delta
 
     def complement(self):
         return ComplementShape(self)
@@ -1052,7 +1094,7 @@ class CapLens(Shape):
             (self.centers[1], (np.pi + beta, 2 * np.pi - beta)),  # lower arc
         ]:
             out.append(
-                _FuncChart(
+                Chart(
                     (t0, t1),
                     lambda t, c=c: c + _circle(t),
                     lambda t: np.stack([-np.sin(t), np.cos(t)], axis=-1),
@@ -1082,7 +1124,7 @@ class CapLens(Shape):
         return "vector", v / length
 
     def exact_projection(self, norm, x):
-        """Feet under every norm with a ``dual_transform``, from the two disks'.
+        """Feet from the two disks'.
 
         A disk's foot that lies in the other disk is the lens's foot, since
         the lens lies in that disk.  Any other foot is a corner: off the
@@ -1096,8 +1138,6 @@ class CapLens(Shape):
         # the upper arc's disk first, so it wins where both feet qualify
         for disk, other in zip(self._disks, self.centers[::-1]):
             res = disk.exact_projection(norm, x[rows])
-            if res is None:
-                return None
             ok = np.linalg.norm(res[0] - other, axis=-1) <= 1.0
             feet[rows[ok]], delta[rows[ok]] = res[0][ok], res[1][ok]
             rows = rows[~ok]
@@ -1106,6 +1146,12 @@ class CapLens(Shape):
         near = np.argmin(dc, axis=0)
         feet[rows], delta[rows] = corners[near], dc[near, np.arange(len(rows))]
         return feet, delta
+
+    def _complement_feet(self, norm, x):
+        """``foot_candidates`` of the complement, the union of the two disks'
+        complements: both disks' candidates."""
+        parts = [disk._complement_feet(norm, x) for disk in self._disks]
+        return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
 
     def complement(self):
         return ComplementShape(self)
@@ -1137,7 +1183,7 @@ class SegmentUnion(Shape):
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return _segment_projection(x, self._starts, self._edges, np.eye(2))[1] <= tol
+        return _segment_feet(EuclideanNorm(2), x, self._starts, self._edges)[1].min(axis=1) <= tol
 
     def bounding_box(self):
         return self._ends.min(axis=0), self._ends.max(axis=0)
@@ -1152,12 +1198,6 @@ class SegmentUnion(Shape):
 
     def total_length(self):
         return sum(float(np.linalg.norm(q - p)) for p, q in self.segments)
-
-    def corner_points(self):
-        return self._ends.copy()
-
-    def charts(self):
-        return _segment_charts(self._starts, self._edges)
 
     def boundary_strata(self, n=512, seed=0):
         rng = np.random.default_rng(seed)
@@ -1190,10 +1230,13 @@ class SegmentUnion(Shape):
         raise ValueError("point is not on the set")
 
     def exact_projection(self, norm, x):
-        if norm.dual_transform is None:
-            return None
+        """The nearest of the segments' feet, the first on ties."""
+        return _best(*self.foot_candidates(norm, x))
+
+    def foot_candidates(self, norm, x):
+        """One foot per segment (``_segment_feet``)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return _segment_projection(x, self._starts, self._edges, norm.dual_transform)
+        return _segment_feet(norm, x, self._starts, self._edges)
 
 
 class DisjointUnion(Shape):
@@ -1263,13 +1306,6 @@ class DisjointUnion(Shape):
         vols = [c.volume() for c in self.components]
         return None if any(v is None for v in vols) else float(sum(vols))
 
-    def corner_points(self):
-        pts = [c.corner_points() for c in self.components]
-        return np.concatenate(pts) if pts else np.empty((0, self.dim))
-
-    def charts(self):
-        return [ch for c in self.components for ch in c.charts()]
-
     def boundary_strata(self, n=512, seed=0):
         m = max(n // len(self.components), 32)
         parts = [
@@ -1306,15 +1342,30 @@ class DisjointUnion(Shape):
 
     def exact_projection(self, norm, x):
         results = [c.exact_projection(norm, x) for c in self.components]
-        if any(r is None for r in results):
-            return None
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         feet = results[0][0].copy()
         delta = results[0][1].copy()
         for f, d in results[1:]:
             upd = d < delta
             delta[upd] = d[upd]
             feet[upd] = f[upd]
+        return feet, delta
+
+    def foot_candidates(self, norm, x):
+        """The components' candidates, side by side."""
+        parts = [c.foot_candidates(norm, x) for c in self.components]
+        return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
+
+    def _complement_feet(self, norm, x):
+        """``foot_candidates`` of the complement: those of the one component a
+        point lies in, whose complement it is farthest from; every other
+        component's complement holds the point, at distance 0."""
+        parts = [c._complement_feet(norm, x) for c in self.components]
+        pick = np.argmax([d.min(axis=1) for _, d in parts], axis=0)
+        feet = np.repeat(x[:, None, :], max(d.shape[1] for _, d in parts), axis=1)
+        delta = np.full(feet.shape[:2], np.inf)
+        for k, (f, d) in enumerate(parts):
+            rows = pick == k
+            feet[rows, : d.shape[1]], delta[rows, : d.shape[1]] = f[rows], d[rows]
         return feet, delta
 
     def complement(self):
@@ -1350,12 +1401,6 @@ class ComplementShape(Shape):
     def volume(self):
         return None
 
-    def charts(self):
-        return self.base.charts()
-
-    def corner_points(self):
-        return self.base.corner_points()
-
     def boundary_strata(self, n=512, seed=0):
         # vectors flip and pairs stay; corner fans of the base vanish on the
         # complement side
@@ -1385,11 +1430,12 @@ class ComplementShape(Shape):
         return v
 
     def exact_projection(self, norm, x):
-        # mirror of the base's Wulff-shape projection, valid for points inside
+        """The mirror of a Wulff body's radial projection under its own norm,
+        else the nearest of ``foot_candidates``, the first on ties."""
         b = self.base
-        if not isinstance(b, WulffBody) or norm.key != b.norm.key:
-            return None
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if not isinstance(b, WulffBody) or norm.key != b.norm.key:
+            return _best(*self.foot_candidates(norm, x))
         v = x - b.center
         g = norm.conjugate(v)
         inside = g < b.radius
@@ -1397,6 +1443,10 @@ class ComplementShape(Shape):
         w = w / norm.conjugate(w)[:, None]
         feet = np.where(inside[:, None], b.center + b.radius * w, x)
         return feet, np.where(inside, b.radius - g, 0.0)
+
+    def foot_candidates(self, norm, x):
+        """The base's candidate feet of its interior points (``_complement_feet``)."""
+        return self.base._complement_feet(norm, np.atleast_2d(np.asarray(x, dtype=float)))
 
 
 # ======================================================================

@@ -15,6 +15,7 @@ from reachgeom.curvature import (
     elementary_symmetric,
     kappa_from_chi,
     mean_curvature,
+    normal_matrices,
     pointwise_mean_curvature,
     pointwise_shape_operator,
 )
@@ -265,7 +266,7 @@ class TestSmoothOracles:
         npt.assert_allclose(bs.kappa, 1.0, atol=1e-7)
 
     def test_generic_path_agrees_with_pointwise(self):
-        # disk under the anisotropic norm exercises the chart-solver feet;
+        # disk under the anisotropic norm exercises the secular-equation feet;
         # on the unit circle the dual normal field grad phi(u) turns at rate
         # tau' hess phi(u) tau per unit arc length, which both routes must give
         disk = make_catalog_shape("disk", Q41)
@@ -389,120 +390,80 @@ class TestAudit:
 
 
 class TestWarmProbes:
-    """Probe feet polished from the bundle point, certified by the Lipschitz bound."""
-
-    @staticmethod
-    def _counting(monkeypatch):
-        """Rows sent to the global route from now on."""
-        rows = []
-        plain = projection.nearest_points
-
-        def counting(shape_, norm_, x_):
-            rows.append(len(x_))
-            return plain(shape_, norm_, x_)
-
-        monkeypatch.setattr(projection, "nearest_points", counting)
-        return rows
+    """Probe feet come from nearest_points: a closed form or the global support search."""
 
     def _probe_calls(self, monkeypatch, shape, norm, n):
-        """Every probe batch of an audited bundle_sample of a convex shape.
-
-        A convex shape's reach is not bisected, so every row that reaches
-        ``nearest_points`` is a fallback.
-        """
+        """Every probe batch of an audited bundle_sample of a convex shape, with its feet."""
         calls = []
-        warm = projection._probe_feet
+        plain = projection.nearest_points
 
-        def spy(*args):
-            out = warm(*args)
-            calls.append((args[2], out))
+        def spy(shape_, norm_, x_):
+            out = plain(shape_, norm_, x_)
+            calls.append((x_, out))
             return out
 
-        monkeypatch.setattr(curvature, "_probe_feet", spy)
-        rows = self._counting(monkeypatch)
+        monkeypatch.setattr(curvature, "nearest_points", spy)
         bundle_sample(shape, norm, n=n, audit=True)
         monkeypatch.undo()
         assert len(calls) == 2  # the probes at r and the audit's at 2r
-        return calls, sum(rows)
+        return calls
 
     def test_lens_feet_equal_the_global_route(self, monkeypatch):
-        # the lens has no closed form under a smoothed-lp norm
+        # the lens has no closed form under a smoothed-lp norm: its disks'
+        # feet come from the support search, and no point of a dense sample
+        # of the arcs is nearer
         lens, norm = make_catalog_shape("cap-lens-0.5"), SmoothedLpNorm(2, 3.0)
-        calls, fallback = self._probe_calls(monkeypatch, lens, norm, 512)
-        assert fallback == 0
+        calls = self._probe_calls(monkeypatch, lens, norm, 512)
+        (arcs, corners) = lens.boundary_strata(n=1024)
+        cloud = np.concatenate([arcs.points, corners.points])
         for x, (feet, delta) in calls:
-            assert x.shape == (544, 2, 2)
-            feet_g, delta_g = projection.nearest_points(lens, norm, x.reshape(-1, 2))
-            feet, delta = feet.reshape(-1, 2), delta.ravel()
-            npt.assert_allclose(feet, feet_g, rtol=0.0, atol=1e-12)
-            npt.assert_allclose(delta, delta_g, rtol=0.0, atol=1e-12)
+            assert x.shape == (1088, 2)
+            assert lens.contains(feet, tol=1e-12).all()
+            rows = np.arange(0, len(x), 34)
+            near = norm.conjugate(x[rows, None, :] - cloud).min(axis=1)
+            assert (delta[rows] <= near + 1e-12).all()
 
     def test_smoothed_lp_body_in_3d(self, monkeypatch):
-        # the 3-d chart Newton settles within ~1e-11 of the foot (central
-        # differences of chart points with a step near eps^(1/3)),
-        # differently from each seed, so feet agree to that floor and
-        # distances to rounding
+        # the 3-d support search from outside the body, against a dense
+        # boundary sample
         body = WulffBody(SmoothedLpNorm(3, 3.0))
-        calls, fallback = self._probe_calls(monkeypatch, body, E3, 32)
-        assert fallback == 0
+        calls = self._probe_calls(monkeypatch, body, E3, 32)
+        (stratum,) = body.boundary_strata(n=20000)
         for x, (feet, delta) in calls:
-            feet_g, delta_g = projection.nearest_points(body, E3, x.reshape(-1, 3))
-            feet, delta = feet.reshape(-1, 3), delta.ravel()
-            npt.assert_allclose(feet, feet_g, rtol=0.0, atol=2e-10)
-            npt.assert_allclose(delta, delta_g, rtol=0.0, atol=1e-12)
+            npt.assert_allclose(body.norm.conjugate(feet), 1.0, rtol=0.0, atol=1e-12)
+            near = np.linalg.norm(x[:, None, :] - stratum.points, axis=-1).min(axis=1)
+            assert (delta <= near + 1e-12).all()
 
-    @staticmethod
-    def _global_probe_feet(shape, norm, x, *bound):
-        feet, delta = projection.nearest_points(shape, norm, x.reshape(-1, x.shape[-1]))
-        return feet.reshape(x.shape), delta.reshape(x.shape[:-1])
-
-    def test_kappa_agrees_with_the_global_route(self, monkeypatch):
+    def test_kappa_agrees_with_the_global_route(self, search_twin):
+        # under diag(4, 1) the lens projects in closed form, and the complement
+        # of its own dual ball by the mirror of the radial foot; under the
+        # twin both take the support search
+        twin = search_twin(Q41)
         for shape in (
-            make_catalog_shape("cap-lens-0.5", Q41),
-            make_catalog_shape("cap-lens-0.5", Q41).complement(),
+            make_catalog_shape("cap-lens-0.5"),
+            make_catalog_shape("ellipse-2-1").complement(),
         ):
-            warm = bundle_sample(shape, Q41, n=128, audit=True)
-            monkeypatch.setattr(curvature, "_probe_feet", self._global_probe_feet)
-            cold = bundle_sample(shape, Q41, n=128, audit=True)
-            monkeypatch.undo()
-            finite = np.isfinite(cold.kappa)
-            assert np.array_equal(np.isfinite(warm.kappa), finite)
+            closed = bundle_sample(shape, Q41, n=128, audit=True)
+            search = bundle_sample(shape, twin, n=128, audit=True)
+            finite = np.isfinite(closed.kappa)
+            assert np.array_equal(np.isfinite(search.kappa), finite)
             # feet one ulp apart move chi by about 1e-16 / (2 h r) with h = 1e-4 r,
             # and r is small near the lens corners
-            npt.assert_allclose(warm.kappa[finite], cold.kappa[finite], rtol=1e-7, atol=1e-9)
-            assert np.array_equal(warm.audit_fail, cold.audit_fail)
+            npt.assert_allclose(search.kappa[finite], closed.kappa[finite], rtol=1e-7, atol=1e-9)
+            assert np.array_equal(search.audit_fail, closed.audit_fail)
 
-    @staticmethod
-    def _apex_probes(r):
-        """Probes a + r eta +- h tau below the upper apex of the lens complement.
-
-        Descending from the apex the foot jumps to the lower arc at r = 1/2,
-        the ray reach.
-        """
-        comp = make_catalog_shape("cap-lens-0.5", E2).complement()
-        a = np.array([[0.0, 0.5]])
-        h = 1e-4 * r
-        x = a[:, None] + np.array([[[h, -r], [-h, -r]]])
-        return comp, x, a, np.array([h])
-
-    def test_foot_leaving_the_neighbourhood_falls_back(self, monkeypatch):
-        # a stated reach of 100 where the true one is 1/2: at r = 0.9 the
-        # lower arc's candidate beats the apex, far outside the neighbourhood
-        # that reach allows.  The true foot is the lower apex, 0.1 away.
-        comp, x, a, h = self._apex_probes(0.9)
-        rows = self._counting(monkeypatch)
-        feet, delta = projection._probe_feet(comp, E2, x, a, 0.9, 100.0, h)
-        monkeypatch.undo()
-        assert rows == [2]
-        feet_g, delta_g = projection.nearest_points(comp, E2, x[0])
-        assert np.array_equal(feet[0], feet_g) and np.array_equal(delta[0], delta_g)
-        npt.assert_allclose(delta, 0.1, atol=1e-7)
-
-    def test_probe_at_or_past_the_reach_has_no_certificate(self, monkeypatch):
-        comp, x, a, h = self._apex_probes(0.05)
-        rows = self._counting(monkeypatch)
-        feet, _ = projection._probe_feet(comp, E2, x, a, 0.05, 0.5, h)
-        assert rows == []
-        npt.assert_allclose(feet[0], np.repeat(a, 2, axis=0), atol=1e-4)
-        projection._probe_feet(comp, E2, x, a, 0.05, 0.05, h)
-        assert rows == [2]
+    def test_probe_past_a_focal_point_takes_the_true_foot(self):
+        # below the apex of the disk complement under diag(4, 1), past the
+        # focal distance 1/4, the apex is no longer the foot: at r = 0.4 the
+        # distance is sqrt(0.13), not 0.4
+        comp, norm = make_catalog_shape("disk").complement(), Q41
+        a, eta, r = np.array([[0.0, 1.0]]), np.array([[0.0, -1.0]]), 0.4
+        M, T, _ = normal_matrices(comp, norm, a, eta, r)
+        h = curvature.FD_FRAC * r
+        probes = a + r * eta + np.array([[h], [-h]]) * T[0]
+        npt.assert_allclose(projection.set_distance(comp, norm, a + r * eta), np.sqrt(0.13))
+        feet, delta = projection.nearest_points(comp, norm, probes)
+        assert (delta < 0.361).all()
+        nu = (probes - feet) / delta[:, None]
+        want = T[0] @ ((nu[0] - nu[1]) / (2.0 * h))
+        npt.assert_allclose(M[0, 0, 0], want, rtol=1e-12)

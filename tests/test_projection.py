@@ -1,8 +1,6 @@
 """Nearest points, distance gradients, reach, and boundary classification."""
 
-import gc
 import sys
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,15 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachgeom import projection
+from reachgeom import projection, shapes
 from reachgeom.curvature import bundle_nodes
-from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm
+from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm, unit_rows
 from reachgeom.projection import (
     InvalidNormalError,
-    _chart_minimize,
-    _ChartSolver,
     _multi_foot_cap,
-    _solver,
     classify_boundary_point,
     distance_field,
     global_reach,
@@ -31,7 +26,7 @@ from reachgeom.projection import (
 )
 from reachgeom.shapes import (
     Ball,
-    CapLens,
+    ConvexPolytope,
     DisjointUnion,
     Ellipsoid,
     WulffBody,
@@ -42,6 +37,7 @@ from reachgeom.shapes import (
 
 E2 = EuclideanNorm(2)
 Q41 = EllipsoidalNorm(np.diag([4.0, 1.0]))
+
 
 
 class TestProject:
@@ -90,59 +86,20 @@ class TestProject:
             npt.assert_allclose(res.foot, f, atol=1e-12)
 
 
-class TestSolverMemo:
-    # a lens complement under Q41 has no closed-form projection: every call
-    # needs a solver
-    def test_solvers_die_with_their_shapes(self):
-        refs = []
-        for i in range(30):
-            lens = CapLens(0.3 + 0.01 * i).complement()
-            nearest_points(lens, Q41, np.array([[0.0, 0.1]]))
-            assert len(lens.chart_solvers) == 1
-            refs.append(weakref.ref(lens))
-            del lens
-        gc.collect()
-        assert [r for r in refs if r() is not None] == []
-
-    def test_threads_share_one_solver(self):
-        lens = CapLens(0.5).complement()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(_solver, lens, Q41) for _ in range(16)]
-                got = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(s is got[0] for s in got)
-        assert list(lens.chart_solvers.values()) == [got[0]]
-
-    def test_solver_is_shared_by_equal_norms_only(self):
-        lens = CapLens(0.5).complement()
-        for norm in (Q41, EllipsoidalNorm(np.diag([4.0, 1.0])), EllipsoidalNorm(np.diag([2.0, 1.0]))):
-            nearest_points(lens, norm, np.array([[0.0, 0.1]]))
-        assert len(lens.chart_solvers) == 2
-
-
 class TestSeedSearchChunks:
-    def test_feet_batch_equals_its_chunks(self):
-        norm = EllipsoidalNorm(np.diag([4.0, 1.0]))
-        solver = _ChartSolver(make_catalog_shape("cap-lens-0.5"), norm)
-        x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(600, 2))
-        rows = []
-        conjugate = norm.conjugate
-
-        def spy(y):
-            if np.ndim(y) == 3:  # a seed search: (query rows, seeds, d)
-                rows.append(len(y))
-            return conjugate(y)
-
-        norm.conjugate = spy
-        whole = solver.feet_batch(x, want_all=True)
-        assert rows and max(rows) <= 256
-        parts = [solver.feet_batch(x[i : i + 256], want_all=True) for i in (0, 256, 512)]
-        for got, want in zip(whole, zip(*parts)):
-            assert got.tobytes() == np.concatenate(want).tobytes()
+    def test_feet_batch_equals_its_chunks(self, monkeypatch):
+        # the support search's grid stage takes rows in chunks of at most
+        # _GRID_VALUES values, and a row's foot does not depend on its chunk
+        comp = make_catalog_shape("cap-lens-0.5").complement()
+        x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(600, 2)) * [1.0, 0.5]
+        whole = nearest_points(comp, Q41, x)
+        monkeypatch.setattr(shapes, "_GRID_VALUES", 100 * shapes.GAP_GRID)
+        chunked = nearest_points(comp, Q41, x)
+        for got, want in zip(chunked, whole):
+            assert got.tobytes() == want.tobytes()
+        for i in range(0, 600, 37):
+            alone = nearest_points(comp, Q41, x[i : i + 1])
+            assert alone[0].tobytes() == whole[0][i : i + 1].tobytes(), i
 
     def test_empty_batch(self):
         lens = make_catalog_shape("cap-lens-0.5")
@@ -222,7 +179,7 @@ class TestDistanceField:
 
     def test_norm_without_dual_transform_takes_the_chart_route(self):
         # no closed form under a smoothed-lp norm: the field is set_distance
-        # itself, and exact
+        # itself, from the disks' support search
         lens = make_catalog_shape("cap-lens-0.5", E2)
         norm = SmoothedLpNorm(2, 3.0)
         rng = np.random.default_rng(3)
@@ -231,11 +188,11 @@ class TestDistanceField:
         assert distance_field(lens, norm, x).tobytes() == set_distance(lens, norm, x).tobytes()
 
     def test_quadratic_norm_without_a_closed_form_takes_the_chart_route(self):
-        # the lens complement has no closed form under diag(4, 1) either
+        # the lens complement has no closed form under diag(4, 1) either: it
+        # takes its disks' complements' support search
         outside = make_catalog_shape("cap-lens-0.5", Q41).complement()
         rng = np.random.default_rng(3)
         x = rng.uniform(-1.2, 1.2, size=(24, 2))
-        assert outside.exact_projection(Q41, x) is None
         assert outside.contains(x).any() and not outside.contains(x).all()
         assert distance_field(outside, Q41, x).tobytes() == set_distance(outside, Q41, x).tobytes()
 
@@ -286,7 +243,7 @@ class TestQuadraticRoute:
     """The closed-form route of a quadratic body under another quadratic norm."""
 
     @pytest.mark.parametrize("case", list(QUADRATIC_PAIRS))
-    def test_agrees_with_chart_solver(self, case):
+    def test_agrees_with_chart_solver(self, case, search_twin):
         body, norm = QUADRATIC_PAIRS[case]
         rng = np.random.default_rng(3)
         x = body.center + rng.uniform(-4.0, 4.0, size=(400 if body.dim == 2 else 120, body.dim))
@@ -300,15 +257,14 @@ class TestQuadraticRoute:
         direction = norm.conjugate_grad(x - feet)
         direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
         npt.assert_allclose(direction, normal, atol=1e-9)
-        _, delta_chart = _ChartSolver(body, norm).feet_batch(x)
-        assert (delta <= delta_chart + 1e-12).all()
-        npt.assert_allclose(delta, delta_chart, rtol=0.0, atol=1e-9)
+        _, delta_search = body.exact_projection(search_twin(norm), x)
+        npt.assert_allclose(delta, delta_search, rtol=0.0, atol=1e-12)
 
-    def test_finds_the_foot_the_3d_chart_solver_missed(self):
-        # here the chart solver's multi-start Newton once settled on a foot
-        # 0.0917 farther than this one (its clipped steps turned uphill); the
-        # problem is convex, so a foot on the body that meets the first-order
-        # condition is the global minimum
+    def test_finds_the_foot_the_3d_chart_solver_missed(self, search_twin):
+        # here the multi-start chart Newton that preceded the support search
+        # once settled on a foot 0.0917 farther than this one; the problem is
+        # convex, so a foot on the body that meets the first-order condition
+        # is the global minimum
         body, norm = QUADRATIC_PAIRS["wulff-3d-rotated"]
         x = np.array([[0.347, 0.9884, 1.066]])
         feet, delta = body.exact_projection(norm, x)
@@ -317,8 +273,8 @@ class TestQuadraticRoute:
         direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
         npt.assert_allclose(direction, body.norm.gauss_map(feet - body.center), atol=1e-9)
         npt.assert_allclose(delta, [0.030456963666204664], rtol=1e-9)
-        _, delta_chart = _ChartSolver(body, norm).feet_batch(x)
-        npt.assert_allclose(delta_chart, delta, rtol=0.0, atol=1e-12)
+        _, delta_search = body.exact_projection(search_twin(norm), x)
+        npt.assert_allclose(delta_search, delta, rtol=0.0, atol=1e-12)
         (stratum,) = body.boundary_strata(n=20000)
         assert delta[0] <= norm.conjugate(x - stratum.points).min()
 
@@ -334,7 +290,7 @@ class TestQuadraticRoute:
         assert (delta == 0.0).all()
 
     @pytest.mark.parametrize("case", list(QUADRATIC_PAIRS))
-    def test_far_axis_and_boundary_points_are_finite(self, case):
+    def test_far_axis_and_boundary_points_are_finite(self, case, search_twin):
         body, norm = QUADRATIC_PAIRS[case]
         rng = np.random.default_rng(5)
         v = rng.standard_normal((20, body.dim))
@@ -350,18 +306,17 @@ class TestQuadraticRoute:
             )
         npt.assert_allclose(delta, 0.0, atol=1e-12)
         feet, delta = body.exact_projection(norm, on_axes[: 2 * body.dim])
-        if body.dim == 2:
-            _, delta_chart = _ChartSolver(body, norm).feet_batch(on_axes[: 2 * body.dim])
-            npt.assert_allclose(delta, delta_chart, rtol=0.0, atol=1e-9)
+        _, delta_search = body.exact_projection(search_twin(norm), on_axes[: 2 * body.dim])
+        npt.assert_allclose(delta, delta_search, rtol=0.0, atol=1e-12)
         npt.assert_allclose(norm.conjugate(on_axes[: 2 * body.dim] - feet), delta, rtol=1e-12)
 
 
 class TestChartNewton3d:
     def test_smoothed_lp_body_probes_reach_their_feet(self):
         # curvature probes of this body's n = 512 bundle whose chart Newton
-        # once settled 0.0064, 0.083 and 0.0016 past the true distance (its
-        # clipped steps turned uphill), which moved its Theta_1 from 11.42 to
-        # 13.04; a dense boundary cloud bounds the distance from above
+        # once settled 0.0064, 0.083 and 0.0016 past the true distance, which
+        # moved its Theta_1 from 11.42 to 13.04; a dense boundary cloud bounds
+        # the distance from above
         body = WulffBody(SmoothedLpNorm(3, 3.0))
         x = np.array(
             [
@@ -370,64 +325,30 @@ class TestChartNewton3d:
                 [0.0536341899834954, -1.1587449034446689, 0.08701949332782978],
             ]
         )
-        _, delta = _ChartSolver(body, E3).feet_batch(x)
+        _, delta = nearest_points(body, E3, x)
         (stratum,) = body.boundary_strata(n=20000)
         cloud = np.linalg.norm(x[:, None, :] - stratum.points[None, :, :], axis=-1).min(axis=1)
         assert (delta <= cloud).all()
-
-    def test_ill_conditioned_step_keeps_descending(self):
-        # from this seed the Newton step is long along the flat direction;
-        # clipped componentwise it turned uphill and the line search stalled
-        # 0.0012 above the distance
-        body = WulffBody(SmoothedLpNorm(3, 3.0))
-        x = np.array([[-0.3868906013031506, -0.03751949232937084, -1.0369198463478897]])
-        s0 = np.array([[2.597251667889787, 3.3046077995279495]])
-        (chart,) = body.charts()
-        _, value = _chart_minimize(chart, E3, x, s0)
-        _, delta = _ChartSolver(body, E3).feet_batch(x)
-        npt.assert_allclose(value, delta, rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize(
         "shape, norm",
         [
             (WulffBody(SmoothedLpNorm(3, 3.0)), EuclideanNorm(3)),
-            (make_catalog_shape("cap-lens-0.5", Q41), Q41),
+            (make_catalog_shape("cap-lens-0.5", Q41).complement(), Q41),
         ],
         ids=["sphere-chart", "lens-arc"],
     )
     def test_row_alone_equals_row_in_batch(self, shape, norm):
-        chart = shape.charts()[0]
+        # the support search, from outside a 3-d body and from inside the
+        # lens toward its complement (every local maximum polished)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((400, shape.dim))
         x *= rng.uniform(0.5, 1.5, (400, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
-        grid = chart.seeds(256)
-        near = np.linalg.norm(x[:, None, :] - chart.point(grid)[None, :, :], axis=-1)
-        s0 = grid[np.argmin(near, axis=1)]
-        s, value = _chart_minimize(chart, norm, x, s0)
+        feet, delta = nearest_points(shape, norm, x)
         for i in range(0, len(x), 16):
-            s_i, value_i = _chart_minimize(chart, norm, x[i : i + 1], s0[i : i + 1])
-            assert s_i.tobytes() == s[i : i + 1].tobytes(), i
-            assert value_i.tobytes() == value[i : i + 1].tobytes(), i
-
-    def test_one_support_solve_per_chart_evaluation(self, monkeypatch):
-        # phi_*(v) = v . grad phi_*(v), so the value costs no second solve
-        norm = SmoothedLpNorm(2, 3.0)
-        chart = make_catalog_shape("cap-lens-0.5", norm).charts()[0]
-        calls = {"point": 0, "support": 0}
-        point, support = chart.point, norm._support_argmax
-
-        def counted(name, f):
-            def g(*args):
-                calls[name] += 1
-                return f(*args)
-
-            return g
-
-        monkeypatch.setattr(chart, "point", counted("point", point))
-        monkeypatch.setattr(norm, "_support_argmax", counted("support", support))
-        x = np.random.default_rng(2).uniform(-1.0, 1.0, size=(20, 2)) + [0.0, 1.5]
-        _chart_minimize(chart, norm, x, chart.seeds(20))
-        assert calls["support"] == calls["point"] > 0
+            feet_i, delta_i = nearest_points(shape, norm, x[i : i + 1])
+            assert feet_i.tobytes() == feet[i : i + 1].tobytes(), i
+            assert delta_i.tobytes() == delta[i : i + 1].tobytes(), i
 
 
 class TestReach:
@@ -473,7 +394,8 @@ class TestReach:
         axis = np.c_[np.linspace(-0.6, 0.6, 9), np.zeros(9)]
         pts = np.concatenate([rng.uniform(-0.8, 0.8, size=(40, 2)) * [1.0, 0.4], axis])
         pts = pts[~comp.contains(pts)]
-        _, val, feet_all, vals_all = _solver(comp, Q41).feet_batch(pts, want_all=True)
+        feet_all, vals_all = comp.foot_candidates(Q41, pts)
+        val = vals_all.min(axis=1)
         near = vals_all <= (val + projection.TOL_EQ_REL * (1.0 + val))[:, None]
         sep = projection.TOL_MULTI_REL * comp.diameter
         multi = []
@@ -488,13 +410,10 @@ class TestReach:
             assert np.isfinite(_multi_foot_cap(comp, Q41, pts[i : i + 1])) == m, i
         assert _multi_foot_cap(comp, Q41, pts) == min(val[np.array(multi)])
 
-    def test_segment_ties_take_no_chart_solver(self, monkeypatch):
+    def test_segment_ties_take_no_chart_solver(self):
         # on y = 0 the two segments of segment-pair are both nearest, at
-        # phi_*((0, 1)) = 1 under diag(4, 1); (1, 0.5) has one foot
-        def no_solver(*args):
-            raise AssertionError("the chart solver ran")
-
-        monkeypatch.setattr(projection, "_solver", no_solver)
+        # phi_*((0, 1)) = 1 under diag(4, 1); (1, 0.5) has one foot.  The
+        # ties are read from one foot per segment
         pts = np.array([[0.3, 0.0], [1.0, 0.5], [-1.5, 0.0]])
         assert _multi_foot_cap(make_catalog_shape("segment-pair"), Q41, pts) == 1.0
         assert _multi_foot_cap(make_catalog_shape("segment-pair"), Q41, pts[1:2]) == np.inf
@@ -562,7 +481,8 @@ class TestReachBracket:
         return shape, a, norm.grad(u)
 
     def test_distance_rows_per_finite_ray(self, monkeypatch):
-        # 60 halvings cost 61 distance rows per finite ray (7,936 in all here)
+        # rays on a union of disjoint convex pieces take _union_reach, by
+        # Newton on each piece's slack, and never set_distance
         shape, a, eta = self._rays("two-disks-gap1", Q41, 256)
         rows = []
         plain = projection.set_distance
@@ -574,9 +494,8 @@ class TestReachBracket:
         monkeypatch.setattr(projection, "set_distance", counting)
         r = reach_along(shape, Q41, a, eta, validate=False)
         monkeypatch.undo()
-        finite = np.isfinite(r)
-        assert finite.sum() == 128
-        assert sum(rows) - (~finite).sum() <= 40 * finite.sum()
+        assert rows == []
+        assert np.isfinite(r).sum() == 128
 
     @pytest.mark.parametrize(
         "key, n, complement, n_finite",
@@ -838,6 +757,99 @@ class TestUnionGap:
     def test_half_gap_is_at_most_every_ray_reach(self, key, norm):
         est = global_reach(make_catalog_shape(key, norm), norm, n_samples=256)
         assert est.global_reach <= est.per_sample.min()
+
+
+LP2, LP3 = SmoothedLpNorm(2, 3.0), SmoothedLpNorm(3, 3.0)
+ROUTE_NORMS = {
+    2: {"euclid": E2, "diag": Q41, "rotated": _rotated([3.0, 0.5], [0.7]), "lp": LP2},
+    3: {
+        "euclid": E3,
+        "diag": EllipsoidalNorm(np.diag([4.0, 1.0, 2.0])),
+        "rotated": _rotated([3.0, 1.0, 0.25], [2.1, 0.8, 0.5]),
+        "lp": LP3,
+    },
+}
+# "-lp": the catalog Wulff body of the smoothed-lp norm, under every norm
+ROUTE_SHAPES = {
+    2: ["disk", "unit-square", "ellipse-2-1", "two-disks-gap1", "two-disks-mixed",
+        "cap-lens-0.5", "segment-pair", "wulff", "three-wulff", "wulff-lp"],
+    3: ["cube", "two-balls-3d", "wulff-3d", "wulff-3d-lp"],
+}
+
+
+def _route_cases(dims=(2, 3), names=None):
+    return [
+        pytest.param(dim, key, name, comp, id=f"{key}-{name}" + ("-complement" if comp else ""))
+        for dim in dims
+        for key in ROUTE_SHAPES[dim]
+        for name in names or ROUTE_NORMS[dim]
+        for comp in (False, True)
+        if not (comp and key == "segment-pair")
+    ]
+
+
+def _route_pair(dim, key, name, complement, n=30):
+    """The shape, the norm and n points around the shape (seeded by the case)."""
+    norm = ROUTE_NORMS[dim][name]
+    body_norm = {2: LP2, 3: LP3}[dim] if key.endswith("-lp") else norm
+    shape = make_catalog_shape(key.removesuffix("-lp"), body_norm)
+    if complement:
+        shape = shape.complement()
+    lo, hi = shape.bounding_box()
+    rng = np.random.default_rng(len(key) + 10 * len(name) + complement)
+    return shape, norm, rng.uniform(lo - 0.3, hi + 0.3, size=(n, dim))
+
+
+class TestSupportRoutes:
+    """Every catalog shape projects itself under every norm, complements included."""
+
+    @pytest.mark.parametrize("dim, key, name, complement", _route_cases())
+    def test_closed_forms_agree_with_the_search(self, dim, key, name, complement, search_twin):
+        # under the twin no closed form applies: Wulff bodies take the
+        # support search and boxes their facets' and edges' feet
+        shape, norm, x = _route_pair(dim, key, name, complement)
+        feet, delta = nearest_points(shape, norm, x)
+        feet_s, delta_s = nearest_points(shape, search_twin(norm), x)
+        npt.assert_allclose(delta, delta_s, rtol=0.0, atol=1e-12)
+        npt.assert_allclose(norm.conjugate(x - feet), delta, rtol=0.0, atol=1e-12)
+        assert (delta[shape.contains(x, tol=-1e-9)] == 0.0).all()
+
+    @pytest.mark.parametrize(
+        "dim, key, name, complement",
+        _route_cases((2,)) + [c for c in _route_cases((3,), ["rotated"]) if c.values[1] == "cube"],
+    )
+    def test_distance_agrees_with_a_dense_boundary_sample(self, dim, key, name, complement):
+        # no boundary point is nearer than the foot, and the nearest sample
+        # lies within the sample spacing of it; in 3-d the box under a
+        # rotated norm, whose edges take a 1-d Newton
+        shape, norm, x = _route_pair(dim, key, name, complement, n=12)
+        delta = set_distance(shape, norm, x)
+        base = shape.base if complement else shape
+        strata = base.boundary_strata(n=1024 if dim == 2 else 6000)
+        cloud = np.concatenate([s.points for s in strata])
+        spacing = max(s.weights.max() ** (1.0 / s.index) for s in strata if s.index)
+        out = ~shape.contains(x, tol=0.0)
+        near = norm.conjugate(x[out, None, :] - cloud).min(axis=1)
+        # phi_* of a Euclidean step is at most its length times this
+        stretch = norm.conjugate(unit_rows(np.random.default_rng(0).standard_normal((999, dim))))
+        assert (delta[out] <= near + 1e-12).all()
+        assert (near - delta[out] <= 2.0 * stretch.max() * spacing).all()
+
+
+class TestFacetFormula:
+    def test_square_complement_distance_is_exact(self):
+        # the chart solver gave 1.8e-8 (2.2e-5 relative) too much here
+        x = np.array([[0.2386503, -0.49918422]])
+        a = np.array([0.0, -1.0])
+        want = (0.5 - a @ x[0]) / LP2.value(a)
+        got = set_distance(make_catalog_shape("unit-square").complement(), LP2, x)[0]
+        assert abs(got - want) <= 1e-15 * want
+
+    def test_box_complement_ties_are_second_feet(self):
+        comp = ConvexPolytope.box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]).complement()
+        res = project(comp, LP3, np.array([0.5, 0.5, 1.5]))
+        assert res.multiplicity == "multiple"
+        npt.assert_allclose(res.delta, 0.5 / LP3.value(np.array([1.0, 0.0, 0.0])), rtol=1e-15)
 
 
 class TestClassify:
