@@ -42,7 +42,7 @@ Reach takes one of two routes:
   Newton on each component's slack of the distance predicate
   (``_union_reach``); when the components are all ``WulffBody``s,
   ``global_reach`` is half their least pairwise phi_* gap, with certified
-  bounds (``shapes._gap_bounds``);
+  bounds (``shapes._gap_bounds``), and traces no ray;
 * complements, ``SegmentUnion``s and unions with a non-convex component:
   ``reach_along`` brackets each ray to the tolerance of the predicate
   (``_bracket_reach``).  These, and unions with a convex component that is
@@ -112,13 +112,9 @@ class ProjectionResult:
 class ReachEstimate:
     """A memoized ``global_reach`` result, shared and read-only."""
 
-    per_sample: np.ndarray
     global_reach: float
     bracket: tuple[float, float]
     is_infinite: bool
-
-    def __post_init__(self):
-        self.per_sample.setflags(write=False)
 
 
 # ======================================================================
@@ -392,14 +388,15 @@ def global_reach(
     seed: int = 0,
     fiber_nodes: int = 8,
 ) -> ReachEstimate:
-    """Global reach, with the ray reach of a sampled normal bundle per sample.
+    """Global reach, with a bracket on it.
 
     On a union of disjoint ``WulffBody``s it is half the least pairwise
     phi_* gap, and the bracket holds the certified lower and upper bounds of
-    that half gap.  Elsewhere it is the infimum of the sampled ray reaches
-    and of the distances of multi-foot points found by a Monte-Carlo scan of
-    ``n_scan`` points, an upper estimate; the bracket widens it downward by
-    a second-order term in the boundary sample spacing, since the true
+    that half gap; no ray is traced there, and the other arguments only key
+    the memo.  Elsewhere it is the least ray reach over a sampled normal
+    bundle and the distances of multi-foot points found by a Monte-Carlo
+    scan of ``n_scan`` points, an upper estimate; the bracket widens it down
+    by a second-order term in the boundary sample spacing, since the true
     infimum can fall between sampled rays but the reach varies smoothly
     there.
 
@@ -418,16 +415,7 @@ def global_reach(
 
 def _global_reach(shape, norm, n_samples, n_scan, seed, fiber_nodes):
     if shape.is_convex:
-        return ReachEstimate(np.array([np.inf]), np.inf, (np.inf, np.inf), True)
-
-    strata = shape.boundary_strata(n=n_samples, seed=seed)
-    rays_a, rays_u = [], []
-    for s in strata:
-        uu, _ = fiber_quadrature(s.kind, s.fibers, fiber_nodes)  # (F, q, d)
-        rays_a.append(np.repeat(s.points, uu.shape[1], axis=0))
-        rays_u.append(uu.reshape(-1, shape.dim))
-    rays_eta = norm.grad(np.concatenate(rays_u))
-    per_sample = reach_along(shape, norm, np.concatenate(rays_a), rays_eta, validate=False)
+        return ReachEstimate(np.inf, (np.inf, np.inf), True)
 
     pieces = _convex_components(shape)
     if pieces is not None and all(isinstance(c, WulffBody) for c in pieces):
@@ -436,9 +424,16 @@ def _global_reach(shape, norm, n_samples, n_scan, seed, fiber_nodes):
         pairs = [(p, q) for i, p in enumerate(pieces) for q in pieces[i + 1 :]]
         lower, upper = _gap_bounds(pairs, norm)
         g = 0.5 * float(upper.min())
-        return ReachEstimate(per_sample, g, (0.5 * float(lower.min()), g), False)
+        return ReachEstimate(g, (0.5 * float(lower.min()), g), False)
 
-    g = float(per_sample.min())
+    strata = shape.boundary_strata(n=n_samples, seed=seed)
+    rays_a, rays_u = [], []
+    for s in strata:
+        uu, _ = fiber_quadrature(s.kind, s.fibers, fiber_nodes)  # (F, q, d)
+        rays_a.append(np.repeat(s.points, uu.shape[1], axis=0))
+        rays_u.append(uu.reshape(-1, shape.dim))
+    rays_eta = norm.grad(np.concatenate(rays_u))
+    g = float(reach_along(shape, norm, np.concatenate(rays_a), rays_eta, validate=False).min())
     spacing = 0.0
     # a union's stratum of one dimension may come in pieces of several kinds;
     # corners (dimension 0) carry weight 1 each and no spacing
@@ -459,7 +454,7 @@ def _global_reach(shape, norm, n_samples, n_scan, seed, fiber_nodes):
     g2 = min(g, cap)
     slack = 2.0 * spacing**2 / max(g2, 1e-12)
     bracket = (max(g2 - slack, 0.0), g2)
-    return ReachEstimate(per_sample, g2, bracket, not np.isfinite(g2))
+    return ReachEstimate(g2, bracket, not np.isfinite(g2))
 
 
 def _multi_foot_cap(shape, norm, pts):

@@ -252,6 +252,11 @@ class Shape:
         """Bundle samples by (norm key, n, seed), filled by the curvature measures."""
         return self.__dict__.setdefault("_bundles", {})
 
+    @property
+    def bubble_verdicts(self) -> dict:
+        """Bubble verdicts on default bundles, filled by ``theorems.alexandrov_classify``."""
+        return self.__dict__.setdefault("_bubble_verdicts", {})
+
     def boundary_fiber_at(self, a, tol: float = 1e-7) -> tuple[str, np.ndarray]:
         """Exact normal fiber (kind, row) at a boundary point of a catalog primitive.
 

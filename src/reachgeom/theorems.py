@@ -99,14 +99,15 @@ class TheoremVerdict:
         return json_safe(asdict(self))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BubbleVerdict:
     """Decision on whether a shape is a disjoint union of equal bubbles.
 
     ``radius_consistency`` stores the gaps between the fitted radius and the
     two predicted radii (volume/perimeter quotient and the curvature-level
     formula).  When the verdict is negative, ``failure_reason`` names the
-    first test that discriminated the shape.
+    first test that discriminated the shape.  Verdicts are shared
+    (``Shape.bubble_verdicts``), so they are frozen and ``centers`` read-only.
     """
 
     is_bubble_union: bool
@@ -116,6 +117,9 @@ class BubbleVerdict:
     radius_consistency: tuple
     failure_reason: Optional[str] = None
     notes: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.centers.setflags(write=False)
 
     def to_dict(self) -> dict:
         return json_safe(asdict(self))
@@ -524,9 +528,27 @@ def alexandrov_classify(
     to within ``tol_fit`` (relative).  When components are multiple, the
     pairwise center gaps are compared against twice the measured reach and
     recorded (a consistency report, not a pass/fail gate).
+
+    On the shape's default bundle the verdict is memoized on the shape
+    (``Shape.bubble_verdicts``) by norm key and the other arguments, and
+    shared read-only; any other bundle is classified afresh.
     """
     vol = _require_finite_volume(shape)
     b = _auto_bundle(shape, norm, bundle, n, seed)
+    tols = (tol_const, tol_rad, tol_fit, tol_sing)
+    if b is not shape.bundles.get((norm.key, n, seed)):
+        return _classify(shape, norm, r, b, vol, seed, *tols, check_gaps)
+    key = (norm.key, r, n, seed, *tols, check_gaps)
+    verdict = shape.bubble_verdicts.get(key)
+    if verdict is None:
+        # threads racing here classify the same bundle; all get the first
+        verdict = _classify(shape, norm, r, b, vol, seed, *tols, check_gaps)
+        verdict = shape.bubble_verdicts.setdefault(key, verdict)
+    return verdict
+
+
+def _classify(shape, norm, r, b, vol, seed, tol_const, tol_rad, tol_fit, tol_sing, check_gaps):
+    """The classification of ``alexandrov_classify`` on the bundle b."""
     nn = b.n
 
     def rejected(reason, **notes):

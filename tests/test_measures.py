@@ -504,8 +504,8 @@ class TestFootBrackets:
         npt.assert_array_equal(got[1], want[1])
 
     def test_equals_dense_grid_off_the_closed_form(self):
-        # no closed form for the disk under smoothed-lp: its chart feet are
-        # not exact enough for a bracket, so the Lipschitz band stays alone
+        # no closed form for the disk under smoothed-lp: its feet are support
+        # points of the support search, which the foot bracket takes as well
         disk, norm = make_catalog_shape("disk"), SmoothedLpNorm(2, 3.0)
         # 8 x 4 voxels, so the descent passes a 4 x 4 level below the root
         rho, h, win = (0.1, 0.15), disk.diameter / 64, ([1.05, 0.0], [1.29, 0.12])

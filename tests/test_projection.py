@@ -2,6 +2,7 @@
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import numpy.testing as npt
@@ -369,8 +370,7 @@ class TestReach:
 
     def test_convex_reach_is_infinite(self):
         est = global_reach(make_catalog_shape("disk", E2), E2)
-        assert est.is_infinite
-        assert np.isinf(est.global_reach)
+        assert (est.global_reach, est.bracket, est.is_infinite) == (np.inf, (np.inf, np.inf), True)
 
     def test_global_reach_two_disks(self):
         est = global_reach(
@@ -583,8 +583,8 @@ class TestReachMemo:
         ):
             assert global_reach(shape, Q41, **{**args, **change}) is not first
         assert len(shape.reach_estimates) == 5
-        with pytest.raises(ValueError):
-            first.per_sample[0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            first.global_reach = 0.0
 
     def test_repeated_global_reach_computes_no_distance(self, monkeypatch):
         shape = make_catalog_shape("two-disks-gap1", Q41)
@@ -652,12 +652,12 @@ class TestGlobalReachRays:
     @pytest.mark.parametrize(
         "key, norm, complement",
         [
-            ("two-disks-gap1", Q41, False),
-            ("three-wulff", Q41, False),
+            ("two-disks-gap1", Q41, True),
+            ("three-wulff", Q41, True),
             ("cap-lens-0.5", Q41, True),
             ("segment-pair", Q41, False),
         ],
-        ids=["two-disks", "three-wulff", "lens-complement", "segment-pair"],
+        ids=["two-disks-complement", "three-wulff-complement", "lens-complement", "segment-pair"],
     )
     def test_rays_equal_the_per_fiber_loop(self, monkeypatch, key, norm, complement):
         shape = make_catalog_shape(key, norm)
@@ -755,8 +755,43 @@ class TestUnionGap:
         ids=["two-disks", "three-wulff", "two-balls"],
     )
     def test_half_gap_is_at_most_every_ray_reach(self, key, norm):
-        est = global_reach(make_catalog_shape(key, norm), norm, n_samples=256)
-        assert est.global_reach <= est.per_sample.min()
+        shape = make_catalog_shape(key, norm)
+        est = global_reach(shape, norm, n_samples=256)
+        rays_a, rays_u = [], []
+        for s in shape.boundary_strata(n=256, seed=0):
+            uu, _ = fiber_nodes(s.kind, s.fibers, 8)
+            rays_a.append(np.repeat(s.points, uu.shape[1], axis=0))
+            rays_u.append(uu.reshape(-1, shape.dim))
+        rays_eta = norm.grad(np.concatenate(rays_u))
+        rays = reach_along(shape, norm, np.concatenate(rays_a), rays_eta, validate=False)
+        assert est.global_reach <= rays.min()
+
+    @pytest.mark.parametrize(
+        "key, norm",
+        [("two-disks-gap1", Q41), ("three-wulff", Q41), ("two-balls-3d", EuclideanNorm(3))],
+        ids=["two-disks", "three-wulff", "two-balls"],
+    )
+    def test_gap_route_traces_nothing(self, monkeypatch, key, norm):
+        shape = make_catalog_shape(key, norm)
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(projection, "reach_along", counting("rays", reach_along))
+        monkeypatch.setattr(shape, "boundary_strata", counting("strata", shape.boundary_strata))
+        est = global_reach(shape, norm)
+        assert calls == []
+        pieces = shape.components
+        pairs = [(p, q) for i, p in enumerate(pieces) for q in pieces[i + 1 :]]
+        lower, upper = _gap_bounds(pairs, norm)
+        assert est.global_reach == 0.5 * upper.min()
+        assert est.bracket == (0.5 * lower.min(), 0.5 * upper.min())
+        assert not est.is_infinite
 
 
 LP2, LP3 = SmoothedLpNorm(2, 3.0), SmoothedLpNorm(3, 3.0)

@@ -1,6 +1,9 @@
 """Rigidity verdicts: symmetric-mean chains, boundary identities, bubbles."""
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachgeom.cli import load_config, run
 from reachgeom.curvature import bundle_sample
 from reachgeom import theorems
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm
@@ -461,3 +465,85 @@ class TestLowerBoundRigidity:
         )
         assert v.passed and not v.notes["hypothesis"]
         assert v.lhs == pytest.approx(1.0 / 1.6, rel=1e-6)
+
+
+VERIFY_WULFF = """
+seed = 0
+
+[norm aniso]
+kind = ellipsoidal
+diag = 4, 1
+
+[shape wulff]
+catalog = three-wulff
+norm = aniso
+
+[check wulff-verify]
+type = verify
+shape = wulff
+norm = aniso
+heintze_karcher = true
+classify_equality = true
+alexandrov = 1
+lower_bound = true
+"""
+
+
+class TestBubbleMemo:
+    """One classification per default bundle, shared read-only."""
+
+    @staticmethod
+    def _count_clusterings(monkeypatch):
+        calls = []
+
+        def counting(points):
+            calls.append(len(points))
+            return _cluster_components(points)
+
+        monkeypatch.setattr(theorems, "_cluster_components", counting)
+        return calls
+
+    def test_verify_check_classifies_once(self, tmp_path, monkeypatch):
+        calls = self._count_clusterings(monkeypatch)
+        path = tmp_path / "wulff.cfg"
+        path.write_text(VERIFY_WULFF, encoding="utf-8")
+        status, summary = run(load_config(path))
+        assert status == 0
+        hk, alex, lower = summary["checks"][0]["verdicts"]
+        assert hk["equality"] and alex["is_bubble_union"] and lower["hypothesis"]
+        assert len(calls) == 1
+
+    def test_other_bundle_is_classified_afresh(self, monkeypatch):
+        shape = make_catalog_shape("three-wulff", Q41)
+        first = alexandrov_classify(shape, Q41, 1)
+        own = shape.bundles[(Q41.key, 512, 0)]
+        calls = self._count_clusterings(monkeypatch)
+        assert alexandrov_classify(shape, Q41, 1, bundle=own) is first
+        assert alexandrov_classify(shape, Q41, 1, tol_fit=2e-3) is not first
+        assert len(calls) == 1
+        other = bundle_sample(shape, Q41, n=256)
+        for n in (512, 256):
+            v = alexandrov_classify(shape, Q41, 1, bundle=other, n=n)
+            assert v.is_bubble_union and v is not first
+        assert len(calls) == 3
+        assert len(shape.bubble_verdicts) == 2
+
+    def test_shared_verdict_is_read_only(self):
+        v = alexandrov_classify(make_catalog_shape("three-wulff", Q41), Q41, 1)
+        with pytest.raises(ValueError):
+            v.centers[0, 0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            v.radius = 0.0
+
+    def test_threads_share_one_verdict(self):
+        shape = make_catalog_shape("three-wulff", Q41)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(alexandrov_classify, shape, Q41, 1) for _ in range(8)]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(v is got[0] for v in got)
+        assert [v is got[0] for v in shape.bubble_verdicts.values()] == [True]
