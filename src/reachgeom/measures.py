@@ -37,9 +37,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .curvature import BundleSample, bundle_nodes, bundle_sample
-from .norms import Norm, row_dot, tangent_basis
+from .norms import Norm, fibonacci_sphere, row_dot, tangent_basis
 from .projection import _convex_components, distance_field
-from .shapes import ConvexPolytope, EmptyInteriorError, Shape, fibonacci_sphere
+from .shapes import ConvexPolytope, EmptyInteriorError, Shape
 
 __all__ = [
     "Window",

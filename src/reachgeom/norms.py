@@ -17,6 +17,11 @@ is parametrized by Euclidean unit normals through the gradient map:
 ``grad phi(u)`` is the point of bd W whose outward Euclidean normal is
 parallel to ``u``, and ``gauss_map`` inverts that parametrization.
 
+``_support_search`` maximizes (u.x - h(u))/phi(u) over unit u for a convex
+body with support function h: the signed distance of x to the body.  The
+shapes pass it their bodies; on the body {0} (h_W = phi) it gives phi_*,
+grad phi_* and so the Gauss map of every norm without a closed form.
+
 All evaluation methods are vectorized: an input of shape (..., d) yields
 values of shape (...), gradients of shape (..., d) and Hessians of shape
 (..., d, d).
@@ -24,6 +29,7 @@ values of shape (...), gradients of shape (..., d) and Hessians of shape
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -44,8 +50,8 @@ __all__ = [
 _NORM_PARAMS = {"euclidean": (), "ellipsoidal": ("Q",), "smoothed-lp": ("p", "eps")}
 NORM_KINDS = tuple(_NORM_PARAMS)
 
-# Finite-difference steps (relative to max(1, |x|)).
-FD_STEP_HESS = 1e-4
+GAP_GRID = 256  # directions of the 2d support search, 8x that on the 3d Fibonacci sphere
+_GRID_VALUES = 1 << 20  # grid values the support search holds at once
 
 _GAMMA_SAMPLES = 10_000
 
@@ -189,6 +195,151 @@ def _newton_rows(x, probe, step, retract, iters, tol, halvings):
     return x, val, res
 
 
+def _circle(t):
+    """Unit vectors (cos t, sin t), (N,) -> (N, 2)."""
+    return np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+
+def fibonacci_sphere(n: int) -> np.ndarray:
+    k = np.arange(n)
+    ga = np.pi * (3.0 - np.sqrt(5.0))
+    z = 1.0 - 2.0 * (k + 0.5) / n
+    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return np.c_[r * np.cos(ga * k), r * np.sin(ga * k), z]
+
+
+@functools.lru_cache(maxsize=None)
+def _search_grid(dim):
+    """The support search's grid directions: ``GAP_GRID`` angles (d=2), or 8
+    ``GAP_GRID`` points of the Fibonacci sphere (d=3).  Shared, so read-only.
+    """
+    if dim == 2:
+        dirs = _circle(2.0 * np.pi / GAP_GRID * np.arange(GAP_GRID))
+    else:
+        dirs = fibonacci_sphere(8 * GAP_GRID)
+    dirs.setflags(write=False)
+    return dirs
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_neighbours(dim):
+    """Each ``_search_grid`` direction's neighbours on the grid: the two
+    adjacent angles (d=2), or its 8 nearest (d=3).  Only local searches read
+    them.  Shared, so read-only.
+    """
+    if dim == 2:
+        k = np.arange(GAP_GRID)
+        nbrs = np.c_[k - 1, (k + 1) % GAP_GRID]
+    else:
+        dirs = _search_grid(dim)
+        near = [np.argsort(-(dirs[i : i + 256] @ dirs.T), axis=1)[:, 1:9]
+                for i in range(0, len(dirs), 256)]
+        nbrs = np.concatenate(near)
+    nbrs.setflags(write=False)
+    return nbrs
+
+
+def _support_search(body, norm, x, local=False):
+    """Maximize F(u) = (u.x - h(u))/phi(u) over unit u, for each row of x (N, d).
+
+    h is the support function of the convex ``body`` (its ``support``, with
+    ``support_point`` the gradient of h and ``support_hessian`` its Hessian).
+    By separation (Schneider, *Convex Bodies: The Brunn-Minkowski Theory*)
+    max F is the signed distance of x: delta_K(x) outside K, and minus the
+    distance to the complement inside K.  Where u attains it, the support
+    point of u is the foot, on the boundary of K.  On the body {0}
+    (``_ORIGIN``) max F is phi_*(x) and u/phi(u) is grad phi_*(x).
+
+    F is first evaluated on ``_search_grid``, explicit values in chunks of
+    rows that hold at most ``_GRID_VALUES`` of them.  The best direction of
+    each row is a seed, or with ``local`` every direction no lower than its
+    grid neighbours (``_grid_neighbours``): outside K F has one local maximum
+    where it is positive, inside it may have several.  ``_newton_rows`` on
+    the sphere then lowers -F from each seed (30 iterations, 20 halvings,
+    done at |grad F| <= 1e-15 max(1, |x|) or where rounding stops it, so
+    that feet are good to rounding for the finite differences of curvature
+    probes), with the tangent Hessian -(D2h + F D2phi)/phi, exact
+    where grad F = 0; where that is not negative definite (F is not concave
+    inside K) its eigenvalues are taken by modulus.  Steps are at most 0.25.
+    Returns (rows, u, F, res): the row of x of each seed, ascending, its
+    polished direction, F there and the final |grad F|/max(1, |x|).
+    """
+    if not len(x):
+        return np.zeros(0, dtype=int), np.zeros((0, norm.dim)), np.zeros(0), np.zeros(0)
+    dirs = _search_grid(norm.dim)
+    nbrs = _grid_neighbours(norm.dim) if local else None
+    rows, seeds = [], []
+    h, phi = body.support(dirs), norm.value(dirs)
+    chunk = max(_GRID_VALUES // len(dirs), 1)
+    for i in range(0, len(x), chunk):
+        xi = x[i : i + chunk]
+        f = xi[:, :1] * dirs[:, 0]
+        for k in range(1, norm.dim):
+            f += xi[:, k : k + 1] * dirs[:, k]
+        f -= h
+        f /= phi
+        if local:
+            top = f[:, nbrs[:, 0]]
+            for j in range(1, nbrs.shape[1]):
+                np.maximum(top, f[:, nbrs[:, j]], out=top)
+            r, j = np.nonzero(f >= top)
+        else:
+            r, j = np.arange(len(f)), np.argmax(f, axis=1)
+        rows.append(i + r)
+        seeds.append(j)
+    rows = np.concatenate(rows)
+    xr = x[rows]
+    scale = np.maximum(1.0, np.sqrt(row_dot(xr, xr)))
+
+    def ascent(u, idx):
+        # F, phi(u) and the tangential gradient of F
+        pu = norm.value(u)
+        f = (row_dot(u, xr[idx]) - body.support(u)) / pu
+        g = (xr[idx] - body.support_point(u) - f[:, None] * norm.grad(u)) / pu[:, None]
+        return f, pu, g - u * row_dot(g, u)[:, None]
+
+    def probe(u, idx):
+        # F is good to rounding of u.x and h, of order |x|, not of |F|: the
+        # merit -F - 2 max(1, |x|) makes the flat allowance of _newton_rows
+        # cover that
+        f, _, g = ascent(u, idx)
+        return -f - 2.0 * scale[idx], np.sqrt(row_dot(g, g)) / scale[idx]
+
+    def step(u, idx):
+        f, pu, g = ascent(u, idx)
+        T = tangent_basis(u)
+        H = (body.support_hessian(u) + f[:, None, None] * norm.hessian(u)) / pu[:, None, None]
+        A = T @ H @ np.swapaxes(T, -1, -2)
+        b = np.einsum("mkd,md->mk", T, g)
+        coef = _solve_rows(A, b)
+        down = ~(np.einsum("mk,mk->m", coef, b) > 0)
+        if down.any():
+            lam, V = np.linalg.eigh(A[down])
+            w = np.einsum("mki,mk->mi", V, b[down]) / np.maximum(np.abs(lam), 1e-12)
+            coef[down] = np.einsum("mki,mi->mk", V, w)
+        coef *= np.minimum(1.0, 0.25 / np.maximum(np.sqrt(row_dot(coef, coef)), 1e-300))[:, None]
+        return np.einsum("mk,mkd->md", coef, T)
+
+    u, _, res = _newton_rows(dirs[np.concatenate(seeds)], probe, step, unit_rows, 30, 1e-15, 20)
+    return rows, u, ascent(u, slice(None))[0], res
+
+
+class _Origin:
+    """The body {0}: h = 0, support point 0 and support Hessian 0."""
+
+    def support(self, u):
+        return np.zeros(u.shape[:-1])
+
+    def support_point(self, u):
+        return np.zeros(u.shape)
+
+    def support_hessian(self, u):
+        return np.zeros(u.shape + u.shape[-1:])
+
+
+_ORIGIN = _Origin()
+
+
 class Norm:
     """Base class; concrete norms fill in value/grad (+ optional closed forms)."""
 
@@ -220,18 +371,7 @@ class Norm:
         raise NotImplementedError
 
     def hessian(self, x) -> np.ndarray:
-        """D2phi(x); default is a symmetrized central difference of grad."""
-        x = _as_points(x, self.dim)
-        self._check_nonzero(x)
-        h = FD_STEP_HESS * np.maximum(1.0, np.linalg.norm(x, axis=-1))
-        H = np.empty(x.shape + (self.dim,))
-        for j in range(self.dim):
-            step = np.zeros(self.dim)
-            step[j] = 1.0
-            xp = x + h[..., None] * step
-            xm = x - h[..., None] * step
-            H[..., j, :] = (self.grad(xp) - self.grad(xm)) / (2.0 * h[..., None])
-        return 0.5 * (H + np.swapaxes(H, -1, -2))
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # dual norm
@@ -252,33 +392,14 @@ class Norm:
     def gauss_map(self, eta) -> np.ndarray:
         """Unit Euclidean normal of bd W at eta: inverts ``gauss_inverse``.
 
-        The input is scaled onto bd W first, so any nonzero eta works.
-        ``_newton_rows`` on the sphere solves grad phi(u) = eta / phi_*(eta),
-        seeded at the unit eta, lowering |grad phi(u) - eta / phi_*(eta)|
-        (50 iterations, tol 1e-10, 20 halvings).  Raises NonConvergenceError
-        if a row ends with a residual above 1e-8.
+        The normal of W = {phi_* <= 1} at eta is parallel to grad phi_*(eta),
+        so any nonzero eta works.  Raises NonConvergenceError where
+        ``conjugate_grad`` does.
         """
-        eta = _as_points(eta, self.dim)
-        self._check_nonzero(eta)
-        pts = eta.reshape(-1, self.dim)
-        target = pts / self.conjugate(pts)[..., None]
-
-        def probe(u, rows):
-            r = np.linalg.norm(self.grad(u) - target[rows], axis=-1)
-            return r, r
-
-        def step(u, rows):
-            T = tangent_basis(u)
-            A = T @ self.hessian(u) @ np.swapaxes(T, -1, -2)
-            b = -np.einsum("mkd,md->mk", T, self.grad(u) - target[rows])
-            return np.einsum("mk,mkd->md", _solve_rows(A, b), T)
-
-        u, _, res = _newton_rows(unit_rows(target), probe, step, unit_rows, 50, 1e-10, 20)
-        if not (res <= 1e-8).all():
-            raise NonConvergenceError(
-                f"gauss_map failed to converge: worst residual {res.max():.3e}"
-            )
-        return u.reshape(eta.shape)
+        try:
+            return unit_rows(self.conjugate_grad(eta))
+        except NonConvergenceError as err:
+            raise NonConvergenceError(f"gauss_map failed to converge: {err}") from err
 
     # ------------------------------------------------------------------
     def _check_nonzero(self, x):
@@ -337,12 +458,6 @@ class EuclideanNorm(Norm):
 
     conjugate = value
     conjugate_grad = grad
-    conjugate_hessian = hessian
-
-    def gauss_map(self, eta):
-        eta = _as_points(eta, self.dim)
-        self._check_nonzero(eta)
-        return eta / np.linalg.norm(eta, axis=-1, keepdims=True)
 
 
 class EllipsoidalNorm(Norm):
@@ -398,22 +513,6 @@ class EllipsoidalNorm(Norm):
         self._check_nonzero(y)
         return np.einsum("de,...e->...d", self.Qinv, y) / self.conjugate(y)[..., None]
 
-    def conjugate_hessian(self, y):
-        y = _as_points(y, self.dim)
-        self._check_nonzero(y)
-        val = self.conjugate(y)
-        qy = np.einsum("de,...e->...d", self.Qinv, y)
-        return (self.Qinv - qy[..., :, None] * qy[..., None, :] / val[..., None, None] ** 2) / val[
-            ..., None, None
-        ]
-
-    def gauss_map(self, eta):
-        # grad phi(u) = eta  <=>  u parallel to Q^{-1} eta
-        eta = _as_points(eta, self.dim)
-        self._check_nonzero(eta)
-        u = np.einsum("de,...e->...d", self.Qinv, eta)
-        return u / np.linalg.norm(u, axis=-1, keepdims=True)
-
 
 class SmoothedLpNorm(Norm):
     """Regularized l^p norm, C^2 and uniformly convex for p in (1, inf).
@@ -456,77 +555,63 @@ class SmoothedLpNorm(Norm):
             tp * x + self.eps**2 * np.einsum("...d->...", tp)[..., None] * x
         )
 
-    # Hessian: inherited finite difference of grad.
+    def hessian(self, x):
+        """D2phi(x) in closed form.
+
+        With t = x^2 + eps^2 |x|^2, S = sum t^{p/2}, T = sum t^{p/2-1} and
+        q = t^{p/2-2}: grad phi = S^{1/p-1} g with g = x (t^{p/2-1} + eps^2 T),
+        and D2phi = S^{1/p-1} [G + (1-p) g g'/S], where G = Dg is
+        diag(t^{p/2-1} + eps^2 T + (p-2) q x^2)
+        + (p-2) eps^2 [(q x) x' + x (q x)' + eps^2 (sum q) x x'].
+        Where t = 0 (eps = 0 on an axis) q enters only through terms that
+        vanish there, so it is taken as 0.
+        """
+        x = _as_points(x, self.dim)
+        self._check_nonzero(x)
+        p, e2 = self.p, self.eps**2
+        t = x * x + e2 * np.einsum("...d,...d->...", x, x)[..., None]
+        pos = t > 0
+        q = np.where(pos, np.where(pos, t, 1.0) ** (p / 2.0 - 2.0), 0.0)
+        a = t ** (p / 2.0 - 1.0)
+        S = np.einsum("...d->...", t ** (p / 2.0))[..., None, None]
+        T = np.einsum("...d->...", a)[..., None]
+        g = x * (a + e2 * T)
+        qx = q * x
+        G = (p - 2.0) * e2 * (
+            qx[..., :, None] * x[..., None, :]
+            + x[..., :, None] * qx[..., None, :]
+            + e2 * np.einsum("...d->...", q)[..., None, None] * x[..., :, None] * x[..., None, :]
+        )
+        G += (a + e2 * T + (p - 2.0) * qx * x)[..., None] * np.eye(self.dim)
+        return S ** (1.0 / p - 1.0) * (G + (1.0 - p) * g[..., :, None] * g[..., None, :] / S)
 
     def conjugate(self, y):
         y = _as_points(y, self.dim)
-        scalar_in = y.ndim == 1
-        pts = np.atleast_2d(y).reshape(-1, self.dim)
-        out = np.zeros(pts.shape[0])
-        nz = np.linalg.norm(pts, axis=-1) > 0
-        if nz.any():
-            vstar = self._support_argmax(pts[nz])
-            out[nz] = np.einsum("md,md->m", vstar, pts[nz])
-        out = out.reshape(np.atleast_2d(y).shape[:-1])
-        return out[0] if scalar_in else out.reshape(y.shape[:-1])
+        pts = y.reshape(-1, self.dim)
+        out = np.zeros(len(pts))
+        nz = np.flatnonzero(row_dot(pts, pts) > 0)
+        if len(nz):
+            out[nz] = self._dual(pts[nz])[0]
+        return out[0] if y.ndim == 1 else out.reshape(y.shape[:-1])
 
     def conjugate_grad(self, y):
         y = _as_points(y, self.dim)
         self._check_nonzero(y)
-        scalar_in = y.ndim == 1
-        pts = np.atleast_2d(y).reshape(-1, self.dim)
-        v = self._support_argmax(pts)
-        return v[0] if scalar_in else v.reshape(y.shape)
+        return self._dual(y.reshape(-1, self.dim))[1].reshape(y.shape)
 
-    def _support_argmax(self, y):
-        """argmax of v.y over {phi(v) = 1}; also the gradient of phi_* at y.
+    def _dual(self, y):
+        """phi_*(y) and grad phi_*(y) for nonzero rows y (n, d).
 
-        Each row is seeded at the best of a dense sweep of directions, then
-        ``_newton_rows`` on the sphere solves the stationarity condition of
-        f(u) = u.y/phi(u) with -f as merit (60 iterations, tol 1e-12 on the
-        tangential gradient of f over |y|, 25 halvings).
-        Raises NonConvergenceError if a row ends with a residual above 1e-7.
+        ``_support_search`` on the body {0} at y/|y| finds the u that
+        maximizes F(u) = u.y/(|y| phi(u)); then phi_*(y) = F |y| and
+        grad phi_*(y) = u/phi(u).  Raises NonConvergenceError if a row ends
+        with a residual above 1e-7.
         """
-        if self.dim == 2:
-            th = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-            dirs = np.c_[np.cos(th), np.sin(th)]
-        else:
-            k = np.arange(1024)
-            ga = np.pi * (3.0 - np.sqrt(5.0))
-            z = 1.0 - 2.0 * (k + 0.5) / 1024
-            rad = np.sqrt(1.0 - z * z)
-            dirs = np.c_[rad * np.cos(ga * k), rad * np.sin(ga * k), z]
-            dirs = dirs[:, : self.dim]
-            dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-        ratio = (dirs @ y.T) / self.value(dirs)[:, None]  # (ndirs, m)
-        u0 = dirs[np.argmax(ratio, axis=0)]
-        yn = np.maximum(np.linalg.norm(y, axis=-1), 1e-300)
-
-        def ascent(u, rows):
-            # f(u) = u.y/phi(u), its value, phi(u) and its gradient on the sphere
-            pu = self.value(u)
-            fu = np.einsum("md,md->m", u, y[rows]) / pu
-            gf = (y[rows] - fu[:, None] * self.grad(u)) / pu[:, None]
-            gf -= u * np.einsum("md,md->m", gf, u)[:, None]
-            return fu, pu, gf
-
-        def probe(u, rows):
-            fu, _, gf = ascent(u, rows)
-            return -fu, np.linalg.norm(gf, axis=-1) / yn[rows]
-
-        def step(u, rows):
-            fu, pu, gf = ascent(u, rows)
-            T = tangent_basis(u)
-            # Hessian of -f on the tangent space (Gauss-Newton flavored)
-            H = self.hessian(u)
-            A = fu[:, None, None] * (T @ H @ np.swapaxes(T, -1, -2)) / pu[:, None, None]
-            A += np.eye(self.dim - 1) * fu[:, None, None] * 1e-12
-            return np.einsum("mk,mkd->md", _solve_rows(A, np.einsum("mkd,md->mk", T, gf)), T)
-
-        u, _, res = _newton_rows(u0, probe, step, unit_rows, 60, 1e-12, 25)
+        r = np.sqrt(row_dot(y, y))
+        _, u, f, res = _support_search(_ORIGIN, self, y / r[:, None])
         if not (res <= 1e-7).all():
             raise NonConvergenceError(f"dual-norm ascent stalled: worst residual {res.max():.3e}")
-        return u / self.value(u)[:, None]
+        return f * r, u / self.value(u)[:, None]
 
 
 class NormParameterError(ValueError):

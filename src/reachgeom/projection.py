@@ -14,7 +14,7 @@ projects itself under every norm (``Shape.exact_projection``):
   ``WulffBody``) under any euclidean or ellipsoidal norm (a secular
   equation); axis boxes under the diagonal ones (a clamp); the complement of
   a ``WulffBody`` under its own norm;
-* the support search (``shapes._support_search``) for a ``WulffBody`` under
+* the support search (``norms._support_search``) for a ``WulffBody`` under
   any other norm, from outside or, for its complement, from inside: by
   separation the signed distance is max over u of (u.x - h(u))/phi(u), h
   the body's support function, found on a grid of directions and polished

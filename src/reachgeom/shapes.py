@@ -13,7 +13,7 @@ Every shape knows three things about itself:
 * its projection under every norm (``exact_projection``) and the candidate
   feet whose ties are second feet (``foot_candidates``).  Closed forms where
   they exist; else a Wulff body's support function h gives the signed
-  distance max over u of (u.x - h(u))/phi(u) (``_support_search``), a
+  distance max over u of (u.x - h(u))/phi(u) (``norms._support_search``), a
   polygon or segment its edges' line feet and endpoints, a box its facets'
   plane feet and its edges' nearest points, and a polytope's complement the
   facet formula.  Lenses, unions and complements compose their pieces'.
@@ -24,7 +24,6 @@ nodes) and spectrally accurate 1d chart quadrature on smooth 2d pieces.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Optional, Sequence
@@ -37,10 +36,11 @@ from .norms import (
     EuclideanNorm,
     NonConvergenceError,
     Norm,
+    _circle,
     _newton_rows,
-    _solve_rows,
+    _support_search,
+    fibonacci_sphere,
     row_dot,
-    tangent_basis,
     unit_rows,
 )
 
@@ -63,8 +63,6 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-9
-GAP_GRID = 256  # directions of the 2d support search, 8x that on the 3d Fibonacci sphere
-_GRID_VALUES = 1 << 20  # grid values the support search holds at once
 
 
 class EmptyInteriorError(ValueError):
@@ -74,11 +72,6 @@ class EmptyInteriorError(ValueError):
 # ======================================================================
 # normal fibers
 # ======================================================================
-
-def _circle(t):
-    """Unit vectors (cos t, sin t), (N,) -> (N, 2)."""
-    return np.stack([np.cos(t), np.sin(t)], axis=-1)
-
 
 def _arc_angles(fibers, k):
     x, w = leggauss(max(int(k), 1))
@@ -195,14 +188,6 @@ class Chart:
     def __init__(self, bounds, point, dpoint):
         self.bounds = np.atleast_2d(np.asarray(bounds, dtype=float))  # (1, 2)
         self.point, self.dpoint = point, dpoint
-
-
-def fibonacci_sphere(n: int) -> np.ndarray:
-    k = np.arange(n)
-    ga = np.pi * (3.0 - np.sqrt(5.0))
-    z = 1.0 - 2.0 * (k + 0.5) / n
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.c_[r * np.cos(ga * k), r * np.sin(ga * k), z]
 
 
 # ======================================================================
@@ -537,7 +522,7 @@ class WulffBody(Shape):
                 return self._quadratic_projection(norm, x)
             feet, delta = x.copy(), np.zeros(len(x))
             out = np.flatnonzero(~self.contains(x, tol=0.0))
-            _, u, f = _support_search(self, norm, x[out])
+            _, u, f, _ = _support_search(self, norm, x[out])
             feet[out], delta[out] = self.support_point(u), np.maximum(f, 0.0)
             return feet, delta
         v = x - self.center
@@ -601,7 +586,7 @@ class WulffBody(Shape):
         """``foot_candidates`` of the complement: every polished local grid
         maximum of the support search from points of the interior."""
         inside = np.flatnonzero(self.norm.conjugate(x - self.center) < self.radius)
-        rows, u, f = _support_search(self, norm, x[inside], local=True)
+        rows, u, f, _ = _support_search(self, norm, x[inside], local=True)
         return _candidates(x, inside[rows], self.support_point(u), np.maximum(-f, 0.0))
 
 
@@ -621,108 +606,6 @@ class _Difference:
         return self.A.support_hessian(u) + self.B.support_hessian(-u)
 
 
-@functools.lru_cache(maxsize=None)
-def _search_grid(dim):
-    """The support search's grid directions, each with its neighbours on the grid.
-
-    ``GAP_GRID`` angles (d=2), or 8 ``GAP_GRID`` points of the Fibonacci
-    sphere with their 8 nearest (d=3).  Shared, so read-only.
-    """
-    if dim == 2:
-        k = np.arange(GAP_GRID)
-        dirs, nbrs = _circle(2.0 * np.pi / GAP_GRID * k), np.c_[k - 1, (k + 1) % GAP_GRID]
-    else:
-        dirs = fibonacci_sphere(8 * GAP_GRID)
-        near = [np.argsort(-(dirs[i : i + 256] @ dirs.T), axis=1)[:, 1:9]
-                for i in range(0, len(dirs), 256)]
-        nbrs = np.concatenate(near)
-    dirs.setflags(write=False)
-    nbrs.setflags(write=False)
-    return dirs, nbrs
-
-
-def _support_search(body, norm, x, local=False):
-    """Maximize F(u) = (u.x - h(u))/phi(u) over unit u, for each row of x (N, d).
-
-    h is the support function of the convex ``body`` (its ``support``, with
-    ``support_point`` the gradient of h and ``support_hessian`` its Hessian).
-    By separation (Schneider, *Convex Bodies: The Brunn-Minkowski Theory*)
-    max F is the signed distance of x: delta_K(x) outside K, and minus the
-    distance to the complement inside K.  Where u attains it, the support
-    point of u is the foot, on the boundary of K.
-
-    F is first evaluated on ``_search_grid``, explicit values in chunks of
-    rows that hold at most ``_GRID_VALUES`` of them.  The best direction of
-    each row is a seed, or with ``local`` every direction no lower than its
-    grid neighbours: outside K F has one local maximum where it is positive,
-    inside it may have several.  ``_newton_rows`` on the sphere then lowers
-    -F from each seed (30 iterations, 20 halvings, done at |grad F| <=
-    1e-15 max(1, |x|) or where rounding stops it, so that feet are good to
-    rounding for the finite differences of curvature probes), with the
-    tangent Hessian -(D2h + F D2phi)/phi, exact
-    where grad F = 0; where that is not negative definite (F is not concave
-    inside K) its eigenvalues are taken by modulus.  Steps are at most 0.25.
-    Returns (rows, u, F): the row of x of each seed, ascending, its polished
-    direction and F there.
-    """
-    if not len(x):
-        return np.zeros(0, dtype=int), np.zeros((0, norm.dim)), np.zeros(0)
-    dirs, nbrs = _search_grid(norm.dim)
-    rows, seeds = [], []
-    h, phi = body.support(dirs), norm.value(dirs)
-    chunk = max(_GRID_VALUES // len(dirs), 1)
-    for i in range(0, len(x), chunk):
-        xi = x[i : i + chunk]
-        f = xi[:, :1] * dirs[:, 0]
-        for k in range(1, norm.dim):
-            f += xi[:, k : k + 1] * dirs[:, k]
-        f = (f - h) / phi
-        if local:
-            top = f[:, nbrs[:, 0]]
-            for j in range(1, nbrs.shape[1]):
-                np.maximum(top, f[:, nbrs[:, j]], out=top)
-            r, j = np.nonzero(f >= top)
-        else:
-            r, j = np.arange(len(f)), np.argmax(f, axis=1)
-        rows.append(i + r)
-        seeds.append(j)
-    rows = np.concatenate(rows)
-    xr = x[rows]
-    scale = np.maximum(1.0, np.sqrt(row_dot(xr, xr)))
-
-    def ascent(u, idx):
-        # F, phi(u) and the tangential gradient of F
-        pu = norm.value(u)
-        f = (row_dot(u, xr[idx]) - body.support(u)) / pu
-        g = (xr[idx] - body.support_point(u) - f[:, None] * norm.grad(u)) / pu[:, None]
-        return f, pu, g - u * row_dot(g, u)[:, None]
-
-    def probe(u, idx):
-        # F is good to rounding of u.x and h, of order |x|, not of |F|: the
-        # merit -F - 2 max(1, |x|) makes the flat allowance of _newton_rows
-        # cover that
-        f, _, g = ascent(u, idx)
-        return -f - 2.0 * scale[idx], np.sqrt(row_dot(g, g)) / scale[idx]
-
-    def step(u, idx):
-        f, pu, g = ascent(u, idx)
-        T = tangent_basis(u)
-        H = (body.support_hessian(u) + f[:, None, None] * norm.hessian(u)) / pu[:, None, None]
-        A = T @ H @ np.swapaxes(T, -1, -2)
-        b = np.einsum("mkd,md->mk", T, g)
-        coef = _solve_rows(A, b)
-        down = ~(np.einsum("mk,mk->m", coef, b) > 0)
-        if down.any():
-            lam, V = np.linalg.eigh(A[down])
-            w = np.einsum("mki,mk->mi", V, b[down]) / np.maximum(np.abs(lam), 1e-12)
-            coef[down] = np.einsum("mki,mi->mk", V, w)
-        coef *= np.minimum(1.0, 0.25 / np.maximum(np.sqrt(row_dot(coef, coef)), 1e-300))[:, None]
-        return np.einsum("mk,mkd->md", coef, T)
-
-    u, _, _ = _newton_rows(dirs[np.concatenate(seeds)], probe, step, unit_rows, 30, 1e-15, 20)
-    return rows, u, ascent(u, slice(None))[0]
-
-
 def _gap_bounds(pairs, norm) -> tuple[np.ndarray, np.ndarray]:
     """Certified bounds on the phi_* gap min phi_*(b - a) of Wulff body pairs (A, B).
 
@@ -737,7 +620,7 @@ def _gap_bounds(pairs, norm) -> tuple[np.ndarray, np.ndarray]:
     lower, upper = np.empty(len(pairs)), np.empty(len(pairs))
     for i, (A, B) in enumerate(pairs):
         body = _Difference(A, B)
-        _, u, f = _support_search(body, norm, np.zeros((1, norm.dim)))
+        _, u, f, _ = _support_search(body, norm, np.zeros((1, norm.dim)))
         upper[i] = norm.conjugate(-body.support_point(u))[0]
         lower[i] = min(f[0], upper[i])
     return lower, upper

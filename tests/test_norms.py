@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -81,7 +83,6 @@ class TestEllipsoidal:
         nrm = EllipsoidalNorm(Q41)
         x = np.array([1.1, 0.7])
         npt.assert_allclose(nrm.hessian(x) @ x, np.zeros(2), atol=1e-13)
-        npt.assert_allclose(nrm.conjugate_hessian(x) @ x, np.zeros(2), atol=1e-13)
 
     def test_round_trips_machine_precision(self):
         nrm = EllipsoidalNorm(Q41)
@@ -136,13 +137,14 @@ class TestSmoothedLp:
             x = rng.standard_normal(2) * rng.uniform(0.2, 3.0)
             npt.assert_allclose(nrm.grad(x), _fd_grad(nrm.value, x), atol=1e-8)
 
-    def test_round_trips(self):
-        nrm = SmoothedLpNorm(2, p=3.0, eps=0.05)
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_round_trips(self, p):
+        nrm = SmoothedLpNorm(2, p=p, eps=0.05)
         u = _unit_vectors(200, 2, seed=17)
         eta = nrm.gauss_inverse(u)
-        npt.assert_allclose(nrm.gauss_map(eta), u, atol=1e-6)
+        npt.assert_allclose(nrm.gauss_map(eta), u, atol=1e-12)
         v = u / nrm.value(u)[:, None]
-        npt.assert_allclose(nrm.conjugate_grad(nrm.grad(v)), v, atol=1e-6)
+        npt.assert_allclose(nrm.conjugate_grad(nrm.grad(v)), v, atol=1e-12)
 
     def test_support_identity(self):
         nrm = SmoothedLpNorm(2, p=4.0, eps=0.05)
@@ -159,14 +161,40 @@ class TestSmoothedLp:
         x = np.array([1.3, 0.4])
         npt.assert_allclose(nrm.hessian(x) @ x, np.zeros(2), atol=1e-6)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_closed_form_hessian(self, dim, p):
+        nrm = SmoothedLpNorm(dim, p=p, eps=0.05)
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((20, dim)) * rng.uniform(0.2, 3.0, (20, 1))
+        H = nrm.hessian(x)
+        npt.assert_allclose(np.einsum("nde,ne->nd", H, x), 0.0, atol=1e-13)
+        # central differences of grad, column by column
+        h = 1e-5
+        fd = np.stack([(nrm.grad(x + h * e) - nrm.grad(x - h * e)) / (2 * h) for e in np.eye(dim)],
+                      axis=-1)
+        npt.assert_allclose(H, fd, atol=1e-6)
+
+    def test_hessian_on_an_axis_without_smoothing(self):
+        # eps = 0: t = 0 off the axis, where the l^3 Hessian is 0
+        nrm = SmoothedLpNorm(3, p=3.0, eps=0.0)
+        x = np.array([[2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H = nrm.hessian(x)
+        assert np.isfinite(H).all()
+        npt.assert_allclose(H[0], 0.0, atol=0)
+        npt.assert_allclose(np.einsum("nde,ne->nd", H, x), 0.0, atol=1e-13)
+
     def test_gamma_positive(self):
         assert SmoothedLpNorm(2, p=3.0, eps=0.05).gamma > 0.01
 
-    def test_3d_round_trip(self):
-        nrm = SmoothedLpNorm(3, p=3.0, eps=0.05)
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_3d_round_trip(self, p):
+        nrm = SmoothedLpNorm(3, p=p, eps=0.05)
         u = _unit_vectors(32, 3, seed=23)
         eta = nrm.gauss_inverse(u)
-        npt.assert_allclose(nrm.gauss_map(eta), u, atol=1e-6)
+        npt.assert_allclose(nrm.gauss_map(eta), u, atol=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

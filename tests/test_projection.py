@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachgeom import projection, shapes
+from reachgeom import norms, projection
 from reachgeom.curvature import bundle_nodes
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm, unit_rows
 from reachgeom.projection import (
@@ -94,7 +94,7 @@ class TestSeedSearchChunks:
         comp = make_catalog_shape("cap-lens-0.5").complement()
         x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(600, 2)) * [1.0, 0.5]
         whole = nearest_points(comp, Q41, x)
-        monkeypatch.setattr(shapes, "_GRID_VALUES", 100 * shapes.GAP_GRID)
+        monkeypatch.setattr(norms, "_GRID_VALUES", 100 * norms.GAP_GRID)
         chunked = nearest_points(comp, Q41, x)
         for got, want in zip(chunked, whole):
             assert got.tobytes() == want.tobytes()
