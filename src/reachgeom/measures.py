@@ -313,6 +313,7 @@ def _unit_ball_radius(norm: Norm) -> float:
 
 
 _BRACKET_SIZE = 4  # edge in voxels of the blocks whose middles are projected with feet
+_TILE_SIZE = 16  # edge in voxels of the blocks the descent starts from
 
 
 def _box_radius(norm: Norm, half: np.ndarray) -> np.ndarray:
@@ -324,6 +325,28 @@ def _box_radius(norm: Norm, half: np.ndarray) -> np.ndarray:
     corners = (half[nz, None, :] * signs).reshape(-1, d)
     out[nz] = norm.conjugate(corners).reshape(-1, len(signs)).max(axis=1)
     return out
+
+
+def _foot_brackets(norm: Norm, v: np.ndarray, steps: np.ndarray):
+    """Bounds g.(v + s) <= delta(p + v + s) <= phi_*(v + s), each (len(v), len(steps)).
+
+    v = m - p runs over block middles m less their feet p, s over the
+    steps, and g = grad phi_*(v).  Under a quadratic norm, phi_*(y) = |L y|:
+    with a = |L v|, c = L v . L s and b = |L s|, g.(v + s) = a + c / a and
+    phi_*(v + s)^2 = a^2 + 2 c + b^2, whose rounding where the sum cancels
+    stays below the 1e-14 (a + b)^2 added to it.
+    """
+    L = norm.dual_transform
+    if L is None:
+        g = norm.conjugate_grad(v)
+        lower = row_dot(g, v)[:, None] + g @ steps.T
+        upper = norm.conjugate((v[:, None, :] + steps).reshape(-1, v.shape[1]))
+        return lower, upper.reshape(len(v), -1)
+    Lv, Ls = v @ L.T, steps @ L.T
+    a2 = row_dot(Lv, Lv)[:, None]
+    a, b = np.sqrt(a2), np.sqrt(row_dot(Ls, Ls))
+    c = Lv @ Ls.T
+    return a + c / a, np.sqrt(a2 + 2.0 * c + b * b + 1e-14 * (a + b) ** 2)
 
 
 def voxel_tube_volume(
@@ -350,10 +373,11 @@ def voxel_tube_volume(
     count to the tube's intersection with the box.
 
     The count descends a quadtree/octree of voxel blocks instead of
-    evaluating delta at every center.  A band known to hold delta that holds
-    none of the counting levels 0, r_half, rho, rho - r_half, rho + r_half
-    (padded by 1e-9 relative plus a tiny absolute term, for rounding)
-    settles what it covers:
+    evaluating delta at every center, starting from the grid's tiling by
+    16 x 16 (x 16) blocks, the tree's blocks at that level.  A band known
+    to hold delta that holds none of the counting levels 0, r_half, rho,
+    rho - r_half, rho + r_half (padded by 1e-9 relative plus a tiny
+    absolute term, for rounding) settles what it covers:
 
     * delta is 1-Lipschitz for phi_*, so with R the largest phi_* over the
       corner offsets of a block's box of centers, every center lies in
@@ -364,22 +388,30 @@ def voxel_tube_volume(
       the support search, on the boundary to rounding).  With
       g = grad phi_*(m - p), the set lies in {y : g . (y - p) <= 0} and
       phi(g) = 1, so each center x has g . (x - p) <= delta(x) <= phi_*(x - p),
-      a band that settles x; the block's other centers are evaluated.
+      a band that settles x (``_foot_brackets``); the block's other
+      centers are evaluated.
 
     On a convex set, or on a ``DisjointUnion`` of convex components, a block
-    whose corner centers all have delta = 0 on the set or on one component
-    is interior.  Every other block splits, down to single voxels evaluated
-    at the dense grid's own coordinates, so counts and error estimates equal
-    those of evaluating every center with ``distance_field``.
+    whose corner centers all lie in the set or in one component, by a
+    membership margin of 1e-9 (diameter + max rho) far above rounding, is
+    interior: by convexity every center of the block lies that deep too, so
+    delta is 0 at each.  Every other block splits, down to single voxels
+    evaluated at the dense grid's own coordinates, so counts and error
+    estimates equal those of evaluating every center with ``distance_field``.
+
+    Raises ``ValueError`` for a radius rho that is not positive and finite,
+    or a pitch h that is not.
 
     Returns (volumes, error estimates) aligned with ``rho_grid``.
     """
     rho = np.atleast_1d(np.asarray(rho_grid, dtype=float))
-    if (rho <= 0).any():
-        raise ValueError("tube radii must be positive")
+    if not (np.isfinite(rho) & (rho > 0)).all():
+        raise ValueError(f"tube radii rho must be positive and finite, got {rho_grid!r}")
     d = shape.dim
     if h is None:
         h = shape.diameter / (512.0 if d == 2 else 128.0)
+    elif not (np.isfinite(h) and h > 0):
+        raise ValueError(f"voxel pitch h must be positive and finite, got {h!r}")
     lo, hi = shape.bounding_box()
     pad = float(rho.max()) * _unit_ball_radius(norm) + 3.0 * h
     lo, hi = lo - pad, hi + pad
@@ -418,16 +450,20 @@ def voxel_tube_volume(
         return ok
 
     tiny = 1e-9 * (h + float(rho.max()))
+    # corner centers this far inside a convex piece are inside by far more
+    # than rounding, and so is every center of their block
+    margin = 1e-9 * (shape.diameter + float(rho.max()))
     pieces = [shape] if shape.is_convex else _convex_components(shape) or []
     kids = np.array(list(itertools.product((0, 1), repeat=d))).T
     # a bracketed block's centers: index offsets, and offsets from its middle
     offsets = np.array(list(itertools.product(range(_BRACKET_SIZE), repeat=d))).T
     steps = (offsets.T - 0.5 * (_BRACKET_SIZE - 1)) * h
     r_unit = _box_radius(norm, np.ones((1, d)))[0]
-    # level-synchronous descent from one root block over all voxel indices;
+    # level-synchronous descent from the grid's tiling by 16-voxel blocks;
     # org and ext are (d, blocks), so row tests reduce over the short axis 0
-    size = 1 << int(np.ceil(np.log2(counts_axis.max())))
-    org = np.zeros((d, 1), dtype=np.int64)
+    size = _TILE_SIZE
+    axes = [np.arange(0, n, size) for n in counts_axis]
+    org = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(d, -1)
     while org.shape[1]:
         ext = np.minimum(size, counts_axis[:, None] - org)
         mid = (lo[:, None] + (org + 0.5 * ext) * h).T
@@ -449,18 +485,14 @@ def voxel_tube_volume(
             pts = (lo[:, None, None] + (corners + 0.5) * h).reshape(d, -1).T
             interior = np.zeros(len(cand), dtype=bool)
             for piece in pieces:
-                dc = distance_field(piece, norm, pts).reshape(len(cand), -1)
-                interior |= (dc == 0.0).all(axis=1)
+                interior |= piece.contains(pts, tol=-margin).reshape(len(cand), -1).all(axis=1)
             split[cand[interior]] = False
         if res is not None:
             v = mid - res[0]
             br = np.flatnonzero(split & ~clipped & (delta > h))
             if len(br):
                 split[br] = False
-                g = norm.conjugate_grad(v[br])
-                lower = row_dot(g, v[br])[:, None] + g @ steps.T
-                upper = norm.conjugate((v[br, None, :] + steps).reshape(-1, d))
-                upper = upper.reshape(len(br), -1)
+                lower, upper = _foot_brackets(norm, v[br], steps)
                 eps = 1e-9 * upper + tiny
                 blk, j = np.nonzero(~settle(lower - eps, upper + eps))
                 if len(blk):

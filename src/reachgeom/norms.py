@@ -403,8 +403,7 @@ class Norm:
 
     # ------------------------------------------------------------------
     def _check_nonzero(self, x):
-        n = np.linalg.norm(np.atleast_2d(x), axis=-1)
-        if (n == 0).any():
+        if not np.atleast_2d(x).any(axis=-1).all():
             raise ZeroVectorError(f"{self.kind} norm direction data at the origin")
 
     def _estimate_gamma(self, seed: int) -> float:
@@ -441,7 +440,8 @@ class EuclideanNorm(Norm):
         return (self.kind, self.dim)
 
     def value(self, x):
-        return np.linalg.norm(_as_points(x, self.dim), axis=-1)
+        x = _as_points(x, self.dim)
+        return np.sqrt(row_dot(x, x))
 
     def grad(self, x):
         x = _as_points(x, self.dim)
@@ -486,7 +486,9 @@ class EllipsoidalNorm(Norm):
         return (self.kind, self.dim, self.Q.tobytes())
 
     def _quad(self, x, M):
-        return np.sqrt(np.maximum(np.einsum("...d,de,...e->...", x, M, x), 0.0))
+        # x M by einsum, not x @ M: a process whose first BLAS matrix product
+        # this would be pages in OpenBLAS's kernels and buffers (~0.15 MB)
+        return np.sqrt(np.maximum(row_dot(np.einsum("...d,de->...e", x, M), x), 0.0))
 
     def value(self, x):
         return self._quad(_as_points(x, self.dim), self.Q)

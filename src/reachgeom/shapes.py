@@ -542,41 +542,46 @@ class WulffBody(Shape):
         rho L A = U diag(s) V', the body is the ellipsoid U diag(s) S^{d-1}
         in coordinates z = U' L (x - c), and the Euclidean foot there is
         w = s^2 z / (t + s^2), where t >= 0 solves the secular equation
-        F(t) = sum s^2 z^2 / (t + s^2)^2 = 1 (Eberly, "Distance from a point
-        to an ellipse, an ellipsoid, or a hyperellipsoid", 2013).  F is convex
-        and decreasing, so Newton from a lower bound of the root rises to it
-        monotonically.  Interior points are their own feet, at distance 0.
+        |r(t)| = 1, r = s z / (t + s^2) (Eberly, "Distance from a point to an
+        ellipse, an ellipsoid, or a hyperellipsoid", 2013).  Newton runs on
+        1/|r(t)| - 1, which is concave and increasing in t (Moré and Sorensen,
+        "Computing a trust region step", 1983), so from a lower bound of the
+        root it rises to it monotonically; with f = |r|^2 its step is
+        f (sqrt(f) - 1) / sum r^2 / (t + s^2).  The coordinates are kept as
+        rows (d, n), so each sum runs over the short axis.  Interior points
+        are their own feet, at distance 0.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         L = norm.dual_transform
         U, s, _ = np.linalg.svd(self.radius * (L @ self._A))
-        s2 = s * s
-        z = (x - self.center) @ (L.T @ U)
+        s, s2 = s[:, None], (s * s)[:, None]
+        z = _columns_times(U.T @ L, (x - self.center).T)
         zs = z / s
-        out = np.flatnonzero(np.einsum("nd,nd->n", zs, zs) > 1.0)
-        z = z[out]
+        out = np.flatnonzero((zs * zs).sum(axis=0) > 1.0)
+        z = z[:, out]
         sz = s * z
         # the root lies in [|s z| - max s^2, |s z| - min s^2]
-        t = np.maximum(np.sqrt(np.einsum("nd,nd->n", sz, sz)) - s2[0], 0.0)
+        t = np.maximum(np.sqrt((sz * sz).sum(axis=0)) - s2[0], 0.0)
         act = np.arange(len(out))
         for _ in range(100):
-            ta = t[act][:, None] + s2
-            r = sz[act] / ta
-            f = np.einsum("nd,nd->n", r, r)
-            step = (f - 1.0) / (2.0 * np.einsum("nd,nd->n", r, r / ta))
+            ta = t[act] + s2
+            r = sz[:, act] / ta
+            r2 = r * r
+            f = r2.sum(axis=0)
+            step = f * (np.sqrt(f) - 1.0) / (r2 / ta).sum(axis=0)
             t[act] += np.maximum(step, 0.0)
-            act = act[step > 1e-15 * ta[:, -1]]
+            act = act[step > 1e-15 * ta[-1]]
             if not len(act):
                 break
         else:
             raise NonConvergenceError(f"{len(act)} ellipsoid projections did not converge")
-        ts = t[:, None] + s2
+        ts = t + s2
         w = s2 * z / ts
-        e = t[:, None] * z / ts  # z - w without the cancellation
+        e = t * z / ts  # z - w without the cancellation
         feet = x.copy()
-        feet[out] = self.center + w @ np.linalg.solve(L, U).T
+        feet[out] = self.center + _columns_times(np.linalg.solve(L, U), w).T
         delta = np.zeros(len(x))
-        delta[out] = np.sqrt(np.einsum("nd,nd->n", e, e))
+        delta[out] = np.sqrt((e * e).sum(axis=0))
         return feet, delta
 
     def complement(self):
@@ -588,6 +593,18 @@ class WulffBody(Shape):
         inside = np.flatnonzero(self.norm.conjugate(x - self.center) < self.radius)
         rows, u, f, _ = _support_search(self, norm, x[inside], local=True)
         return _candidates(x, inside[rows], self.support_point(u), np.maximum(-f, 0.0))
+
+
+def _columns_times(P, X):
+    """P @ X for a small square P and columns X (d, n), a fixed sum per column.
+
+    ``P @ X`` and ``einsum`` may round a column differently with the width
+    of X; this sum rounds each column alike in any batch.
+    """
+    out = P[:, :1] * X[0]
+    for k in range(1, len(X)):
+        out = out + P[:, k : k + 1] * X[k]
+    return out
 
 
 class _Difference:

@@ -370,7 +370,7 @@ class TestImportFootprint:
         rows = (out / "verify_triple-verdicts.csv").read_text(encoding="utf-8")
         assert "alexandrov-r1,true,count=3," in rows
 
-    def test_chart_route_field_loads_no_scipy(self):
+    def test_lens_complement_field_loads_no_scipy(self):
         # the lens complement has no closed form under diag(4, 1): its disks'
         # complements take the support search
         code = (

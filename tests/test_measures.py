@@ -30,7 +30,7 @@ from reachgeom.measures import (
     volume_derivatives,
     voxel_tube_volume,
 )
-from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm
+from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm, row_dot
 from reachgeom.projection import distance_field
 from reachgeom.shapes import (
     Ball,
@@ -361,6 +361,18 @@ class TestVoxelTube:
         a2 = voxel_tube_volume(disk, E2, [0.3, 0.5], h=1e-4, mc_budget=500_000, seed=11)
         npt.assert_array_equal(a1[0], a2[0])
 
+    @pytest.mark.parametrize("rho", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_a_radius_that_is_not_finite(self, rho):
+        with pytest.raises(ValueError, match="radii rho"):
+            voxel_tube_volume(make_catalog_shape("disk"), E2, [0.25, rho])
+
+    @pytest.mark.parametrize(
+        "h", [0.0, -0.01, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"]
+    )
+    def test_rejects_a_pitch_that_is_not_positive_and_finite(self, h):
+        with pytest.raises(ValueError, match="pitch h"):
+            voxel_tube_volume(make_catalog_shape("disk"), E2, [0.25], h)
+
 
 def _dense_tube_volume(shape, norm, rho, h=None, window=None):
     """Reference count: delta at every center of the grid voxel_tube_volume lays."""
@@ -438,6 +450,74 @@ class TestPrunedCount:
         npt.assert_array_equal(got[1], want[1])
 
 
+class TestTiledCount:
+    """The descent from the 16-voxel tiling keeps the dense count at the CLI's pitch."""
+
+    RHO = TestPrunedCount.RHO
+
+    @pytest.mark.parametrize(
+        "key,norm",
+        [
+            (key, norm)
+            for key in ("disk", "ellipse-2-1", "unit-square", "cap-lens-0.5", "two-disks-gap1")
+            for norm in (E2, Q41)
+        ],
+        ids=lambda v: v if isinstance(v, str) else v.kind,
+    )
+    def test_equals_dense_grid_at_the_default_pitch(self, key, norm):
+        shape = make_catalog_shape(key)
+        got = voxel_tube_volume(shape, norm, self.RHO)
+        want = _dense_tube_volume(shape, norm, self.RHO)
+        npt.assert_array_equal(got[0], want[0])
+        npt.assert_array_equal(got[1], want[1])
+
+    def test_corner_centers_on_the_edges(self):
+        # h and rho are binary fractions, so the grid is padded by 48.5 h and
+        # its centers are (i - 48) h exactly: the tiles at i = 48 and i = 96
+        # have corner centers on the square's edges x = 0 and x = 63 h, where
+        # delta is 0 but the membership test with its margin fails
+        h = 1.0 / 64
+        square = ConvexPolytope.box([0.0, 0.0], [63 * h, 63 * h])
+        rho = (0.125, 0.25, 45.5 * h)
+        lo, _ = square.bounding_box()
+        assert (lo - max(rho) * _unit_ball_radius(E2) - 3.0 * h == -48.5 * h).all()
+        got = voxel_tube_volume(square, E2, rho, h)
+        want = _dense_tube_volume(square, E2, rho, h)
+        npt.assert_array_equal(got[0], want[0])
+        npt.assert_array_equal(got[1], want[1])
+
+    def test_window_cuts_through_the_tiles(self):
+        disk = make_catalog_shape("disk")
+        h = disk.diameter / 512
+        win = ([-0.37, -1.61], [1.83, 0.29])
+        # neither edge falls on the unwindowed grid's tiling, and the
+        # windowed grid's last tiles are clipped on both axes
+        counts = np.ceil((np.subtract(*win[::-1])) / h).astype(int)
+        assert (counts % 16 != 0).all()
+        got = voxel_tube_volume(disk, Q41, self.RHO, window=win)
+        want = _dense_tube_volume(disk, Q41, self.RHO, window=win)
+        assert want[0][-1] > 0
+        npt.assert_array_equal(got[0], want[0])
+        npt.assert_array_equal(got[1], want[1])
+
+    def test_cube_under_a_rotated_norm(self):
+        # a window around one corner of the cube keeps the dense reference
+        # small; it holds interior blocks, faces, edges and the corner
+        cube = make_catalog_shape("cube")
+        R = np.eye(3)
+        for (i, j), t in zip([(0, 1), (1, 2), (0, 1)], (2.1, 0.8, 0.5)):
+            turn = np.eye(3)
+            turn[[i, i, j, j], [i, j, i, j]] = np.cos(t), -np.sin(t), np.sin(t), np.cos(t)
+            R = R @ turn
+        norm = EllipsoidalNorm(R @ np.diag([3.0, 1.0, 0.25]) @ R.T)
+        rho, h, win = (0.1, 0.25), cube.diameter / 128, ([0.75] * 3, [1.25] * 3)
+        got = voxel_tube_volume(cube, norm, rho, h, window=win)
+        want = _dense_tube_volume(cube, norm, rho, h, window=win)
+        assert want[0][0] > 0
+        npt.assert_array_equal(got[0], want[0])
+        npt.assert_array_equal(got[1], want[1])
+
+
 def _delta_rows(monkeypatch, shape, norm, rho, h):
     """delta evaluations of one voxel count: the rows of outermost exact_projection calls.
 
@@ -487,6 +567,24 @@ class TestFootBrackets:
         # is interior; without the rule the count needs 35,444 delta rows
         two = make_catalog_shape("two-disks-gap1")
         assert _delta_rows(monkeypatch, two, E2, self.RHO, two.diameter / 256) <= 25_000
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_quadratic_brackets_hold_the_dual_norm(self, dim):
+        # the quadratic bounds against the dual norm and its gradient, also
+        # where v + s is 0 or nearly so and the expanded square cancels
+        rng = np.random.default_rng(8)
+        M = rng.standard_normal((dim, dim))
+        norm = EllipsoidalNorm(M @ M.T + 0.5 * np.eye(dim))
+        steps = rng.uniform(-1.0, 1.0, (16, dim))
+        v = np.concatenate(
+            [rng.standard_normal((300, dim)), -steps, -steps * (1.0 + 1e-12)]
+        )
+        lower, upper = measures._foot_brackets(norm, v, steps)
+        phi = norm.conjugate(v[:, None, :] + steps)
+        g = norm.conjugate_grad(v)
+        npt.assert_allclose(lower, row_dot(g, v)[:, None] + g @ steps.T, rtol=1e-12, atol=1e-12)
+        assert (upper >= phi).all()
+        npt.assert_allclose(upper, phi, rtol=1e-12, atol=1e-6)
 
     @pytest.mark.parametrize(
         "shape,norm,h",

@@ -228,6 +228,24 @@ class TestRowIndependence:
             alone = getattr(nrm, method)(y[i : i + 1])
             assert alone.tobytes() == batch[i : i + 1].tobytes(), i
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize(
+        "nrm,method",
+        [("euclidean", "value"), ("euclidean", "conjugate"), ("ellipsoidal", "conjugate")],
+    )
+    def test_quadratic_kernel_row_alone_equals_row_in_a_tall_batch(self, dim, nrm, method):
+        rng = np.random.default_rng(41)
+        if nrm == "euclidean":
+            nrm = EuclideanNorm(dim)
+        else:
+            M = rng.standard_normal((dim, dim))
+            nrm = EllipsoidalNorm(M @ M.T + 0.5 * np.eye(dim))
+        y = rng.standard_normal((10_000, dim)) * rng.uniform(1e-3, 1e3, (10_000, 1))
+        batch = getattr(nrm, method)(y)
+        for i in range(0, len(y), 7):
+            assert getattr(nrm, method)(y[i]).tobytes() == batch[i].tobytes(), i
+            assert getattr(nrm, method)(y[i : i + 1]).tobytes() == batch[i : i + 1].tobytes(), i
+
     def test_unconverged_row_raises(self):
         nrm = _StiffLp(2, p=3.0)
         y = np.array([[0.0, 1.0], [1.0, 0.1], [-1.0, 0.3]])  # row 1 in the stiff cone

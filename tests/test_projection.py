@@ -312,6 +312,61 @@ class TestQuadraticRoute:
         npt.assert_allclose(norm.conjugate(on_axes[: 2 * body.dim] - feet), delta, rtol=1e-12)
 
 
+def _secular_bisection(body, norm, x):
+    """delta of the quadratic route from the root t of |r(t)| = 1 found by bisection."""
+    L = norm.dual_transform
+    A = np.eye(body.dim) if body.norm.kind == "euclidean" else np.linalg.cholesky(body.norm.Q)
+    U, s, _ = np.linalg.svd(body.radius * L @ A)
+    z = (x - body.center) @ (L.T @ U)
+    lo = np.zeros(len(x))
+    hi = np.linalg.norm(s * z, axis=-1)  # |r(hi)| <= |s z| / hi = 1
+    for _ in range(1100):  # down to adjacent floats from any exponent
+        mid = 0.5 * (lo + hi)
+        r = s * z / (mid[:, None] + s * s)
+        above = (r * r).sum(axis=-1) > 1.0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    e = lo[:, None] * z / (lo[:, None] + s * s)
+    return np.linalg.norm(e, axis=-1)
+
+
+class TestSecularSolve:
+    """``WulffBody._quadratic_projection``: its Newton solve of the secular equation."""
+
+    @pytest.mark.parametrize("case", ["ellipse-rotated", "wulff-3d-rotated"])
+    def test_row_alone_equals_row_in_a_tall_batch(self, case):
+        body, norm = QUADRATIC_PAIRS[case]
+        rng = np.random.default_rng(6)
+        x = body.center + rng.uniform(-4.0, 4.0, size=(10_000, body.dim))
+        feet, delta = body._quadratic_projection(norm, x)
+        for i in range(0, len(x), 7):
+            f, d = body._quadratic_projection(norm, x[i])
+            assert f.tobytes() == feet[i : i + 1].tobytes(), i
+            assert d.tobytes() == delta[i : i + 1].tobytes(), i
+
+    @pytest.mark.parametrize(
+        "body,norm",
+        [
+            (Ellipsoid([0.1, -0.2], [1.0, 1e-6]), E2),
+            (Ellipsoid([0.0, 0.0], [1e6, 1.0]), Q41),
+            (Ellipsoid([0.0, 0.0, 0.0], [1.0, 1e-3, 1e-6]), E3),
+            QUADRATIC_PAIRS["wulff-3d-rotated"],
+        ],
+        ids=["ratio-1e6", "ratio-1e6-q41", "ratio-1e6-3d", "rotated-3d"],
+    )
+    def test_extreme_cases_converge_to_the_bisection_root(self, body, norm):
+        # the cases of the 100-step cap: points at |x - c| = 1e6, and bodies
+        # whose whitened axes differ by a factor 1e6, from 1.5 to 3 times
+        # their size out
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal((200, body.dim))
+        far = body.center + 1e6 * v / np.linalg.norm(v, axis=-1, keepdims=True)
+        scale = body.radius * rng.uniform(1.5, 3.0, 200) / body.norm.conjugate(v)
+        near = body.center + v * scale[:, None]
+        for x in (far, near):
+            _, delta = body._quadratic_projection(norm, x)
+            npt.assert_allclose(delta, _secular_bisection(body, norm, x), rtol=1e-14, atol=0.0)
+
+
 class TestChartNewton3d:
     def test_smoothed_lp_body_probes_reach_their_feet(self):
         # curvature probes of this body's n = 512 bundle whose chart Newton
