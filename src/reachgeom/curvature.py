@@ -3,26 +3,24 @@
 Each bundle point (a, u) of a set A — a boundary point together with an
 outward Euclidean unit normal — carries n = d-1 generalized principal
 curvatures under the norm phi: eigenvalues of the derivative of the dual
-normal field, with the value +inf across edges, corners, and endpoints.
+normal eta = grad phi(u) along the boundary, +inf across edges, corners,
+and endpoints.
 
-They are recovered numerically from the level-set normal map.  Put
-x = a + r eta with eta = grad phi(u) and r below the ray reach.  The field
-``nu(y) = (y - foot(y)) / delta(y)`` is differentiable near x, its matrix on
-the tangent plane has eigenvalues ``chi_i = kappa_i / (1 + r kappa_i)``, and
-``kappa = chi / (1 - r chi)`` inverts the probe, with ``1 - r chi <= tol``
-read as an infinite curvature.  This single code path covers smooth strata
-(where every kappa is finite) and singular ones (where fiber directions come
-out infinite automatically, since there the level set locally matches a
-sphere of radius r around the stratum).
+On a C^2 piece with support function h, D^2h(u) on u-perp is the reverse
+Weingarten map (Schneider, *Convex Bodies*, section 2.5), so eta turns by
+D^2phi(u) (D^2h(u))^{-1}: the curvatures are the generalized eigenvalues of
+(D^2phi(u), D^2h(u)) on u-perp (``support_curvatures``), with D^2h from the
+strata (``Stratum.support_hessian``).  Flat strata carry zero curvature and
+normal fans +inf.  No distance is evaluated; the ray reach, which only tube
+predictions read, is traced on first read (``BundleSample.reach``).
 
-The probes a + r eta +- h tau, with r at most ``PROBE_REACH_FRAC`` of the ray
-reach (twice that for the audit), take their feet from ``nearest_points``:
-the shape's closed form, or the support search, which is global, so a probe
-needs no reach to be certified.
-
-``pointwise_shape_operator`` is this probe at one bundle point (a, u) with
-the same reach and probe radius as ``bundle_sample``; it returns
-K = M (I - r M)^{-1}, whose eigenvalues are the kappa above.
+Probes stay as an independent oracle (``audit=True`` and
+``pointwise_shape_operator``).  Put x = a + r eta, r below the ray reach.
+The field ``nu(y) = (y - foot(y)) / delta(y)``, with feet from
+``nearest_points``, has on the tangent plane the eigenvalues
+``chi_i = kappa_i / (1 + r kappa_i)``, so ``kappa = chi / (1 - r chi)``,
+with ``1 - r chi <= tol`` read as an infinite curvature; r is at most
+``PROBE_REACH_FRAC`` of the ray reach.
 
 Weights follow the bundle measure: over smooth strata the boundary area
 element divided by the tangent-space Jacobian of the bundle projection, over
@@ -32,8 +30,9 @@ into dual coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,6 +45,7 @@ __all__ = [
     "BundleSample",
     "bundle_nodes",
     "bundle_sample",
+    "support_curvatures",
     "normal_matrices",
     "kappa_from_chi",
     "eig_small",
@@ -69,12 +69,16 @@ FD_FRAC = 1e-4  # tangential step, relative to the probe radius
 
 
 def eig_small(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of batched 1x1 or 2x2 matrices with real spectrum.
+    """Eigen-decomposition of batched 1x1 or 2x2 matrices, no LAPACK call.
 
     Returns (lam, vec): lam (N, n) ascending, vec (N, n, n) with vec[:, k]
-    the coordinates of the k-th eigenvector.  A tiny negative discriminant
-    (roundoff on a defective-looking matrix) is clamped to zero, and nearly
-    scalar matrices keep the input frame as their eigenbasis.
+    the coordinates of the k-th eigenvector.  The eigenvalues hold for any
+    real spectrum: the discriminant is taken as (m00 - m11)^2 + 4 m01 m10,
+    which does not cancel on a nearly scalar matrix as tr^2 - 4 det does,
+    and a tiny negative one (roundoff) is clamped to zero.  The eigenvectors
+    are those of a symmetric M: the lower one at the angle
+    atan2(-2 m01, m11 - m00) / 2, the upper one perpendicular; nearly scalar
+    matrices keep the input frame.
     """
     M = np.asarray(M, dtype=float)
     N, n = M.shape[0], M.shape[1]
@@ -83,28 +87,13 @@ def eig_small(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n != 2:
         raise ValueError("only 1x1 and 2x2 spectra are needed here")
     tr = M[:, 0, 0] + M[:, 1, 1]
-    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-    disc = np.maximum(tr * tr - 4.0 * det, 0.0)
-    s = np.sqrt(disc)
+    gap = M[:, 0, 0] - M[:, 1, 1]
+    s = np.sqrt(np.maximum(gap * gap + 4.0 * M[:, 0, 1] * M[:, 1, 0], 0.0))
     lam = np.stack([(tr - s) / 2.0, (tr + s) / 2.0], axis=1)
-    vec = np.zeros((N, 2, 2))
-    scale = 1.0 + np.abs(tr)
-    degenerate = s <= 1e-9 * scale
-    for k in range(2):
-        lk = lam[:, k]
-        # rows of (M - lam I) are both orthogonal to the eigenvector; pick
-        # the better-conditioned of the two null-vector formulas
-        v1 = np.stack([M[:, 0, 1], lk - M[:, 0, 0]], axis=1)
-        v2 = np.stack([lk - M[:, 1, 1], M[:, 1, 0]], axis=1)
-        n1 = np.linalg.norm(v1, axis=1)
-        n2 = np.linalg.norm(v2, axis=1)
-        v = np.where((n1 >= n2)[:, None], v1, v2)
-        nv = np.linalg.norm(v, axis=1)
-        v = v / np.maximum(nv, 1e-300)[:, None]
-        unusable = (nv < 1e-150 * scale) | degenerate
-        v[unusable] = np.eye(2)[k]
-        vec[:, k] = v
-    return lam, vec
+    scalar = s <= 1e-9 * (1.0 + np.abs(tr))
+    phi = np.where(scalar, 0.0, 0.5 * np.arctan2(-2.0 * M[:, 0, 1], -gap))
+    c, sn = np.cos(phi), np.sin(phi)
+    return lam, np.stack([np.stack([c, sn], axis=1), np.stack([-sn, c], axis=1)], axis=1)
 
 
 def elementary_symmetric(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -204,27 +193,24 @@ class BundleSample:
     """Weighted quadrature over the unit normal bundle of a shape.
 
     Immutable: its arrays are read-only, since bundles are shared through
-    ``Shape.bundles`` and H_r is memoized from ``kappa``.
+    ``Shape.bundles`` and H_r is memoized from ``kappa``.  ``ray_reach``
+    traces the ray reaches, None where every ray reaches +inf.
     """
 
     points: np.ndarray  # (N, d) base points a
     normals: np.ndarray  # (N, d) Euclidean unit normals u
-    eta: np.ndarray  # (N, d) dual normals grad phi(u)
     phi_u: np.ndarray  # (N,) phi(u): the support-function factor
     weights: np.ndarray  # (N,) bundle H^n weights
     jacobian: np.ndarray  # (N,)
     kappa: np.ndarray  # (N, n) ascending; +inf on singular strata
-    tau: np.ndarray  # (N, n, d) principal directions
     stratum: np.ndarray  # (N,) supporting stratum dimension
-    reach: np.ndarray  # (N,) ray reach at (a, eta)
-    probe: np.ndarray  # (N,) probe radius used
-    ambiguous: np.ndarray  # (N,) bool
     audit_fail: Optional[np.ndarray] = None  # (N,) bool, when audited
+    ray_reach: Optional[Callable[[], np.ndarray]] = field(default=None, repr=False)
 
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if v is not None:
+            if isinstance(v, np.ndarray):
                 v.setflags(write=False)
 
     def __len__(self):
@@ -249,6 +235,16 @@ class BundleSample:
             # threads racing here compute the same array; all get the first
             h = memo.setdefault(r, h)
         return h
+
+    @property
+    def ambiguous(self) -> np.ndarray:
+        """(N,) False: no curvature is read off a probe (see ``audit_fail``)."""
+        return np.broadcast_to(False, (len(self),))
+
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """(N,) ray reach at (a, grad phi(u)), traced on first read (read-only)."""
+        return np.broadcast_to(np.inf, (len(self),)) if self.ray_reach is None else self.ray_reach()
 
 
 def mean_curvature(kappa: np.ndarray, r: int) -> np.ndarray:
@@ -279,15 +275,17 @@ def bundle_nodes(
     seed: int = 0,
     fiber_nodes: int = 16,
     patch_nodes: int = 1024,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature nodes (points, normals, weights, stratum dims) on the bundle.
+) -> tuple:
+    """Quadrature nodes (points, normals, weights, stratum dims, support Hessians).
 
     Expands every stratum fiber into spherical quadrature nodes and pushes
     the fiber weights into dual coordinates: 1-dimensional fans carry the
     arc length of the dual-gradient image, spherical patches its area.
     Nodes come in stratum, fiber, node order, on which the interleaved
     half-sums of the quadrature error estimate rely; each stratum's fibers
-    are expanded together.
+    are expanded together.  The support Hessians (N, d, d) are the strata's
+    (``Stratum.support_hessian``), NaN on nodes of strata without one, and
+    None when no stratum has one.
     """
     blocks = []
     for s in shape.boundary_strata(n=n, seed=seed):
@@ -312,9 +310,16 @@ def bundle_nodes(
                 u,
                 (s.weights[:, None] * ww * transport.reshape(-1, q)).ravel(),
                 np.full(len(u), s.index),
+                s.support_hessian,  # only vector strata have one, with one node per fiber
             )
         )
-    return tuple(np.concatenate(col) for col in zip(*blocks))
+    *cols, hess = zip(*blocks)
+    nodes = tuple(np.concatenate(col) for col in cols)
+    if all(h is None for h in hess):
+        return (*nodes, None)
+    d = shape.dim
+    hess = [np.full((len(b[1]), d, d), np.nan) if h is None else h for b, h in zip(blocks, hess)]
+    return (*nodes, np.concatenate(hess))
 
 
 def bundle_sample(
@@ -330,66 +335,81 @@ def bundle_sample(
 
     ``n`` steers the boundary resolution per stratum (as in boundary_strata);
     1-dimensional fibers get ``fiber_nodes`` Gauss nodes and spherical-patch
-    fibers about ``patch_nodes`` area-weighted nodes.  With ``audit`` the
-    probe is repeated at twice the radius and disagreeing samples flagged.
+    fibers about ``patch_nodes`` area-weighted nodes.  Curved strata take
+    their curvatures from support Hessians (``support_curvatures``); an
+    m-dimensional stratum without one is flat along itself and, where m < n,
+    a fan: m zero curvatures, then n - m infinite ones (the catalog's edges
+    are straight).  With ``audit`` the ray reaches are traced at once, the
+    probes (see the module docstring) repeat every curvature, and samples
+    whose probe disagrees are flagged in ``audit_fail``.
     """
-    a, u, w0, strat = bundle_nodes(
+    a, u, w0, strat, hess = bundle_nodes(
         shape, norm, n=n, seed=seed, fiber_nodes=fiber_nodes, patch_nodes=patch_nodes
     )
-    eta = norm.grad(u)
+    nn = shape.dim - 1
+    kappa = np.where(np.arange(nn)[None, :] < strat[:, None], 0.0, np.inf)
+    J = np.ones(len(a))
+    if hess is not None:
+        smooth = np.flatnonzero(~np.isnan(hess[:, 0, 0]))
+        kappa[smooth], tau = support_curvatures(norm, u[smooth], hess[smooth])
+        J[smooth] = bundle_jacobian(kappa[smooth], tau)
 
-    reach, probe = _reach_and_probe(shape, norm, a, eta)
+    def ray_reach():
+        return reach_along(shape, norm, a, norm.grad(u), validate=False)
 
-    kappa, tau, ambiguous = _curvatures_at_probe(shape, norm, a, eta, probe)
+    audit_fail = None
     if audit:
-        kap2, _, _ = _curvatures_at_probe(shape, norm, a, eta, 2.0 * probe)
-        both_fin = np.isfinite(kappa) & np.isfinite(kap2)
+        eta = norm.grad(u)
+        reach, probe = _reach_and_probe(shape, norm, a, eta)
+        ray_reach = reach.view  # the reach just traced, as the bundle's
+        M, _, _ = normal_matrices(shape, norm, a, eta, probe)
+        # within its ambiguity band the probe cannot tell 1 - r chi from 0
+        kap, _, _ = kappa_from_chi(eig_small(M)[0], probe, AMBIG_FACTOR * TOL_INF)
+        kap = np.sort(kap, axis=1)
+        # a finite curvature agrees to 1e-4 (1 + |kappa|), an infinite one exactly
         with np.errstate(invalid="ignore"):  # inf - inf where both diverge
-            diff = np.where(both_fin, np.abs(kappa - kap2), 0.0)
-        scale = 1.0 + np.where(both_fin, np.abs(kappa), 0.0)
-        audit_fail = (diff > 1e-4 * scale).any(axis=1) | (
-            np.isfinite(kappa) != np.isfinite(kap2)
-        ).any(axis=1)
-    else:
-        audit_fail = None
-
-    J = bundle_jacobian(kappa, tau)
-    weights = w0 / J
+            close = np.abs(kappa - kap) <= 1e-4 * (1.0 + np.abs(kappa))
+        audit_fail = ~np.where(np.isfinite(kappa), close, np.isinf(kap)).all(axis=1)
 
     return BundleSample(
         points=a,
         normals=u,
-        eta=eta,
         phi_u=norm.value(u),
-        weights=weights,
+        weights=w0 / J,
         jacobian=J,
         kappa=kappa,
-        tau=tau,
         stratum=strat,
-        reach=reach,
-        probe=probe,
-        ambiguous=ambiguous,
         audit_fail=audit_fail,
+        ray_reach=None if shape.is_convex else ray_reach,
     )
+
+
+def support_curvatures(norm: Norm, u, hess) -> tuple[np.ndarray, np.ndarray]:
+    """Curvatures (k, n), ascending, and principal directions (k, n, d) at normals u.
+
+    ``hess`` (k, d, d) holds the support Hessians D^2h(u).  In a tangent
+    frame of u-perp, the Cholesky factor L of A = D^2phi(u) whitens
+    B = D^2h(u): C = L^{-1} B L^{-T} is symmetric, and where C w = r w, the
+    normal field's derivative S = A B^{-1} has S L w = (1/r) L w.  So
+    kappa = 1/r, along L w (not normalized).
+    """
+    u = np.asarray(u, dtype=float)
+    T = tangent_basis(u)  # (k, n, d)
+    A = np.einsum("kid,kde,kje->kij", T, norm.hessian(u), T)
+    B = np.einsum("kid,kde,kje->kij", T, hess, T)
+    L = np.linalg.cholesky(A)
+    Li = np.linalg.inv(L)
+    r, w = eig_small(np.einsum("kij,kjl,kml->kim", Li, B, Li))
+    kappa = 1.0 / r
+    tau = np.einsum("kij,kmj,kid->kmd", L, w, T)
+    order = np.argsort(kappa, axis=1)
+    return np.take_along_axis(kappa, order, 1), np.take_along_axis(tau, order[..., None], 1)
 
 
 def _reach_and_probe(shape, norm, a, eta):
     """Ray reach at each (a, eta) (+inf on convex sets) and the probe radius."""
-    if shape.is_convex:
-        reach = np.full(len(a), np.inf)
-    else:
-        reach = reach_along(shape, norm, a, eta, validate=False)
+    reach = reach_along(shape, norm, a, eta, validate=False)
     return reach, np.minimum(PROBE_REACH_FRAC * reach, PROBE_DIAM_FRAC * shape.diameter)
-
-
-def _curvatures_at_probe(shape, norm, a, eta, r):
-    M, T, _ = normal_matrices(shape, norm, a, eta, r)
-    chi, vec = eig_small(M)
-    kappa, infinite, ambiguous = kappa_from_chi(chi, r)
-    tau = np.einsum("nki,nid->nkd", vec, T)  # eigencoords -> ambient
-    order = np.argsort(kappa, axis=1)
-    rows = np.arange(len(a))[:, None]
-    return kappa[rows, order], tau[rows, order], ambiguous.any(axis=1)
 
 
 # ======================================================================

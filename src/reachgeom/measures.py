@@ -16,7 +16,7 @@ counting (`voxel_tube_volume`), which keeps an independent oracle in the
 loop, and one-sided derivatives of the volume function expose the jump
 contributed by boundary points whose reach equals rho exactly.
 
-Flat-faced shapes admit a probe-free route (`fan_bundle`): faces carry zero
+Convex polytopes take the fan route (`fan_bundle`): faces carry zero
 curvature, normal fans carry infinite curvature, and face measures are
 exact, so quadrature error enters only through the fiber nodes.
 
@@ -24,8 +24,10 @@ A check given no bundle takes the shape's default one, memoized on the
 shape in ``Shape.bundles`` by (norm key, n, seed): `fan_bundle` for a
 convex polytope, `bundle_sample` otherwise, so the tube, measure and
 verify checks of one set share it.  Bundles are immutable and their H_r
-arrays (``BundleSample.mean_curvature``, memoized per r) read-only; the ray
-reaches and reach estimates behind them are memoized in `projection`.
+arrays (``BundleSample.mean_curvature``, memoized per r) read-only.  A
+bundle traces its ray reaches the first time they are read (only
+`steiner_predict` and `volume_derivatives` read them); they and the reach
+estimates are memoized in `projection`.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .curvature import BundleSample, bundle_nodes, bundle_sample
-from .norms import Norm, fibonacci_sphere, row_dot, tangent_basis
+from .curvature import BundleSample, bundle_sample
+from .norms import Norm, fibonacci_sphere, row_dot
 from .projection import _convex_components, distance_field
 from .shapes import ConvexPolytope, EmptyInteriorError, Shape
 
@@ -117,34 +119,18 @@ def fan_bundle(
     fiber_nodes: int = 32,
     patch_nodes: int = 2048,
 ) -> BundleSample:
-    """Probe-free bundle sample for a convex polytope.
+    """Exact bundle sample for a convex polytope.
 
     Faces are flat, so every curvature is known without finite differences:
     zero along the face, infinite across its normal fan.  Face measures in
     the stratum weights are exact and the bundle Jacobian is identically 1,
-    which leaves fiber quadrature as the only error source.
+    which leaves fiber quadrature as the only error source.  This is
+    ``bundle_sample`` on a polytope, with twice its fiber nodes.
     """
     if not isinstance(shape, ConvexPolytope):
         raise ValueError("the fan route is exact for convex polytopes only")
-    a, u, w0, strat = bundle_nodes(
+    return bundle_sample(
         shape, norm, n=n, seed=seed, fiber_nodes=fiber_nodes, patch_nodes=patch_nodes
-    )
-    nn = shape.dim - 1
-    kappa = np.where(np.arange(nn)[None, :] < strat[:, None], 0.0, np.inf)
-    ones = np.ones(len(a))
-    return BundleSample(
-        points=a,
-        normals=u,
-        eta=norm.grad(u),
-        phi_u=norm.value(u),
-        weights=w0,
-        jacobian=ones,
-        kappa=kappa,
-        tau=tangent_basis(u),
-        stratum=strat,
-        reach=np.full(len(a), np.inf),
-        probe=np.zeros(len(a)),
-        ambiguous=np.zeros(len(a), dtype=bool),
     )
 
 
@@ -225,8 +211,8 @@ def curvature_measure(
 
     The defining integrand on the bundle is phi(u) * J * H_{n-m} with the
     prefactor 1/(n-m+1).  When no bundle is passed one is built on the fly —
-    through the exact fan route for convex polytopes, through curvature
-    probes otherwise.  Windows localize the measure; each named window gets
+    through the exact fan route for convex polytopes, from support Hessians
+    otherwise.  Windows localize the measure; each named window gets
     its own signed value.  The absolute variant (|integrand| summed) is kept
     alongside to monitor integrability of the signed quadrature.
     """
@@ -651,7 +637,9 @@ def volume_derivatives(
     reach at least rho; their difference is the (nonnegative, for the
     catalog) mass of the surface sheet whose reach equals rho exactly —
     nonzero for only countably many radii.  ``reach_tol`` widens the
-    equality band to absorb the bisection tolerance of the reach values.
+    equality band to absorb the predicate tolerance tol_pred (1 + s) of the
+    reach values (``reach_along``: the first failure of the widened
+    predicate, exact on unions of convex pieces, bracketed elsewhere).
     """
     if rho <= 0:
         raise ValueError("rho must be positive")

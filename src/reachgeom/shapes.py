@@ -9,7 +9,9 @@ Every shape knows three things about itself:
   fibers of a stratum share one kind: a single ``vector`` on smooth pieces,
   an antipodal ``pair`` on 1-codimensional sheets, an ``arc`` (d=2) or
   ``edge`` fan (d=3) at corners and edges, a spherical ``patch`` at d=3
-  vertices; ``fiber_nodes`` turns the rows into spherical quadrature,
+  vertices; ``fiber_nodes`` turns the rows into spherical quadrature, and
+  curved ``vector`` strata carry the support Hessians their curvatures
+  come from,
 * its projection under every norm (``exact_projection``) and the candidate
   feet whose ties are second feet (``foot_candidates``).  Closed forms where
   they exist; else a Wulff body's support function h gives the signed
@@ -165,6 +167,10 @@ class Stratum:
     - ``edge`` (N, 2, 3): the two facet normals a d=3 edge fan turns between;
     - ``patch`` (N, G, 3): ordered unit generators of a convex spherical
       polygon.
+
+    A curved ``vector`` stratum carries ``support_hessian`` (N, d, d): the
+    Hessian D^2h(u) of its piece's support function at each normal, negated
+    on a complement; flat strata and fans carry None.
     """
 
     index: int
@@ -172,6 +178,7 @@ class Stratum:
     points: np.ndarray
     weights: np.ndarray
     fibers: np.ndarray
+    support_hessian: Optional[np.ndarray] = None
 
     def __len__(self):
         return len(self.points)
@@ -274,15 +281,15 @@ class Shape:
         return f"{type(self).__name__}({self.name})"
 
 
-def _smooth_strata(chart_specs, n, seed, dim):
+def _smooth_strata(chart_specs, n, seed, dim, support_hessian):
     """Uniform-parameter midpoint sampling of smooth 1d charts (d=2).
 
     Each (chart, normal, length) triple pairs a chart with ``normal(t)``, the
     outward unit normal at ``chart.point(t)``.  The triples split the n
-    samples in proportion to length.
+    samples in proportion to length.  ``support_hessian`` maps the normals
+    to the stratum's support Hessians.
     """
     rng = np.random.default_rng(seed)
-    strata = []
     total_len = sum(length for *_, length in chart_specs)
     pts_all, wts_all, fibers = [], [], []
     for chart, normal, length in chart_specs:
@@ -296,16 +303,9 @@ def _smooth_strata(chart_specs, n, seed, dim):
         pts_all.append(p)
         wts_all.append(speed * step)
         fibers.append(normal(t))
-    strata.append(
-        Stratum(
-            dim - 1,
-            "vector",
-            np.concatenate(pts_all),
-            np.concatenate(wts_all),
-            np.concatenate(fibers),
-        )
-    )
-    return strata
+    fibers = np.concatenate(fibers)
+    pts, wts = np.concatenate(pts_all), np.concatenate(wts_all)
+    return [Stratum(dim - 1, "vector", pts, wts, fibers, support_hessian(fibers))]
 
 
 def _best(feet, delta):
@@ -361,11 +361,22 @@ def _segment_feet(norm, x, starts, edges):
 def _edge_feet(norm, x, starts, edges):
     """Feet (N, S, d) and distances (N, S) of x on the segments start + t edge, any d.
 
-    phi_*(x - start - t edge) is convex in t; ``_newton_rows`` minimizes it
-    over t in [0, 1] from the middle, with the second derivative a central
-    difference of the first (40 iterations, 15 halvings, done at a slope
-    below 1e-12 |edge|).  No point of a segment may be x.
+    phi_*(x - start - t edge) is convex in t.  Under a quadratic norm,
+    phi_*(v) = |L v| (``dual_transform``), its minimum over t in [0, 1] is
+    the clamped least-squares parameter t = (L e).(L (x - s)) / |L e|^2.
+    Under any other norm ``_newton_rows`` minimizes it from the middle, with
+    the second derivative a central difference of the first (40 iterations,
+    15 halvings, done at a slope below 1e-12 |edge|).  No point of a segment
+    may be x.
     """
+    L = norm.dual_transform
+    if L is not None:
+        # row_dot products, so that a row's bits do not depend on its batch
+        Le = row_dot(edges[:, None, :], L)  # (S, d)
+        Lv = row_dot((x[:, None, :] - starts)[..., None, :], L)  # (N, S, d)
+        t = np.clip(row_dot(Lv, Le) / row_dot(Le, Le), 0.0, 1.0)
+        r = Lv - t[..., None] * Le
+        return starts + t[..., None] * edges, np.sqrt(row_dot(r, r))
     N, S, d = len(x), len(starts), x.shape[1]
     v0 = np.repeat(x, S, axis=0) - np.tile(starts, (N, 1))
     e = np.tile(edges, (N, 1))
@@ -496,14 +507,15 @@ class WulffBody(Shape):
         if self.dim == 2:
             # one chart takes all n samples, whatever its length
             spec = (self.charts()[0], lambda t: self._normal(_circle(t)), 1.0)
-            return _smooth_strata([spec], n, seed, self.dim)
+            return _smooth_strata([spec], n, seed, self.dim, self.support_hessian)
         from .norms import tangent_basis
 
         u = fibonacci_sphere(n)
         T = tangent_basis(u)
         dA = np.cross(self._dpoint(u, T[:, 0]), self._dpoint(u, T[:, 1]))
         w = np.linalg.norm(dA, axis=-1) * (4 * np.pi / n)
-        return [Stratum(2, "vector", self._point(u), w, self._normal(u))]
+        normal = self._normal(u)
+        return [Stratum(2, "vector", self._point(u), w, normal, self.support_hessian(normal))]
 
     def boundary_fiber_at(self, a, tol=1e-7):
         v = np.asarray(a, dtype=float) - self.center
@@ -1009,8 +1021,10 @@ class CapLens(Shape):
 
     def boundary_strata(self, n=512, seed=0):
         arc_len = 2.0 * np.arccos(self.eps)
+        # both arcs are arcs of unit circles, with the unit disk's support Hessian
         strata = _smooth_strata(
-            [(ch, _circle, arc_len) for ch in self.charts()], n, seed, self.dim
+            [(ch, _circle, arc_len) for ch in self.charts()], n, seed, self.dim,
+            self._disks[0].support_hessian,
         )
         strata.append(
             Stratum(0, "arc", self.corner_points(), np.ones(2), self._corner_arcs.copy())
@@ -1219,21 +1233,18 @@ class DisjointUnion(Shape):
             for s in comp.boundary_strata(n=m, seed=seed + k)
         ]
         # by dimension, components in order within one; consecutive parts
-        # whose fiber rows have one kind and shape become one stratum
+        # whose fiber rows have one kind and shape, and which all carry
+        # support Hessians or none do, become one stratum
         parts.sort(key=lambda s: -s.index)
         out = []
-        for (index, kind, _), run in groupby(
-            parts, key=lambda s: (s.index, s.kind, s.fibers.shape[1:])
+        for (index, kind, _, flat), run in groupby(
+            parts,
+            key=lambda s: (s.index, s.kind, s.fibers.shape[1:], s.support_hessian is None),
         ):
             run = list(run)
+            cols = ("points", "weights", "fibers") + (() if flat else ("support_hessian",))
             out.append(
-                Stratum(
-                    index,
-                    kind,
-                    np.concatenate([s.points for s in run]),
-                    np.concatenate([s.weights for s in run]),
-                    np.concatenate([s.fibers for s in run]),
-                )
+                Stratum(index, kind, *(np.concatenate([getattr(s, c) for s in run]) for c in cols))
             )
         return out
 
@@ -1307,12 +1318,13 @@ class ComplementShape(Shape):
         return None
 
     def boundary_strata(self, n=512, seed=0):
-        # vectors flip and pairs stay; corner fans of the base vanish on the
-        # complement side
+        # vectors and support Hessians flip and pairs stay; corner fans of
+        # the base vanish on the complement side
         out = []
         for s in self.base.boundary_strata(n=n, seed=seed):
             if s.kind == "vector":
-                out.append(Stratum(s.index, s.kind, s.points, s.weights, -s.fibers))
+                hess = None if s.support_hessian is None else -s.support_hessian
+                out.append(Stratum(s.index, s.kind, s.points, s.weights, -s.fibers, hess))
             elif s.kind == "pair":
                 out.append(s)
         return out

@@ -241,9 +241,9 @@ def minkowski_check(
 
 
 def _alexandrov_mask(bundle: BundleSample) -> np.ndarray:
-    """Samples at smooth-stratum points with reliable finite curvature."""
+    """Samples at smooth-stratum points with finite curvature."""
     top = bundle.stratum == bundle.n
-    return top & ~bundle.ambiguous & np.isfinite(bundle.kappa).all(axis=1)
+    return top & np.isfinite(bundle.kappa).all(axis=1)
 
 
 def heintze_karcher_check(

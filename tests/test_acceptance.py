@@ -1,11 +1,11 @@
 """Acceptance gate: eleven end-to-end checks, one verdict line each.
 
 Every test pins a headline guarantee of the library at a fixed tolerance —
-norm duality, tube volumes against voxel counts, curvature oracles, probe
-stability, polytope exactness, the integral identities, the volume bound
-and its equality cases, the derivative jump at the reach, the bubble
-classifier, the symmetric-mean chain, and the complement flip.  Each test
-is independent and budgeted to run in well under a minute.
+norm duality, tube volumes against voxel counts, curvature oracles, the
+probe oracle's agreement, polytope exactness, the integral identities, the
+volume bound and its equality cases, the derivative jump at the reach, the
+bubble classifier, the symmetric-mean chain, and the complement flip.  Each
+test is independent and budgeted to run in well under a minute.
 """
 
 import math
@@ -103,6 +103,7 @@ def test_criterion_03_curvature_oracles():
 
 
 def test_criterion_04_probe_radius_invariance():
+    # the audit's probes at the probe radius against the support-Hessian curvatures
     catalog = [
         ("disk", E2), ("unit-square", E2), ("ellipse-2-1", E2),
         ("two-disks-gap1", E2), ("two-disks-far", E2), ("two-disks-mixed", E2),
@@ -118,7 +119,7 @@ def test_criterion_04_probe_radius_invariance():
         total += int(accepted.sum())
     frac = agree / total
     assert frac >= 0.999
-    print(f"[PASS] criterion 4: probes at r and 2r agree on {frac:.2%} "
+    print(f"[PASS] criterion 4: probes and support-Hessian curvatures agree on {frac:.2%} "
           f"of {total} accepted samples (>= 99.9%)")
 
 

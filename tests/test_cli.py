@@ -225,6 +225,62 @@ class TestRun:
         assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
 
 
+VERIFY_UNIONS = """
+seed = 3
+
+[norm aniso]
+kind = ellipsoidal
+diag = 4.0, 1.0
+
+[shape gap]
+catalog = two-disks-gap1
+
+[shape wulff]
+catalog = three-wulff
+norm = aniso
+
+[check gap-verify]
+type = verify
+shape = gap
+norm = aniso
+samples = 256
+minkowski = 1
+heintze_karcher = true
+mean_convex = 1
+alexandrov = 1
+expect_bubble = false
+
+[check wulff-verify]
+type = verify
+shape = wulff
+norm = aniso
+heintze_karcher = true
+classify_equality = true
+alexandrov = 1
+expect_bubble = true
+"""
+
+
+class TestLazyReach:
+    def test_verify_checks_on_unions_trace_no_ray(self, tmp_path, monkeypatch):
+        # the verdicts read curvatures and the half-gap reach, never a ray reach
+        from reachgeom import curvature, projection
+
+        calls = []
+        plain = projection.reach_along
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[2]))
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(curvature, "reach_along", counting)
+        monkeypatch.setattr(projection, "reach_along", counting)
+        status, summary = run(load_config(write_config(tmp_path, VERIFY_UNIONS)))
+        assert status == 0 and summary["all_expected_pass"]
+        assert [c["name"] for c in summary["checks"]] == ["gap-verify", "wulff-verify"]
+        assert calls == []
+
+
 class TestMainEntry:
     def test_reports_written_and_exit_zero(self, tmp_path):
         cfg = write_config(tmp_path, MINI)

@@ -405,7 +405,7 @@ class TestWarmProbes:
         monkeypatch.setattr(curvature, "nearest_points", spy)
         bundle_sample(shape, norm, n=n, audit=True)
         monkeypatch.undo()
-        assert len(calls) == 2  # the probes at r and the audit's at 2r
+        assert len(calls) == 1  # the audit's probes at r; the curvatures take none
         return calls
 
     def test_lens_feet_equal_the_global_route(self, monkeypatch):
@@ -467,3 +467,137 @@ class TestWarmProbes:
         nu = (probes - feet) / delta[:, None]
         want = T[0] @ ((nu[0] - nu[1]) / (2.0 * h))
         npt.assert_allclose(M[0, 0, 0], want, rtol=1e-12)
+
+
+def _rotated(diag, angles):
+    """R diag R' with R a product of plane rotations (2-d: one; 3-d: z-x-z)."""
+    d = len(diag)
+    planes = [(0, 1)] if d == 2 else [(0, 1), (1, 2), (0, 1)]
+    R = np.eye(d)
+    for (i, j), t in zip(planes, angles):
+        turn = np.eye(d)
+        turn[[i, i, j, j], [i, j, i, j]] = np.cos(t), -np.sin(t), np.sin(t), np.cos(t)
+        R = R @ turn
+    return EllipsoidalNorm(R @ np.diag(diag) @ R.T)
+
+
+NORM_KINDS = {
+    "euclid-2": E2,
+    "diag-2": Q41,
+    "rotated-2": _rotated([3.0, 0.5], [0.7]),
+    "lp3-2": SmoothedLpNorm(2, 3.0),
+    "lp1.5-2": SmoothedLpNorm(2, 1.5),
+    "euclid-3": E3,
+    "diag-3": EllipsoidalNorm(np.diag([4.0, 1.0, 2.0])),
+    "rotated-3": _rotated([3.0, 1.0, 0.25], [2.1, 0.8, 0.5]),
+    "lp3-3": SmoothedLpNorm(3, 3.0),
+    "lp4-3": SmoothedLpNorm(3, 4.0),
+}
+
+
+class TestSupportHessianCurvatures:
+    """Curvatures in closed form from (D2phi(u), D2h(u)), with no probe and no ray."""
+
+    @pytest.mark.parametrize("norm", NORM_KINDS.values(), ids=NORM_KINDS.keys())
+    def test_dual_ball_has_curvature_one_over_its_radius(self, norm):
+        bs = bundle_sample(WulffBody(norm, radius=0.8), norm, n=256)
+        npt.assert_allclose(bs.kappa, 1.0 / 0.8, rtol=1e-12, atol=0.0)
+        assert not bs.ambiguous.any()
+
+    def test_ellipse_has_the_textbook_curvature(self):
+        a, b = 2.0, 1.0
+        bs = bundle_sample(make_catalog_shape("ellipse-2-1", E2), E2, n=256)
+        t = np.arctan2(bs.points[:, 1] / b, bs.points[:, 0] / a)
+        expect = a * b / (a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2) ** 1.5
+        npt.assert_allclose(bs.kappa[:, 0], expect, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "shape,norm",
+        [
+            (make_catalog_shape("ellipse-2-1"), E2),
+            (make_catalog_shape("cap-lens-0.5"), SmoothedLpNorm(2, 3.0)),
+            (WulffBody(_rotated([4.0, 1.0, 0.5], [0.3, 1.2, 0.7])), NORM_KINDS["rotated-3"]),
+            (shapes.Ellipsoid([0.0, 0.0, 0.0], [2.0, 1.0, 0.5]), SmoothedLpNorm(3, 3.0)),
+        ],
+        ids=["ellipse-euclid", "lens-lp3", "wulff-3d-rotated", "ellipsoid-lp3"],
+    )
+    def test_complement_mirrors_the_curvatures(self, shape, norm):
+        # the complement at (a, -u) has the curvatures of the set at (a, u),
+        # negated and in reverse order
+        bs = bundle_sample(shape, norm, n=128, seed=3)
+        bc = bundle_sample(shape.complement(), norm, n=128, seed=3)
+        top = bs.stratum == shape.dim - 1
+        npt.assert_array_equal(bs.points[top], bc.points)
+        npt.assert_array_equal(bs.normals[top], -bc.normals)
+        npt.assert_allclose(bc.kappa, -bs.kappa[top, ::-1], rtol=1e-12, atol=0.0)
+
+    def test_principal_directions_of_an_ellipsoid(self):
+        # on the ellipsoid's axes the principal directions are the other axes,
+        # with curvatures a / b^2 for semiaxes a (along u) and b
+        body = shapes.Ellipsoid([0.0, 0.0, 0.0], [2.0, 1.0, 0.5])
+        u = np.eye(3)
+        kappa, tau = curvature.support_curvatures(E3, u, body.support_hessian(u))
+        npt.assert_allclose(kappa, [[2.0, 8.0], [0.25, 4.0], [0.125, 0.5]], rtol=1e-12)
+        axes = np.eye(3)[[[1, 2], [0, 2], [0, 1]]]
+        unit = tau / np.linalg.norm(tau, axis=-1, keepdims=True)
+        npt.assert_allclose(np.abs(unit), axes, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "key,norm",
+        [
+            ("disk", Q41), ("unit-square", Q41), ("ellipse-2-1", E2), ("two-disks-gap1", Q41),
+            ("two-disks-mixed", SmoothedLpNorm(2, 3.0)), ("cap-lens-0.5", Q41),
+            ("segment-pair", Q41), ("wulff", Q41), ("three-wulff", Q41), ("cube", E3),
+            ("two-balls-3d", EllipsoidalNorm(np.diag([4.0, 1.0, 2.0]))), ("wulff-3d", Q411),
+        ],
+    )
+    def test_no_probe_and_no_ray_without_audit(self, monkeypatch, key, norm):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bundle without audit evaluated a distance")
+
+        monkeypatch.setattr(curvature, "nearest_points", refuse)
+        monkeypatch.setattr(curvature, "reach_along", refuse)
+        shape = make_catalog_shape(key, norm)
+        bundle_sample(shape, norm, n=64)
+        if shape.dim == 2 and key not in ("unit-square", "segment-pair"):
+            bundle_sample(shape.complement(), norm, n=64)
+
+    def test_reach_is_traced_once_on_first_read(self, monkeypatch):
+        calls = []
+        plain = projection.reach_along
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[2]))
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(curvature, "reach_along", counting)
+        shape = make_catalog_shape("two-disks-gap1")
+        bs = bundle_sample(shape, Q41, n=128)
+        assert calls == []
+        reach = bs.reach
+        assert calls == [len(bs)]
+        assert bs.reach is reach and calls == [len(bs)]
+        fresh = make_catalog_shape("two-disks-gap1")
+        eager = plain(fresh, Q41, bs.points, Q41.grad(bs.normals), validate=False)
+        assert reach.tobytes() == eager.tobytes()
+        with pytest.raises(ValueError):
+            reach[0] = 0.0
+
+    def test_convex_bundle_reach_is_infinite_without_a_ray(self, monkeypatch):
+        monkeypatch.setattr(curvature, "reach_along", None)
+        bs = bundle_sample(make_catalog_shape("ellipse-2-1"), Q41, n=64)
+        assert np.isinf(bs.reach).all()
+
+    def test_audit_flags_wrong_curvatures(self, monkeypatch):
+        # the probes are an independent oracle: curvatures 1 % off fail it
+        plain = curvature.support_curvatures
+
+        def off(*args):
+            kappa, tau = plain(*args)
+            return 1.01 * kappa, tau
+
+        shape = make_catalog_shape("cap-lens-0.5")
+        assert not bundle_sample(shape, Q41, n=64, audit=True).audit_fail.any()
+        monkeypatch.setattr(curvature, "support_curvatures", off)
+        bs = bundle_sample(shape, Q41, n=64, audit=True)
+        npt.assert_array_equal(bs.audit_fail, bs.stratum == 1)

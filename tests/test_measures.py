@@ -2,7 +2,7 @@
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -31,7 +31,7 @@ from reachgeom.measures import (
     voxel_tube_volume,
 )
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm, row_dot
-from reachgeom.projection import distance_field
+from reachgeom.projection import distance_field, reach_along
 from reachgeom.shapes import (
     Ball,
     ConvexPolytope,
@@ -702,6 +702,20 @@ class TestSteinerPredict:
         v, err = voxel_tube_volume(segs, E2, [2.0])
         p = steiner_predict(b, [2.0])[0]
         assert abs(p - v[0]) <= 0.02 * v[0]
+
+    def test_past_the_reach_the_lazy_reach_predicts_as_an_eager_one(self):
+        # the reach of two-disks-gap1 under diag(4, 1) is 1/4; the bundle
+        # traces it on first read, through the call that bundle_sample made
+        # when it built every bundle's reach at once
+        b = bundle_sample(make_catalog_shape("two-disks-gap1"), Q41, n=256)
+        fresh = make_catalog_shape("two-disks-gap1")
+        eager = reach_along(fresh, Q41, b.points, Q41.grad(b.normals), validate=False)
+        built = replace(b, ray_reach=lambda: eager)
+        rho = np.array([0.1, 0.3, 0.6, 1.0, 2.0])
+        got = steiner_predict(b, rho)
+        assert got.tobytes() == steiner_predict(built, rho).tobytes()
+        assert (got[1:] < steiner_predict(b, rho, truncate=False)[1:]).all()
+        assert b.reach.tobytes() == eager.tobytes()
 
     def test_truncated_equals_pure_below_reach(self):
         b = cached_bundle("two-disks-gap1", E2)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachgeom import norms, projection
+from reachgeom import norms, projection, shapes
 from reachgeom.curvature import bundle_nodes
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm, unit_rows
 from reachgeom.projection import (
@@ -532,7 +532,7 @@ class TestReachBracket:
         shape = make_catalog_shape(key, norm)
         if complement:
             shape = shape.complement()
-        a, u, _, _ = bundle_nodes(shape, norm, n=n)
+        a, u, *_ = bundle_nodes(shape, norm, n=n)
         return shape, a, norm.grad(u)
 
     def test_distance_rows_per_finite_ray(self, monkeypatch):
@@ -602,7 +602,7 @@ class TestReachMemo:
 
     @staticmethod
     def _rays(shape, norm, n=32):
-        a, u, _, _ = bundle_nodes(shape, norm, n=n)
+        a, u, *_ = bundle_nodes(shape, norm, n=n)
         return a, norm.grad(u)
 
     def test_ray_memo_keys(self):
@@ -665,7 +665,7 @@ class TestReachMemo:
         # smoothed-lp norm every distance comes from row-independent support
         # solves, so ray 57 alone and ray 57 next to ray 87 agree bit for bit
         norm = SmoothedLpNorm(2, 3)
-        a, u, _, _ = bundle_nodes(make_catalog_shape("three-wulff", norm), norm, n=4)
+        a, u, *_ = bundle_nodes(make_catalog_shape("three-wulff", norm), norm, n=4)
         eta = norm.grad(u)
         shape = make_catalog_shape("three-wulff", norm)
         alone = reach_along(shape, norm, a[[57]], eta[[57]], validate=False)
@@ -911,7 +911,7 @@ class TestSupportRoutes:
     def test_distance_agrees_with_a_dense_boundary_sample(self, dim, key, name, complement):
         # no boundary point is nearer than the foot, and the nearest sample
         # lies within the sample spacing of it; in 3-d the box under a
-        # rotated norm, whose edges take a 1-d Newton
+        # rotated norm, whose edges take the clamped least-squares foot
         shape, norm, x = _route_pair(dim, key, name, complement, n=12)
         delta = set_distance(shape, norm, x)
         base = shape.base if complement else shape
@@ -924,6 +924,32 @@ class TestSupportRoutes:
         stretch = norm.conjugate(unit_rows(np.random.default_rng(0).standard_normal((999, dim))))
         assert (delta[out] <= near + 1e-12).all()
         assert (near - delta[out] <= 2.0 * stretch.max() * spacing).all()
+
+
+class TestEdgeFeet:
+    def test_quadratic_closed_form_equals_the_newton_route(self, search_twin):
+        # under the twin the edges of the box take the 1-d Newton
+        cube, norm = make_catalog_shape("cube"), _rotated([3.0, 1.0, 0.25], [2.1, 0.8, 0.5])
+        x = np.random.default_rng(5).uniform(-1.0, 2.0, (3000, 3))
+        x = x[~cube.contains(x, tol=0.0)][:2000]
+        assert len(x) == 2000
+        args = (x, cube._edge_starts, cube._edge_vecs)
+        feet, delta = shapes._edge_feet(norm, *args)
+        feet_n, delta_n = shapes._edge_feet(search_twin(norm), *args)
+        npt.assert_allclose(delta, delta_n, rtol=1e-12, atol=0.0)
+        npt.assert_allclose(norm.conjugate(x[:, None, :] - feet), delta, rtol=1e-14, atol=0.0)
+        npt.assert_allclose(feet, feet_n, rtol=0.0, atol=1e-10)
+        closed, newton = distance_field(cube, norm, x), distance_field(cube, search_twin(norm), x)
+        npt.assert_allclose(closed, newton, rtol=1e-12, atol=0.0)
+
+    def test_row_alone_equals_row_in_a_batch(self):
+        cube, norm = make_catalog_shape("cube"), _rotated([3.0, 1.0, 0.25], [2.1, 0.8, 0.5])
+        x = np.random.default_rng(6).uniform(-1.0, 2.0, (500, 3))
+        feet, delta = shapes._edge_feet(norm, x, cube._edge_starts, cube._edge_vecs)
+        for i in range(0, 500, 50):
+            f1, d1 = shapes._edge_feet(norm, x[i : i + 1], cube._edge_starts, cube._edge_vecs)
+            assert f1.tobytes() == feet[i : i + 1].tobytes()
+            assert d1.tobytes() == delta[i : i + 1].tobytes()
 
 
 class TestFacetFormula:
