@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+from numpy.random import default_rng
 
 from .measures import (
     BudgetExceeded,
@@ -306,7 +307,7 @@ def _run_norm_check(cfg: ExperimentConfig, spec: CheckSpec) -> dict:
     norm = cfg.norms[spec.params["norm"]]
     k = int(spec.params.get("samples", 1000))
     tol = float(spec.params.get("tolerance", 1e-8))
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     u = rng.standard_normal((k, norm.dim))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     on_sphere = u

@@ -113,25 +113,21 @@ def elementary_symmetric(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 # ======================================================================
 
 
-def normal_matrices(
-    shape: Shape, norm: Norm, a, eta, r
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tangent-plane matrices of the normal field at probes a + r eta.
+def normal_matrices(shape: Shape, norm: Norm, a, u, r) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent-plane matrices of the normal field at probes a + r eta, eta = grad phi(u).
 
-    r should lie below the ray reach at (a, eta), where a is the foot.
-    Returns (M, T, u): M (N, n, n) with M[i, j] = tau_i . (D nu) tau_j,
-    T (N, n, d) the tangent frames (rows tau_i), u (N, d) the Euclidean unit
-    normals recovered from eta.
+    u (N, d) are Euclidean unit normals at the feet a, and r should lie
+    below the ray reach at (a, eta).  Returns (M, T): M (N, n, n) with
+    M[i, j] = tau_i . (D nu) tau_j and T (N, n, d) the tangent frames of u
+    (rows tau_i).
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    eta = np.atleast_2d(np.asarray(eta, dtype=float))
+    u = np.atleast_2d(np.asarray(u, dtype=float))
     r = np.broadcast_to(np.asarray(r, dtype=float), (len(a),))
     d = a.shape[1]
     n = d - 1
-    w = norm.conjugate_grad(eta)  # parallel to the Euclidean normal
-    u = w / np.linalg.norm(w, axis=-1, keepdims=True)
     T = tangent_basis(u)  # (N, n, d)
-    x = a + r[:, None] * eta
+    x = a + r[:, None] * norm.grad(u)
     h = FD_FRAC * r
     probes = (
         x[:, None, None, :]
@@ -142,7 +138,7 @@ def normal_matrices(
     nu = ((probes - feet) / delta[:, None]).reshape(len(a), n, 2, d)
     cols = (nu[:, :, 0, :] - nu[:, :, 1, :]) / (2.0 * h[:, None, None])  # (N, j, d)
     M = np.einsum("nid,njd->nij", T, cols)
-    return M, T, u
+    return M, T
 
 
 def kappa_from_chi(chi: np.ndarray, r, tol_inf: float = TOL_INF):
@@ -244,7 +240,9 @@ class BundleSample:
     @cached_property
     def reach(self) -> np.ndarray:
         """(N,) ray reach at (a, grad phi(u)), traced on first read (read-only)."""
-        return np.broadcast_to(np.inf, (len(self),)) if self.ray_reach is None else self.ray_reach()
+        reach = np.full(len(self), np.inf) if self.ray_reach is None else self.ray_reach()
+        reach.setflags(write=False)
+        return reach
 
 
 def mean_curvature(kappa: np.ndarray, r: int) -> np.ndarray:
@@ -362,7 +360,7 @@ def bundle_sample(
         eta = norm.grad(u)
         reach, probe = _reach_and_probe(shape, norm, a, eta)
         ray_reach = reach.view  # the reach just traced, as the bundle's
-        M, _, _ = normal_matrices(shape, norm, a, eta, probe)
+        M, _ = normal_matrices(shape, norm, a, u, probe)
         # within its ambiguity band the probe cannot tell 1 - r chi from 0
         kap, _, _ = kappa_from_chi(eig_small(M)[0], probe, AMBIG_FACTOR * TOL_INF)
         kap = np.sort(kap, axis=1)
@@ -431,12 +429,11 @@ def pointwise_shape_operator(
     kind, normal = shape.boundary_fiber_at(a)
     if kind != "vector":
         raise ValueError("point has no unique normal")
-    a = a[None, :]
-    eta = norm.grad(np.asarray(normal, dtype=float)[None, :])
-    _, r = _reach_and_probe(shape, norm, a, eta)
-    (M,), (T,), (u,) = normal_matrices(shape, norm, a, eta, r)
+    a, u = a[None, :], np.asarray(normal, dtype=float)[None, :]
+    _, r = _reach_and_probe(shape, norm, a, norm.grad(u))
+    (M,), (T,) = normal_matrices(shape, norm, a, u, r)
     K = M @ np.linalg.inv(np.eye(len(M)) - r[0] * M)
-    return K, T, u
+    return K, T, u[0]
 
 
 def pointwise_mean_curvature(shape: Shape, norm: Norm, a) -> float:

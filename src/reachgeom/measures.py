@@ -40,7 +40,7 @@ import numpy as np
 
 from .curvature import BundleSample, bundle_sample
 from .norms import Norm, fibonacci_sphere, row_dot
-from .projection import _convex_components, distance_field
+from .projection import _convex_pieces, distance_field
 from .shapes import ConvexPolytope, EmptyInteriorError, Shape
 
 __all__ = [
@@ -439,7 +439,7 @@ def voxel_tube_volume(
     # corner centers this far inside a convex piece are inside by far more
     # than rounding, and so is every center of their block
     margin = 1e-9 * (shape.diameter + float(rho.max()))
-    pieces = [shape] if shape.is_convex else _convex_components(shape) or []
+    pieces = _convex_pieces(shape) or []
     kids = np.array(list(itertools.product((0, 1), repeat=d))).T
     # a bracketed block's centers: index offsets, and offsets from its middle
     offsets = np.array(list(itertools.product(range(_BRACKET_SIZE), repeat=d))).T
@@ -637,9 +637,8 @@ def volume_derivatives(
     reach at least rho; their difference is the (nonnegative, for the
     catalog) mass of the surface sheet whose reach equals rho exactly —
     nonzero for only countably many radii.  ``reach_tol`` widens the
-    equality band to absorb the predicate tolerance tol_pred (1 + s) of the
-    reach values (``reach_along``: the first failure of the widened
-    predicate, exact on unions of convex pieces, bracketed elsewhere).
+    equality band by the predicate tolerance tol_pred (1 + s) of
+    ``reach_along``, whose reach is that predicate's exact first failure.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")

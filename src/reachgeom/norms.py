@@ -239,7 +239,7 @@ def _grid_neighbours(dim):
     return nbrs
 
 
-def _support_search(body, norm, x, local=False):
+def _support_search(body, norm, x, local=False, shift=None, seeds=None):
     """Maximize F(u) = (u.x - h(u))/phi(u) over unit u, for each row of x (N, d).
 
     h is the support function of the convex ``body`` (its ``support``, with
@@ -248,7 +248,10 @@ def _support_search(body, norm, x, local=False):
     max F is the signed distance of x: delta_K(x) outside K, and minus the
     distance to the complement inside K.  Where u attains it, the support
     point of u is the foot, on the boundary of K.  On the body {0}
-    (``_ORIGIN``) max F is phi_*(x) and u/phi(u) is grad phi_*(x).
+    (``_ORIGIN``) max F is phi_*(x) and u/phi(u) is grad phi_*(x).  With
+    ``shift`` (N, d) the gauge of row i is phi(u) + u.shift_i, which must
+    stay positive; a linear term leaves the gauge's Hessian as it is.
+    ``seeds`` (N, k, d) adds k unit start directions to each row's.
 
     F is first evaluated on ``_search_grid``, explicit values in chunks of
     rows that hold at most ``_GRID_VALUES`` of them.  The best direction of
@@ -258,26 +261,34 @@ def _support_search(body, norm, x, local=False):
     the sphere then lowers -F from each seed (30 iterations, 20 halvings,
     done at |grad F| <= 1e-15 max(1, |x|) or where rounding stops it, so
     that feet are good to rounding for the finite differences of curvature
-    probes), with the tangent Hessian -(D2h + F D2phi)/phi, exact
+    probes; shifted, only max F is read, and 1e-10 leaves it good to
+    rounding), with the tangent Hessian -(D2h + F D2phi)/phi, exact
     where grad F = 0; where that is not negative definite (F is not concave
-    inside K) its eigenvalues are taken by modulus.  Steps are at most 0.25.
-    Returns (rows, u, F, res): the row of x of each seed, ascending, its
-    polished direction, F there and the final |grad F|/max(1, |x|).
+    inside K) its eigenvalues are taken by modulus.  Steps are at most 0.25,
+    or 0.04 in a local search, so that a seed stays in its own basin.
+    Returns (rows, u, F, res): the row of x of each seed, ascending (then
+    those of ``seeds``, row by row), its polished direction, F there and
+    the final |grad F|/max(1, |x|).
     """
     if not len(x):
         return np.zeros(0, dtype=int), np.zeros((0, norm.dim)), np.zeros(0), np.zeros(0)
     dirs = _search_grid(norm.dim)
     nbrs = _grid_neighbours(norm.dim) if local else None
-    rows, seeds = [], []
+    rows, starts = [], []
     h, phi = body.support(dirs), norm.value(dirs)
     chunk = max(_GRID_VALUES // len(dirs), 1)
-    for i in range(0, len(x), chunk):
-        xi = x[i : i + chunk]
-        f = xi[:, :1] * dirs[:, 0]
+
+    def dots(v):
+        # v . dirs (n, G), a fixed sum per value, so a row's bits do not depend on its batch
+        out = v[:, :1] * dirs[:, 0]
         for k in range(1, norm.dim):
-            f += xi[:, k : k + 1] * dirs[:, k]
+            out += v[:, k : k + 1] * dirs[:, k]
+        return out
+
+    for i in range(0, len(x), chunk):
+        f = dots(x[i : i + chunk])
         f -= h
-        f /= phi
+        f /= phi if shift is None else dots(shift[i : i + chunk]) + phi
         if local:
             top = f[:, nbrs[:, 0]]
             for j in range(1, nbrs.shape[1]):
@@ -286,16 +297,22 @@ def _support_search(body, norm, x, local=False):
         else:
             r, j = np.arange(len(f)), np.argmax(f, axis=1)
         rows.append(i + r)
-        seeds.append(j)
-    rows = np.concatenate(rows)
+        starts.append(dirs[j])
+    if seeds is not None:
+        rows.append(np.repeat(np.arange(len(x)), seeds.shape[1]))
+        starts.append(seeds.reshape(-1, norm.dim))
+    rows, starts = np.concatenate(rows), np.concatenate(starts)
     xr = x[rows]
+    sr = None if shift is None else shift[rows]
     scale = np.maximum(1.0, np.sqrt(row_dot(xr, xr)))
 
     def ascent(u, idx):
-        # F, phi(u) and the tangential gradient of F
-        pu = norm.value(u)
+        # F, the gauge at u and the tangential gradient of F
+        pu, dp = norm.value(u), norm.grad(u)
+        if sr is not None:
+            pu, dp = pu + row_dot(u, sr[idx]), dp + sr[idx]
         f = (row_dot(u, xr[idx]) - body.support(u)) / pu
-        g = (xr[idx] - body.support_point(u) - f[:, None] * norm.grad(u)) / pu[:, None]
+        g = (xr[idx] - body.support_point(u) - f[:, None] * dp) / pu[:, None]
         return f, pu, g - u * row_dot(g, u)[:, None]
 
     def probe(u, idx):
@@ -317,10 +334,11 @@ def _support_search(body, norm, x, local=False):
             lam, V = np.linalg.eigh(A[down])
             w = np.einsum("mki,mk->mi", V, b[down]) / np.maximum(np.abs(lam), 1e-12)
             coef[down] = np.einsum("mki,mi->mk", V, w)
-        coef *= np.minimum(1.0, 0.25 / np.maximum(np.sqrt(row_dot(coef, coef)), 1e-300))[:, None]
+        coef *= np.minimum(1.0, cap / np.maximum(np.sqrt(row_dot(coef, coef)), 1e-300))[:, None]
         return np.einsum("mk,mkd->md", coef, T)
 
-    u, _, res = _newton_rows(dirs[np.concatenate(seeds)], probe, step, unit_rows, 30, 1e-15, 20)
+    cap, tol = (0.04 if local else 0.25), (1e-15 if shift is None else 1e-10)
+    u, _, res = _newton_rows(starts, probe, step, unit_rows, 30, tol, 20)
     return rows, u, ascent(u, slice(None))[0], res
 
 
@@ -346,12 +364,12 @@ class Norm:
     kind: str = "abstract"
     # L with phi_*(v) = |L v| for the quadratic norms, None for the others
     dual_transform: Optional[np.ndarray] = None
+    _gamma_seed: Optional[int] = None
 
     def __init__(self, dim: int):
         if dim < 2:
             raise ValueError("dim must be >= 2")
         self.dim = int(dim)
-        self.gamma = float("nan")  # set by _estimate_gamma in subclasses
 
     @property
     def key(self) -> tuple:
@@ -406,9 +424,13 @@ class Norm:
         if not np.atleast_2d(x).any(axis=-1).all():
             raise ZeroVectorError(f"{self.kind} norm direction data at the origin")
 
-    def _estimate_gamma(self, seed: int) -> float:
-        """Min of v.D2phi(u)v over sampled unit u and unit v orthogonal to u."""
-        rng = np.random.default_rng(seed)
+    @functools.cached_property
+    def gamma(self) -> float:
+        """Min of v.D2phi(u)v over unit u and v orthogonal to u, sampled on first read
+        from ``_gamma_seed`` + dim (NaN on a class without a seed)."""
+        if self._gamma_seed is None:
+            return float("nan")
+        rng = np.random.default_rng(self._gamma_seed + self.dim)
         u = rng.standard_normal((_GAMMA_SAMPLES, self.dim))
         u /= np.linalg.norm(u, axis=-1, keepdims=True)
         v = rng.standard_normal((_GAMMA_SAMPLES, self.dim))
@@ -429,10 +451,10 @@ class Norm:
 
 class EuclideanNorm(Norm):
     kind = "euclidean"
+    gamma = 1.0
 
     def __init__(self, dim: int):
         super().__init__(dim)
-        self.gamma = 1.0
         self.dual_transform = np.eye(self.dim)
 
     @property
@@ -464,6 +486,7 @@ class EllipsoidalNorm(Norm):
     """phi(x) = sqrt(x' Q x) with Q symmetric positive definite."""
 
     kind = "ellipsoidal"
+    _gamma_seed = 1729
 
     def __init__(self, Q: np.ndarray):
         Q = np.asarray(Q, dtype=float)
@@ -479,7 +502,6 @@ class EllipsoidalNorm(Norm):
         self.Qinv = np.linalg.inv(self.Q)
         # chol(Q^{-1}) maps phi_* balls to Euclidean balls: phi_*(v) = |L v|
         self.dual_transform = np.linalg.cholesky(self.Qinv).T
-        self.gamma = self._estimate_gamma(seed=1729 + self.dim)
 
     @property
     def key(self):
@@ -525,6 +547,7 @@ class SmoothedLpNorm(Norm):
     """
 
     kind = "smoothed-lp"
+    _gamma_seed = 9176
 
     def __init__(self, dim: int, p: float, eps: float = 0.05):
         if not (1.0 < p < np.inf):
@@ -534,7 +557,6 @@ class SmoothedLpNorm(Norm):
         super().__init__(dim)
         self.p = float(p)
         self.eps = float(eps)
-        self.gamma = self._estimate_gamma(seed=9176 + self.dim)
 
     @property
     def key(self):

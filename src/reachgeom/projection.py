@@ -30,36 +30,29 @@ projects itself under every norm (``Shape.exact_projection``):
   components', the complement of a lens as the union of its two disks'
   complements, the complement of a union from the component a point is in.
 
-``project`` and the multi-foot scan of ``global_reach`` read second feet
-from ties between ``Shape.foot_candidates``: a union's components, a
-segment union's segments, a complement's facets or disks, and every local
-maximum of the support search that Newton polishes.  Curvature probes take
-``nearest_points`` like any other point.
+``project`` reads second feet from ties between ``Shape.foot_candidates``: a
+union's components, a segment union's segments, a complement's facets or
+disks, and every local maximum of the support search that Newton polishes.
+Curvature probes take ``nearest_points`` like any other point.
 
-Reach takes one of two routes:
+Reach is exact on every catalog shape, and no route evaluates the distance
+to the whole shape.  ``reach_along`` takes Newton on each convex piece's
+slack on a union of convex pieces (``_union_reach``: a ``DisjointUnion``'s
+components, a ``SegmentUnion``'s segments), and separation on the
+complement of a convex K: inside K the distance to the complement is min
+over u of (h_K(u) - u.x)/phi(u), so the ray reach is a least ratio over
+directions (``_complement_reach`` beside each piece's ``_complement_feet``).
+``global_reach`` is half the least gap on unions of ``WulffBody``s and on
+segment unions, 0 on the complement of a base with a corner, and elsewhere
+the least ray reach over a sampled normal bundle.
 
-* a ``DisjointUnion`` of convex components: ``reach_along`` is exact, by
-  Newton on each component's slack of the distance predicate
-  (``_union_reach``); when the components are all ``WulffBody``s,
-  ``global_reach`` is half their least pairwise phi_* gap, with certified
-  bounds (``shapes._gap_bounds``), and traces no ray;
-* complements, ``SegmentUnion``s and unions with a non-convex component:
-  ``reach_along`` brackets each ray to the tolerance of the predicate
-  (``_bracket_reach``).  These, and unions with a convex component that is
-  no ``WulffBody``, keep ``global_reach``'s Monte-Carlo multi-foot scan,
-  which reads ties between ``Shape.foot_candidates``.
-
-Memos on the shape, each keyed by ``Norm.key`` and the arguments the value
-depends on: ``ray_reaches`` (``reach_along``: norm key, s_max, tol_pred and
-the bytes of the whole ray batch (a, eta)) and ``reach_estimates``
-(``global_reach``: (norm key, n_samples, n_scan, seed, fiber_nodes)).  Ray
-reaches and estimates are shared, so the reach arrays are read-only and
-estimates frozen.
+Memos on the shape: ``reach_estimates`` (``global_reach``, keyed by (norm
+key, n_samples, seed, fiber_nodes)), frozen as they are shared.  Ray
+reaches are computed row by row and not memoized; a bundle keeps the reach
+it reads (``BundleSample.reach``).
 
 A note on uniqueness: points with several nearest feet (the cut locus) form a
-Lebesgue-null set.  Off the gap route, the bracket reported by
-``global_reach`` reflects both the sampled ray infimum and any multi-foot
-witnesses found by scanning.
+Lebesgue-null set.
 """
 
 from __future__ import annotations
@@ -70,7 +63,7 @@ from typing import Optional
 import numpy as np
 
 from .norms import Norm, row_dot
-from .shapes import DisjointUnion, Shape, WulffBody, _gap_bounds
+from .shapes import ComplementShape, DisjointUnion, SegmentUnion, Shape, WulffBody, _gap_bounds
 from .shapes import fiber_nodes as fiber_quadrature
 
 __all__ = [
@@ -205,30 +198,13 @@ def reach_along(
 ) -> np.ndarray:
     """Ray reach sup{ s : delta(a + s eta) = s } for bundle rays (a, eta).
 
-    Vectorized over rows.  Returns +inf where the predicate still holds at
-    s_max (default 10 x bounding-box diameter).  With ``validate`` every row
-    is checked to be a unit normal pair first (``InvalidNormalError``).
-
-    The reach of a whole batch is memoized on the shape
-    (``Shape.ray_reaches``) by (norm key, s_max, tol_pred) and the bytes of
-    the float64 arrays a and eta, and returned read-only.  The key is the
-    batch, not each ray, because distances differ in their last bits with the
-    rows that share their batch; so a batch always gets the values bracketed
-    from that same batch, whatever ran before it.
-
-    The predicate is ``delta(a + s eta) >= s - tol_pred (1 + s)``.  On a
-    union of disjoint convex pieces ``_union_reach`` finds its first failure
-    exactly, by Newton on each piece.  On every other shape distances are
-    only trusted to that tolerance, so a bracket [lo, hi] with lo holding
-    and hi failing is narrowed until ``hi - lo <= tol_pred (1 + lo)`` and its
-    midpoint returned; finer brackets would only resolve the noise of delta.
-    Past the reach, delta(a + s eta) follows the foot branch that takes over
-    there, smoothly, so the bracket is narrowed by a secant on the predicate's
-    slack through the last two failing points outside the set (inside it
-    delta is 0 on any branch), each try aimed just past the root so that it
-    fails close to it, and then just below and above a root that has stopped
-    moving.  A try that does not halve the bracket is followed by a bisection,
-    so no ray costs more than twice the halvings.
+    Vectorized over rows, each computed from that row alone.  Returns +inf
+    where the predicate still holds at s_max (default 10 x bounding-box
+    diameter).  With ``validate`` every row is checked to be a unit normal
+    pair first (``InvalidNormalError``).  The predicate is
+    ``delta(a + s eta) >= s - tol_pred (1 + s)`` and the reach its first
+    failure, exactly (see the module docstring); it holds trivially up to
+    tol_pred / (1 - tol_pred), so no reach is less.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
@@ -250,31 +226,31 @@ def reach_along(
 
     if shape.is_convex:
         return np.full(len(a), np.inf)
-
-    memo = shape.ray_reaches
-    key = (norm.key, s_max, tol_pred, a.tobytes(), eta.tobytes())
-    reach = memo.get(key)
-    if reach is None:
-        pieces = _convex_components(shape)
-        if pieces is None:
-            reach = _bracket_reach(shape, norm, a, eta, s_max, tol_pred)
-        else:
-            reach = _union_reach(pieces, norm, a, eta, s_max, tol_pred)
-        reach.setflags(write=False)
-        # threads racing here bracket the same batch; all get the first value
-        reach = memo.setdefault(key, reach)
-    return reach
+    if isinstance(shape, ComplementShape):
+        reach = shape.base._complement_reach(norm, a, eta, tol_pred)
+        reach = np.maximum(reach, tol_pred / (1.0 - tol_pred))
+        return np.where(reach < s_max, reach, np.inf)
+    pieces = _convex_pieces(shape)
+    if pieces is None:
+        raise NotImplementedError(f"{shape.name} has no ray reach")
+    return _union_reach(pieces, norm, a, eta, s_max, tol_pred)
 
 
-def _convex_components(shape):
-    """The components of a ``DisjointUnion`` whose components are all convex, else None."""
-    if isinstance(shape, DisjointUnion) and all(c.is_convex for c in shape.components):
-        return shape.components
+def _convex_pieces(shape):
+    """Convex pieces whose union is the shape (components, segments), or None."""
+    if shape.is_convex:
+        return [shape]
+    if isinstance(shape, SegmentUnion):
+        return [SegmentUnion([seg]) for seg in shape.segments]
+    if isinstance(shape, DisjointUnion):
+        parts = [_convex_pieces(c) for c in shape.components]
+        if all(p is not None for p in parts):
+            return [piece for p in parts for piece in p]
     return None
 
 
 def _union_reach(pieces, norm, a, eta, s_max, tol_pred):
-    """The exact ray reach of ``reach_along`` on a union of disjoint convex pieces.
+    """The exact ray reach of ``reach_along`` on a union of convex pieces.
 
     Against a piece B the predicate fails where the slack
     h_B(s) = s (1 - tol_pred) - tol_pred - delta_B(a + s eta) turns positive.
@@ -323,56 +299,6 @@ def _union_reach(pieces, norm, a, eta, s_max, tol_pred):
     return reach
 
 
-def _bracket_reach(shape, norm, a, eta, s_max, tol_pred):
-    """The bracketing of ``reach_along`` on rays of a non-convex shape."""
-
-    def distance(rows, s):
-        return set_distance(shape, norm, a[rows] + s[:, None] * eta[rows])
-
-    def slack(d, s):
-        # >= 0 exactly where the predicate holds
-        return d - s + tol_pred * (1.0 + s)
-
-    lo_s = np.zeros(len(a))
-    hi_s = np.full(len(a), s_max)
-    d = distance(slice(None), hi_s)
-    at_max = slack(d, hi_s) >= 0
-    # the last two failing points outside the set, (s, slack), and the
-    # secant root through them at the previous step
-    s1, f1 = hi_s.copy(), np.where(d > 0, slack(d, hi_s), np.nan)
-    s2, f2 = np.full(len(a), np.nan), np.full(len(a), np.nan)
-    root_prev = np.full(len(a), np.nan)
-    bisect = np.zeros(len(a), dtype=bool)
-    active = ~at_max
-    for _ in range(100):
-        active &= hi_s - lo_s > tol_pred * (1.0 + lo_s)
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        lo, hi = lo_s[idx], hi_s[idx]
-        mid = 0.5 * (lo + hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = s1[idx] - f1[idx] * (s1[idx] - s2[idx]) / (f1[idx] - f2[idx])
-        move = np.abs(root - root_prev[idx])
-        root_prev[idx] = root
-        w = 0.5 * tol_pred * (1.0 + lo)
-        settled = move <= w
-        s = np.where(settled, root - w, root + move)
-        s = np.where(settled & ~(s > lo), root + w, s)
-        s = np.where((s > lo) & (s < hi) & ~bisect[idx], s, mid)
-        d = distance(idx, s)
-        f = slack(d, s)
-        ok = f >= 0
-        lo_s[idx[ok]] = s[ok]
-        hi_s[idx[~ok]] = s[~ok]
-        bisect[idx] = (s != mid) & (hi_s[idx] - lo_s[idx] > 0.5 * (hi - lo))
-        new = ~ok & (d > 0)
-        j = idx[new]
-        s2[j], f2[j] = s1[j], f1[j]
-        s1[j], f1[j] = s[new], f[new]
-    return np.where(at_max, np.inf, 0.5 * (lo_s + hi_s))
-
-
 def _median(x: np.ndarray) -> float:
     """np.median of a finite vector, without the numpy.ma import of its NaN check."""
     x = np.sort(x)
@@ -384,40 +310,38 @@ def global_reach(
     shape: Shape,
     norm: Norm,
     n_samples: int = 1024,
-    n_scan: int = 10_000,
     seed: int = 0,
     fiber_nodes: int = 8,
 ) -> ReachEstimate:
     """Global reach, with a bracket on it.
 
-    On a union of disjoint ``WulffBody``s it is half the least pairwise
-    phi_* gap, and the bracket holds the certified lower and upper bounds of
-    that half gap; no ray is traced there, and the other arguments only key
-    the memo.  Elsewhere it is the least ray reach over a sampled normal
-    bundle and the distances of multi-foot points found by a Monte-Carlo
-    scan of ``n_scan`` points, an upper estimate; the bracket widens it down
-    by a second-order term in the boundary sample spacing, since the true
-    infimum can fall between sampled rays but the reach varies smoothly
-    there.
+    Exact, tracing no ray, on a union of disjoint ``WulffBody``s (half the
+    least pairwise phi_* gap, bracketed by its certified bounds,
+    ``shapes._gap_bounds``), on a ``SegmentUnion`` (half the least segment
+    gap) and on the complement of a base with a corner or edge (0, at the
+    reentrant corner).  Elsewhere it is the least ray reach over a sampled
+    normal bundle (``n_samples``, ``seed``, ``fiber_nodes``), an upper
+    estimate that the bracket widens down by a second-order term in the
+    sample spacing, since the reach varies smoothly between sampled rays.
 
     Memoized on the shape (``Shape.reach_estimates``) by norm key and the
     other arguments; every caller gets the one read-only estimate.
     """
     memo = shape.reach_estimates
-    key = (norm.key, n_samples, n_scan, seed, fiber_nodes)
+    key = (norm.key, n_samples, seed, fiber_nodes)
     est = memo.get(key)
     if est is None:
         # threads racing here build the same estimate; all get the first
-        est = _global_reach(shape, norm, n_samples, n_scan, seed, fiber_nodes)
+        est = _global_reach(shape, norm, n_samples, seed, fiber_nodes)
         est = memo.setdefault(key, est)
     return est
 
 
-def _global_reach(shape, norm, n_samples, n_scan, seed, fiber_nodes):
+def _global_reach(shape, norm, n_samples, seed, fiber_nodes):
     if shape.is_convex:
         return ReachEstimate(np.inf, (np.inf, np.inf), True)
 
-    pieces = _convex_components(shape)
+    pieces = _convex_pieces(shape)
     if pieces is not None and all(isinstance(c, WulffBody) for c in pieces):
         # a point with two feet lies between two pieces, at least half their
         # gap from both, and the midpoint of their nearest pair attains that
@@ -425,6 +349,13 @@ def _global_reach(shape, norm, n_samples, n_scan, seed, fiber_nodes):
         lower, upper = _gap_bounds(pairs, norm)
         g = 0.5 * float(upper.min())
         return ReachEstimate(g, (0.5 * float(lower.min()), g), False)
+    if isinstance(shape, SegmentUnion):
+        g = 0.5 * shape.gap(norm)
+        return ReachEstimate(g, (g, g), False)
+    if isinstance(shape, ComplementShape) and any(
+        s.kind not in ("vector", "pair") for s in shape.base.boundary_strata(n_samples, seed)
+    ):
+        return ReachEstimate(0.0, (0.0, 0.0), False)  # a reentrant corner
 
     strata = shape.boundary_strata(n=n_samples, seed=seed)
     rays_a, rays_u = [], []
@@ -441,34 +372,8 @@ def _global_reach(shape, norm, n_samples, n_scan, seed, fiber_nodes):
         w = np.concatenate([s.weights for s in strata if s.index == m])
         if len(w) > 1:
             spacing = max(spacing, _median(w))
-
-    # Monte-Carlo scan for multi-foot points: any hit caps the reach from above
-    rng = np.random.default_rng(seed + 1)
-    lo, hi = shape.bounding_box()
-    pad = 0.25 * np.linalg.norm(hi - lo)
-    pts = rng.uniform(lo - pad, hi + pad, size=(n_scan, shape.dim))
-    pts = pts[~shape.contains(pts)]
-    cap = np.inf
-    if len(pts):
-        cap = _multi_foot_cap(shape, norm, pts)
-    g2 = min(g, cap)
-    slack = 2.0 * spacing**2 / max(g2, 1e-12)
-    bracket = (max(g2 - slack, 0.0), g2)
-    return ReachEstimate(g2, bracket, not np.isfinite(g2))
-
-
-def _multi_foot_cap(shape, norm, pts):
-    """Smallest distance among scanned points with >= 2 distinct feet.
-
-    Ties between the shape's candidate feet (``Shape.foot_candidates``: a
-    union's components, a segment union's segments, a complement's facets,
-    disks or local maxima of the support search) that lie apart are second
-    feet.
-    """
-    feet, vals = shape.foot_candidates(norm, pts)
-    val = vals.min(axis=1)
-    multi = _near_and_apart(feet, vals, val, TOL_MULTI_REL * shape.diameter)[2].any(axis=1)
-    return float(val[multi].min()) if multi.any() else np.inf
+    slack = 2.0 * spacing**2 / max(g, 1e-12)
+    return ReachEstimate(g, (max(g - slack, 0.0), g), not np.isfinite(g))
 
 
 def _near_and_apart(feet, vals, val, sep):

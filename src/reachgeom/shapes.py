@@ -34,6 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .norms import (
+    _ORIGIN,
     EllipsoidalNorm,
     EuclideanNorm,
     NonConvergenceError,
@@ -228,11 +229,6 @@ class Shape:
     # -------- boundary structure ----------------------------------------
     def boundary_strata(self, n: int = 512, seed: int = 0) -> list[Stratum]:
         raise NotImplementedError
-
-    @property
-    def ray_reaches(self) -> dict:
-        """Ray reach batches by (norm key, s_max, tol_pred, batch bytes), filled by projection."""
-        return self.__dict__.setdefault("_ray_reaches", {})
 
     @property
     def reach_estimates(self) -> dict:
@@ -606,6 +602,55 @@ class WulffBody(Shape):
         rows, u, f, _ = _support_search(self, norm, x[inside], local=True)
         return _candidates(x, inside[rows], self.support_point(u), np.maximum(-f, 0.0))
 
+    def _complement_reach(self, norm, a, eta, tol):
+        """Ray reach (N,) of the complement on rays (a, eta) from points a of the body.
+
+        Inside the body the complement is min over u of (h(u) - u.x)/phi(u)
+        away, so ``projection.reach_along``'s predicate holds while, for every
+        u, s ((1 - tol) phi(u) + u.eta) <= h(u) + tol phi(u) - u.a, which is
+        > 0 (the support function of the body plus tol W, seen from a).  The
+        reach is 1/max G (+inf where G <= 0), G the ratio of the two sides,
+        by the support search at x = eta, gauge shifted by -a.  Past a focal
+        point two branches of feet part on opposite sides of the ray's normal
+        u_a, closer than the grid's spacing (G(u_a) = -1), so the search also
+        starts 0.02 from u_a, and again 0.05 from each row's best (``_ring``).
+        """
+        body, gauge = _SupportSum(_ORIGIN, norm, tol - 1.0), _SupportSum(self, norm, tol)
+        rows, u, g, _ = _support_search(
+            body, gauge, eta, local=True, shift=-a, seeds=_ring(-norm.gauss_map(eta), 0.02)
+        )
+        order = np.lexsort((-g, rows))  # each row's best seed first
+        best = order[np.r_[True, rows[order][1:] != rows[order][:-1]]]
+        rows2, _, g2, _ = _support_search(body, gauge, eta, shift=-a, seeds=_ring(u[best], 0.05))
+        top = np.zeros(len(a))
+        np.maximum.at(top, np.r_[rows, rows2], np.r_[g, g2])
+        return np.where(top > 0, 1.0 / np.where(top > 0, top, 1.0), np.inf)
+
+
+def _ring(u, angle):
+    """Unit directions (N, k, d) ``angle`` from each row of u: both ways in 2d, six in 3d."""
+    from .norms import tangent_basis
+
+    w = np.array([[1.0], [-1.0]]) if u.shape[1] == 2 else _circle(np.pi / 3 * np.arange(6))
+    return np.cos(angle) * u[:, None] + np.sin(angle) * (w @ tangent_basis(u))
+
+
+class _SupportSum:
+    """h_A + t phi, the support function of A + t W, as a body or gauge of ``_support_search``."""
+
+    def __init__(self, body, norm, t):
+        self.body, self.norm, self.t, self.dim = body, norm, t, norm.dim
+
+    def support(self, u):
+        return self.body.support(u) + self.t * self.norm.value(u)
+
+    def support_point(self, u):
+        return self.body.support_point(u) + self.t * self.norm.grad(u)
+
+    def support_hessian(self, u):
+        return self.body.support_hessian(u) + self.t * self.norm.hessian(u)
+
+    value, grad, hessian = support, support_point, support_hessian
 
 def _columns_times(P, X):
     """P @ X for a small square P and columns X (d, n), a fixed sum per column.
@@ -951,6 +996,15 @@ class ConvexPolytope(Shape):
         delta[out, 0] = 0.0
         return feet, delta
 
+    def _complement_reach(self, norm, a, eta, tol):
+        """Ray reach of the complement: ``WulffBody._complement_reach``'s
+        constraints on the facet normals alone (the facet formula)."""
+        A, b = self._facets
+        pa = norm.value(A)
+        num = b - row_dot(a[:, None, :], A) + tol * pa
+        den = (1.0 - tol) * pa + row_dot(eta[:, None, :], A)
+        return np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf).min(axis=1)
+
     def complement(self):
         return ComplementShape(self)
 
@@ -1072,6 +1126,10 @@ class CapLens(Shape):
         parts = [disk._complement_feet(norm, x) for disk in self._disks]
         return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
 
+    def _complement_reach(self, norm, a, eta, tol):
+        """Ray reach of the complement: the lesser of the two disks' complements'."""
+        return np.minimum(*(disk._complement_reach(norm, a, eta, tol) for disk in self._disks))
+
     def complement(self):
         return ComplementShape(self)
 
@@ -1156,6 +1214,13 @@ class SegmentUnion(Shape):
         """One foot per segment (``_segment_feet``)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return _segment_feet(norm, x, self._starts, self._edges)
+
+    def gap(self, norm) -> float:
+        """The least phi_* gap between two segments (+inf for one): in the plane,
+        disjoint segments are nearest at an endpoint of one (``_segment_feet``)."""
+        _, dist = _segment_feet(norm, self._ends, self._starts, self._edges)
+        dist[np.arange(len(dist)), np.arange(len(dist)) // 2] = np.inf  # own segment
+        return float(dist.min())
 
 
 class DisjointUnion(Shape):
@@ -1283,6 +1348,16 @@ class DisjointUnion(Shape):
             rows = pick == k
             feet[rows, : d.shape[1]], delta[rows, : d.shape[1]] = f[rows], d[rows]
         return feet, delta
+
+    def _complement_reach(self, norm, a, eta, tol):
+        """Ray reach of the complement: that of the complement of the component
+        a lies on, the nearest; the ray crosses that component's interior."""
+        held = np.argmin([c.exact_projection(norm, a)[1] for c in self.components], axis=0)
+        reach = np.empty(len(a))
+        for k, c in enumerate(self.components):
+            if (rows := held == k).any():
+                reach[rows] = c._complement_reach(norm, a[rows], eta[rows], tol)
+        return reach
 
     def complement(self):
         return ComplementShape(self)

@@ -452,13 +452,25 @@ class TestWarmProbes:
             npt.assert_allclose(search.kappa[finite], closed.kappa[finite], rtol=1e-7, atol=1e-9)
             assert np.array_equal(search.audit_fail, closed.audit_fail)
 
+    def test_probes_take_the_normals_they_are_given(self, monkeypatch):
+        # the audit holds u already; recovering it from eta would run the
+        # dual-norm search under a smoothed-lp norm
+        norm = SmoothedLpNorm(3, 3.0)
+        shape = make_catalog_shape("wulff-3d", norm)
+        plain = bundle_sample(shape, norm, n=64, audit=True)
+        monkeypatch.setattr(type(norm), "conjugate_grad", None)
+        bs = bundle_sample(make_catalog_shape("wulff-3d", norm), norm, n=64, audit=True)
+        assert not bs.audit_fail.any()
+        assert np.array_equal(bs.kappa, plain.kappa)
+
     def test_probe_past_a_focal_point_takes_the_true_foot(self):
         # below the apex of the disk complement under diag(4, 1), past the
         # focal distance 1/4, the apex is no longer the foot: at r = 0.4 the
         # distance is sqrt(0.13), not 0.4
         comp, norm = make_catalog_shape("disk").complement(), Q41
+        # u = (0, -1) has eta = grad phi(u) = (0, -1)
         a, eta, r = np.array([[0.0, 1.0]]), np.array([[0.0, -1.0]]), 0.4
-        M, T, _ = normal_matrices(comp, norm, a, eta, r)
+        M, T = normal_matrices(comp, norm, a, eta, r)
         h = curvature.FD_FRAC * r
         probes = a + r * eta + np.array([[h], [-h]]) * T[0]
         npt.assert_allclose(projection.set_distance(comp, norm, a + r * eta), np.sqrt(0.13))

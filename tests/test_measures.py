@@ -374,8 +374,16 @@ class TestVoxelTube:
             voxel_tube_volume(make_catalog_shape("disk"), E2, [0.25], h)
 
 
+# candidate feet the reference holds at once; a center of a 3-d box under a
+# non-diagonal norm has 18 (6 facets, 12 edges), one of a square 4
+_DENSE_CANDIDATES = 1_000_000
+
+
 def _dense_tube_volume(shape, norm, rho, h=None, window=None):
-    """Reference count: delta at every center of the grid voxel_tube_volume lays."""
+    """Reference count: delta at every center of the grid voxel_tube_volume lays.
+
+    Centers go to ``distance_field`` in batches sized by their candidate feet.
+    """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     d = shape.dim
     if h is None:
@@ -392,7 +400,7 @@ def _dense_tube_volume(shape, norm, rho, h=None, window=None):
     cross = np.zeros(len(rho), dtype=np.int64)
     inner = 0
     per_slice = int(np.prod(counts_axis[1:]))
-    block = max(1, 4_000_000 // max(per_slice, 1))
+    block = max(1, _DENSE_CANDIDATES // (per_slice * (18 if d == 3 else 4)))
     for i0 in range(0, counts_axis[0], block):
         sub = [axes[0][i0 : i0 + block]] + axes[1:]
         pts = np.stack(np.meshgrid(*sub, indexing="ij"), axis=-1).reshape(-1, d)

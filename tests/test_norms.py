@@ -265,6 +265,29 @@ class TestRowIndependence:
             nrm.gauss_map(eta)
 
 
+class TestLazyGamma:
+    @pytest.mark.parametrize(
+        "make, want",
+        [
+            (lambda: EllipsoidalNorm(np.diag([4.0, 1.0])), 0.5000000142631627),
+            (lambda: SmoothedLpNorm(2, 3.0), 0.05249291704201802),
+            (lambda: SmoothedLpNorm(3, 3.0), 0.05324926631493444),
+        ],
+        ids=["ellipsoidal", "lp-2d", "lp-3d"],
+    )
+    def test_sampled_once_on_first_read(self, monkeypatch, make, want):
+        # no constructor samples gamma; its first read samples 10,000
+        # Hessians from the seeds the constructors took, so the value is the
+        # one they computed
+        cls, rows = type(make()), []
+        plain = cls.hessian
+        monkeypatch.setattr(cls, "hessian", lambda self, x: rows.append(len(x)) or plain(self, x))
+        nrm = make()
+        assert rows == []
+        assert nrm.gamma == want
+        assert nrm.gamma == want and rows == [10_000]
+
+
 class TestErrorsAndFactory:
     def test_zero_vector_raises(self):
         for nrm in (EuclideanNorm(2), EllipsoidalNorm(Q41), SmoothedLpNorm(2, 3.0)):

@@ -15,7 +15,6 @@ from reachgeom.curvature import bundle_nodes
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm, unit_rows
 from reachgeom.projection import (
     InvalidNormalError,
-    _multi_foot_cap,
     classify_boundary_point,
     distance_field,
     global_reach,
@@ -27,9 +26,11 @@ from reachgeom.projection import (
 )
 from reachgeom.shapes import (
     Ball,
+    ComplementShape,
     ConvexPolytope,
     DisjointUnion,
     Ellipsoid,
+    SegmentUnion,
     WulffBody,
     _gap_bounds,
     fiber_nodes,
@@ -38,6 +39,7 @@ from reachgeom.shapes import (
 
 E2 = EuclideanNorm(2)
 Q41 = EllipsoidalNorm(np.diag([4.0, 1.0]))
+LP2, LP3 = SmoothedLpNorm(2, 3.0), SmoothedLpNorm(3, 3.0)
 
 
 
@@ -428,21 +430,17 @@ class TestReach:
         assert (est.global_reach, est.bracket, est.is_infinite) == (np.inf, (np.inf, np.inf), True)
 
     def test_global_reach_two_disks(self):
-        est = global_reach(
-            make_catalog_shape("two-disks-gap1", E2), E2, n_samples=1024, n_scan=4000
-        )
+        est = global_reach(make_catalog_shape("two-disks-gap1", E2), E2, n_samples=1024)
         assert est.global_reach == pytest.approx(0.5, rel=1e-2)
         assert est.bracket[0] <= 0.5 <= est.bracket[1] + 1e-6
 
     def test_global_reach_segments(self):
-        est = global_reach(
-            make_catalog_shape("segment-pair", E2), E2, n_samples=512, n_scan=2000
-        )
+        est = global_reach(make_catalog_shape("segment-pair", E2), E2, n_samples=512)
         assert est.global_reach == pytest.approx(1.0, rel=1e-2)
         # the endpoints' weights are no sample spacing
         assert est.bracket[0] > 0.99
 
-    def test_multi_foot_cap_matches_the_greedy_dedupe(self):
+    def test_project_multiplicity_matches_the_greedy_dedupe(self):
         # inside the lens, the complement's cut locus lies on the axes
         comp = make_catalog_shape("cap-lens-0.5", Q41).complement()
         rng = np.random.default_rng(4)
@@ -462,16 +460,19 @@ class TestReach:
             multi.append(len(distinct) > 1)
         assert 0 < sum(multi) < len(pts)
         for i, m in enumerate(multi):
-            assert np.isfinite(_multi_foot_cap(comp, Q41, pts[i : i + 1])) == m, i
-        assert _multi_foot_cap(comp, Q41, pts) == min(val[np.array(multi)])
+            res = project(comp, Q41, pts[i])
+            assert res.multiplicity == ("multiple" if m else "unique"), i
+            assert res.delta == val[i]
 
-    def test_segment_ties_take_no_chart_solver(self):
+    def test_segment_ties_are_second_feet(self):
         # on y = 0 the two segments of segment-pair are both nearest, at
         # phi_*((0, 1)) = 1 under diag(4, 1); (1, 0.5) has one foot.  The
         # ties are read from one foot per segment
-        pts = np.array([[0.3, 0.0], [1.0, 0.5], [-1.5, 0.0]])
-        assert _multi_foot_cap(make_catalog_shape("segment-pair"), Q41, pts) == 1.0
-        assert _multi_foot_cap(make_catalog_shape("segment-pair"), Q41, pts[1:2]) == np.inf
+        segs = make_catalog_shape("segment-pair")
+        for x in ([0.3, 0.0], [-1.5, 0.0]):
+            res = project(segs, Q41, np.array(x))
+            assert (res.multiplicity, res.delta, len(res.feet)) == ("multiple", 1.0, 2)
+        assert project(segs, Q41, np.array([1.0, 0.5])).multiplicity == "unique"
 
     @given(st.floats(min_value=0.05, max_value=0.45))
     @settings(max_examples=20, deadline=None)
@@ -496,10 +497,6 @@ class TestCornerCandidates:
         assert res.multiplicity == "unique"
         assert len(res.feet) == 1
         npt.assert_allclose(res.foot, [-1.99911, 1.0], atol=1e-12)
-
-    def test_multi_foot_cap_skips_the_corner(self):
-        segs = make_catalog_shape("segment-pair")
-        assert _multi_foot_cap(segs, Q41, self.WITNESS[None, :]) == np.inf
 
     def test_segment_pair_global_reach(self):
         # the cut locus is y = 0, so the reach is 1
@@ -557,10 +554,10 @@ class TestReachBracket:
         [("segment-pair", 64, False, 96), ("cap-lens-0.5", 16, True, 16)],
         ids=["segment-pair", "lens-complement"],
     )
-    def test_bracketed_rays_take_at_most_forty_rows(
+    def test_segment_and_complement_rays_take_no_distance_rows(
         self, monkeypatch, key, n, complement, n_finite
     ):
-        # shapes off the union route bracket every ray through set_distance
+        # segments take _union_reach, complements their base's separation
         shape, a, eta = self._rays(key, Q41, n, complement)
         rows = []
         plain = projection.set_distance
@@ -572,10 +569,8 @@ class TestReachBracket:
         monkeypatch.setattr(projection, "set_distance", counting)
         r = reach_along(shape, Q41, a, eta, validate=False)
         monkeypatch.undo()
-        finite = np.isfinite(r)
-        assert finite.sum() == n_finite
-        assert rows[0] == len(a)
-        assert sum(rows) - (~finite).sum() <= 40 * finite.sum()
+        assert rows == []
+        assert np.isfinite(r).sum() == n_finite
 
     @pytest.mark.parametrize(
         "key, norm, n, complement",
@@ -598,88 +593,70 @@ class TestReachBracket:
 
 
 class TestReachMemo:
-    """Ray reach and global reach are memoized on the shape; every test builds fresh shapes."""
-
-    @staticmethod
-    def _rays(shape, norm, n=32):
-        a, u, *_ = bundle_nodes(shape, norm, n=n)
-        return a, norm.grad(u)
-
-    def test_ray_memo_keys(self):
-        shape = make_catalog_shape("two-disks-gap1", Q41)
-        n_rays = len(self._rays(shape, Q41)[0])
-        for norm, kw in [
-            (Q41, {}),
-            (EllipsoidalNorm(np.diag([4.0, 1.0])), {}),
-            (Q41, {"tol_pred": 1e-7}),
-            (Q41, {"s_max": 20.0}),
-            (EllipsoidalNorm(np.diag([2.0, 1.0])), {}),
-        ]:
-            a_n, eta_n = self._rays(shape, norm)
-            reach_along(shape, norm, a_n, eta_n, validate=False, **kw)
-        assert len(shape.ray_reaches) == 4
-        assert all(len(reach) == n_rays for reach in shape.ray_reaches.values())
-        a, eta = self._rays(shape, Q41)
-        part = reach_along(shape, Q41, a[::2], eta[::2], validate=False)
-        assert len(shape.ray_reaches) == 5
-        # the same points with the rays pointing into the set
-        assert (reach_along(shape, Q41, a, -eta, validate=False) < 1e-6).all()
-        assert len(shape.ray_reaches) == 6
-        with pytest.raises(ValueError):
-            part[0] = 0.0
+    """Global reach is memoized on the shape; every test builds fresh shapes."""
 
     def test_estimate_memo_keys(self):
         shape = make_catalog_shape("two-disks-gap1", Q41)
-        args = dict(n_samples=32, n_scan=50, seed=0, fiber_nodes=8)
+        args = dict(n_samples=32, seed=0, fiber_nodes=8)
         first = global_reach(shape, Q41, **args)
         assert global_reach(shape, EllipsoidalNorm(np.diag([4.0, 1.0])), **args) is first
-        for change in (
-            {"n_samples": 48}, {"n_scan": 60}, {"seed": 1}, {"fiber_nodes": 4},
-        ):
+        for change in ({"n_samples": 48}, {"seed": 1}, {"fiber_nodes": 4}):
             assert global_reach(shape, Q41, **{**args, **change}) is not first
-        assert len(shape.reach_estimates) == 5
+        assert len(shape.reach_estimates) == 4
         with pytest.raises(FrozenInstanceError):
             first.global_reach = 0.0
 
     def test_repeated_global_reach_computes_no_distance(self, monkeypatch):
-        shape = make_catalog_shape("two-disks-gap1", Q41)
-        first = global_reach(shape, Q41, n_samples=32, n_scan=50)
+        shape = make_catalog_shape("two-disks-gap1", Q41).complement()
+        first = global_reach(shape, Q41, n_samples=32)
         calls = []
 
         def counting(plain):
-            def wrapper(shape_, norm_, x):
-                calls.append(len(x))
-                return plain(shape_, norm_, x)
+            def wrapper(*args, **kwargs):
+                calls.append(len(args[2]))
+                return plain(*args, **kwargs)
 
             return wrapper
 
-        # the rays' distances and the multi-foot scan's feet
-        monkeypatch.setattr(projection, "set_distance", counting(set_distance))
+        # the rays' reaches and any distance
+        monkeypatch.setattr(projection, "reach_along", counting(reach_along))
         monkeypatch.setattr(projection, "nearest_points", counting(nearest_points))
-        assert global_reach(shape, Q41, n_samples=32, n_scan=50) is first
+        assert global_reach(shape, Q41, n_samples=32) is first
         assert calls == []
 
-    def test_batch_gets_its_own_values_whatever_ran_before(self, monkeypatch):
-        # the memo is keyed by the whole ray batch: a batch must get its own
-        # values, not those a ray took in an earlier batch.  Under the
-        # smoothed-lp norm every distance comes from row-independent support
-        # solves, so ray 57 alone and ray 57 next to ray 87 agree bit for bit
-        norm = SmoothedLpNorm(2, 3)
-        a, u, *_ = bundle_nodes(make_catalog_shape("three-wulff", norm), norm, n=4)
+    @pytest.mark.parametrize(
+        "key, norm, complement",
+        [
+            ("three-wulff", LP2, False),
+            ("segment-pair", Q41, False),
+            ("disk", LP2, True),
+            ("two-disks-gap1", Q41, True),
+            ("cap-lens-0.5", Q41, True),
+            ("unit-square", Q41, True),
+            ("two-balls-3d", EllipsoidalNorm(np.diag([4.0, 1.0, 2.0])), True),
+        ],
+        ids=["three-wulff-lp", "segment-pair", "disk-lp-complement", "two-disks-complement",
+             "lens-complement", "square-complement", "two-balls-complement"],
+    )
+    def test_row_alone_equals_row_in_a_batch(self, key, norm, complement):
+        # no ray reach is memoized, and every route computes each ray from
+        # that ray alone, so a ray's bits do not depend on its batch
+        shape = make_catalog_shape(key, norm)
+        if complement:
+            shape = shape.complement()
+        a, u, *_ = bundle_nodes(shape, norm, n=64)
         eta = norm.grad(u)
-        shape = make_catalog_shape("three-wulff", norm)
-        alone = reach_along(shape, norm, a[[57]], eta[[57]], validate=False)
-        pair = reach_along(shape, norm, a[[57, 87]], eta[[57, 87]], validate=False)
-        fresh = make_catalog_shape("three-wulff", norm)
-        want = reach_along(fresh, norm, a[[57, 87]], eta[[57, 87]], validate=False)
-        assert pair.tobytes() == want.tobytes()
-        assert alone.tobytes() == pair[:1].tobytes()
-        calls = []
-        monkeypatch.setattr(projection, "set_distance", lambda *args: calls.append(args))
-        assert reach_along(shape, norm, a[[57, 87]], eta[[57, 87]], validate=False) is pair
-        assert calls == []
+        batch = reach_along(shape, norm, a, eta, validate=False)
+        finite = np.flatnonzero(np.isfinite(batch))
+        rows = finite[[0, len(finite) // 3, -1]]
+        for i in rows:
+            alone = reach_along(shape, norm, a[[i]], eta[[i]], validate=False)
+            assert alone.tobytes() == batch[[i]].tobytes(), i
+        assert reach_along(shape, norm, a[rows], eta[rows], validate=False).tobytes() == (
+            batch[rows].tobytes()
+        )
 
-    def test_validate_checks_cached_rays(self):
+    def test_validate_checks_every_call(self):
         two = make_catalog_shape("two-disks-gap1", E2)
         a, eta = np.array([[0.5, 0.0]]), np.array([[0.0, 1.0]])
         reach_along(two, E2, a, eta, validate=False)
@@ -692,10 +669,7 @@ class TestReachMemo:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [
-                    pool.submit(global_reach, shape, Q41, n_samples=32, n_scan=50)
-                    for _ in range(8)
-                ]
+                futures = [pool.submit(global_reach, shape, Q41, n_samples=32) for _ in range(8)]
                 got = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -705,19 +679,19 @@ class TestReachMemo:
 
 class TestGlobalReachRays:
     @pytest.mark.parametrize(
-        "key, norm, complement",
+        "make, norm",
         [
-            ("two-disks-gap1", Q41, True),
-            ("three-wulff", Q41, True),
-            ("cap-lens-0.5", Q41, True),
-            ("segment-pair", Q41, False),
+            (lambda: make_catalog_shape("two-disks-gap1", Q41).complement(), Q41),
+            (lambda: make_catalog_shape("three-wulff", Q41).complement(), Q41),
+            (lambda: make_catalog_shape("disk").complement(), LP2),
+            (lambda: DisjointUnion(
+                [SegmentUnion([((-4.0, 0.0), (-2.0, 0.0))]), Ball([0.0, 0.0], 1.0)]), Q41),
         ],
-        ids=["two-disks-complement", "three-wulff-complement", "lens-complement", "segment-pair"],
+        ids=["two-disks-complement", "three-wulff-complement", "disk-lp-complement",
+             "segment-disk"],
     )
-    def test_rays_equal_the_per_fiber_loop(self, monkeypatch, key, norm, complement):
-        shape = make_catalog_shape(key, norm)
-        if complement:
-            shape = shape.complement()
+    def test_rays_equal_the_per_fiber_loop(self, monkeypatch, make, norm):
+        shape = make()
         got = {}
 
         def capture(shape_, norm_, a, eta, **kw):
@@ -725,7 +699,7 @@ class TestGlobalReachRays:
             return np.full(len(a), np.inf)
 
         monkeypatch.setattr(projection, "reach_along", capture)
-        global_reach(shape, norm, n_samples=256, n_scan=10, seed=3)
+        global_reach(shape, norm, n_samples=256, seed=3)
         rays_a, rays_eta = [], []
         for s in shape.boundary_strata(n=256, seed=3):
             for i, p in enumerate(s.points):
@@ -735,12 +709,140 @@ class TestGlobalReachRays:
         assert np.array_equal(got["a"], np.stack(rays_a))
         assert np.array_equal(got["eta"], np.stack(rays_eta))
 
-
-def _moved(union, lam, t):
-    """lam * union + t, component by component."""
-    return DisjointUnion(
-        [WulffBody(c.norm, lam * c.center + t, lam * c.radius) for c in union.components]
+    @pytest.mark.parametrize(
+        "key, norm, complement, want",
+        [
+            ("segment-pair", Q41, False, 1.0),
+            ("segment-pair", LP2, False, float(LP2.conjugate(np.array([0.0, 1.0])))),
+            ("unit-square", Q41, True, 0.0),
+            ("cap-lens-0.5", Q41, True, 0.0),
+            ("cube", EllipsoidalNorm(np.diag([4.0, 1.0, 2.0])), True, 0.0),
+        ],
+        ids=["segment-pair", "segment-pair-lp", "square-complement", "lens-complement",
+             "cube-complement"],
     )
+    def test_closed_forms_trace_no_ray(self, monkeypatch, key, norm, complement, want):
+        # half the least segment gap; 0 at a reentrant corner
+        shape = make_catalog_shape(key, norm)
+        if complement:
+            shape = shape.complement()
+        calls = []
+        monkeypatch.setattr(projection, "reach_along", lambda *args, **kw: calls.append(args))
+        est = global_reach(shape, norm)
+        assert calls == []
+        assert abs(est.global_reach - want) <= 1e-12
+        assert est.bracket == (est.global_reach, est.global_reach)
+        assert not est.is_infinite
+
+    # the exact reach of each complement (the least radius of curvature of
+    # its base, in the norm), and the estimate of the bracketed ray reach
+    # with the Monte-Carlo scan that this route replaced
+    @pytest.mark.parametrize(
+        "key, norm, exact, bracketed",
+        [
+            ("disk", Q41, 0.25, 0.2500427051592239),
+            ("ellipse-2-1", E2, 0.5, 0.5000638836400022),
+            ("disk", LP2, 0.5626254, 0.5627272545395304),
+            ("two-disks-gap1", Q41, 0.25, 0.2500395366205367),
+        ],
+        ids=["disk", "ellipse", "disk-lp", "two-disks"],
+    )
+    def test_smooth_complements_bracket_their_exact_reach(self, key, norm, exact, bracketed):
+        est = global_reach(make_catalog_shape(key, norm).complement(), norm)
+        lo, hi = est.bracket
+        assert lo <= exact <= hi == est.global_reach
+        assert est.global_reach <= bracketed + 2e-8 * (1.0 + bracketed)
+
+
+def _dense_ratio(body, norm, a, u, tol=1e-8):
+    """The ray reach of the complement of a convex body by a dense direction search.
+
+    The least (h(u) - u.a + tol phi(u)) / ((1 - tol) phi(u) + u.eta), eta =
+    grad phi(u_ray), over 40,000 Fibonacci directions and rings about the
+    ray's own normal -u_ray down to 1e-3, then on shrinking rings about the
+    six best, per ray.
+    """
+
+    def ratio(v, i):
+        p = norm.value(v)
+        num = body.support(v) - v @ a[i] + tol * p
+        den = (1.0 - tol) * p + v @ norm.grad(u[i])
+        return np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
+
+    def rings(v0, radii, k):
+        T = norms.tangent_basis(v0[None])[0]
+        t = 2.0 * np.pi * np.arange(k) / k
+        w = np.cos(t)[:, None] * T[0] + np.sin(t)[:, None] * T[1]
+        return unit_rows(v0 + (radii[:, None, None] * w).reshape(-1, 3))
+
+    sphere = norms.fibonacci_sphere(40_000)
+    out = np.empty(len(a))
+    for i in range(len(a)):
+        dirs = np.concatenate([sphere, rings(-u[i], np.geomspace(1e-3, 0.2, 60), 64)])
+        f = ratio(dirs, i)
+        best = np.inf
+        for j in np.argsort(f)[:6]:
+            v, val, radius = dirs[j], f[j], 0.02
+            for _ in range(10):
+                g = rings(v, np.linspace(radius / 8, radius, 8), 32)
+                fg = ratio(g, i)
+                k = np.argmin(fg)
+                if fg[k] < val:
+                    v, val = g[k], fg[k]
+                else:
+                    radius /= 4
+            best = min(best, val)
+        out[i] = best
+    return out
+
+
+class TestComplementReach:
+    @pytest.mark.parametrize(
+        "body, n",
+        [(Ball([0.0, 0.0, 0.0], 1.0), 64), (WulffBody(LP3), 128)],
+        ids=["ball", "wulff-lp"],
+    )
+    def test_rays_agree_with_a_dense_direction_search(self, body, n):
+        # past a focal point two branches of feet part on opposite sides of
+        # the ray's normal, closer than the search grid's spacing, and near
+        # the rounded vertices of the lp3 body the least ratio has maxima
+        # closer than that too; the bracket ended past the reach on 10 of
+        # 256 ball rays
+        norm = EllipsoidalNorm(np.diag([4.0, 1.0, 2.0]))
+        a, u, *_ = bundle_nodes(body.complement(), norm, n=n)
+        r = reach_along(body.complement(), norm, a, norm.grad(u), validate=False)
+        dense = _dense_ratio(body, norm, a, u)
+        # the predicate holds at r: no direction is a nearer constraint
+        assert (r <= dense * (1.0 + 1e-12)).all()
+        # and fails just past it
+        assert (dense <= r + 1e-8 * (1.0 + r)).all()
+
+    def test_local_search_steps_stay_in_their_basin(self):
+        # a 0.25 rad Newton step carried a seed into the neighbouring basin,
+        # whose maximum is lower: the distance came out 2.9e-5 too large
+        body, norm = Ball([0.0, 0.0, 0.0], 1.0), EllipsoidalNorm(np.diag([4.0, 1.0, 2.0]))
+        x = np.array([-1.47e-4, 0.295203, -0.45456])
+        got = set_distance(body.complement(), norm, x[None])[0]
+        v = norms.fibonacci_sphere(200_000)
+        f = (body.support(v) - v @ x) / norm.value(v)
+        v0 = v[np.argmin(f)]
+        T = norms.tangent_basis(v0[None])[0]
+        t = np.linspace(-0.01, 0.01, 201)
+        fine = unit_rows(v0 + (t[:, None, None] * T[0] + t[None, :, None] * T[1]).reshape(-1, 3))
+        upper = min(f.min(), float(((body.support(fine) - fine @ x) / norm.value(fine)).min()))
+        assert got <= upper + 1e-12
+        assert got == pytest.approx(0.34297096, abs=1e-8)
+
+
+def _moved(shape, lam, t):
+    """lam * shape + t, for unions of Wulff bodies, segment unions and their complements."""
+    if isinstance(shape, ComplementShape):
+        return _moved(shape.base, lam, t).complement()
+    if isinstance(shape, SegmentUnion):
+        return SegmentUnion([(lam * p + t, lam * q + t) for p, q in shape.segments])
+    if isinstance(shape, WulffBody):
+        return WulffBody(shape.norm, lam * shape.center + t, lam * shape.radius)
+    return DisjointUnion([_moved(c, lam, t) for c in shape.components])
 
 
 class TestUnionGap:
@@ -784,17 +886,27 @@ class TestUnionGap:
         npt.assert_allclose(upper, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "key, norm",
+        "key, norm, complement, scale_rel",
         [
-            ("two-disks-mixed", Q41),
-            ("three-wulff", Q41),
-            ("three-wulff", SmoothedLpNorm(2, 3)),
-            ("two-balls-3d", EllipsoidalNorm(np.diag([4.0, 1.0, 2.0]))),
+            ("two-disks-mixed", Q41, False, 1e-12),
+            ("three-wulff", Q41, False, 1e-12),
+            ("three-wulff", SmoothedLpNorm(2, 3), False, 1e-12),
+            ("two-balls-3d", EllipsoidalNorm(np.diag([4.0, 1.0, 2.0])), False, 1e-12),
+            ("segment-pair", Q41, False, 1e-12),
+            ("segment-pair", SmoothedLpNorm(2, 3), False, 1e-12),
+            # the widening tol_pred (1 + s) of the ray predicate does not
+            # scale with the set: scaled by lam it reads tol_pred (1/lam + s)
+            # in the set's own units, which moves each ray's first failure by
+            # less than sqrt(tol_pred) relative
+            ("disk", Q41, True, 1e-4),
         ],
-        ids=["mixed", "three-wulff", "three-wulff-lp", "two-balls"],
+        ids=["mixed", "three-wulff", "three-wulff-lp", "two-balls", "segment-pair",
+             "segment-pair-lp", "disk-complement"],
     )
-    def test_translation_invariance_and_scaling(self, key, norm):
+    def test_translation_invariance_and_scaling(self, key, norm, complement, scale_rel):
         shape = make_catalog_shape(key, norm)
+        if complement:
+            shape = shape.complement()
         r = global_reach(shape, norm, n_samples=32).global_reach
         t = np.linspace(0.3, -1.7, shape.dim)
         assert global_reach(_moved(shape, 1.0, t), norm, n_samples=32).global_reach == (
@@ -802,7 +914,7 @@ class TestUnionGap:
         )
         for lam in (0.5, 3.0):
             got = global_reach(_moved(shape, lam, t), norm, n_samples=32).global_reach
-            assert got == pytest.approx(lam * r, rel=1e-12)
+            assert got == pytest.approx(lam * r, rel=scale_rel)
 
     @pytest.mark.parametrize(
         "key, norm",
@@ -849,7 +961,6 @@ class TestUnionGap:
         assert not est.is_infinite
 
 
-LP2, LP3 = SmoothedLpNorm(2, 3.0), SmoothedLpNorm(3, 3.0)
 ROUTE_NORMS = {
     2: {"euclid": E2, "diag": Q41, "rotated": _rotated([3.0, 0.5], [0.7]), "lp": LP2},
     3: {
