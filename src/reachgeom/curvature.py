@@ -256,14 +256,32 @@ def mean_curvature(kappa: np.ndarray, r: int) -> np.ndarray:
     n = kappa.shape[1]
     if not 0 <= r <= n:
         raise ValueError(f"H_{r} undefined with {n} principal curvatures")
-    finite = np.isfinite(kappa)
-    n_fin = finite.sum(axis=1)
-    n_inf = n - n_fin
-    e = elementary_symmetric(kappa, finite)
+    # the short axis column by column: a reduction over it costs more
+    n_inf = np.zeros(len(kappa), dtype=int)
+    curved = np.zeros(len(kappa), dtype=bool)
+    for k in kappa.T:
+        finite = np.isfinite(k)
+        n_inf += ~finite
+        curved |= finite & (k != 0.0)
     j = r - n_inf
-    valid = (j >= 0) & (j <= n_fin)
-    jc = np.clip(j, 0, n)
-    return np.where(valid, e[np.arange(len(kappa)), jc], 0.0)
+    # flat and fan rows have e = (1, 0, ..., 0): H_r is 1 where j = 0
+    h = (j == 0).astype(float)
+    rows = np.flatnonzero(curved)
+    kc, jr = kappa[rows], j[rows]
+    e = elementary_symmetric(kc, np.isfinite(kc))
+    valid = (jr >= 0) & (jr <= n - n_inf[rows])
+    h[rows] = np.where(valid, e[np.arange(len(rows)), np.clip(jr, 0, n)], 0.0)
+    return h
+
+
+def _tangent_determinant(H: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """|det(H|u-perp)| (k,) = |u.adj(H)u| for symmetric H (k, 3, 3) and unit u (k, 3)."""
+    a, b, c = H[:, 0, 0], H[:, 1, 1], H[:, 2, 2]
+    f, g, k = H[:, 1, 2], H[:, 0, 2], H[:, 0, 1]
+    x, y, z = u[:, 0], u[:, 1], u[:, 2]
+    diag = (b * c - f * f) * x * x + (a * c - g * g) * y * y + (a * b - k * k) * z * z
+    off = (g * f - k * c) * x * y + (k * f - g * b) * x * z + (k * g - a * f) * y * z
+    return np.abs(diag + 2.0 * off)
 
 
 def bundle_nodes(
@@ -284,6 +302,14 @@ def bundle_nodes(
     are expanded together.  The support Hessians (N, d, d) are the strata's
     (``Stratum.support_hessian``), NaN on nodes of strata without one, and
     None when no stratum has one.
+
+    A patch node's area factor det(H|u-perp), H = D^2phi(u), needs no
+    tangent frame: for unit u and symmetric H (d = 3) it is u.adj(H)u =
+    e_2(H) - (u.Hu) tr H + |Hu|^2 (Cayley-Hamilton), e_2 the sum of the
+    principal 2x2 minors.  Summed over the cofactors of H it stays within
+    1e-15 of the frame's |H e_0 x H e_1|; the three-term sum cancels where
+    H is nearly singular on u-perp (1e-13 off under ``SmoothedLpNorm(3, 6)``,
+    2e-12 without the two terms that rounding, Hu a few ulps from 0, feeds).
     """
     blocks = []
     for s in shape.boundary_strata(n=n, seed=seed):
@@ -294,11 +320,7 @@ def bundle_nodes(
         if s.kind in ("vector", "pair"):
             transport = np.ones(len(u))
         elif s.kind == "patch":
-            E = tangent_basis(u)  # (k, 2, 3)
-            H = norm.hessian(u)
-            im0 = np.einsum("kde,ke->kd", H, E[:, 0])
-            im1 = np.einsum("kde,ke->kd", H, E[:, 1])
-            transport = np.linalg.norm(np.cross(im0, im1), axis=-1)
+            transport = _tangent_determinant(norm.hessian(u), u)
         else:
             tt = fiber_tangents(s.kind, s.fibers, kq).reshape(-1, d)
             transport = np.linalg.norm(np.einsum("kde,ke->kd", norm.hessian(u), tt), axis=-1)

@@ -27,7 +27,8 @@ verify checks of one set share it.  Bundles are immutable and their H_r
 arrays (``BundleSample.mean_curvature``, memoized per r) read-only.  A
 bundle traces its ray reaches the first time they are read (only
 `steiner_predict` and `volume_derivatives` read them); they and the reach
-estimates are memoized in `projection`.
+estimates are memoized in `projection`.  The stratum dimensions a bundle
+must cover are read once per shape (`_coverage_strata`).
 """
 
 from __future__ import annotations
@@ -187,14 +188,22 @@ def _strata_present(strat: np.ndarray) -> list:
     return np.flatnonzero(np.bincount(strat)).tolist()
 
 
-def _split_half_se(contrib: np.ndarray, strat: np.ndarray) -> float:
+def _split_half_se(parts) -> float:
     # difference of interleaved half-sums per stratum: the scale on which
     # halving the quadrature resolution moves the total
-    se2 = 0.0
-    for s in _strata_present(strat):
-        cs = contrib[strat == s]
-        se2 += float(cs[0::2].sum() - cs[1::2].sum()) ** 2
-    return float(np.sqrt(se2))
+    return float(np.sqrt(sum(float(cs[0::2].sum() - cs[1::2].sum()) ** 2 for cs in parts)))
+
+
+def _coverage_strata(shape: Shape) -> frozenset:
+    """The stratum dimensions of the shape's boundary, memoized on the shape.
+
+    They depend on the shape alone; a coarse ``boundary_strata`` reads them.
+    """
+    dims = shape.__dict__.get("_coverage_strata")
+    if dims is None:
+        dims = frozenset(s.index for s in shape.boundary_strata(n=8, seed=0))
+        dims = shape.__dict__.setdefault("_coverage_strata", dims)
+    return dims
 
 
 def curvature_measure(
@@ -221,16 +230,15 @@ def curvature_measure(
         raise ValueError(f"curvature measure index m={m} outside 0..{nn}")
     b = _auto_bundle(shape, norm, bundle, n, seed)
 
-    present = set(_strata_present(b.stratum))
-    needed = {s.index for s in shape.boundary_strata(n=8, seed=0)}
-    if needed - present:
-        raise StrataCoverageGap(
-            f"bundle misses strata of dimension {sorted(needed - present)}"
-        )
+    present = _strata_present(b.stratum)
+    missing = _coverage_strata(shape).difference(present)
+    if missing:
+        raise StrataCoverageGap(f"bundle misses strata of dimension {sorted(missing)}")
 
     r = nn - m
     pref = 1.0 / (r + 1)
     c = b.density * b.mean_curvature(r)
+    parts = {s: c[b.stratum == s] for s in present}
 
     if window is None:
         windows = []
@@ -243,10 +251,8 @@ def curvature_measure(
         m=m,
         theta_total=pref * float(c.sum()),
         theta_on={w.name: pref * float(c[w.mask(b)].sum()) for w in windows},
-        quadrature_se=pref * _split_half_se(c, b.stratum),
-        stratum_breakdown={
-            s: pref * float(c[b.stratum == s].sum()) for s in _strata_present(b.stratum)
-        },
+        quadrature_se=pref * _split_half_se(parts.values()),
+        stratum_breakdown={s: pref * float(cs.sum()) for s, cs in parts.items()},
         abs_total=pref * float(np.abs(c).sum()),
     )
 

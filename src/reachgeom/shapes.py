@@ -597,9 +597,16 @@ class WulffBody(Shape):
 
     def _complement_feet(self, norm, x):
         """``foot_candidates`` of the complement: every polished local grid
-        maximum of the support search from points of the interior."""
+        maximum of the support search from points of the interior, and the
+        maxima reached from a ring 0.05 about each row's best (``_ring``):
+        near a focal point the two nearest feet part closer than the grid's
+        spacing, so the grid may seed only the farther one."""
         inside = np.flatnonzero(self.norm.conjugate(x - self.center) < self.radius)
         rows, u, f, _ = _support_search(self, norm, x[inside], local=True)
+        seeds = _ring(u[_row_best(rows, f)], 0.05)
+        rows2, u2, f2, _ = _support_search(self, norm, x[inside], seeds=seeds)
+        order = np.argsort(np.r_[rows, rows2], kind="stable")
+        rows, u, f = np.r_[rows, rows2][order], np.r_[u, u2][order], np.r_[f, f2][order]
         return _candidates(x, inside[rows], self.support_point(u), np.maximum(-f, 0.0))
 
     def _complement_reach(self, norm, a, eta, tol):
@@ -619,12 +626,17 @@ class WulffBody(Shape):
         rows, u, g, _ = _support_search(
             body, gauge, eta, local=True, shift=-a, seeds=_ring(-norm.gauss_map(eta), 0.02)
         )
-        order = np.lexsort((-g, rows))  # each row's best seed first
-        best = order[np.r_[True, rows[order][1:] != rows[order][:-1]]]
-        rows2, _, g2, _ = _support_search(body, gauge, eta, shift=-a, seeds=_ring(u[best], 0.05))
+        seeds = _ring(u[_row_best(rows, g)], 0.05)
+        rows2, _, g2, _ = _support_search(body, gauge, eta, shift=-a, seeds=seeds)
         top = np.zeros(len(a))
         np.maximum.at(top, np.r_[rows, rows2], np.r_[g, g2])
         return np.where(top > 0, 1.0 / np.where(top > 0, top, 1.0), np.inf)
+
+
+def _row_best(rows, f):
+    """Index of the greatest f of each row present in ``rows``, in row order."""
+    order = np.lexsort((-f, rows))
+    return order[np.diff(rows[order], prepend=-1) != 0]
 
 
 def _ring(u, angle):

@@ -149,6 +149,44 @@ class TestCurvatureMeasure:
         with pytest.raises(StrataCoverageGap):
             curvature_measure(sq, E2, 0, bundle=edges_only)
 
+    def test_coverage_strata_are_built_once_per_shape(self, monkeypatch):
+        cube = make_catalog_shape("cube")
+        fb = fan_bundle(cube, E3, n=64)
+        calls = []
+        plain = ConvexPolytope.boundary_strata
+
+        def counting(self, n=512, seed=0):
+            calls.append((n, seed))
+            return plain(self, n=n, seed=seed)
+
+        monkeypatch.setattr(ConvexPolytope, "boundary_strata", counting)
+        for m in range(3):
+            curvature_measure(cube, E3, m, bundle=fb)
+        assert calls == [(8, 0)]
+        # a passed bundle that misses the vertices still raises
+        keep = fb.stratum > 0
+        no_vertices = BundleSample(
+            *(None if v is None else v[keep] for v in (getattr(fb, f.name) for f in fields(fb)))
+        )
+        with pytest.raises(StrataCoverageGap, match=r"\[0\]"):
+            curvature_measure(cube, E3, 0, bundle=no_vertices)
+        assert calls == [(8, 0)]
+        # the memo lives on the shape: an equal cube builds its own
+        curvature_measure(make_catalog_shape("cube"), E3, 0, bundle=fb)
+        assert calls == [(8, 0), (8, 0)]
+
+    def test_coverage_strata_threads_share_one_set(self):
+        sq = make_catalog_shape("unit-square")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(measures._coverage_strata, sq) for _ in range(16)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[0] == {0, 1} and all(g is got[0] for g in got)
+
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             curvature_measure(make_catalog_shape("disk"), E2, 2)

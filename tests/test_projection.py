@@ -833,6 +833,22 @@ class TestComplementReach:
         assert got <= upper + 1e-12
         assert got == pytest.approx(0.34297096, abs=1e-8)
 
+    def test_feet_near_a_focal_point_take_the_nearer_branch(self):
+        # just past a focal point the two nearest feet part closer than the
+        # search grid's spacing; seeded from the grid alone the distance came
+        # out 5.8e-8 too large
+        body = WulffBody(LP2)
+        c, s = np.cos(0.7), np.sin(0.7)
+        R = np.array([[c, -s], [s, c]])
+        norm = EllipsoidalNorm(R @ np.diag([3.0, 0.5]) @ R.T)
+        a, u, *_ = bundle_nodes(body.complement(), norm, n=512)
+        x = a[385] + 0.0705143 * norm.grad(u[385])
+        got = set_distance(body.complement(), norm, x[None])[0]
+        t = np.linspace(0.0, 2.0 * np.pi, 2_000_000, endpoint=False)
+        v = np.stack([np.cos(t), np.sin(t)], axis=1)
+        dense = float(((body.support(v) - v @ x) / norm.value(v)).min())
+        assert abs(got - dense) <= 1e-10
+
 
 def _moved(shape, lam, t):
     """lam * shape + t, for unions of Wulff bodies, segment unions and their complements."""
