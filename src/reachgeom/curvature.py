@@ -297,6 +297,8 @@ def bundle_nodes(
     Expands every stratum fiber into spherical quadrature nodes and pushes
     the fiber weights into dual coordinates: 1-dimensional fans carry the
     arc length of the dual-gradient image, spherical patches its area.
+    Each fan triangle of a patch takes ``patch_nodes`` rounded up to
+    16 * 4^L: the degree-8 rule on 4^L sub-triangles (``shapes.fiber_nodes``).
     Nodes come in stratum, fiber, node order, on which the interleaved
     half-sums of the quadrature error estimate rely; each stratum's fibers
     are expanded together.  The support Hessians (N, d, d) are the strata's
@@ -355,13 +357,14 @@ def bundle_sample(
 
     ``n`` steers the boundary resolution per stratum (as in boundary_strata);
     1-dimensional fibers get ``fiber_nodes`` Gauss nodes and spherical-patch
-    fibers about ``patch_nodes`` area-weighted nodes.  Curved strata take
-    their curvatures from support Hessians (``support_curvatures``); an
-    m-dimensional stratum without one is flat along itself and, where m < n,
-    a fan: m zero curvatures, then n - m infinite ones (the catalog's edges
-    are straight).  With ``audit`` the ray reaches are traced at once, the
-    probes (see the module docstring) repeat every curvature, and samples
-    whose probe disagrees are flagged in ``audit_fail``.
+    fibers at least ``patch_nodes`` per fan triangle (``bundle_nodes``).
+    Curved strata take their curvatures from support Hessians
+    (``support_curvatures``); an m-dimensional stratum without one is flat
+    along itself and, where m < n, a fan: m zero curvatures, then n - m
+    infinite ones (the catalog's edges are straight).  With ``audit`` the
+    ray reaches are traced at once, the probes (see the module docstring)
+    repeat every curvature, and samples whose probe disagrees are flagged
+    in ``audit_fail``.
     """
     a, u, w0, strat, hess = bundle_nodes(
         shape, norm, n=n, seed=seed, fiber_nodes=fiber_nodes, patch_nodes=patch_nodes

@@ -26,6 +26,7 @@ nodes) and spectrally accurate 1d chart quadrature on smooth 2d pieces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Optional, Sequence
@@ -76,8 +77,38 @@ class EmptyInteriorError(ValueError):
 # normal fibers
 # ======================================================================
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(k):
+    """``leggauss(k)``, computed once per k.  Shared, so read-only."""
+    x, w = leggauss(k)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@functools.lru_cache(maxsize=None)
+def _dunavant8():
+    """Dunavant's symmetric 16-point triangle rule of degree 8 (IJNME 21,
+    1985): barycentric nodes (16, 3) and weights summing to 1.  Shared, so
+    read-only."""
+    bary, w = [(1 / 3, 1 / 3, 1 / 3)], [0.14431560767778717]
+    for a, wa in ((0.45929258829272316, 0.095091634267284625),
+                  (0.17056930775176021, 0.10321737053471825),
+                  (0.050547228317030975, 0.032458497623198080)):
+        bary += [(a, a, 1 - 2 * a), (a, 1 - 2 * a, a), (1 - 2 * a, a, a)]
+        w += [wa] * 3
+    b, c = 0.26311282963463811, 0.0083947774099576053
+    d = 1 - b - c
+    bary += [(b, c, d), (c, d, b), (d, b, c), (c, b, d), (b, d, c), (d, c, b)]
+    w += [0.027230314174434994] * 6
+    bary, w = np.array(bary), np.array(w)
+    bary.setflags(write=False)
+    w.setflags(write=False)
+    return bary, w
+
+
 def _arc_angles(fibers, k):
-    x, w = leggauss(max(int(k), 1))
+    x, w = _gauss_legendre(max(int(k), 1))
     mid = 0.5 * (fibers[:, :1] + fibers[:, 1:])
     half = 0.5 * (fibers[:, 1:] - fibers[:, :1])
     return mid + half * x, w * half
@@ -89,7 +120,7 @@ def _edge_angles(fibers, k):
     c = row_dot(e0, n1)
     angle = np.arccos(np.clip(c, -1.0, 1.0))[:, None]
     e1 = unit_rows(n1 - c[:, None] * e0)
-    x, w = leggauss(max(int(k), 1))
+    x, w = _gauss_legendre(max(int(k), 1))
     return e0[:, None], e1[:, None], 0.5 * angle * (x + 1.0), w * 0.5 * angle
 
 
@@ -106,7 +137,10 @@ def fiber_nodes(kind: str, fibers, k: int) -> tuple[np.ndarray, np.ndarray]:
     ``fibers`` holds one row per fiber in the layout of ``kind`` (see
     ``Stratum``).  The weights integrate the spherical measure on each
     fiber (counting measure on vectors and pairs); arcs and edges take k
-    Gauss nodes, and a patch is refined until it has about k nodes.
+    Gauss nodes.  A patch is fan-triangulated and each spherical triangle
+    split 4^L ways, the least L >= 0 with 16 * 4^L >= k; every sub-triangle
+    takes Dunavant's 16-point rule of degree 8, and its weights total its
+    exact area.
     """
     fibers = np.asarray(fibers, dtype=float)
     if kind == "vector":
@@ -121,10 +155,13 @@ def fiber_nodes(kind: str, fibers, k: int) -> tuple[np.ndarray, np.ndarray]:
         return np.cos(t)[..., None] * e0 + np.sin(t)[..., None] * e1, w
     if kind != "patch":
         raise ValueError(f"unknown fiber kind {kind!r}")
-    # Fan-triangulate, then refine each spherical triangle `level` times
-    # into (a,ab,ca), (ab,b,bc), (ca,bc,c), (ab,bc,ca); sub-triangle areas
-    # are exact, nodes sit at normalized centroids.
-    level = max(int(np.ceil(np.log2(max(k, 1)) / 2)), 1)
+    # Refine each fan triangle `level` times into (a,ab,ca), (ab,b,bc),
+    # (ca,bc,c), (ab,bc,ca).  The rule maps onto a spherical sub-triangle
+    # through p -> p/|p| of the flat one, whose area element is 1/|p|^3 up
+    # to a constant factor, so its weights are scaled to the exact area.
+    # Nodes run rule point by rule point, each over all sub-triangles, so
+    # interleaved halves cover alternate sub-triangles with the whole rule.
+    level = max(int(np.ceil(np.log2(max(k, 1) / 16) / 2)), 0)
     i = np.arange(1, fibers.shape[1] - 1)
     a = np.broadcast_to(fibers[:, :1], (len(fibers), len(i), 3))
     tri = np.stack([a, fibers[:, i], fibers[:, i + 1]], axis=-2)  # (F, T, 3, 3)
@@ -133,8 +170,13 @@ def fiber_nodes(kind: str, fibers, k: int) -> tuple[np.ndarray, np.ndarray]:
         ab, bc, ca = unit_rows(a + b), unit_rows(b + c), unit_rows(c + a)
         children = [a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]
         tri = np.stack(children, axis=-2).reshape(len(fibers), -1, 3, 3)
-    a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
-    return unit_rows(a + b + c), _spherical_triangle_areas(a, b, c)
+    bary, wq = _dunavant8()
+    p = np.swapaxes(bary @ tri, 1, 2)  # (F, 16, T, 3)
+    r = np.sqrt(row_dot(p, p))
+    w = wq[:, None] / r**3
+    area = _spherical_triangle_areas(tri[..., 0, :], tri[..., 1, :], tri[..., 2, :])
+    w *= area[:, None, :] / w.sum(axis=1, keepdims=True)
+    return (p / r[..., None]).reshape(len(fibers), -1, 3), w.reshape(len(fibers), -1)
 
 
 def fiber_tangents(kind: str, fibers, k: int) -> np.ndarray:

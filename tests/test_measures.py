@@ -49,6 +49,16 @@ Q411 = EllipsoidalNorm(np.diag([4.0, 1.0, 1.0]))
 _BUNDLES = {}
 
 
+def _rotated_q(diag, angles):
+    """R diag R' with R the z-x-z product of three plane rotations."""
+    R = np.eye(3)
+    for (i, j), t in zip([(0, 1), (1, 2), (0, 1)], angles):
+        turn = np.eye(3)
+        turn[[i, i, j, j], [i, j, i, j]] = np.cos(t), -np.sin(t), np.sin(t), np.cos(t)
+        R = R @ turn
+    return R @ np.diag(diag) @ R.T
+
+
 def cached_bundle(key, norm):
     """One probe bundle per (catalog key, norm) for the whole module."""
     k = (key, id(norm))
@@ -99,6 +109,23 @@ class TestCurvatureMeasure:
             npt.assert_allclose(
                 curvature_measure(cube, E3, m).theta_total, value, rtol=1e-9
             )
+
+    @pytest.mark.parametrize(
+        "q,rtol",
+        [
+            ([[3.0, 0.5, 0.1], [0.5, 2.0, 0.2], [0.1, 0.2, 1.0]], 1e-9),
+            (_rotated_q([4.0, 1.0, 2.25], (0.6, 0.6, 0.0)), 1e-9),
+            # condition number 12: the vertex-patch integrand varies most,
+            # and 1,024 nodes an octant leave 4.1e-9
+            (_rotated_q([3.0, 1.0, 0.25], (2.1, 0.8, 0.5)), 1e-8),
+        ],
+        ids=["full", "rotated", "rotated-cond12"],
+    )
+    def test_cube_theta0_is_the_dual_ball_volume(self, q, rtol):
+        # Theta_0 of a convex body is the volume of the dual unit ball
+        # {phi_* <= 1} = Q^(1/2) B, all of it carried by the vertex patches
+        got = curvature_measure(make_catalog_shape("cube"), EllipsoidalNorm(q), 0).theta_total
+        npt.assert_allclose(got, 4 * np.pi / 3 * np.sqrt(np.linalg.det(q)), rtol=rtol)
 
     def test_convex_catalog_measures_nonnegative(self):
         for key, norm in [
@@ -550,12 +577,7 @@ class TestTiledCount:
         # a window around one corner of the cube keeps the dense reference
         # small; it holds interior blocks, faces, edges and the corner
         cube = make_catalog_shape("cube")
-        R = np.eye(3)
-        for (i, j), t in zip([(0, 1), (1, 2), (0, 1)], (2.1, 0.8, 0.5)):
-            turn = np.eye(3)
-            turn[[i, i, j, j], [i, j, i, j]] = np.cos(t), -np.sin(t), np.sin(t), np.cos(t)
-            R = R @ turn
-        norm = EllipsoidalNorm(R @ np.diag([3.0, 1.0, 0.25]) @ R.T)
+        norm = EllipsoidalNorm(_rotated_q([3.0, 1.0, 0.25], (2.1, 0.8, 0.5)))
         rho, h, win = (0.1, 0.25), cube.diameter / 128, ([0.75] * 3, [1.25] * 3)
         got = voxel_tube_volume(cube, norm, rho, h, window=win)
         want = _dense_tube_volume(cube, norm, rho, h, window=win)
@@ -788,7 +810,7 @@ class TestSteinerPredict:
         want = lambda r: 8 * r + 5 * np.pi * r**2 + (8 * np.pi / 3) * r**3
         fb = fan_bundle(make_catalog_shape("cube"), Q411)
         for r in (0.2, 0.7):
-            npt.assert_allclose(steiner_predict(fb, [r])[0], want(r), rtol=5e-6)
+            npt.assert_allclose(steiner_predict(fb, [r])[0], want(r), rtol=1e-9)
 
 
 class TestTubeRecord:

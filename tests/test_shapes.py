@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,6 +14,7 @@ from reachgeom.shapes import (
     Ellipsoid,
     SegmentUnion,
     WulffBody,
+    _dunavant8,
     _spherical_triangle_areas,
     fiber_nodes,
     fiber_tangents,
@@ -465,15 +468,29 @@ class TestFiberQuadrature:
         (u,), (w,) = fiber_nodes("patch", np.eye(3)[None], 256)
         npt.assert_allclose(w.sum(), np.pi / 2, atol=1e-12)
         npt.assert_allclose(np.linalg.norm(u, axis=-1), 1.0)
-        # centroid rule converges: integrating z over the octant = pi/4
+        # integrating z over the octant = pi/4
         val = (u[:, 2] * w).sum()
-        npt.assert_allclose(val, np.pi / 4, rtol=1e-3)
+        npt.assert_allclose(val, np.pi / 4, rtol=1e-7)
+
+    def test_triangle_rule_has_degree_8(self):
+        # x^i y^j over the triangle (0,0), (1,0), (0,1), area 1/2:
+        # i! j! / (i + j + 2)!; exact to degree 8, not to degree 9
+        bary, w = _dunavant8()
+        x, y = bary[:, 0], bary[:, 1]
+        npt.assert_allclose(bary.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        for deg in range(10):
+            err = max(
+                abs(0.5 * (w * x**i * y ** (deg - i)).sum()
+                    - factorial(i) * factorial(deg - i) / factorial(deg + 2))
+                for i in range(deg + 1)
+            )
+            assert (err < 1e-15) == (deg <= 8), (deg, err)
 
     @pytest.mark.parametrize("n_gens", [3, 4])
     def test_patch_nodes_match_recursive_reference(self, n_gens):
         gens = np.array([[0.0, 0.0, 1.0], [1.0, 0.1, 0.3], [0.1, 1.0, 0.2], [-1.0, 0.3, 0.4]])
         gens = gens[:n_gens] / np.linalg.norm(gens[:n_gens], axis=1, keepdims=True)
-        for k in (1, 16, 300):
+        for k in (1, 16, 17, 300):
             (u,), (w,) = fiber_nodes("patch", gens[None], k)
             u_ref, w_ref = _patch_nodes_reference(gens, k)
             npt.assert_allclose(u, u_ref, rtol=0, atol=1e-14)
@@ -524,9 +541,13 @@ class TestFiberQuadrature:
 
 def _patch_nodes_reference(gens, k):
     """Triangle by triangle: fan-triangulate, split each spherical triangle into
-    (a,ab,ca), (ab,b,bc), (ca,bc,c), (ab,bc,ca), recurse; nodes at normalized
-    centroids, weights the exact sub-triangle areas."""
-    level = max(int(np.ceil(np.log2(max(k, 1)) / 2)), 1)
+    (a,ab,ca), (ab,b,bc), (ca,bc,c), (ab,bc,ca), recurse until 16 * 4^depth >= k;
+    on each leaf (a, b, c) the triangle rule's node p = beta . (a, b, c) maps to
+    p/|p| with weight w_beta/|p|^3, the weights scaled to the leaf's exact area.
+    Nodes in rule-point order, each point over all leaves."""
+    level = 0
+    while 16 * 4**level < k:
+        level += 1
 
     def unit(v):
         return v / np.linalg.norm(v)
@@ -543,9 +564,15 @@ def _patch_nodes_reference(gens, k):
     tris = []
     for i in range(1, len(gens) - 1):
         tris += split(gens[0], gens[i], gens[i + 1], level)
-    u = np.array([unit(a + b + c) for a, b, c in tris])
-    w = np.array([spherical_polygon_area(np.stack(t)) for t in tris])
-    return u, w
+    bary, w_rule = _dunavant8()
+    u = np.empty((len(w_rule), len(tris), 3))
+    w = np.empty((len(w_rule), len(tris)))
+    for t, (a, b, c) in enumerate(tris):
+        p = [beta[0] * a + beta[1] * b + beta[2] * c for beta in bary]
+        wt = np.array([wb / np.linalg.norm(pb) ** 3 for wb, pb in zip(w_rule, p)])
+        u[:, t] = [unit(pb) for pb in p]
+        w[:, t] = wt * spherical_polygon_area(np.stack([a, b, c])) / wt.sum()
+    return u.reshape(-1, 3), w.ravel()
 
 
 def test_catalog_keys():
