@@ -486,8 +486,11 @@ def voxel_tube_volume(
             if len(br):
                 split[br] = False
                 lower, upper = _foot_brackets(norm, v[br], steps)
+                # widened in place: these are the descent's largest arrays
                 eps = 1e-9 * upper + tiny
-                blk, j = np.nonzero(~settle(lower - eps, upper + eps))
+                lower -= eps
+                upper += eps
+                blk, j = np.nonzero(~settle(lower, upper))
                 if len(blk):
                     x = lo + (org[:, br[blk]] + offsets[:, j] + 0.5).T * h
                     exact(distance_field(shape, norm, x))

@@ -16,8 +16,8 @@ and renders a structured pass/fail record:
   with equality exactly on disjoint unions of rescaled dual-ball bodies.
 * Mean-convexity ledgers and the bubble classifier that decides whether a
   shape is such a union, recovering the common radius two independent ways.
-  Its single-linkage clustering and dual-ball fits are plain numpy, so the
-  verdicts need no scipy.
+  It reads each component's center off the normal bundle: the point of
+  c + rho W with Euclidean normal u is c + rho grad phi(u).
 
 All almost-everywhere hypotheses are interpreted as sample-quota conditions
 at the stated tolerances; each verdict records the witnesses that violate a
@@ -388,120 +388,29 @@ def mean_convexity_ledger(
 # ======================================================================
 
 
-# a pairwise-distance block holds at most about 2**20 distances
-_BLOCK_CELLS = 1 << 20
-# Gauss-Newton steps of the dual-ball fit; exact data converge in a handful
-_FIT_STEPS = 32
+def _components(points, normals, norm, rho):
+    """Centers, radii and fit residuals of the c + rho W through the samples.
 
-
-def _sq_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of x and those of y."""
-    d2 = np.subtract.outer(x[:, 0], y[:, 0])
-    d2 *= d2
-    for k in range(1, x.shape[1]):
-        diff = np.subtract.outer(x[:, k], y[:, k])
-        diff *= diff
-        d2 += diff
-    return d2
-
-
-def _cluster_components(points: np.ndarray) -> np.ndarray:
-    """Single-linkage component labels at 3x the mean nearest-neighbor gap.
-
-    The points are swept in row blocks, in the order of their widest
-    coordinate; a block meets only the points within reach of it along that
-    coordinate, so memory is O(m * block), not m^2.  Components are found by
-    min-label propagation with pointer jumping and numbered in the order of
-    their smallest point index.
+    The point of c + rho W with Euclidean normal u is c + rho grad phi(u), so
+    each sample (a, u) names the center c = a - rho grad phi(u).  Centers of
+    disjoint c + rho W lie more than 2 rho apart in phi_*, so a center joins
+    the group of the first unassigned sample when within rho of its center;
+    groups are numbered by their first sample.  A group's center is the mean
+    of its centers, its radius the mean of phi_*(a - center) and its residual
+    the largest deviation from that mean.
     """
-    m = len(points)
-    axis = int(np.argmax(np.ptp(points, axis=0)))
-    order = np.argsort(points[:, axis], kind="stable")
-    p, key = points[order], points[order, axis]
-    rows = max(1, _BLOCK_CELLS // max(m, 1))
-
-    def block(i, span):
-        # squared distances from sorted rows i.. to sorted rows span, not to themselves
-        d2 = _sq_distances(p[i : i + rows], p[span[0] : span[1]])
-        own = np.arange(len(d2))
-        d2[own, own + i - span[0]] = np.inf
-        return d2
-
-    def window(i, reach):
-        # sorted rows within reach of rows i.. along the sweep, widened for rounding
-        reach *= 1.0 + 1e-9
-        last = key[min(i + rows, m) - 1]
-        return (
-            int(np.searchsorted(key, key[i] - reach, side="left")),
-            int(np.searchsorted(key, last + reach, side="right")),
-        )
-
-    gap2 = np.empty(m)
-    for i in range(0, m, rows):
-        near = (max(i - rows, 0), min(i + 2 * rows, m))
-        d2 = block(i, near)
-        # no row's gap exceeds its gap among the sorted rows around it
-        span = window(i, float(np.sqrt(d2.min(axis=1).max())))
-        if span != near:
-            d2 = block(i, span)
-        gap2[order[i : i + rows]] = d2.min(axis=1)
-    link = 3.0 * float(np.sqrt(gap2).mean())
-    src, dst = [], []
-    for i in range(0, m, rows):
-        if m > rows:  # else the lone block, over all points, is still at hand
-            span = window(i, link)
-            d2 = block(i, span)
-        a, b = np.nonzero(d2 <= link * link)
-        src.append(order[a + i])
-        dst.append(order[b + span[0]])
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    # every label is the root of its own tree; hook each edge's larger root
-    # under its smaller one, then jump every label to its root, until stable
-    labels = np.arange(m)
-    while True:
-        ls, ld = labels[src], labels[dst]
-        hooked = labels.copy()
-        np.minimum.at(hooked, ls, np.minimum(ls, ld))
-        while True:
-            jumped = hooked[hooked]
-            if np.array_equal(jumped, hooked):
-                break
-            hooked = jumped
-        if np.array_equal(hooked, labels):
-            break
-        labels = hooked
-    # each label is now its component's smallest index; number the roots
-    roots = labels == np.arange(m)
-    return (np.cumsum(roots) - 1)[labels]
-
-
-def _fit_dual_ball(points: np.ndarray, norm: Norm) -> tuple[np.ndarray, float, float]:
-    """Least-squares center of a dual-ball body through boundary points.
-
-    Minimizes the spread of the dual gauge phi*(x - c) over the cloud by
-    damped Gauss-Newton from the centroid: the Jacobian of the centred
-    spread is -grad phi*(x - c), centred over the cloud, and a step is
-    halved until it lowers the squared spread.  Stops when no halving does,
-    or after a fixed number of steps; returns (center, mean radius, max
-    absolute residual).
-    """
-    c = points.mean(axis=0)
-    g = norm.conjugate(points - c)
-    r = g - g.mean()
-    for _ in range(_FIT_STEPS):
-        grad = norm.conjugate_grad(points - c)
-        step = np.linalg.lstsq(grad.mean(axis=0) - grad, -r, rcond=None)[0]
-        for _ in range(8):
-            g_new = norm.conjugate(points - (c + step))
-            r_new = g_new - g_new.mean()
-            if r_new @ r_new < r @ r:
-                break
-            step = 0.5 * step
-        else:
-            break
-        c, g, r = c + step, g_new, r_new
-    rho = float(g.mean())
-    return c, rho, float(np.abs(g - rho).max())
+    centers = points - rho * norm.gauss_inverse(normals)
+    labels = np.full(len(points), -1)
+    count = 0
+    while (free := np.flatnonzero(labels < 0)).size:
+        labels[free[norm.conjugate(centers[free] - centers[free[0]]) <= rho]] = count
+        count += 1
+    groups = [labels == i for i in range(count)]
+    means = np.stack([centers[g].mean(axis=0) for g in groups])
+    dist = norm.conjugate(points - means[labels])
+    radii = [float(dist[g].mean()) for g in groups]
+    resid = [float(np.abs(dist[g] - rho_i).max()) for g, rho_i in zip(groups, radii)]
+    return means, radii, resid
 
 
 def alexandrov_classify(
@@ -523,11 +432,16 @@ def alexandrov_classify(
     The discriminating sequence: the singular boundary strata must carry a
     negligible share of the bundle weight; H_r must be constant over the
     smooth stratum, yielding the level lambda = H_r / (r+1); the radius
-    implied by lambda must match the volume/perimeter radius; and every
-    boundary component must fit a translated dual ball of the shared radius
-    to within ``tol_fit`` (relative).  When components are multiple, the
-    pairwise center gaps are compared against twice the measured reach and
-    recorded (a consistency report, not a pass/fail gate).
+    rho implied by lambda must match the volume/perimeter radius; and the
+    boundary must split into translated dual balls c + rho_i W.  A
+    smooth-stratum sample (a, u) names its center a - rho grad phi(u); the
+    centers within rho (in phi_*) of the first unassigned one form a
+    component, whose c is the mean of its centers.  phi_*(a - c) must stay
+    within ``tol_fit`` (relative) of its mean rho_i over the component, and
+    every rho_i within ``tol_rad`` of their mean.  When components are
+    multiple, the pairwise center gaps are compared against twice the
+    measured reach and recorded (a consistency report, not a pass/fail
+    gate).
 
     On the shape's default bundle the verdict is memoized on the shape
     (``Shape.bubble_verdicts``) by norm key and the other arguments, and
@@ -587,16 +501,8 @@ def _classify(shape, norm, r, b, vol, seed, tol_const, tol_rad, tol_fit, tol_sin
             "radius mismatch", rho_alg=rho_alg, rho_pred=rho_pred, lam=lam
         )
 
-    pts = b.points[top]
-    labels = _cluster_components(pts)
-    count = int(labels.max()) + 1
-    centers, radii, resid = [], [], []
-    for i in range(count):
-        c, rho_i, res = _fit_dual_ball(pts[labels == i], norm)
-        centers.append(c)
-        radii.append(rho_i)
-        resid.append(res)
-    centers = np.stack(centers)
+    centers, radii, resid = _components(b.points[top], b.normals[top], norm, rho_alg)
+    count = len(radii)
     radius = float(np.mean(radii))
     notes = {
         "lam": lam,
@@ -614,11 +520,8 @@ def _classify(shape, norm, r, b, vol, seed, tol_const, tol_rad, tol_fit, tol_sin
 
     if count > 1 and check_gaps:
         est = global_reach(shape, norm, seed=seed)
-        gaps = [
-            float(norm.conjugate(centers[j] - centers[i])) - 2.0 * radius
-            for i in range(count)
-            for j in range(i + 1, count)
-        ]
+        i, j = np.triu_indices(count, 1)
+        gaps = (norm.conjugate(centers[j] - centers[i]) - 2.0 * radius).tolist()
         notes["center_gaps"] = gaps
         notes["two_reach"] = 2.0 * est.global_reach
         notes["reach_gap_ok"] = bool(

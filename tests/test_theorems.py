@@ -3,7 +3,7 @@
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 from reachgeom.cli import load_config, run
 from reachgeom.curvature import bundle_sample
 from reachgeom import theorems
-from reachgeom.norms import EllipsoidalNorm, EuclideanNorm
-from reachgeom.shapes import make_catalog_shape
+from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm
+from reachgeom.shapes import WulffBody, make_catalog_shape
 from reachgeom.theorems import (
     BubbleVerdict,
     PreconditionFailed,
     TheoremVerdict,
-    _cluster_components,
-    _fit_dual_ball,
+    _components,
     alexandrov_classify,
     heintze_karcher_check,
     lower_bound_rigidity,
@@ -295,6 +294,50 @@ class TestAlexandrovClassify:
         assert not v.is_bubble_union
         assert v.failure_reason == "curvature not constant"
 
+    def test_small_offset_wulff_body(self):
+        # a radius other than 1 scales the support points off the centers
+        shape = WulffBody(Q41, center=[0.5, -0.25], radius=0.5)
+        v = alexandrov_classify(shape, Q41, 1)
+        assert v.is_bubble_union and v.count == 1
+        npt.assert_allclose(v.centers, [[0.5, -0.25]], atol=1e-9)
+        npt.assert_allclose(v.radius, 0.5, rtol=1e-9)
+
+    def test_unequal_components_disqualify(self):
+        # at a loose curvature tolerance the two disks pass as constant H_1,
+        # and their fitted radii, 1 and 1.6, tell them apart
+        v = alexandrov_classify(
+            make_catalog_shape("two-disks-mixed"), E2, 1,
+            bundle=cached_bundle("two-disks-mixed", E2), tol_const=1.0, tol_rad=0.1,
+        )
+        assert not v.is_bubble_union
+        assert v.failure_reason == "component radius mismatch"
+        npt.assert_allclose(sorted(v.notes["component_radii"]), [1.0, 1.6], rtol=1e-6)
+
+    def test_wavy_disk_fails_its_fit(self):
+        # the disk's bundle with its points moved out by 1% of sin(5 theta):
+        # curvatures and weights are the disk's, the points are not on a circle
+        b = cached_bundle("disk", E2)
+        theta = np.arctan2(b.points[:, 1], b.points[:, 0])
+        wavy = replace(b, points=b.points * (1.0 + 0.01 * np.sin(5.0 * theta))[:, None])
+        v = alexandrov_classify(make_catalog_shape("disk"), E2, 1, bundle=wavy)
+        assert not v.is_bubble_union
+        assert v.failure_reason == "component fit residual too large"
+        npt.assert_allclose(v.notes["fit_residuals"], [0.01], rtol=0.05)
+
+    @pytest.mark.parametrize(
+        "key,norm", [("disk", E2), ("ellipse-2-1", Q41), ("wulff-3d", Q411)],
+        ids=lambda v: v if isinstance(v, str) else v.kind,
+    )
+    def test_cap_reads_the_center_off_its_normals(self, key, norm):
+        # a boundary cap, whose centroid is far from the center
+        b = cached_bundle(key, norm)
+        cap = (b.stratum == b.n) & (b.points[:, 1] > -0.3)
+        assert abs(b.points[cap].mean(axis=0)[1]) > 0.1
+        centers, radii, resid = _components(b.points[cap], b.normals[cap], norm, 1.0)
+        npt.assert_allclose(centers, 0.0, atol=1e-9)
+        npt.assert_allclose(radii, 1.0, rtol=1e-9)
+        assert max(resid) < 1e-9
+
     @pytest.mark.parametrize("r", [1, 2])
     def test_wulff_3d_both_orders(self, r):
         v = alexandrov_classify(
@@ -356,79 +399,52 @@ def _scipy_fit(points, norm):
     return sol.x, float(np.abs(spread(sol.x)).max())
 
 
+LP3 = SmoothedLpNorm(3, 3)
+_ROT = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
+QROT = EllipsoidalNorm(_ROT @ np.diag([4.0, 1.0]) @ _ROT.T)
+
+
 class TestClassifierAgainstScipy:
-    """The numpy clustering and dual-ball fit reproduce the scipy route."""
-
-    @staticmethod
-    def check(points, norm):
-        labels = _cluster_components(points)
-        npt.assert_array_equal(labels, _scipy_components(points))
-        for i in range(int(labels.max()) + 1):
-            comp = points[labels == i]
-            center, _, resid = _fit_dual_ball(comp, norm)
-            center_ref, resid_ref = _scipy_fit(comp, norm)
-            npt.assert_allclose(center, center_ref, rtol=0.0, atol=1e-9)
-            assert resid <= resid_ref + 1e-12
+    """The verdict's components and centers reproduce the scipy route."""
 
     @pytest.mark.parametrize(
-        "key,norm",
+        "key,norm,r",
         [
-            ("disk", E2),
-            ("ellipse-2-1", E2),
-            ("ellipse-2-1", Q41),
-            ("two-disks-far", E2),
-            ("two-disks-mixed", E2),
-            ("three-wulff", Q41),
-            ("wulff-3d", Q411),
-            ("two-balls-3d", E3),
+            ("disk", E2, 1),
+            ("ellipse-2-1", E2, 1),
+            ("ellipse-2-1", Q41, 1),
+            ("two-disks-gap1", E2, 1),
+            ("two-disks-far", E2, 1),
+            ("two-disks-mixed", E2, 1),
+            ("three-wulff", Q41, 1),
+            ("three-wulff", QROT, 1),
+            ("wulff-3d", Q411, 1),
+            ("wulff-3d", LP3, 1),
+            ("wulff-3d", LP3, 2),
+            ("two-balls-3d", E3, 1),
         ],
-        ids=lambda v: v if isinstance(v, str) else v.kind,
+        ids=lambda v: v if isinstance(v, str) else getattr(v, "kind", None),
     )
-    def test_top_stratum_points(self, key, norm):
+    def test_verdict_matches_the_references(self, key, norm, r):
         b = cached_bundle(key, norm)
-        self.check(b.points[b.stratum == b.n], norm)
-
-    @pytest.mark.parametrize(
-        "key,norm", [("disk", E2), ("ellipse-2-1", Q41), ("wulff-3d", Q411)],
-        ids=lambda v: v if isinstance(v, str) else v.kind,
-    )
-    def test_cap_off_its_centroid(self, key, norm):
-        # a boundary cap: the fit must travel from the centroid to the center
-        b = cached_bundle(key, norm)
-        points = b.points[(b.stratum == b.n) & (b.points[:, 1] > -0.3)]
-        assert abs(points.mean(axis=0)[1]) > 0.1
-        center, rho, _ = _fit_dual_ball(points, norm)
-        npt.assert_allclose(center, 0.0, atol=1e-9)
-        npt.assert_allclose(rho, 1.0, rtol=1e-9)
-        self.check(points, norm)
-
-    def test_twenty_thousand_point_cloud(self):
-        # several row blocks, each meeting only a window of the sweep
-        top = make_catalog_shape("two-balls-3d").boundary_strata(n=20_000)[0]
-        assert top.index == 2
-        points = top.points
-        assert len(points) == 20_000
-        self.check(points, E3)
-
-    def test_scattered_cloud_in_small_blocks(self, monkeypatch):
-        # many components whose links sit near the threshold; tiny row blocks
-        # make every block's window decide which pairs are seen
-        monkeypatch.setattr(theorems, "_BLOCK_CELLS", 1 << 14)
-        rng = np.random.default_rng(11)
-        points = rng.uniform(0.0, 1.0, size=(1500, 2)) ** 3 * [4.0, 1.0]
-        labels = _cluster_components(points)
-        npt.assert_array_equal(labels, _scipy_components(points))
-        assert labels.max() > 20
-
-    def test_labels_follow_the_smallest_point_index(self):
-        rng = np.random.default_rng(5)
-        t = rng.uniform(0.0, 2.0 * np.pi, 300)
-        ring = np.stack([np.cos(t), np.sin(t)], axis=1)
-        points = np.concatenate([ring + [9.0, 0.0], ring, ring - [9.0, 0.0]])[rng.permutation(900)]
-        labels = _cluster_components(points)
-        firsts = [int(np.flatnonzero(labels == i)[0]) for i in range(3)]
-        assert firsts == sorted(firsts) and firsts[0] == 0
-        npt.assert_array_equal(labels, _scipy_components(points))
+        points = b.points[b.stratum == b.n]
+        labels = _scipy_components(points)
+        # the components in the order of their first top-stratum sample
+        _, firsts = np.unique(labels, return_index=True)
+        comps = [points[labels == labels[f]] for f in np.sort(firsts)]
+        fits = [_scipy_fit(comp, norm) for comp in comps]
+        radii = [float(norm.conjugate(comp - c).mean()) for comp, (c, _) in zip(comps, fits)]
+        # a union of equal dual balls, by the references at the verdict's tolerances
+        bubble = max(res for _, res in fits) <= 1e-3 * np.mean(radii) and (
+            np.ptp(radii) <= 1e-2 * np.mean(radii)
+        )
+        v = alexandrov_classify(make_catalog_shape(key, norm), norm, r, bundle=b)
+        assert v.is_bubble_union == bubble
+        if bubble:
+            assert v.count == len(comps)
+            # centers follow each component's first top-stratum sample
+            for center, (center_ref, _) in zip(v.centers, fits):
+                npt.assert_allclose(center, center_ref, rtol=0.0, atol=1e-9)
 
 
 class TestLowerBoundRigidity:
@@ -492,18 +508,18 @@ class TestBubbleMemo:
     """One classification per default bundle, shared read-only."""
 
     @staticmethod
-    def _count_clusterings(monkeypatch):
+    def _count_classifications(monkeypatch):
         calls = []
 
-        def counting(points):
+        def counting(points, *args):
             calls.append(len(points))
-            return _cluster_components(points)
+            return _components(points, *args)
 
-        monkeypatch.setattr(theorems, "_cluster_components", counting)
+        monkeypatch.setattr(theorems, "_components", counting)
         return calls
 
     def test_verify_check_classifies_once(self, tmp_path, monkeypatch):
-        calls = self._count_clusterings(monkeypatch)
+        calls = self._count_classifications(monkeypatch)
         path = tmp_path / "wulff.cfg"
         path.write_text(VERIFY_WULFF, encoding="utf-8")
         status, summary = run(load_config(path))
@@ -516,7 +532,7 @@ class TestBubbleMemo:
         shape = make_catalog_shape("three-wulff", Q41)
         first = alexandrov_classify(shape, Q41, 1)
         own = shape.bundles[(Q41.key, 512, 0)]
-        calls = self._count_clusterings(monkeypatch)
+        calls = self._count_classifications(monkeypatch)
         assert alexandrov_classify(shape, Q41, 1, bundle=own) is first
         assert alexandrov_classify(shape, Q41, 1, tol_fit=2e-3) is not first
         assert len(calls) == 1
