@@ -307,6 +307,7 @@ def _unit_ball_radius(norm: Norm) -> float:
 
 _BRACKET_SIZE = 4  # edge in voxels of the blocks whose middles are projected with feet
 _TILE_SIZE = 16  # edge in voxels of the blocks the descent starts from
+_BATCH_BLOCKS = 1 << 14  # blocks, and bracketed centers, the voxel descent holds at once
 
 
 def _box_radius(norm: Norm, half: np.ndarray) -> np.ndarray:
@@ -392,6 +393,12 @@ def voxel_tube_volume(
     evaluated at the dense grid's own coordinates, so counts and error
     estimates equal those of evaluating every center with ``distance_field``.
 
+    The descent is depth first, on a stack of batches of at most
+    ``_BATCH_BLOCKS`` blocks, children on top; foot brackets, and the
+    Monte-Carlo fallback's samples, go in chunks of ``_BATCH_BLOCKS``
+    centers.  So memory is bounded by the constant whatever the grid, and
+    the counts, exact float64 sums of integers, do not depend on the order.
+
     Raises ``ValueError`` for a radius rho that is not positive and finite,
     or a pitch h that is not.
 
@@ -452,51 +459,60 @@ def voxel_tube_volume(
     offsets = np.array(list(itertools.product(range(_BRACKET_SIZE), repeat=d))).T
     steps = (offsets.T - 0.5 * (_BRACKET_SIZE - 1)) * h
     r_unit = _box_radius(norm, np.ones((1, d)))[0]
-    # level-synchronous descent from the grid's tiling by 16-voxel blocks;
-    # org and ext are (d, blocks), so row tests reduce over the short axis 0
-    size = _TILE_SIZE
-    axes = [np.arange(0, n, size) for n in counts_axis]
-    org = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(d, -1)
-    while org.shape[1]:
-        ext = np.minimum(size, counts_axis[:, None] - org)
-        mid = (lo[:, None] + (org + 0.5 * ext) * h).T
-        res = None
-        if size == _BRACKET_SIZE and shape.is_convex:
-            res = shape.exact_projection(norm, mid)
-        delta = distance_field(shape, norm, mid) if res is None else res[1]
-        if size == 1:
-            exact(delta)
-            break
-        R = np.full(len(delta), 0.5 * (size - 1) * h * r_unit)
-        clipped = (ext < size).any(axis=0)
-        R[clipped] = _box_radius(norm, 0.5 * (ext[:, clipped].T - 1) * h)
-        R = R * (1.0 + 1e-9) + tiny
-        split = ~settle(delta - R, delta + R, ext.prod(axis=0))
-        cand = np.flatnonzero(split & (delta == 0.0))
-        if pieces and len(cand):
-            corners = org[:, cand, None] + kids[:, None, :] * (ext[:, cand, None] - 1)
-            pts = (lo[:, None, None] + (corners + 0.5) * h).reshape(d, -1).T
-            interior = np.zeros(len(cand), dtype=bool)
-            for piece in pieces:
-                interior |= piece.contains(pts, tol=-margin).reshape(len(cand), -1).all(axis=1)
-            split[cand[interior]] = False
-        if res is not None:
-            v = mid - res[0]
-            br = np.flatnonzero(split & ~clipped & (delta > h))
-            if len(br):
+    chunk = max(_BATCH_BLOCKS // _BRACKET_SIZE**d, 1)
+    # depth-first descent from the grid's tiling by 16-voxel blocks, on a
+    # stack of (size, org) batches of at most _BATCH_BLOCKS blocks; org and
+    # ext are (d, blocks), so row tests reduce over the short axis 0
+    tiles = -(-counts_axis // _TILE_SIZE)
+    n_tiles = int(np.prod(tiles))
+    for t0 in range(0, n_tiles, _BATCH_BLOCKS):
+        t = np.unravel_index(np.arange(t0, min(t0 + _BATCH_BLOCKS, n_tiles)), tiles)
+        stack = [(_TILE_SIZE, _TILE_SIZE * np.array(t))]
+        while stack:
+            size, org = stack.pop()
+            if org.shape[1] > _BATCH_BLOCKS:
+                stack.append((size, org[:, _BATCH_BLOCKS:]))
+                org = org[:, :_BATCH_BLOCKS]
+            ext = np.minimum(size, counts_axis[:, None] - org)
+            mid = (lo[:, None] + (org + 0.5 * ext) * h).T
+            res = None
+            if size == _BRACKET_SIZE and shape.is_convex:
+                res = shape.exact_projection(norm, mid)
+            delta = distance_field(shape, norm, mid) if res is None else res[1]
+            if size == 1:
+                exact(delta)
+                continue
+            R = np.full(len(delta), 0.5 * (size - 1) * h * r_unit)
+            clipped = (ext < size).any(axis=0)
+            R[clipped] = _box_radius(norm, 0.5 * (ext[:, clipped].T - 1) * h)
+            R = R * (1.0 + 1e-9) + tiny
+            split = ~settle(delta - R, delta + R, ext.prod(axis=0))
+            cand = np.flatnonzero(split & (delta == 0.0))
+            if pieces and len(cand):
+                corners = org[:, cand, None] + kids[:, None, :] * (ext[:, cand, None] - 1)
+                pts = (lo[:, None, None] + (corners + 0.5) * h).reshape(d, -1).T
+                interior = np.zeros(len(cand), dtype=bool)
+                for piece in pieces:
+                    interior |= piece.contains(pts, tol=-margin).reshape(len(cand), -1).all(axis=1)
+                split[cand[interior]] = False
+            if res is not None:
+                v = mid - res[0]
+                br = np.flatnonzero(split & ~clipped & (delta > h))
                 split[br] = False
-                lower, upper = _foot_brackets(norm, v[br], steps)
-                # widened in place: these are the descent's largest arrays
-                eps = 1e-9 * upper + tiny
-                lower -= eps
-                upper += eps
-                blk, j = np.nonzero(~settle(lower, upper))
-                if len(blk):
-                    x = lo + (org[:, br[blk]] + offsets[:, j] + 0.5).T * h
-                    exact(distance_field(shape, norm, x))
-        size //= 2
-        org = (org[:, split, None] + size * kids[:, None, :]).reshape(d, -1)
-        org = org[:, (org < counts_axis[:, None]).all(axis=0)]
+                # each chunk's brackets hold _BATCH_BLOCKS centers, widened in place
+                for c in range(0, len(br), chunk):
+                    b = br[c : c + chunk]
+                    lower, upper = _foot_brackets(norm, v[b], steps)
+                    eps = 1e-9 * upper + tiny
+                    lower -= eps
+                    upper += eps
+                    blk, j = np.nonzero(~settle(lower, upper))
+                    if len(blk):
+                        x = lo + (org[:, b[blk]] + offsets[:, j] + 0.5).T * h
+                        exact(distance_field(shape, norm, x))
+            if split.any():
+                org = (org[:, split, None] + size // 2 * kids[:, None, :]).reshape(d, -1)
+                stack.append((size // 2, org[:, (org < counts_axis[:, None]).all(axis=0)]))
     count = np.cumsum(hist).astype(np.int64)[np.searchsorted(levels, targets)]
     n = len(rho)
     inner, cnt = count[0], count[1 : n + 1]
@@ -506,7 +522,8 @@ def voxel_tube_volume(
 
 
 def _mc_tube_volume(shape, norm, rho, lo, hi, budget, seed):
-    # one jittered sample per cell of a near-isotropic stratified grid
+    # one jittered sample per cell of a near-isotropic stratified grid, drawn
+    # in row-major chunks of _BATCH_BLOCKS cells
     d = len(lo)
     ext = hi - lo
     cell_lin = (np.prod(ext) / budget) ** (1.0 / d)
@@ -516,12 +533,9 @@ def _mc_tube_volume(shape, norm, rho, lo, hi, budget, seed):
     box_vol = float(np.prod(ext))
     rng = np.random.default_rng(seed)
     cnt = np.zeros(len(rho), dtype=np.int64)
-    axes_idx = [np.arange(m) for m in m_axis]
-    per_slice = int(np.prod(m_axis[1:]))
-    block = max(1, 4_000_000 // max(per_slice, 1))
-    for i0 in range(0, m_axis[0], block):
-        sub = [axes_idx[0][i0 : i0 + block]] + axes_idx[1:]
-        idx = np.stack(np.meshgrid(*sub, indexing="ij"), axis=-1).reshape(-1, d)
+    for i0 in range(0, n_cells, _BATCH_BLOCKS):
+        idx = np.unravel_index(np.arange(i0, min(i0 + _BATCH_BLOCKS, n_cells)), m_axis)
+        idx = np.stack(idx, axis=-1)
         pts = lo + (idx + rng.uniform(size=idx.shape)) * cell_size
         delta = distance_field(shape, norm, pts)
         pos = np.sort(delta[delta > 0.0])

@@ -1,6 +1,7 @@
 """Curvature measures, tube volumes, and the Steiner machinery."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
@@ -586,7 +587,7 @@ class TestTiledCount:
         npt.assert_array_equal(got[1], want[1])
 
 
-def _delta_rows(monkeypatch, shape, norm, rho, h):
+def _delta_rows(monkeypatch, shape, norm, rho, h, window=None):
     """delta evaluations of one voxel count: the rows of outermost exact_projection calls.
 
     Every distance, on a closed-form pair, starts in a shape's
@@ -612,9 +613,9 @@ def _delta_rows(monkeypatch, shape, norm, rho, h):
             if "exact_projection" in vars(cls):
                 wrapped = counting(vars(cls)["exact_projection"])
                 monkeypatch.setattr(cls, "exact_projection", wrapped)
-    got = voxel_tube_volume(shape, norm, rho, h)
+    got = voxel_tube_volume(shape, norm, rho, h, window=window)
     monkeypatch.undo()
-    want = _dense_tube_volume(shape, norm, rho, h)
+    want = _dense_tube_volume(shape, norm, rho, h, window=window)
     npt.assert_array_equal(got[0], want[0])
     npt.assert_array_equal(got[1], want[1])
     return rows[0]
@@ -680,6 +681,97 @@ class TestFootBrackets:
         assert want[0][-1] > 0
         npt.assert_array_equal(got[0], want[0])
         npt.assert_array_equal(got[1], want[1])
+
+
+class TestBoundedMemory:
+    """Batches and bracket chunks of at most _BATCH_BLOCKS blocks keep every count."""
+
+    @pytest.mark.parametrize(
+        "key,norm,rho,h,window",
+        [
+            pytest.param(key, norm, TestPrunedCount.RHO, 256.0, None, id=f"{key}-{norm.kind}")
+            for key in ("disk", "unit-square", "ellipse-2-1", "cap-lens-0.5", "two-disks-gap1")
+            for norm in (E2, Q41)
+        ]
+        + [
+            pytest.param("cube", norm, TestPrunedCount.RHO, 64.0, None, id=f"cube-{norm.kind}")
+            for norm in (E3, Q411)
+        ]
+        + [
+            pytest.param(
+                "segment-pair",
+                E2,
+                [r0 + s for r0 in (0.5, 1.0, 1.5) for s in (-0.25, 0.0, 0.25)],
+                1024.0,
+                ([-2.0, -10.0], [2.0, 10.0]),
+                id="segment-pair-window",
+            ),
+            pytest.param(
+                "disk", Q41, TestPrunedCount.RHO, 512.0, ([-0.37, -1.61], [1.83, 0.29]),
+                id="disk-window-through-the-tiles",
+            ),
+            pytest.param("disk-complement", E2, TestPrunedCount.RHO, 256.0, None, id="disk-complement"),
+            pytest.param(
+                "cube",
+                EllipsoidalNorm(_rotated_q([3.0, 1.0, 0.25], (2.1, 0.8, 0.5))),
+                (0.1, 0.25),
+                128.0,
+                ([0.75] * 3, [1.25] * 3),
+                id="cube-corner-window",
+            ),
+        ],
+    )
+    def test_tiny_batches_evaluate_the_same_centers(self, monkeypatch, key, norm, rho, h, window):
+        # batches of 37 blocks, and bracket chunks of 2 blocks (d = 2) or 1 (d = 3)
+        if key == "disk-complement":
+            shape = make_catalog_shape("disk").complement()
+        else:
+            shape = make_catalog_shape(key)
+        h = shape.diameter / h
+        want = _delta_rows(monkeypatch, shape, norm, rho, h, window)
+        monkeypatch.setattr(measures, "_BATCH_BLOCKS", 37)
+        assert _delta_rows(monkeypatch, shape, norm, rho, h, window) == want
+
+    def test_cube_tube_peak(self):
+        # a whole level of the descent held at once traced 272 MB
+        cube = make_catalog_shape("cube")
+        norm = EllipsoidalNorm(np.diag([4.0, 1.0, 2.0]))
+        tracemalloc.start()
+        try:
+            voxel_tube_volume(cube, norm, (0.25, 0.5, 0.75, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+    def test_mc_chunks_draw_the_one_pass_sample(self):
+        disk, rho, h, budget, seed = make_catalog_shape("disk"), np.array([0.3, 0.5]), 1e-4, 50_000, 5
+        got = voxel_tube_volume(disk, E2, rho, h, mc_budget=budget, seed=seed)
+        # one jittered sample per cell, all drawn in one pass
+        lo, hi = disk.bounding_box()
+        pad = rho.max() * _unit_ball_radius(E2) + 3.0 * h
+        lo, hi = lo - pad, hi + pad
+        ext = hi - lo
+        m_axis = np.maximum(np.round(ext / (np.prod(ext) / budget) ** 0.5).astype(int), 1)
+        assert m_axis.prod() > 3 * measures._BATCH_BLOCKS
+        idx = np.stack(np.meshgrid(*map(np.arange, m_axis), indexing="ij"), axis=-1).reshape(-1, 2)
+        u = np.random.default_rng(seed).uniform(size=idx.shape)
+        delta = distance_field(disk, E2, lo + (idx + u) * (ext / m_axis))
+        p_hat = ((delta[:, None] > 0.0) & (delta[:, None] <= rho)).sum(axis=0) / len(idx)
+        box_vol = float(np.prod(ext))
+        npt.assert_array_equal(got[0], p_hat * box_vol)
+        npt.assert_array_equal(got[1], box_vol * np.sqrt(p_hat * (1.0 - p_hat) / len(idx)))
+
+    def test_mc_peak(self):
+        # 4 M-point slabs traced 186 MB
+        disk = make_catalog_shape("disk")
+        tracemalloc.start()
+        try:
+            voxel_tube_volume(disk, E2, [0.3, 0.5], h=1e-4, mc_budget=2_000_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def _box_2d(center, half):
