@@ -368,10 +368,15 @@ def voxel_tube_volume(
 
     The count descends a quadtree/octree of voxel blocks instead of
     evaluating delta at every center, starting from the grid's tiling by
-    16 x 16 (x 16) blocks, the tree's blocks at that level.  A band known
-    to hold delta that holds none of the counting levels 0, r_half, rho,
-    rho - r_half, rho + r_half (padded by 1e-9 relative plus a tiny
-    absolute term, for rounding) settles what it covers:
+    16 x 16 (x 16) blocks, the tree's blocks at that level.  Only the tiles
+    that meet the set's bounding box, grown along each axis e_i by
+    phi(e_i) (max rho + r_half) plus a voxel, enter: phi(e_i) is the extent
+    of the dual ball {phi_* <= 1} along e_i, so every center with
+    0 < delta <= max rho + r_half lies in that box (a complement's tube lies
+    in its base).  A band known to hold delta that holds none of the
+    counting levels 0, r_half, rho, rho - r_half, rho + r_half (padded by
+    1e-9 relative plus a tiny absolute term, for rounding) settles what it
+    covers:
 
     * delta is 1-Lipschitz for phi_*, so with R the largest phi_* over the
       corner offsets of a block's box of centers, every center lies in
@@ -382,8 +387,11 @@ def voxel_tube_volume(
       the support search, on the boundary to rounding).  With
       g = grad phi_*(m - p), the set lies in {y : g . (y - p) <= 0} and
       phi(g) = 1, so each center x has g . (x - p) <= delta(x) <= phi_*(x - p),
-      a band that settles x (``_foot_brackets``); the block's other
-      centers are evaluated.
+      a band that settles x (``_foot_brackets``; each block's bands are
+      padded by 1e-9 times its largest upper bound, which the convex
+      phi_*(x - p) takes at a corner center).  The centers the
+      brackets leave open are evaluated together, in one ``distance_field``
+      call per batch, or per _BATCH_BLOCKS of them.
 
     On a convex set, or on a ``DisjointUnion`` of convex components, a block
     whose corner centers all lie in the set or in one component, by a
@@ -399,12 +407,14 @@ def voxel_tube_volume(
     centers.  So memory is bounded by the constant whatever the grid, and
     the counts, exact float64 sums of integers, do not depend on the order.
 
-    Raises ``ValueError`` for a radius rho that is not positive and finite,
-    or a pitch h that is not.
+    Raises ``ValueError`` for an empty radius list, a radius rho that is not
+    positive and finite, or a pitch h that is not.
 
     Returns (volumes, error estimates) aligned with ``rho_grid``.
     """
     rho = np.atleast_1d(np.asarray(rho_grid, dtype=float))
+    if not len(rho):
+        raise ValueError("tube radii rho must not be empty")
     if not (np.isfinite(rho) & (rho > 0)).all():
         raise ValueError(f"tube radii rho must be positive and finite, got {rho_grid!r}")
     d = shape.dim
@@ -442,12 +452,13 @@ def voxel_tube_volume(
         """Credit rows of evaluated delta."""
         hist[:] += np.bincount(np.searchsorted(levels, delta[delta > 0.0]), minlength=len(hist))
 
-    def settle(low, high, weight=None):
-        """Credit the rows whose band [low, high] holds no level; return their mask."""
+    def settle(low, high, weight=1.0):
+        """Credit the rows whose band [low, high] holds no level; return the others' mask."""
         k = np.searchsorted(levels, low)
-        ok = above[k] > high
-        hist[:] += np.bincount(k[ok], None if weight is None else weight[ok], len(hist))
-        return ok
+        open_ = above[k] <= high
+        # open rows weigh 0: no masked copies of k or of the weights
+        hist[:] += np.bincount(k.ravel(), (weight * ~open_).ravel(), len(hist))
+        return open_
 
     tiny = 1e-9 * (h + float(rho.max()))
     # corner centers this far inside a convex piece are inside by far more
@@ -458,16 +469,28 @@ def voxel_tube_volume(
     # a bracketed block's centers: index offsets, and offsets from its middle
     offsets = np.array(list(itertools.product(range(_BRACKET_SIZE), repeat=d))).T
     steps = (offsets.T - 0.5 * (_BRACKET_SIZE - 1)) * h
+    # the upper bound phi_*(v + s) is convex in s, so largest at a corner step
+    corner_steps = np.flatnonzero((offsets % (_BRACKET_SIZE - 1) == 0).all(axis=0))
     r_unit = _box_radius(norm, np.ones((1, d)))[0]
     chunk = max(_BATCH_BLOCKS // _BRACKET_SIZE**d, 1)
-    # depth-first descent from the grid's tiling by 16-voxel blocks, on a
-    # stack of (size, org) batches of at most _BATCH_BLOCKS blocks; org and
-    # ext are (d, blocks), so row tests reduce over the short axis 0
-    tiles = -(-counts_axis // _TILE_SIZE)
+    # a center with 0 < delta <= levels[-1] lies within levels[-1] phi(e_i),
+    # the dual ball's extent, of the set's box along axis i (a complement's
+    # tube lies in its base); tiles outside would only feed hist's top bin
+    b_lo, b_hi = shape.bounding_box()
+    grow = levels[-1] * norm.value(np.eye(d)) + h
+    # voxels whose cells meet the grown box, then the tiles that hold them
+    i_lo = np.floor((b_lo - grow - lo) / h).astype(int)
+    i_hi = np.floor((b_hi + grow - lo) / h).astype(int)
+    t_lo = np.maximum(i_lo // _TILE_SIZE, 0)
+    t_hi = np.minimum(i_hi // _TILE_SIZE + 1, -(-counts_axis // _TILE_SIZE))
+    tiles = np.maximum(t_hi - t_lo, 0)
     n_tiles = int(np.prod(tiles))
+    # depth-first descent from those tiles of the grid's tiling by 16-voxel
+    # blocks, on a stack of (size, org) batches of at most _BATCH_BLOCKS
+    # blocks; org and ext are (d, blocks), so row tests reduce over axis 0
     for t0 in range(0, n_tiles, _BATCH_BLOCKS):
         t = np.unravel_index(np.arange(t0, min(t0 + _BATCH_BLOCKS, n_tiles)), tiles)
-        stack = [(_TILE_SIZE, _TILE_SIZE * np.array(t))]
+        stack = [(_TILE_SIZE, _TILE_SIZE * (np.array(t) + t_lo[:, None]))]
         while stack:
             size, org = stack.pop()
             if org.shape[1] > _BATCH_BLOCKS:
@@ -486,7 +509,7 @@ def voxel_tube_volume(
             clipped = (ext < size).any(axis=0)
             R[clipped] = _box_radius(norm, 0.5 * (ext[:, clipped].T - 1) * h)
             R = R * (1.0 + 1e-9) + tiny
-            split = ~settle(delta - R, delta + R, ext.prod(axis=0))
+            split = settle(delta - R, delta + R, ext.prod(axis=0))
             cand = np.flatnonzero(split & (delta == 0.0))
             if pieces and len(cand):
                 corners = org[:, cand, None] + kids[:, None, :] * (ext[:, cand, None] - 1)
@@ -499,20 +522,25 @@ def voxel_tube_volume(
                 v = mid - res[0]
                 br = np.flatnonzero(split & ~clipped & (delta > h))
                 split[br] = False
-                # each chunk's brackets hold _BATCH_BLOCKS centers, widened in place
+                # each chunk's brackets hold _BATCH_BLOCKS centers, each block
+                # padded once; the centers they leave open are evaluated in
+                # one call per _BATCH_BLOCKS of them, and one for the rest
+                held, n_held = [], 0
                 for c in range(0, len(br), chunk):
                     b = br[c : c + chunk]
                     lower, upper = _foot_brackets(norm, v[b], steps)
-                    eps = 1e-9 * upper + tiny
-                    lower -= eps
-                    upper += eps
-                    blk, j = np.nonzero(~settle(lower, upper))
-                    if len(blk):
-                        x = lo + (org[:, b[blk]] + offsets[:, j] + 0.5).T * h
-                        exact(distance_field(shape, norm, x))
+                    eps = 1e-9 * upper[:, corner_steps].max(axis=1, keepdims=True) + tiny
+                    blk, j = np.nonzero(settle(lower - eps, upper + eps))
+                    held.append(lo + (org[:, b[blk]] + offsets[:, j] + 0.5).T * h)
+                    n_held += len(blk)
+                    if n_held and (n_held >= _BATCH_BLOCKS or c + chunk >= len(br)):
+                        exact(distance_field(shape, norm, np.concatenate(held)))
+                        held, n_held = [], 0
             if split.any():
                 org = (org[:, split, None] + size // 2 * kids[:, None, :]).reshape(d, -1)
-                stack.append((size // 2, org[:, (org < counts_axis[:, None]).all(axis=0)]))
+                if clipped[split].any():
+                    org = org[:, (org < counts_axis[:, None]).all(axis=0)]
+                stack.append((size // 2, org))
     count = np.cumsum(hist).astype(np.int64)[np.searchsorted(levels, targets)]
     n = len(rho)
     inner, cnt = count[0], count[1 : n + 1]

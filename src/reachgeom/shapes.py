@@ -597,9 +597,11 @@ class WulffBody(Shape):
         1/|r(t)| - 1, which is concave and increasing in t (Moré and Sorensen,
         "Computing a trust region step", 1983), so from a lower bound of the
         root it rises to it monotonically; with f = |r|^2 its step is
-        f (sqrt(f) - 1) / sum r^2 / (t + s^2).  The coordinates are kept as
-        rows (d, n), so each sum runs over the short axis.  Interior points
-        are their own feet, at distance 0.
+        f (sqrt(f) - 1) / sum r^2 / (t + s^2).  Every row takes each step,
+        masked: a row stops moving after its first step below
+        1e-15 (t + max s^2), so its bits do not depend on its batch.  The
+        coordinates are kept as rows (d, n), so each sum runs over the short
+        axis.  Interior points are their own feet, at distance 0.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         L = norm.dual_transform
@@ -612,19 +614,20 @@ class WulffBody(Shape):
         sz = s * z
         # the root lies in [|s z| - max s^2, |s z| - min s^2]
         t = np.maximum(np.sqrt((sz * sz).sum(axis=0)) - s2[0], 0.0)
-        act = np.arange(len(out))
+        live = np.ones(len(out), dtype=bool)
         for _ in range(100):
-            ta = t[act] + s2
-            r = sz[:, act] / ta
+            ta = t + s2
+            r = sz / ta
             r2 = r * r
             f = r2.sum(axis=0)
             step = f * (np.sqrt(f) - 1.0) / (r2 / ta).sum(axis=0)
-            t[act] += np.maximum(step, 0.0)
-            act = act[step > 1e-15 * ta[-1]]
-            if not len(act):
+            t += np.where(live, np.maximum(step, 0.0), 0.0)
+            live &= step > 1e-15 * ta[-1]
+            if not live.any():
                 break
         else:
-            raise NonConvergenceError(f"{len(act)} ellipsoid projections did not converge")
+            raise NonConvergenceError(f"{live.sum()} ellipsoid projections did not converge")
+        del ta, r, r2, f, step  # full width: alive, they would raise the peak below
         ts = t + s2
         w = s2 * z / ts
         e = t * z / ts  # z - w without the cancellation

@@ -427,6 +427,10 @@ class TestVoxelTube:
         a2 = voxel_tube_volume(disk, E2, [0.3, 0.5], h=1e-4, mc_budget=500_000, seed=11)
         npt.assert_array_equal(a1[0], a2[0])
 
+    def test_rejects_an_empty_radius_list(self):
+        with pytest.raises(ValueError, match="radii rho must not be empty"):
+            voxel_tube_volume(make_catalog_shape("disk"), E2, [])
+
     @pytest.mark.parametrize("rho", [np.nan, np.inf], ids=["nan", "inf"])
     def test_rejects_a_radius_that_is_not_finite(self, rho):
         with pytest.raises(ValueError, match="radii rho"):
@@ -762,6 +766,21 @@ class TestBoundedMemory:
         npt.assert_array_equal(got[0], p_hat * box_vol)
         npt.assert_array_equal(got[1], box_vol * np.sqrt(p_hat * (1.0 - p_hat) / len(idx)))
 
+    def test_disk_tube_peak(self):
+        # the benchmark's disk count at its radii traces 3.19 MB; with the
+        # secular Newton's full-width temporaries kept alive while the feet
+        # are formed it traced 4.03 MB (3.28 MB with tiles over the whole
+        # padded grid)
+        disk, norm = make_catalog_shape("disk"), Q41
+        rho = (0.15, 0.244848, 0.386391, 0.440129, 0.563347, 0.6)
+        tracemalloc.start()
+        try:
+            voxel_tube_volume(disk, norm, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.3 * 2**20
+
     def test_mc_peak(self):
         # 4 M-point slabs traced 186 MB
         disk = make_catalog_shape("disk")
@@ -772,6 +791,80 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def _rotated_q2(diag, angle):
+    """R diag R' with R the plane rotation by ``angle``."""
+    c, s = np.cos(angle), np.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    return R @ np.diag(diag) @ R.T
+
+
+Q14 = EllipsoidalNorm(np.diag([0.25, 1.0]))
+QROT = EllipsoidalNorm(_rotated_q2([3.0, 0.5], 0.6))
+LP2 = SmoothedLpNorm(2, 3.0)
+
+
+class TestTileRange:
+    """Tiles only over the set's box grown by phi(e_i) times the top level keep every count.
+
+    The grid's padding follows the dual ball's largest extent, phi(e_i) its
+    extent along e_i; norms whose extents differ by axis, or which are not
+    quadratic, leave tiles of the padding out on some axis.
+    """
+
+    RHO = TestPrunedCount.RHO
+
+    @pytest.mark.parametrize(
+        "key,norm",
+        [
+            pytest.param(key, norm, id=f"{key}-{name}")
+            for key in ("disk", "unit-square", "two-disks-gap1")
+            for name, norm in {"q41": Q41, "q14": Q14, "rotated": QROT}.items()
+        ]
+        + [
+            pytest.param("disk", LP2, id="disk-lp3"),
+            pytest.param("disk-complement", Q41, id="disk-complement-q41"),
+        ],
+    )
+    def test_equals_dense_grid_at_the_default_pitch(self, key, norm):
+        if key == "disk-complement":
+            shape = make_catalog_shape("disk").complement()
+        else:
+            shape = make_catalog_shape(key)
+        got = voxel_tube_volume(shape, norm, self.RHO)
+        want = _dense_tube_volume(shape, norm, self.RHO)
+        npt.assert_array_equal(got[0], want[0])
+        npt.assert_array_equal(got[1], want[1])
+
+    def test_window_cuts_the_tile_range(self):
+        # the window's low corner lies inside the grown box, so the range
+        # starts at the windowed grid's first tile; its high corner lies past
+        # the padded grid, which reaches 3 and 6 tiles past the grown box
+        disk = make_catalog_shape("disk")
+        win = ([-1.13, -0.71], [5.0, 5.0])
+        got = voxel_tube_volume(disk, QROT, self.RHO, window=win)
+        want = _dense_tube_volume(disk, QROT, self.RHO, window=win)
+        assert want[0][-1] > 0
+        npt.assert_array_equal(got[0], want[0])
+        npt.assert_array_equal(got[1], want[1])
+
+    def test_cube_corner_window(self):
+        # phi(e_i) = 2, 1, 1/2 against a padding of 2.1 on every axis; the
+        # window reaches past the padded grid's high faces
+        cube = make_catalog_shape("cube")
+        norm = EllipsoidalNorm(np.diag([4.0, 1.0, 0.25]))
+        rho, h, win = (0.1, 0.25), cube.diameter / 128, ([0.75] * 3, [3.0] * 3)
+        got = voxel_tube_volume(cube, norm, rho, h, window=win)
+        want = _dense_tube_volume(cube, norm, rho, h, window=win)
+        assert want[0][0] > 0
+        npt.assert_array_equal(got[0], want[0])
+        npt.assert_array_equal(got[1], want[1])
+
+    def test_fewer_delta_rows(self, monkeypatch):
+        # tiles over the whole padded grid took 24,562 delta rows here
+        disk = make_catalog_shape("disk")
+        assert _delta_rows(monkeypatch, disk, Q41, self.RHO, disk.diameter / 512) <= 23_500
 
 
 def _box_2d(center, half):

@@ -369,6 +369,71 @@ class TestSecularSolve:
             npt.assert_allclose(delta, _secular_bisection(body, norm, x), rtol=1e-14, atol=0.0)
 
 
+def _slow_newton_rows(body, norm):
+    """Rows outside a quadratic body near its whitened evolute, and just outside it.
+
+    In z = U' L (x - c) the body is the ellipsoid with semi-axes s, in
+    descending order.  Its section by the first and last axes has the
+    evolute (c / s_0 cos^3 t, c / s_k sin^3 t), c = s_0^2 - s_k^2, whose
+    cusps on the last axis lie outside the body when s_0 > 1.62 s_k.  The
+    secular Newton stops after 2 to 6 steps on these rows in 2-d and 2 to 8
+    in 3-d, so each batch holds rows that stop at every step.
+    """
+    L = norm.dual_transform
+    A = np.eye(body.dim) if body.norm.kind == "euclidean" else np.linalg.cholesky(body.norm.Q)
+    U, s, _ = np.linalg.svd(body.radius * L @ A)
+    t = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
+    c = s[0] ** 2 - s[-1] ** 2
+    evolute = np.zeros((len(t), body.dim))
+    evolute[:, 0], evolute[:, -1] = c / s[0] * np.cos(t) ** 3, c / s[-1] * np.sin(t) ** 3
+    u = np.random.default_rng(9).standard_normal((400, body.dim))
+    near = s * u / np.linalg.norm(u, axis=1, keepdims=True)
+    near *= 1.0 + np.geomspace(1e-6, 0.5, len(near))[:, None]
+    z = np.concatenate([evolute * (1.0 + 1e-3), near])
+    z = z[((z / s) ** 2).sum(axis=1) > 1.0]
+    return body.center + np.linalg.solve(L, U @ z.T).T
+
+
+class TestExactProjectionBatches:
+    """A row projected alone has the bytes it has in a tall batch, on each route the voxel descent calls.
+
+    The voxel count equals the dense counter's only so: the two evaluate a
+    center in different batches.  The secular Newton of a quadratic body
+    moves all rows of a batch until its slowest stops.
+    """
+
+    @pytest.mark.parametrize(
+        "shape,norm,slow",
+        [
+            pytest.param(*QUADRATIC_PAIRS["ellipse-rotated"], True, id="ellipse-rotated"),
+            pytest.param(*QUADRATIC_PAIRS["wulff-3d-rotated"], True, id="wulff-3d-rotated"),
+            pytest.param(make_catalog_shape("cap-lens-0.5"), Q41, False, id="cap-lens"),
+            pytest.param(
+                make_catalog_shape("unit-square"), _rotated([3.0, 0.5], [0.7]), False,
+                id="square-rotated",
+            ),
+            pytest.param(
+                make_catalog_shape("cube"), _rotated([3.0, 1.0, 0.25], [2.1, 0.8, 0.5]), False,
+                id="cube-rotated",
+            ),
+            pytest.param(make_catalog_shape("two-disks-gap1"), Q41, False, id="two-disks"),
+        ],
+    )
+    def test_row_alone_equals_row_in_a_tall_batch(self, shape, norm, slow):
+        lo, hi = shape.bounding_box()
+        x = np.random.default_rng(4).uniform(lo - 1.0, hi + 1.0, (10_000, shape.dim))
+        rows = np.arange(0, len(x), 29)
+        if slow:
+            hard = _slow_newton_rows(shape, norm)
+            rows = np.r_[rows, len(x) + np.arange(len(hard))]
+            x = np.concatenate([x, hard])
+        feet, delta = shape.exact_projection(norm, x)
+        for i in rows:
+            f, d = shape.exact_projection(norm, x[i : i + 1])
+            assert f.tobytes() == feet[i : i + 1].tobytes(), i
+            assert d.tobytes() == delta[i : i + 1].tobytes(), i
+
+
 class TestChartNewton3d:
     def test_smoothed_lp_body_probes_reach_their_feet(self):
         # curvature probes of this body's n = 512 bundle whose chart Newton
