@@ -201,6 +201,9 @@ class ExperimentConfig:
 
 def _as_config(parsed: dict, path: Optional[str] = None) -> ExperimentConfig:
     top = parsed["top"]
+    for key in ("seed", "threads"):
+        if key in top and not (isinstance(top[key], int) and not isinstance(top[key], bool)):
+            raise ConfigError(f"{key} must be an integer", field_=key)
     cfg = ExperimentConfig(
         seed=int(top.get("seed", 0)),
         threads=int(top.get("threads", 1)),
@@ -306,7 +309,7 @@ def load_config(path) -> ExperimentConfig:
 def _run_norm_check(cfg: ExperimentConfig, spec: CheckSpec) -> dict:
     norm = cfg.norms[spec.params["norm"]]
     k = int(spec.params.get("samples", 1000))
-    tol = float(spec.params.get("tolerance", 1e-8))
+    tol = _tolerance(spec, 1e-8)
     rng = default_rng(cfg.seed)
     u = rng.standard_normal((k, norm.dim))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -361,12 +364,30 @@ def _run_reach(cfg: ExperimentConfig, spec: CheckSpec) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    # a config's true and false are bools, which Python counts as ints
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value, name: str, line: Optional[int]) -> list:
+    """A number or a list of numbers, as a list; anything else is a ConfigError."""
+    items = value if isinstance(value, list) else [value]
+    if not all(map(_is_number, items)):
+        raise ConfigError(f"{name} must be a number, list, or grid", line=line, field_=name)
+    return items
+
+
 def _as_float_list(value, name: str, line: Optional[int]) -> list:
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    if isinstance(value, list):
-        return [float(v) for v in value]
-    raise ConfigError(f"{name} must be a number, list, or grid", line=line, field_=name)
+    return [float(v) for v in _numbers(value, name, line)]
+
+
+def _tolerance(spec: CheckSpec, default: float) -> float:
+    tol = spec.params.get("tolerance", default)
+    if not _is_number(tol):
+        raise ConfigError(
+            f"check {spec.name!r}: tolerance must be a number", line=spec.line, field_="tolerance"
+        )
+    return float(tol)
 
 
 def _run_tube(cfg: ExperimentConfig, spec: CheckSpec) -> dict:
@@ -380,13 +401,13 @@ def _run_tube(cfg: ExperimentConfig, spec: CheckSpec) -> dict:
             f"check {spec.name!r} needs positive tube radii", line=spec.line, field_="rho"
         )
     h = spec.params.get("h")
-    if h is not None and not (isinstance(h, (int, float)) and 0 < h < np.inf):
+    if h is not None and not (_is_number(h) and 0 < h < np.inf):
         raise ConfigError(
             f"check {spec.name!r}: voxel pitch must be a positive number",
             line=spec.line,
             field_="h",
         )
-    tol = float(spec.params.get("tolerance", 0.01))
+    tol = _tolerance(spec, 0.01)
     rec = tube_record(
         shape,
         norm,
@@ -419,9 +440,7 @@ def _run_measures(cfg: ExperimentConfig, spec: CheckSpec) -> dict:
     shape = cfg.shapes[spec.params["shape"]]
     norm = cfg.norms[spec.params["norm"]]
     n = shape.dim - 1
-    orders = spec.params.get("m", list(range(n + 1)))
-    if isinstance(orders, (int, float)):
-        orders = [orders]
+    orders = _numbers(spec.params.get("m", list(range(n + 1))), "m", spec.line)
     if not all(m in range(n + 1) for m in orders):
         raise ConfigError(
             f"check {spec.name!r}: every m must be an integer in 0..{n}",
@@ -451,7 +470,7 @@ def _run_measures(cfg: ExperimentConfig, spec: CheckSpec) -> dict:
                 line=spec.line,
                 field_="expect_theta",
             )
-        tol = float(spec.params.get("tolerance", 0.01))
+        tol = _tolerance(spec, 0.01)
         got = np.array([rep.theta_total for rep in reports])
         err = np.abs(got - np.array(want)) / np.maximum(np.abs(want), 1e-300)
         out["passed"] = bool((err <= tol).all())
@@ -463,20 +482,20 @@ def _run_verify(cfg: ExperimentConfig, spec: CheckSpec) -> dict:
     shape = cfg.shapes[spec.params["shape"]]
     norm = cfg.norms[spec.params["norm"]]
     n_samples = int(spec.params.get("samples", 512))
+    # read before any work, and outside the try below, which records a
+    # ValueError as a failed verdict
+    orders = {
+        key: [int(r) for r in _numbers(spec.params.get(key, []), key, spec.line)]
+        for key in ("minkowski", "mean_convex", "alexandrov")
+    }
     bundle = _auto_bundle(shape, norm, None, n_samples, cfg.seed)
     verdicts = []
 
     def record(name, ok, detail):
         verdicts.append({"check": name, "ok": bool(ok), **detail})
 
-    def orders(key):
-        v = spec.params.get(key, [])
-        if isinstance(v, (int, float)):
-            v = [v]
-        return [int(x) for x in v]
-
     try:
-        for r in orders("minkowski"):
+        for r in orders["minkowski"]:
             v = minkowski_check(shape, norm, r, bundle=bundle, n=n_samples, seed=cfg.seed)
             record(v.name, v.passed, {"residual": v.residual, "tolerance": v.tolerance})
         if spec.params.get("heintze_karcher", False):
@@ -493,11 +512,11 @@ def _run_verify(cfg: ExperimentConfig, spec: CheckSpec) -> dict:
                     "flag": v.notes.get("slack_flag"),
                 },
             )
-        for r in orders("mean_convex"):
+        for r in orders["mean_convex"]:
             v = mean_convexity_ledger(shape, norm, r, bundle=bundle, n=n_samples, seed=cfg.seed)
             record(v.name, v.passed, {"worst": v.lhs, "witnesses": len(v.witnesses)})
         expect_bubble = bool(spec.params.get("expect_bubble", True))
-        for r in orders("alexandrov"):
+        for r in orders["alexandrov"]:
             v = alexandrov_classify(shape, norm, r, bundle=bundle, n=n_samples, seed=cfg.seed)
             record(
                 f"alexandrov-r{r}",

@@ -305,9 +305,62 @@ def _unit_ball_radius(norm: Norm) -> float:
     return 1.05 * float((1.0 / norm.conjugate(u)).max())
 
 
-_BRACKET_SIZE = 4  # edge in voxels of the blocks whose middles are projected with feet
+_BRACKET_CENTERS = 64  # centers of the blocks whose middles are projected with feet
 _TILE_SIZE = 16  # edge in voxels of the blocks the descent starts from
 _BATCH_BLOCKS = 1 << 14  # blocks, and bracketed centers, the voxel descent holds at once
+_INDEX_BINS = 4096  # most bins of a level index wider than a third of the least level gap
+
+
+class _LevelIndex:
+    """``np.searchsorted(levels, x)`` by table lookup, for sorted finite levels.
+
+    Bins [q w, (q + 1) w) count from levels[0] - w, and w is a third of the
+    least positive gap between levels (or 1/_INDEX_BINS of their span, if
+    that is wider), so a bin's neighborhood [(q - 1) w, (q + 2) w) holds one
+    level but for duplicates.  A table holds, per bin q, the count of levels
+    below (q - 1) w and the levels inside that neighborhood, padded with inf;
+    x takes the count of its bin q = floor((x - levels[0] + w) / w) plus one
+    comparison per neighborhood level.  Rounding misplaces q by far less
+    than one bin, so the levels below the neighborhood lie below x and those
+    above it at or above x.  Bins are clipped to the table, whose end bins
+    lie a bin beyond the levels, so x at or beyond either end is exact as
+    well.  x must not be NaN.
+
+    The work arrays are kept from call to call, grown to the largest x: the
+    voxel count's arrays are 128 KiB, and fresh ones that large are mapped
+    anew, page by page.  So one index serves one thread.
+    """
+
+    def __init__(self, levels: np.ndarray):
+        span = float(levels[-1] - levels[0])
+        gaps = np.diff(levels)
+        gaps = gaps[gaps > 0.0]
+        w = max(float(gaps.min()) / 3.0, span / _INDEX_BINS) if len(gaps) else 1.0
+        self.origin, self.inv = levels[0] - w, 1.0 / w
+        self.n = n = int(span * self.inv) + 5
+        # below[q]: the levels below (q - 1) w, where bin q's neighborhood starts
+        below = np.searchsorted(levels, self.origin + (np.arange(n + 3) - 1.0) * w)
+        self.base, stop = below[:n], below[3:]
+        # table[j, q]: the j-th level of bin q's neighborhood, or inf past its last
+        at = self.base + np.arange((stop - self.base).max())[:, None]
+        self.table = np.where(at < stop, levels[np.minimum(at, len(levels) - 1)], np.inf)
+        self._t, self._q, self._less = np.empty(0), np.empty(0, np.intp), np.empty(0, bool)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if x.size > len(self._t):
+            self._t, self._q = np.empty(x.size), np.empty(x.size, np.intp)
+            self._less = np.empty(x.size, bool)
+        t, q, less = (a[: x.size].reshape(x.shape) for a in (self._t, self._q, self._less))
+        np.subtract(x, self.origin, out=t)
+        t *= self.inv
+        np.clip(t, 0.0, self.n - 1, out=t)
+        np.copyto(q, t, casting="unsafe")
+        k = self.base.take(q)
+        for row in self.table:
+            # t is free once q holds the bins; q is in range, and mode="clip"
+            # takes into t without a buffer
+            k += np.less(row.take(q, out=t, mode="clip"), x, out=less)
+        return k
 
 
 def _box_radius(norm: Norm, half: np.ndarray) -> np.ndarray:
@@ -327,8 +380,8 @@ def _foot_brackets(norm: Norm, v: np.ndarray, steps: np.ndarray):
     v = m - p runs over block middles m less their feet p, s over the
     steps, and g = grad phi_*(v).  Under a quadratic norm, phi_*(y) = |L y|:
     with a = |L v|, c = L v . L s and b = |L s|, g.(v + s) = a + c / a and
-    phi_*(v + s)^2 = a^2 + 2 c + b^2, whose rounding where the sum cancels
-    stays below the 1e-14 (a + b)^2 added to it.
+    phi_*(v + s)^2 = a^2 + b^2 + 2 c, whose rounding where the sum cancels
+    stays below the 1e-14 (a + b)^2 <= 2e-14 (a^2 + b^2) added to it.
     """
     L = norm.dual_transform
     if L is None:
@@ -338,9 +391,14 @@ def _foot_brackets(norm: Norm, v: np.ndarray, steps: np.ndarray):
         return lower, upper.reshape(len(v), -1)
     Lv, Ls = v @ L.T, steps @ L.T
     a2 = row_dot(Lv, Lv)[:, None]
-    a, b = np.sqrt(a2), np.sqrt(row_dot(Ls, Ls))
-    c = Lv @ Ls.T
-    return a + c / a, np.sqrt(a2 + 2.0 * c + b * b + 1e-14 * (a + b) ** 2)
+    a = np.sqrt(a2)
+    # 2 c, and 2 c / 2 a = c / a: scaling by 2 is exact
+    upper = Lv @ (2.0 * Ls).T
+    lower = upper / (a + a)
+    lower += a
+    upper += (1.0 + 2e-14) * a2
+    upper += (1.0 + 2e-14) * row_dot(Ls, Ls)
+    return lower, np.sqrt(upper, out=upper)
 
 
 def voxel_tube_volume(
@@ -381,7 +439,8 @@ def voxel_tube_volume(
     * delta is 1-Lipschitz for phi_*, so with R the largest phi_* over the
       corner offsets of a block's box of centers, every center lies in
       delta(m) +- R, m the block's middle; such a band settles the block.
-    * On a convex set, each unclipped 4 x 4 (x 4) block with delta(m) > h
+    * On a convex set, each unclipped block of _BRACKET_CENTERS centers
+      (8 x 8, or 4 x 4 x 4: an 8-voxel edge in 3-d is slower) with delta(m) > h
       (so m - p is far above rounding, and never 0) is projected with its
       foot p (``exact_projection``: a closed form, or a support point of
       the support search, on the boundary to rounding).  With
@@ -392,6 +451,9 @@ def voxel_tube_volume(
       phi_*(x - p) takes at a corner center).  The centers the
       brackets leave open are evaluated together, in one ``distance_field``
       call per batch, or per _BATCH_BLOCKS of them.
+
+    Bands and evaluated distances find their place among the levels by the
+    table lookup of ``_LevelIndex``, which equals ``np.searchsorted``.
 
     On a convex set, or on a ``DisjointUnion`` of convex components, a block
     whose corner centers all lie in the set or in one component, by a
@@ -445,19 +507,21 @@ def voxel_tube_volume(
     # 0 is a level, so a band that holds no level lies above 0 or at or below it
     levels = np.sort(np.append(targets, 0.0))
     above = np.append(levels, np.inf)
-    # hist[k]: voxels with delta > 0 and k = searchsorted(levels, delta)
+    index = _LevelIndex(levels)
+    # hist[k]: voxels with delta > 0 and k levels below delta
     hist = np.zeros(len(above))
 
     def exact(delta):
         """Credit rows of evaluated delta."""
-        hist[:] += np.bincount(np.searchsorted(levels, delta[delta > 0.0]), minlength=len(hist))
+        hist[:] += np.bincount(index(delta[delta > 0.0]), minlength=len(hist))
 
-    def settle(low, high, weight=1.0):
+    def settle(low, high, weight=None):
         """Credit the rows whose band [low, high] holds no level; return the others' mask."""
-        k = np.searchsorted(levels, low)
-        open_ = above[k] <= high
-        # open rows weigh 0: no masked copies of k or of the weights
-        hist[:] += np.bincount(k.ravel(), (weight * ~open_).ravel(), len(hist))
+        k = index(low)
+        open_ = above.take(k) <= high
+        # open rows go to a spare last bin: no masked copies of k or of the weights
+        k[open_] = len(hist)
+        hist[:] += np.bincount(k.ravel(), weight, len(hist) + 1)[:-1]
         return open_
 
     tiny = 1e-9 * (h + float(rho.max()))
@@ -466,13 +530,15 @@ def voxel_tube_volume(
     margin = 1e-9 * (shape.diameter + float(rho.max()))
     pieces = _convex_pieces(shape) or []
     kids = np.array(list(itertools.product((0, 1), repeat=d))).T
+    # bracketed blocks hold _BRACKET_CENTERS centers: 8 x 8, or 4 x 4 x 4
+    edge = round(_BRACKET_CENTERS ** (1.0 / d))
     # a bracketed block's centers: index offsets, and offsets from its middle
-    offsets = np.array(list(itertools.product(range(_BRACKET_SIZE), repeat=d))).T
-    steps = (offsets.T - 0.5 * (_BRACKET_SIZE - 1)) * h
+    offsets = np.array(list(itertools.product(range(edge), repeat=d))).T
+    steps = (offsets.T - 0.5 * (edge - 1)) * h
     # the upper bound phi_*(v + s) is convex in s, so largest at a corner step
-    corner_steps = np.flatnonzero((offsets % (_BRACKET_SIZE - 1) == 0).all(axis=0))
+    corner_steps = np.flatnonzero((offsets % (edge - 1) == 0).all(axis=0))
     r_unit = _box_radius(norm, np.ones((1, d)))[0]
-    chunk = max(_BATCH_BLOCKS // _BRACKET_SIZE**d, 1)
+    chunk = max(_BATCH_BLOCKS // _BRACKET_CENTERS, 1)
     # a center with 0 < delta <= levels[-1] lies within levels[-1] phi(e_i),
     # the dual ball's extent, of the set's box along axis i (a complement's
     # tube lies in its base); tiles outside would only feed hist's top bin
@@ -499,7 +565,7 @@ def voxel_tube_volume(
             ext = np.minimum(size, counts_axis[:, None] - org)
             mid = (lo[:, None] + (org + 0.5 * ext) * h).T
             res = None
-            if size == _BRACKET_SIZE and shape.is_convex:
+            if size == edge and shape.is_convex:
                 res = shape.exact_projection(norm, mid)
             delta = distance_field(shape, norm, mid) if res is None else res[1]
             if size == 1:
@@ -530,7 +596,9 @@ def voxel_tube_volume(
                     b = br[c : c + chunk]
                     lower, upper = _foot_brackets(norm, v[b], steps)
                     eps = 1e-9 * upper[:, corner_steps].max(axis=1, keepdims=True) + tiny
-                    blk, j = np.nonzero(settle(lower - eps, upper + eps))
+                    lower -= eps
+                    upper += eps
+                    blk, j = np.divmod(np.flatnonzero(settle(lower, upper)), len(steps))
                     held.append(lo + (org[:, b[blk]] + offsets[:, j] + 0.5).T * h)
                     n_held += len(blk)
                     if n_held and (n_held >= _BATCH_BLOCKS or c + chunk >= len(br)):

@@ -350,6 +350,43 @@ class TestMainEntry:
         assert f"line {line}" in err and f"field {field!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "ctype, params, field",
+        [
+            ("tube", "rho = true", "rho"),
+            ("tube", "rho = 0.5, true", "rho"),
+            ("tube", "rho = 0.5\nh = true", "h"),
+            ("measures", "m = true", "m"),
+            ("measures", "m = 1\nexpect_theta = true", "expect_theta"),
+            ("verify", "minkowski = true", "minkowski"),
+            ("verify", "mean_convex = true", "mean_convex"),
+            ("verify", "alexandrov = true", "alexandrov"),
+            ("norm-check", "tolerance = true", "tolerance"),
+            ("tube", "rho = 0.5\ntolerance = true", "tolerance"),
+            ("measures", "m = 1\nexpect_theta = 4.0\ntolerance = true", "tolerance"),
+        ],
+        ids=[
+            "rho", "rho-list", "h", "m", "expect_theta", "minkowski", "mean_convex", "alexandrov",
+            "norm-check-tolerance", "tube-tolerance", "measures-tolerance",
+        ],
+    )
+    def test_boolean_for_a_number_exits_two(self, tmp_path, capsys, ctype, params, field):
+        # true would otherwise be read as 1: h = true counted at pitch 1.0
+        text = MINI + f"\n[check bad]\ntype = {ctype}\nshape = square\nnorm = euclid\n{params}\n"
+        line = text.splitlines().index("[check bad]") + 1
+        assert main([ctype, str(write_config(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}" in err and f"field {field!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line", ["seed = true", "seed = 1.5", "threads = true"])
+    def test_top_level_integer_exits_two(self, tmp_path, capsys, line):
+        # seed = true would otherwise run seed 1
+        text = MINI.replace("seed = 5", line)
+        assert main(["norm-check", str(write_config(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert f"field {line.split()[0]!r}" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("samples", ["-5", "0"])
     @pytest.mark.parametrize("ctype", ["measures", "tube", "verify", "reach", "norm-check"])
     def test_nonpositive_samples_exits_two(self, tmp_path, capsys, ctype, samples):

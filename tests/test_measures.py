@@ -678,13 +678,56 @@ class TestFootBrackets:
         # no closed form for the disk under smoothed-lp: its feet are support
         # points of the support search, which the foot bracket takes as well
         disk, norm = make_catalog_shape("disk"), SmoothedLpNorm(2, 3.0)
-        # 8 x 4 voxels, so the descent passes a 4 x 4 level below the root
-        rho, h, win = (0.1, 0.15), disk.diameter / 64, ([1.05, 0.0], [1.29, 0.12])
+        # 8 x 8 voxels, so the descent passes an 8 x 8 level below the root
+        rho, h, win = (0.1, 0.15), disk.diameter / 64, ([1.0, 0.0], [1.25, 0.25])
         got = voxel_tube_volume(disk, norm, rho, h, window=win)
         want = _dense_tube_volume(disk, norm, rho, h, window=win)
         assert want[0][-1] > 0
         npt.assert_array_equal(got[0], want[0])
         npt.assert_array_equal(got[1], want[1])
+
+
+def _level_sets():
+    """Sorted level sets: random, with duplicates, with neighbors closer than a bin."""
+    rng = np.random.default_rng(29)
+    sets = []
+    for _ in range(40):
+        levels = rng.uniform(-2.0, 3.0, rng.integers(1, 30))
+        dup = rng.choice(levels, rng.integers(0, 4))
+        # at most 1/4096 apart, closer than the bin width span/4096 when span > 1
+        near = levels[: rng.integers(0, 4)] + rng.uniform(0.0, 1.0 / 4096)
+        sets.append(np.sort(np.concatenate([levels, dup, near])))
+    # on a lattice of the least gap, so that levels fall on bin edges
+    for step, start in ((0.1, 0.0), (1.0 / 3.0, -1.0), (3e-7, 5.0)):
+        sets.append(start + step * np.arange(25))
+    # the voxel count's levels: 0, r_half and rho, rho -+ r_half
+    r_half, rho = 0.5 * (2.0 / 512) * np.sqrt(2.0), np.array([0.15, 0.2448, 0.3864, 0.6])
+    sets.append(np.sort(np.concatenate([[0.0, r_half], rho, rho - r_half, rho + r_half])))
+    sets.append(np.array([0.0, 0.0, 0.0]))
+    return sets
+
+
+class TestLevelIndex:
+    """The voxel count's table-lookup level index equals np.searchsorted bit for bit."""
+
+    @pytest.mark.parametrize("levels", _level_sets(), ids=lambda v: f"{len(v)}-levels")
+    def test_equals_searchsorted(self, levels):
+        index = measures._LevelIndex(levels)
+        span = max(levels[-1] - levels[0], 1.0)
+        x = np.concatenate(
+            [
+                levels,
+                np.nextafter(levels, -np.inf),
+                np.nextafter(levels, np.inf),
+                np.random.default_rng(3).uniform(levels[0] - span, levels[-1] + span, 500),
+                [-1.0, -0.0, 0.0, 1e300, -1e300, np.inf, -np.inf],
+            ]
+        )
+        # settle reads (blocks, centers) bands; the work arrays grow to x
+        # and are reused for the smaller x2
+        x2 = x[: len(x) // 8 * 4].reshape(-1, 4)
+        for y in (x2, x, x2):
+            npt.assert_array_equal(index(y), np.searchsorted(levels, y))
 
 
 class TestBoundedMemory:
@@ -767,10 +810,10 @@ class TestBoundedMemory:
         npt.assert_array_equal(got[1], box_vol * np.sqrt(p_hat * (1.0 - p_hat) / len(idx)))
 
     def test_disk_tube_peak(self):
-        # the benchmark's disk count at its radii traces 3.19 MB; with the
-        # secular Newton's full-width temporaries kept alive while the feet
-        # are formed it traced 4.03 MB (3.28 MB with tiles over the whole
-        # padded grid)
+        # the benchmark's disk count at its radii traces 1.76 MB; 4 x 4
+        # bracket blocks traced 3.19 MB, and with the secular Newton's
+        # full-width temporaries kept alive while the feet are formed it
+        # traced 4.03 MB (3.28 MB with tiles over the whole padded grid)
         disk, norm = make_catalog_shape("disk"), Q41
         rho = (0.15, 0.244848, 0.386391, 0.440129, 0.563347, 0.6)
         tracemalloc.start()
@@ -779,7 +822,7 @@ class TestBoundedMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.3 * 2**20
+        assert peak <= 1.85 * 2**20
 
     def test_mc_peak(self):
         # 4 M-point slabs traced 186 MB
@@ -862,9 +905,10 @@ class TestTileRange:
         npt.assert_array_equal(got[1], want[1])
 
     def test_fewer_delta_rows(self, monkeypatch):
-        # tiles over the whole padded grid took 24,562 delta rows here
+        # tiles over the whole padded grid took 24,562 delta rows here, and
+        # 4 x 4 bracket blocks 23,021; 8 x 8 blocks take 15,521
         disk = make_catalog_shape("disk")
-        assert _delta_rows(monkeypatch, disk, Q41, self.RHO, disk.diameter / 512) <= 23_500
+        assert _delta_rows(monkeypatch, disk, Q41, self.RHO, disk.diameter / 512) <= 16_000
 
 
 def _box_2d(center, half):
