@@ -76,13 +76,23 @@ class BudgetExceeded(RuntimeError):
 # ======================================================================
 
 
+def _vector(v, d, what) -> np.ndarray:
+    """v as a float vector of length d; ValueError naming ``what`` otherwise."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (d,):
+        raise ValueError(f"{what} must have length {d}, got shape {v.shape}")
+    return v
+
+
 @dataclass
 class Window:
     """Axis-box x normal-cap x stratum selector on bundle samples.
 
     Any field left at its default matches everything, so ``Window()`` is the
     whole bundle.  The normal cap keeps samples whose Euclidean unit normal
-    u satisfies u . axis >= min_cos (axis gets normalized here).
+    u satisfies u . axis >= min_cos (axis gets normalized here).  ``mask``
+    raises ValueError for a ``lo``, ``hi`` or ``normal_axis`` whose length
+    is not the bundle's dimension, or an axis that is zero or not finite.
     """
 
     name: str = "all"
@@ -93,15 +103,18 @@ class Window:
     strata: Optional[Sequence[int]] = None
 
     def mask(self, sample: BundleSample) -> np.ndarray:
+        d = sample.points.shape[1]
         keep = np.ones(len(sample), dtype=bool)
         if self.lo is not None:
-            keep &= (sample.points >= np.asarray(self.lo, dtype=float)).all(axis=1)
+            keep &= (sample.points >= _vector(self.lo, d, "window lo")).all(axis=1)
         if self.hi is not None:
-            keep &= (sample.points <= np.asarray(self.hi, dtype=float)).all(axis=1)
+            keep &= (sample.points <= _vector(self.hi, d, "window hi")).all(axis=1)
         if self.normal_axis is not None:
-            axis = np.asarray(self.normal_axis, dtype=float)
-            axis = axis / np.linalg.norm(axis)
-            keep &= sample.normals @ axis >= self.normal_min_cos
+            axis = _vector(self.normal_axis, d, "window normal_axis")
+            size = np.linalg.norm(axis)
+            if not (np.isfinite(size) and size > 0):
+                raise ValueError(f"window normal_axis must be finite and nonzero, got {axis}")
+            keep &= sample.normals @ (axis / size) >= self.normal_min_cos
         if self.strata is not None:
             keep &= np.isin(sample.stratum, np.asarray(self.strata, dtype=int))
         return keep
@@ -222,8 +235,9 @@ def curvature_measure(
     The defining integrand on the bundle is phi(u) * J * H_{n-m} with the
     prefactor 1/(n-m+1).  When no bundle is passed one is built on the fly —
     through the exact fan route for convex polytopes, from support Hessians
-    otherwise.  Windows localize the measure; each named window gets
-    its own signed value.  The absolute variant (|integrand| summed) is kept
+    otherwise.  Windows localize the measure; each window gets its own
+    signed value under its name, and two windows sharing a name raise
+    ValueError.  The absolute variant (|integrand| summed) is kept
     alongside to monitor integrability of the signed quadrature.
     """
     nn = shape.dim - 1
@@ -247,6 +261,8 @@ def curvature_measure(
         windows = [window]
     else:
         windows = list(window)
+    if len({w.name for w in windows}) < len(windows):
+        raise ValueError(f"windows must have distinct names, got {[w.name for w in windows]}")
 
     return CurvatureReport(
         m=m,
@@ -470,7 +486,8 @@ def voxel_tube_volume(
     the counts, exact float64 sums of integers, do not depend on the order.
 
     Raises ``ValueError`` for an empty radius list, a radius rho that is not
-    positive and finite, or a pitch h that is not.
+    positive and finite, a pitch h that is not, or a window corner whose
+    length is not the dimension.
 
     Returns (volumes, error estimates) aligned with ``rho_grid``.
     """
@@ -488,7 +505,7 @@ def voxel_tube_volume(
     pad = float(rho.max()) * _unit_ball_radius(norm) + 3.0 * h
     lo, hi = lo - pad, hi + pad
     if window is not None:
-        w_lo, w_hi = (np.asarray(w, dtype=float) for w in window)
+        w_lo, w_hi = (_vector(w, d, "window corner") for w in window)
         lo, hi = np.maximum(lo, w_lo), np.minimum(hi, w_hi)
         if (hi <= lo).any():
             return np.zeros(len(rho)), np.zeros(len(rho))

@@ -79,43 +79,29 @@ def unit_rows(v: np.ndarray) -> np.ndarray:
 
 
 def tangent_basis(u: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to unit vector(s) u.
+    """Orthonormal basis of the line or plane orthogonal to unit vector(s) u, d = 2, 3.
 
     Returns an array of shape (..., d-1, d): rows are the basis vectors.
     Deterministic, and computed for the whole batch at once.  In 2d the basis
-    vector is u rotated by +90 degrees.  For d >= 3 the first row is the
+    vector is u rotated by +90 degrees.  In 3d the first row is the
     coordinate direction e_k least aligned with u (k = argmin |u_k|) with its
-    u-component removed, t1 = (e_k - u u_k) / |e_k - u u_k|; in 3d the second
-    row is u x t1.  For d >= 4 the remaining rows Gram-Schmidt the coordinate
-    directions e_0, e_1, ... in order, skipping those already in the span.
+    u-component removed, t1 = (e_k - u u_k) / |e_k - u u_k|, and the second
+    is u x t1.  Raises ValueError for any other d.
     """
     u = np.asarray(u, dtype=float)
     d = u.shape[-1]
     if d == 2:
         t = np.stack([-u[..., 1], u[..., 0]], axis=-1)
         return t[..., None, :]
+    if d != 3:
+        raise ValueError(f"tangent_basis takes d = 2 or 3, got d = {d}")
     u2 = u.reshape(-1, d)
     rows = np.arange(len(u2))
     k = np.argmin(np.abs(u2), axis=-1)
     t1 = -u2 * u2[rows, k][:, None]
     t1[rows, k] += 1.0
     t1 = unit_rows(t1)
-    out = np.zeros((len(u2), d - 1, d))
-    out[:, 0] = t1
-    if d == 3:
-        out[:, 1] = np.cross(u2, t1)
-    else:
-        filled = np.ones(len(u2), dtype=int)
-        for j in range(d):
-            # e_j minus its components along u and the rows found so far
-            # (rows not yet found are zero and remove nothing)
-            v = -u2 * u2[:, j : j + 1]
-            v[:, j] += 1.0
-            v -= np.einsum("nk,nkd->nd", out[:, :, j], out)
-            nv = np.sqrt(row_dot(v, v))
-            take = np.flatnonzero((filled < d - 1) & (nv > 1e-8))
-            out[take, filled[take]] = v[take] / nv[take, None]
-            filled[take] += 1
+    out = np.stack([t1, np.cross(u2, t1)], axis=1)
     return out.reshape(u.shape[:-1] + (d - 1, d))
 
 

@@ -362,6 +362,30 @@ class TestWindows:
         t_grown = bundle_integral(b, 0, window=grown)
         assert 0.0 <= t_small <= t_grown + 1e-12
 
+    @pytest.mark.parametrize(
+        "window, match",
+        [
+            (Window(lo=(0.0,)), "lo must have length 2"),
+            (Window(hi=(1.0, 1.0, 1.0)), "hi must have length 2"),
+            (Window(normal_axis=(0.0, 0.0, 1.0)), "normal_axis must have length 2"),
+            (Window(normal_axis=(0.0, 0.0)), "finite and nonzero"),
+            (Window(normal_axis=(np.nan, 1.0)), "finite and nonzero"),
+            (Window(normal_axis=(np.inf, 0.0)), "finite and nonzero"),
+        ],
+        ids=["short-lo", "long-hi", "long-axis", "zero-axis", "nan-axis", "inf-axis"],
+    )
+    def test_malformed_window_raises(self, window, match):
+        # a short lo broadcast over both axes, and a zero axis gave 0.0
+        with pytest.raises(ValueError, match=match):
+            curvature_measure(make_catalog_shape("disk"), E2, 1, window=window,
+                              bundle=cached_bundle("disk", E2))
+
+    def test_windows_sharing_a_name_raise(self):
+        # two unnamed windows were one "all" entry, the second's value
+        with pytest.raises(ValueError, match="distinct names"):
+            curvature_measure(make_catalog_shape("unit-square"), E2, 0,
+                              window=[Window(strata=[0]), Window(strata=[1])])
+
 
 class TestPhiPerimeter:
     def test_euclidean_classics(self):
@@ -442,6 +466,14 @@ class TestVoxelTube:
     def test_rejects_a_pitch_that_is_not_positive_and_finite(self, h):
         with pytest.raises(ValueError, match="pitch h"):
             voxel_tube_volume(make_catalog_shape("disk"), E2, [0.25], h)
+
+    @pytest.mark.parametrize(
+        "window", [((0.0,), (5.0,)), ((0.0, 0.0), (5.0, 5.0, 5.0))], ids=["short", "long"]
+    )
+    def test_rejects_a_window_of_another_dimension(self, window):
+        # ((0,), (5,)) broadcast to the (0, 0)-(5, 5) count
+        with pytest.raises(ValueError, match="window corner must have length 2"):
+            voxel_tube_volume(make_catalog_shape("disk"), E2, [0.5], h=0.02, window=window)
 
 
 # candidate feet the reference holds at once; a center of a 3-d box under a

@@ -334,7 +334,7 @@ class TestErrorsAndFactory:
         npt.assert_allclose(gram, np.broadcast_to(np.eye(2), (50, 2, 2)), atol=1e-12)
         npt.assert_allclose(np.einsum("mkd,md->mk", T, u), 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("dim", [3])
     @pytest.mark.parametrize("batch", [(), (40,), (5, 8)])
     def test_tangent_basis_matches_per_row_reference(self, dim, batch):
         u = _unit_vectors(max(int(np.prod(batch)), 1), dim, seed=31)
@@ -345,27 +345,20 @@ class TestErrorsAndFactory:
         assert got.shape == batch + (dim - 1, dim)
         npt.assert_allclose(got.reshape(ref.shape), ref, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_tangent_basis_takes_two_or_three_dimensions(self, dim):
+        with pytest.raises(ValueError, match="d = 2 or 3"):
+            tangent_basis(np.eye(dim)[:1])
+
 
 def _tangent_basis_row(u):
-    """One row at a time: e_k - u u_k for the least aligned axis k, then u x t1
-    in 3d or Gram-Schmidt of the coordinate directions beyond."""
-    d = len(u)
+    """One row at a time: e_k - u u_k for the least aligned axis k, then u x t1."""
     k = int(np.argmin(np.abs(u)))
-    e = np.zeros(d)
+    e = np.zeros(3)
     e[k] = 1.0
     t1 = e - u * u[k]
-    basis = [t1 / np.linalg.norm(t1)]
-    if d == 3:
-        return np.stack([basis[0], np.cross(u, basis[0])])
-    for j in range(d):
-        if len(basis) == d - 1:
-            break
-        v = np.zeros(d)
-        v[j] = 1.0
-        v = v - u * u[j] - sum(b * (b @ v) for b in basis)
-        if np.linalg.norm(v) > 1e-8:
-            basis.append(v / np.linalg.norm(v))
-    return np.stack(basis)
+    t1 = t1 / np.linalg.norm(t1)
+    return np.stack([t1, np.cross(u, t1)])
 
 
 # ----------------------------------------------------------------------

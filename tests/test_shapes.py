@@ -4,10 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, unit_rows
+from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm, unit_rows
 from reachgeom.shapes import (
     Ball,
     CapLens,
+    ComplementShape,
     ConvexPolytope,
     DisjointUnion,
     EmptyInteriorError,
@@ -230,10 +231,6 @@ class TestQuadraticWulffBody:
         norm = EllipsoidalNorm(_rotated_q(dim))
         c = np.arange(1.0, dim + 1.0)
         w = WulffBody(norm, center=c, radius=0.7)
-        if dim == 2:
-            (ch,) = w.charts()
-            t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-            npt.assert_allclose(norm.conjugate(ch.point(t) - c), 0.7, rtol=0, atol=1e-12)
         (s,) = w.boundary_strata(n=256)
         npt.assert_allclose(norm.conjugate(s.points - c), 0.7, rtol=0, atol=1e-12)
         npt.assert_allclose(s.fibers, norm.gauss_map(s.points - c), rtol=0, atol=1e-12)
@@ -601,3 +598,86 @@ def test_catalog_keys():
 def test_catalog_wulff_shapes_need_a_norm(key):
     with pytest.raises(ValueError, match="needs a norm"):
         make_catalog_shape(key)
+
+
+_SAMPLED = [
+    ("disk", None),
+    ("unit-square", None),
+    ("ellipse-2-1", None),
+    ("two-disks-gap1", None),
+    ("two-disks-far", None),
+    ("two-disks-mixed", None),
+    ("cap-lens-0.25", None),
+    ("cap-lens-0.5", None),
+    ("segment-pair", None),
+    ("wulff", Q41),
+    ("wulff", SmoothedLpNorm(2, p=3.0, eps=0.3)),
+    ("three-wulff", Q41),
+    ("cube", None),
+    ("two-balls-3d", None),
+    ("wulff-3d", EllipsoidalNorm(np.diag([4.0, 1.0, 2.25]))),
+    ("wulff-3d", SmoothedLpNorm(3, p=3.0, eps=0.3)),
+]
+
+
+def _exact_measures(shape):
+    """{stratum index: its exact H^m measure}, where that is closed form."""
+    if isinstance(shape, ComplementShape):
+        # only the top stratum's normals survive on the complement side
+        top = shape.dim - 1
+        return {k: v for k, v in _exact_measures(shape.base).items() if k == top}
+    if isinstance(shape, DisjointUnion):
+        parts = [_exact_measures(c) for c in shape.components]
+        return {k: sum(p[k] for p in parts) for k in parts[0] if all(k in p for p in parts)}
+    if isinstance(shape, Ball):
+        r = shape.radius
+        return {1: 2 * np.pi * r} if shape.dim == 2 else {2: 4 * np.pi * r * r}
+    if isinstance(shape, CapLens):
+        return {1: 4 * np.arccos(shape.eps)}
+    if isinstance(shape, SegmentUnion):
+        return {1: sum(np.hypot(*(q - p)) for p, q in shape.segments)}
+    if isinstance(shape, ConvexPolytope) and shape.dim == 2:
+        v = shape.vertices
+        return {1: float(np.hypot(*(np.roll(v, -1, axis=0) - v).T).sum())}
+    if isinstance(shape, ConvexPolytope):
+        a, b, c = shape.hi - shape.lo
+        return {2: 2 * (a * b + a * c + b * c), 1: 4 * (a + b + c)}
+    return {}
+
+
+# a segment union has no interior, so no complement; a complement flips a
+# smoothed-lp body's rows as it does a quadratic one's, which are quicker
+# to locate on the boundary
+_SAMPLED_SIDES = [(k, n, c) for k, n in _SAMPLED for c in (False, True) if not c or (
+    k != "segment-pair" and (n is None or n.kind != "smoothed-lp"))]
+
+
+class TestSampler:
+    @pytest.mark.parametrize("key, norm, complement", _SAMPLED_SIDES, ids=[
+        (k if n is None else f"{k}-{n.kind}") + ("-complement" if c else "")
+        for k, n, c in _SAMPLED_SIDES
+    ])
+    def test_nodes_carry_their_exact_fibers_and_weights(self, key, norm, complement):
+        """Every node of the segment and angle rules lies on the boundary with
+        the fiber ``boundary_fiber_at`` gives there, and every closed-form
+        measure (edges, facets, lens arcs, circles, spheres) is its weights'
+        total, at every n and seed."""
+        shape = make_catalog_shape(key, norm)
+        if complement:
+            shape = shape.complement()
+        exact = _exact_measures(shape)
+        for n in (8, 64, 512):
+            for seed in (0, 3):
+                strata = shape.boundary_strata(n=n, seed=seed)
+                assert strata[0].index == shape.dim - 1
+                for s in strata:
+                    if s.index in exact:
+                        npt.assert_allclose(s.weights.sum(), exact[s.index], rtol=1e-12)
+                    if s.kind == "patch":
+                        continue
+                    for a, row in zip(s.points, s.fibers):
+                        kind, fiber = shape.boundary_fiber_at(a)
+                        assert kind == s.kind
+                        if kind == "pair" and fiber @ row < 0:
+                            fiber = -fiber
+                        npt.assert_allclose(row, fiber, rtol=0, atol=1e-9)
