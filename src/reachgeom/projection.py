@@ -3,8 +3,8 @@
 For a closed set A and a norm phi, the anisotropic distance of a point x is
 ``delta(x) = min { phi_*(x - a) : a in A }``.  Feet of the minimum, the
 direction ``nu = (x - foot)/delta`` (a point of the dual unit body's
-boundary), the ray reach ``sup { s : delta(a + s eta) = s }`` and a global
-reach estimate are all computed here.
+boundary), the ray reach ``sup { s : delta(a + s eta) = s }`` and the global
+reach are all computed here.
 
 Everything vectorizes over batches of query points, and every catalog shape
 projects itself under every norm (``Shape.exact_projection``):
@@ -42,14 +42,13 @@ components, a ``SegmentUnion``'s segments), and separation on the
 complement of a convex K: inside K the distance to the complement is min
 over u of (h_K(u) - u.x)/phi(u), so the ray reach is a least ratio over
 directions (``_complement_reach`` beside each piece's ``_complement_feet``).
-``global_reach`` is half the least gap on unions of ``WulffBody``s and on
-segment unions, 0 on the complement of a base with a corner, and elsewhere
-the least ray reach over a sampled normal bundle.
+``global_reach`` traces no ray either: half the least gap on unions of
+``WulffBody``s and on segment unions, 0 on a complement with a corner, and on
+the complement of ``WulffBody``s the least radius of curvature relative to W.
 
-Memos on the shape: ``reach_estimates`` (``global_reach``, keyed by (norm
-key, n_samples, seed, fiber_nodes)), frozen as they are shared.  Ray
-reaches are computed row by row and not memoized; a bundle keeps the reach
-it reads (``BundleSample.reach``).
+Memos on the shape: ``reach_estimates`` (``global_reach``, keyed by norm key),
+frozen as they are shared.  Ray reaches are computed row by row and not
+memoized; a bundle keeps the reach it reads (``BundleSample.reach``).
 
 A note on uniqueness: points with several nearest feet (the cut locus) form a
 Lebesgue-null set.
@@ -64,7 +63,6 @@ import numpy as np
 
 from .norms import Norm, row_dot
 from .shapes import ComplementShape, DisjointUnion, SegmentUnion, Shape, WulffBody, _gap_bounds
-from .shapes import fiber_nodes as fiber_quadrature
 
 __all__ = [
     "ProjectionResult",
@@ -299,81 +297,49 @@ def _union_reach(pieces, norm, a, eta, s_max, tol_pred):
     return reach
 
 
-def _median(x: np.ndarray) -> float:
-    """np.median of a finite vector, without the numpy.ma import of its NaN check."""
-    x = np.sort(x)
-    k = len(x) // 2
-    return float(x[k] if len(x) % 2 else (x[k - 1] + x[k]) / 2)
+def global_reach(shape: Shape, norm: Norm) -> ReachEstimate:
+    """Global reach, with a bracket on it, tracing no ray.
 
-
-def global_reach(
-    shape: Shape,
-    norm: Norm,
-    n_samples: int = 1024,
-    seed: int = 0,
-    fiber_nodes: int = 8,
-) -> ReachEstimate:
-    """Global reach, with a bracket on it.
-
-    Exact, tracing no ray, on a union of disjoint ``WulffBody``s (half the
-    least pairwise phi_* gap, bracketed by its certified bounds,
-    ``shapes._gap_bounds``), on a ``SegmentUnion`` (half the least segment
-    gap) and on the complement of a base with a corner or edge (0, at the
-    reentrant corner).  Elsewhere it is the least ray reach over a sampled
-    normal bundle (``n_samples``, ``seed``, ``fiber_nodes``), an upper
-    estimate that the bracket widens down by a second-order term in the
-    sample spacing, since the reach varies smoothly between sampled rays.
-
-    Memoized on the shape (``Shape.reach_estimates``) by norm key and the
-    other arguments; every caller gets the one read-only estimate.
+    Half the least pairwise phi_* gap on a union of disjoint ``WulffBody``s,
+    bracketed by its certified bounds (``shapes._gap_bounds``); half the
+    least segment gap on a ``SegmentUnion``; 0 on the complement of a base
+    with a corner or edge; on the complement of a ``WulffBody`` its
+    ``least_relative_radius``, and of a union of them the least over the
+    components (a point in one has the distance and feet of its complement).
+    That value is r1 at a direction, so never below the minimum, and it is
+    the minimum wherever the search grid seeds r1's least basin: it is the
+    bracket at both ends.  Other non-convex shapes raise
+    ``NotImplementedError``.  Memoized on the shape by norm key
+    (``Shape.reach_estimates``); every caller gets the one read-only estimate.
     """
-    memo = shape.reach_estimates
-    key = (norm.key, n_samples, seed, fiber_nodes)
-    est = memo.get(key)
+    est = shape.reach_estimates.get(norm.key)
     if est is None:
         # threads racing here build the same estimate; all get the first
-        est = _global_reach(shape, norm, n_samples, seed, fiber_nodes)
-        est = memo.setdefault(key, est)
+        est = shape.reach_estimates.setdefault(norm.key, _global_reach(shape, norm))
     return est
 
 
-def _global_reach(shape, norm, n_samples, seed, fiber_nodes):
+def _global_reach(shape, norm):
     if shape.is_convex:
         return ReachEstimate(np.inf, (np.inf, np.inf), True)
-
-    pieces = _convex_pieces(shape)
+    if isinstance(shape, SegmentUnion):
+        g = 0.5 * shape.gap(norm)
+        return ReachEstimate(g, (g, g), False)
+    base = shape.base if isinstance(shape, ComplementShape) else None
+    pieces = _convex_pieces(shape if base is None else base)
     if pieces is not None and all(isinstance(c, WulffBody) for c in pieces):
+        if base is not None:
+            g = min(c.least_relative_radius(norm) for c in pieces)
+            return ReachEstimate(g, (g, g), False)
         # a point with two feet lies between two pieces, at least half their
         # gap from both, and the midpoint of their nearest pair attains that
         pairs = [(p, q) for i, p in enumerate(pieces) for q in pieces[i + 1 :]]
         lower, upper = _gap_bounds(pairs, norm)
         g = 0.5 * float(upper.min())
         return ReachEstimate(g, (0.5 * float(lower.min()), g), False)
-    if isinstance(shape, SegmentUnion):
-        g = 0.5 * shape.gap(norm)
-        return ReachEstimate(g, (g, g), False)
-    if isinstance(shape, ComplementShape) and any(
-        s.kind not in ("vector", "pair") for s in shape.base.boundary_strata(n_samples, seed)
-    ):
+    if base is not None and any(s.kind not in ("vector", "pair") for s in base.boundary_strata()):
         return ReachEstimate(0.0, (0.0, 0.0), False)  # a reentrant corner
-
-    strata = shape.boundary_strata(n=n_samples, seed=seed)
-    rays_a, rays_u = [], []
-    for s in strata:
-        uu, _ = fiber_quadrature(s.kind, s.fibers, fiber_nodes)  # (F, q, d)
-        rays_a.append(np.repeat(s.points, uu.shape[1], axis=0))
-        rays_u.append(uu.reshape(-1, shape.dim))
-    rays_eta = norm.grad(np.concatenate(rays_u))
-    g = float(reach_along(shape, norm, np.concatenate(rays_a), rays_eta, validate=False).min())
-    spacing = 0.0
-    # a union's stratum of one dimension may come in pieces of several kinds;
-    # corners (dimension 0) carry weight 1 each and no spacing
-    for m in {s.index for s in strata} - {0}:
-        w = np.concatenate([s.weights for s in strata if s.index == m])
-        if len(w) > 1:
-            spacing = max(spacing, _median(w))
-    slack = 2.0 * spacing**2 / max(g, 1e-12)
-    return ReachEstimate(g, (max(g - slack, 0.0), g), not np.isfinite(g))
+    raise NotImplementedError(f"{shape.name} has no exact global reach")
 
 
 def _near_and_apart(feet, vals, val, sep):

@@ -50,6 +50,7 @@ from .norms import (
     Norm,
     _circle,
     _newton_rows,
+    _search_grid,
     _support_search,
     fibonacci_sphere,
     row_dot,
@@ -293,7 +294,7 @@ class Shape:
 
     @property
     def reach_estimates(self) -> dict:
-        """``global_reach`` results by norm key and sampling arguments, filled by projection."""
+        """``global_reach`` results by norm key, filled by projection."""
         return self.__dict__.setdefault("_reach_estimates", {})
 
     @property
@@ -503,6 +504,39 @@ class WulffBody(Shape):
     def support_hessian(self, u) -> np.ndarray:
         """D2h(u) = rho D2psi(u)."""
         return self.radius * self.norm.hessian(u)
+
+    def least_relative_radius(self, norm: Norm) -> float:
+        """min over unit u of r1(u), the least radius of curvature of the body
+        relative to the Wulff shape W of ``norm``: the least generalized
+        eigenvalue of (D2h(u), D2phi(u)) on u-perp, 1/kappa_max of
+        ``curvature.support_curvatures``.  h - r phi is convex exactly for
+        r <= min r1, and then the body is M + r W (Schneider, *Convex Bodies*,
+        1.7 and 3.2): r W rolls freely inside it, and the focal point of the
+        least radius bounds it, so min r1 is the reach of the complement.
+        Taken on ``norms._search_grid``, then polished from the 8 least by a
+        pattern search on the tangent plane: 40 rounds of a step (first the
+        grid's spacing) both ways along each tangent basis vector, moving to
+        the least trial if lower, else halving the step.
+        """
+        from .curvature import support_curvatures  # curvature sits above shapes
+
+        def radii(u):
+            return 1.0 / support_curvatures(norm, u, self.support_hessian(u))[0][:, -1]
+
+        dirs = _search_grid(self.dim)
+        r = radii(dirs)
+        best = np.argsort(r)[:8]
+        u, r = dirs[best], r[best]
+        step = np.full(8, (2 * np.pi * (self.dim - 1) / len(dirs)) ** (1 / (self.dim - 1)))
+        ways = np.r_[np.eye(self.dim - 1), -np.eye(self.dim - 1)]
+        for _ in range(40):
+            trials = unit_rows(u[:, None] + step[:, None, None] * (ways @ tangent_basis(u)))
+            rt = radii(trials.reshape(-1, self.dim)).reshape(8, -1)
+            k = np.argmin(rt, axis=1)
+            hit = rt[np.arange(8), k] < r
+            u[hit], r[hit] = trials[hit, k[hit]], rt[hit, k[hit]]
+            step[~hit] *= 0.5
+        return float(r.min())
 
     def bounding_box(self):
         # support of W in axis directions: h_W(e) = phi(e)

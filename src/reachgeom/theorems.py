@@ -451,17 +451,17 @@ def alexandrov_classify(
     b = _auto_bundle(shape, norm, bundle, n, seed)
     tols = (tol_const, tol_rad, tol_fit, tol_sing)
     if b is not shape.bundles.get((norm.key, n, seed)):
-        return _classify(shape, norm, r, b, vol, seed, *tols, check_gaps)
+        return _classify(shape, norm, r, b, vol, *tols, check_gaps)
     key = (norm.key, r, n, seed, *tols, check_gaps)
     verdict = shape.bubble_verdicts.get(key)
     if verdict is None:
         # threads racing here classify the same bundle; all get the first
-        verdict = _classify(shape, norm, r, b, vol, seed, *tols, check_gaps)
+        verdict = _classify(shape, norm, r, b, vol, *tols, check_gaps)
         verdict = shape.bubble_verdicts.setdefault(key, verdict)
     return verdict
 
 
-def _classify(shape, norm, r, b, vol, seed, tol_const, tol_rad, tol_fit, tol_sing, check_gaps):
+def _classify(shape, norm, r, b, vol, tol_const, tol_rad, tol_fit, tol_sing, check_gaps):
     """The classification of ``alexandrov_classify`` on the bundle b."""
     nn = b.n
 
@@ -519,7 +519,7 @@ def _classify(shape, norm, r, b, vol, seed, tol_const, tol_rad, tol_fit, tol_sin
         return rejected("component radius mismatch", **notes)
 
     if count > 1 and check_gaps:
-        est = global_reach(shape, norm, seed=seed)
+        est = global_reach(shape, norm)
         i, j = np.triu_indices(count, 1)
         gaps = (norm.conjugate(centers[j] - centers[i]) - 2.0 * radius).tolist()
         notes["center_gaps"] = gaps

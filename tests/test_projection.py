@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachgeom import norms, projection, shapes
-from reachgeom.curvature import bundle_nodes
+from reachgeom.curvature import bundle_nodes, support_curvatures
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm, unit_rows
 from reachgeom.projection import (
     InvalidNormalError,
@@ -40,6 +40,7 @@ from reachgeom.shapes import (
 E2 = EuclideanNorm(2)
 Q41 = EllipsoidalNorm(np.diag([4.0, 1.0]))
 LP2, LP3 = SmoothedLpNorm(2, 3.0), SmoothedLpNorm(3, 3.0)
+Q412 = EllipsoidalNorm(np.diag([4.0, 1.0, 2.0]))
 
 
 
@@ -495,12 +496,12 @@ class TestReach:
         assert (est.global_reach, est.bracket, est.is_infinite) == (np.inf, (np.inf, np.inf), True)
 
     def test_global_reach_two_disks(self):
-        est = global_reach(make_catalog_shape("two-disks-gap1", E2), E2, n_samples=1024)
+        est = global_reach(make_catalog_shape("two-disks-gap1", E2), E2)
         assert est.global_reach == pytest.approx(0.5, rel=1e-2)
         assert est.bracket[0] <= 0.5 <= est.bracket[1] + 1e-6
 
     def test_global_reach_segments(self):
-        est = global_reach(make_catalog_shape("segment-pair", E2), E2, n_samples=512)
+        est = global_reach(make_catalog_shape("segment-pair", E2), E2)
         assert est.global_reach == pytest.approx(1.0, rel=1e-2)
         # the endpoints' weights are no sample spacing
         assert est.bracket[0] > 0.99
@@ -565,7 +566,7 @@ class TestCornerCandidates:
 
     def test_segment_pair_global_reach(self):
         # the cut locus is y = 0, so the reach is 1
-        est = global_reach(make_catalog_shape("segment-pair"), Q41, seed=5)
+        est = global_reach(make_catalog_shape("segment-pair"), Q41)
         assert 0.99 <= est.global_reach <= 1.0001
 
 
@@ -662,18 +663,17 @@ class TestReachMemo:
 
     def test_estimate_memo_keys(self):
         shape = make_catalog_shape("two-disks-gap1", Q41)
-        args = dict(n_samples=32, seed=0, fiber_nodes=8)
-        first = global_reach(shape, Q41, **args)
-        assert global_reach(shape, EllipsoidalNorm(np.diag([4.0, 1.0])), **args) is first
-        for change in ({"n_samples": 48}, {"seed": 1}, {"fiber_nodes": 4}):
-            assert global_reach(shape, Q41, **{**args, **change}) is not first
-        assert len(shape.reach_estimates) == 4
+        first = global_reach(shape, Q41)
+        assert global_reach(shape, EllipsoidalNorm(np.diag([4.0, 1.0]))) is first
+        other = global_reach(shape, E2)
+        assert other is not first
+        assert shape.reach_estimates == {Q41.key: first, E2.key: other}
         with pytest.raises(FrozenInstanceError):
             first.global_reach = 0.0
 
     def test_repeated_global_reach_computes_no_distance(self, monkeypatch):
         shape = make_catalog_shape("two-disks-gap1", Q41).complement()
-        first = global_reach(shape, Q41, n_samples=32)
+        first = global_reach(shape, Q41)
         calls = []
 
         def counting(plain):
@@ -686,7 +686,7 @@ class TestReachMemo:
         # the rays' reaches and any distance
         monkeypatch.setattr(projection, "reach_along", counting(reach_along))
         monkeypatch.setattr(projection, "nearest_points", counting(nearest_points))
-        assert global_reach(shape, Q41, n_samples=32) is first
+        assert global_reach(shape, Q41) is first
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -734,7 +734,7 @@ class TestReachMemo:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(global_reach, shape, Q41, n_samples=32) for _ in range(8)]
+                futures = [pool.submit(global_reach, shape, Q41) for _ in range(8)]
                 got = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -744,79 +744,119 @@ class TestReachMemo:
 
 class TestGlobalReachRays:
     @pytest.mark.parametrize(
-        "make, norm",
+        "make, norm, want",
         [
-            (lambda: make_catalog_shape("two-disks-gap1", Q41).complement(), Q41),
-            (lambda: make_catalog_shape("three-wulff", Q41).complement(), Q41),
-            (lambda: make_catalog_shape("disk").complement(), LP2),
-            (lambda: DisjointUnion(
-                [SegmentUnion([((-4.0, 0.0), (-2.0, 0.0))]), Ball([0.0, 0.0], 1.0)]), Q41),
-        ],
-        ids=["two-disks-complement", "three-wulff-complement", "disk-lp-complement",
-             "segment-disk"],
-    )
-    def test_rays_equal_the_per_fiber_loop(self, monkeypatch, make, norm):
-        shape = make()
-        got = {}
-
-        def capture(shape_, norm_, a, eta, **kw):
-            got["a"], got["eta"] = a, eta
-            return np.full(len(a), np.inf)
-
-        monkeypatch.setattr(projection, "reach_along", capture)
-        global_reach(shape, norm, n_samples=256, seed=3)
-        rays_a, rays_eta = [], []
-        for s in shape.boundary_strata(n=256, seed=3):
-            for i, p in enumerate(s.points):
-                for ui in fiber_nodes(s.kind, s.fibers[i : i + 1], 8)[0][0]:
-                    rays_a.append(p)
-                    rays_eta.append(norm.grad(ui))
-        assert np.array_equal(got["a"], np.stack(rays_a))
-        assert np.array_equal(got["eta"], np.stack(rays_eta))
-
-    @pytest.mark.parametrize(
-        "key, norm, complement, want",
-        [
-            ("segment-pair", Q41, False, 1.0),
-            ("segment-pair", LP2, False, float(LP2.conjugate(np.array([0.0, 1.0])))),
-            ("unit-square", Q41, True, 0.0),
-            ("cap-lens-0.5", Q41, True, 0.0),
-            ("cube", EllipsoidalNorm(np.diag([4.0, 1.0, 2.0])), True, 0.0),
+            (lambda: make_catalog_shape("segment-pair"), Q41, 1.0),
+            (lambda: make_catalog_shape("segment-pair"), LP2,
+             float(LP2.conjugate(np.array([0.0, 1.0])))),
+            (lambda: make_catalog_shape("unit-square").complement(), Q41, 0.0),
+            (lambda: make_catalog_shape("cap-lens-0.5").complement(), Q41, 0.0),
+            (lambda: make_catalog_shape("cube").complement(), Q412, 0.0),
+            (lambda: make_catalog_shape("disk").complement(), Q41, 0.25),
+            (lambda: make_catalog_shape("ellipse-2-1").complement(), E2, 0.5),
+            (lambda: Ball([0.0, 0.0, 0.0], 1.0).complement(), Q412, 0.25),
+            (lambda: make_catalog_shape("two-disks-mixed").complement(), Q41, 0.25),
         ],
         ids=["segment-pair", "segment-pair-lp", "square-complement", "lens-complement",
-             "cube-complement"],
+             "cube-complement", "disk-complement", "ellipse-complement", "ball-3d-complement",
+             "two-disks-mixed-complement"],
     )
-    def test_closed_forms_trace_no_ray(self, monkeypatch, key, norm, complement, want):
-        # half the least segment gap; 0 at a reentrant corner
-        shape = make_catalog_shape(key, norm)
-        if complement:
-            shape = shape.complement()
+    def test_closed_forms_trace_no_ray(self, monkeypatch, make, norm, want):
+        # half the least segment gap; 0 at a reentrant corner; on a smooth
+        # complement the least radius of curvature of the body relative to
+        # W: under diag(q) that of a unit disk or ball at e_j along e_i is
+        # sqrt(q_j)/q_i, least 1/4 at e_2 along e_1, and the ellipse's
+        # Euclidean one is b^2/a = 1/2
+        shape = make()
         calls = []
-        monkeypatch.setattr(projection, "reach_along", lambda *args, **kw: calls.append(args))
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # the corner test reads the base's strata, once; nothing else reads any
+        base = shape.base if isinstance(shape, ComplementShape) else shape
+        monkeypatch.setattr(projection, "reach_along", counting("rays", reach_along))
+        monkeypatch.setattr(base, "boundary_strata", counting("strata", base.boundary_strata))
         est = global_reach(shape, norm)
-        assert calls == []
+        assert calls == (["strata"] if want == 0.0 else [])
         assert abs(est.global_reach - want) <= 1e-12
         assert est.bracket == (est.global_reach, est.global_reach)
         assert not est.is_infinite
 
-    # the exact reach of each complement (the least radius of curvature of
-    # its base, in the norm), and the estimate of the bracketed ray reach
-    # with the Monte-Carlo scan that this route replaced
+    def test_a_segment_and_a_disk_have_no_exact_global_reach(self):
+        union = DisjointUnion([SegmentUnion([((-4.0, 0.0), (-2.0, 0.0))]), Ball([0.0, 0.0], 1.0)])
+        with pytest.raises(NotImplementedError, match="has no exact global reach"):
+            global_reach(union, Q41)
+
+    # "-lp": a body of the smoothed l^3 norm of its dimension
     @pytest.mark.parametrize(
-        "key, norm, exact, bracketed",
+        "make, norm",
         [
-            ("disk", Q41, 0.25, 0.2500427051592239),
-            ("ellipse-2-1", E2, 0.5, 0.5000638836400022),
-            ("disk", LP2, 0.5626254, 0.5627272545395304),
-            ("two-disks-gap1", Q41, 0.25, 0.2500395366205367),
+            (lambda: make_catalog_shape("disk"), Q41),
+            (lambda: make_catalog_shape("disk"), LP2),
+            (lambda: make_catalog_shape("ellipse-2-1"), E2),
+            (lambda: make_catalog_shape("wulff", LP2), Q41),
+            (lambda: Ball([0.0, 0.0, 0.0], 1.0), Q412),
+            (lambda: make_catalog_shape("wulff-3d", LP3), Q412),
+            (lambda: make_catalog_shape("two-disks-mixed"), Q41),
+            (lambda: make_catalog_shape("three-wulff", LP2), Q41),
         ],
-        ids=["disk", "ellipse", "disk-lp", "two-disks"],
+        ids=["disk", "disk-lp", "ellipse", "wulff-lp", "ball-3d", "wulff-3d-lp",
+             "two-disks-mixed", "three-wulff-lp"],
     )
-    def test_smooth_complements_bracket_their_exact_reach(self, key, norm, exact, bracketed):
-        est = global_reach(make_catalog_shape(key, norm).complement(), norm)
-        lo, hi = est.bracket
-        assert lo <= exact <= hi == est.global_reach
-        assert est.global_reach <= bracketed + 2e-8 * (1.0 + bracketed)
+    def test_smooth_complements_match_a_dense_reference(self, make, norm):
+        base = make()
+        shape = base.complement()
+        est = global_reach(shape, norm)
+        pieces = base.components if isinstance(base, DisjointUnion) else [base]
+        ref = min(_dense_least_radius(p, norm) for p in pieces)
+        assert abs(est.global_reach - ref) <= 1e-10 * ref
+        assert est.bracket == (est.global_reach, est.global_reach)
+        # every ray runs at least that far, traced with a tight predicate
+        a, u, *_ = bundle_nodes(shape, norm, n=256)
+        rays = reach_along(shape, norm, a, norm.grad(u), tol_pred=1e-14, validate=False)
+        assert est.global_reach <= rays.min() * (1.0 + 1e-9)
+
+
+def _dense_least_radius(body, norm):
+    """min over u of the least radius of curvature of a Wulff body relative to
+    the norm, by a dense search: 2^16 directions, then, about each of the 8
+    least, grids of 65 offsets (d=2) or 17 x 17 (d=3) on the tangent plane,
+    moving to the least and shrinking 4x when none is lower.
+    """
+
+    def radii(v):
+        return 1.0 / support_curvatures(norm, v, body.support_hessian(v))[0][:, -1]
+
+    n = 1 << 16
+    if body.dim == 2:
+        t = 2 * np.pi * np.arange(n) / n
+        dirs = np.stack([np.cos(t), np.sin(t)], 1)
+        offsets = np.linspace(-1.0, 1.0, 65)[:, None]
+    else:
+        dirs = norms.fibonacci_sphere(n)
+        t = np.linspace(-1.0, 1.0, 17)
+        offsets = np.stack(np.meshgrid(t, t), -1).reshape(-1, 2)
+    r = radii(dirs)
+    best = np.inf
+    for j in np.argsort(r)[:8]:
+        v, val, radius = dirs[j], r[j], 0.05
+        for _ in range(200):
+            if radius < 1e-14:
+                break
+            trial = unit_rows(v + radius * offsets @ norms.tangent_basis(v[None])[0])
+            f = radii(trial)
+            k = np.argmin(f)
+            if f[k] < val:
+                v, val = trial[k], f[k]
+            else:
+                radius /= 4
+        best = min(best, val)
+    return best
 
 
 def _dense_ratio(body, norm, a, u, tol=1e-8):
@@ -941,7 +981,7 @@ class TestUnionGap:
         ids=["diag-2", "diag-4", "diag-9", "E2", "two-balls-E3"],
     )
     def test_half_gap_matches_the_closed_form(self, key, norm, want):
-        est = global_reach(make_catalog_shape(key, norm), norm, n_samples=64)
+        est = global_reach(make_catalog_shape(key, norm), norm)
         r = est.global_reach
         assert abs(r - want) <= 1e-12
         lo, hi = est.bracket
@@ -967,35 +1007,32 @@ class TestUnionGap:
         npt.assert_allclose(upper, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "key, norm, complement, scale_rel",
+        "make, norm",
         [
-            ("two-disks-mixed", Q41, False, 1e-12),
-            ("three-wulff", Q41, False, 1e-12),
-            ("three-wulff", SmoothedLpNorm(2, 3), False, 1e-12),
-            ("two-balls-3d", EllipsoidalNorm(np.diag([4.0, 1.0, 2.0])), False, 1e-12),
-            ("segment-pair", Q41, False, 1e-12),
-            ("segment-pair", SmoothedLpNorm(2, 3), False, 1e-12),
-            # the widening tol_pred (1 + s) of the ray predicate does not
-            # scale with the set: scaled by lam it reads tol_pred (1/lam + s)
-            # in the set's own units, which moves each ray's first failure by
-            # less than sqrt(tol_pred) relative
-            ("disk", Q41, True, 1e-4),
+            (lambda: make_catalog_shape("two-disks-mixed"), Q41),
+            (lambda: make_catalog_shape("three-wulff", Q41), Q41),
+            (lambda: make_catalog_shape("three-wulff", LP2), LP2),
+            (lambda: make_catalog_shape("two-balls-3d"), Q412),
+            (lambda: make_catalog_shape("segment-pair"), Q41),
+            (lambda: make_catalog_shape("segment-pair"), LP2),
+            (lambda: make_catalog_shape("disk").complement(), Q41),
+            (lambda: make_catalog_shape("wulff-3d", LP3).complement(), Q412),
+            (lambda: make_catalog_shape("two-disks-mixed").complement(), Q41),
         ],
         ids=["mixed", "three-wulff", "three-wulff-lp", "two-balls", "segment-pair",
-             "segment-pair-lp", "disk-complement"],
+             "segment-pair-lp", "disk-complement", "wulff-3d-lp-complement",
+             "mixed-complement"],
     )
-    def test_translation_invariance_and_scaling(self, key, norm, complement, scale_rel):
-        shape = make_catalog_shape(key, norm)
-        if complement:
-            shape = shape.complement()
-        r = global_reach(shape, norm, n_samples=32).global_reach
+    def test_translation_invariance_and_scaling(self, make, norm):
+        shape = make()
+        r = global_reach(shape, norm).global_reach
         t = np.linspace(0.3, -1.7, shape.dim)
-        assert global_reach(_moved(shape, 1.0, t), norm, n_samples=32).global_reach == (
+        assert global_reach(_moved(shape, 1.0, t), norm).global_reach == (
             pytest.approx(r, rel=1e-12)
         )
         for lam in (0.5, 3.0):
-            got = global_reach(_moved(shape, lam, t), norm, n_samples=32).global_reach
-            assert got == pytest.approx(lam * r, rel=scale_rel)
+            got = global_reach(_moved(shape, lam, t), norm).global_reach
+            assert got == pytest.approx(lam * r, rel=1e-12)
 
     @pytest.mark.parametrize(
         "key, norm",
@@ -1004,7 +1041,7 @@ class TestUnionGap:
     )
     def test_half_gap_is_at_most_every_ray_reach(self, key, norm):
         shape = make_catalog_shape(key, norm)
-        est = global_reach(shape, norm, n_samples=256)
+        est = global_reach(shape, norm)
         rays_a, rays_u = [], []
         for s in shape.boundary_strata(n=256, seed=0):
             uu, _ = fiber_nodes(s.kind, s.fibers, 8)
