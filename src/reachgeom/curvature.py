@@ -297,6 +297,9 @@ def bundle_nodes(
     Expands every stratum fiber into spherical quadrature nodes and pushes
     the fiber weights into dual coordinates: 1-dimensional fans carry the
     arc length of the dual-gradient image, spherical patches its area.
+    Over a face F the bundle is relint F x N(F), so each distinct fan (arc,
+    edge or patch row, keyed on its bytes: -0.0 is not +0.0) is expanded
+    once and its nodes, weights and transport shared by index.
     Each fan triangle of a patch takes ``patch_nodes`` rounded up to
     16 * 4^L: the degree-8 rule on 4^L sub-triangles (``shapes.fiber_nodes``).
     Nodes come in stratum, fiber, node order, on which the interleaved
@@ -316,7 +319,13 @@ def bundle_nodes(
     blocks = []
     for s in shape.boundary_strata(n=n, seed=seed):
         kq = patch_nodes if s.kind == "patch" else fiber_nodes
-        uu, ww = fiber_quadrature(s.kind, s.fibers, kq)  # (F, q, d), (F, q)
+        fibers, at = s.fibers, slice(None)
+        if s.kind in ("arc", "edge", "patch"):  # fans: one per face, keyed on bytes
+            rows = np.ascontiguousarray(fibers).reshape(len(fibers), -1)
+            keys = rows.view(f"V{rows[0].nbytes}").ravel()
+            _, first, at = np.unique(keys, return_index=True, return_inverse=True)
+            fibers = fibers[first]
+        uu, ww = fiber_quadrature(s.kind, fibers, kq)  # (F, q, d), (F, q)
         q, d = uu.shape[1:]
         u = uu.reshape(-1, d)
         if s.kind in ("vector", "pair"):
@@ -324,14 +333,14 @@ def bundle_nodes(
         elif s.kind == "patch":
             transport = _tangent_determinant(norm.hessian(u), u)
         else:
-            tt = fiber_tangents(s.kind, s.fibers, kq).reshape(-1, d)
+            tt = fiber_tangents(s.kind, fibers, kq).reshape(-1, d)
             transport = np.linalg.norm(np.einsum("kde,ke->kd", norm.hessian(u), tt), axis=-1)
         blocks.append(
             (
                 np.repeat(s.points, q, axis=0),
-                u,
-                (s.weights[:, None] * ww * transport.reshape(-1, q)).ravel(),
-                np.full(len(u), s.index),
+                uu[at].reshape(-1, d),
+                (s.weights[:, None] * ww[at] * transport.reshape(-1, q)[at]).ravel(),
+                np.full(len(s) * q, s.index),
                 s.support_hessian,  # only vector strata have one, with one node per fiber
             )
         )

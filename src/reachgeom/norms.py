@@ -461,8 +461,10 @@ class EuclideanNorm(Norm):
         self._check_nonzero(x)
         r = np.linalg.norm(x, axis=-1)
         u = x / r[..., None]
-        eye = np.broadcast_to(np.eye(self.dim), x.shape + (self.dim,))
-        return (eye - u[..., :, None] * u[..., None, :]) / r[..., None, None]
+        # in place, bit for bit (I - uu')/r: einsum's +0.0 products only meet I's +0.0
+        H = np.einsum("...i,...j->...ij", u, u)
+        np.subtract(np.eye(self.dim), H, out=H)
+        return np.divide(H, r[..., None, None], out=H)
 
     conjugate = value
     conjugate_grad = grad
@@ -509,11 +511,14 @@ class EllipsoidalNorm(Norm):
     def hessian(self, x):
         x = _as_points(x, self.dim)
         self._check_nonzero(x)
-        val = self.value(x)
+        val = self.value(x)[..., None, None]
         qx = np.einsum("de,...e->...d", self.Q, x)
-        return (self.Q - qx[..., :, None] * qx[..., None, :] / val[..., None, None] ** 2) / val[
-            ..., None, None
-        ]
+        # in place, bit for bit (Q - qx qx'/val^2)/val; not einsum, which adds each
+        # product to +0.0 and so turns Q's -0.0 - (-0.0) = +0.0 into -0.0
+        H = qx[..., :, None] * qx[..., None, :]
+        H /= val**2
+        np.subtract(self.Q, H, out=H)
+        return np.divide(H, val, out=H)
 
     def conjugate(self, y):
         return self._quad(_as_points(y, self.dim), self.Qinv)

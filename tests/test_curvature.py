@@ -19,6 +19,7 @@ from reachgeom.curvature import (
     pointwise_mean_curvature,
     pointwise_shape_operator,
 )
+from reachgeom.measures import fan_bundle
 from reachgeom.norms import EllipsoidalNorm, EuclideanNorm, SmoothedLpNorm, tangent_basis
 from reachgeom.shapes import Ball, DisjointUnion, SegmentUnion, WulffBody, make_catalog_shape
 
@@ -237,6 +238,82 @@ class TestBundleNodes:
         for s, top in zip(strata, tops):
             npt.assert_array_equal(s.points, top.points)
             npt.assert_array_equal(s.fibers, top.fibers)
+
+
+def _bundle_nodes_per_point(shape, norm, n, seed, fiber_nodes, patch_nodes):
+    """bundle_nodes with every point's fiber expanded on its own, as before the
+    fans were shared: points, normals, weights and strata."""
+    blocks = []
+    for s in shape.boundary_strata(n=n, seed=seed):
+        kq = patch_nodes if s.kind == "patch" else fiber_nodes
+        uu, ww = shapes.fiber_nodes(s.kind, s.fibers, kq)
+        q, d = uu.shape[1:]
+        u = uu.reshape(-1, d)
+        if s.kind in ("vector", "pair"):
+            transport = np.ones(len(u))
+        elif s.kind == "patch":
+            transport = curvature._tangent_determinant(norm.hessian(u), u)
+        else:
+            tt = shapes.fiber_tangents(s.kind, s.fibers, kq).reshape(-1, d)
+            transport = np.linalg.norm(np.einsum("kde,ke->kd", norm.hessian(u), tt), axis=-1)
+        w = (s.weights[:, None] * ww * transport.reshape(-1, q)).ravel()
+        blocks.append((np.repeat(s.points, q, axis=0), u, w, np.full(len(u), s.index)))
+    return tuple(np.concatenate(col) for col in zip(*blocks))
+
+
+class _EdgeFans:
+    """A 3-d stratum of edge fans, two of which differ only in the sign of a zero."""
+
+    dim = 3
+
+    def boundary_strata(self, n, seed):
+        # an obtuse fan (e0.n1 < 0) carries -0.0 into e1 and the nodes short of 90 degrees
+        plus = [[0.8, 0.6, 0.0], [-0.8, 0.6, 0.0]]
+        minus = [[0.8, 0.6, -0.0], [-0.8, 0.6, -0.0]]
+        tilted = [[0.0, 0.6, 0.8], [0.0, 0.0, 1.0]]
+        fibers = np.array([plus, minus, tilted, minus, plus, tilted, minus])
+        points = np.arange(3.0 * len(fibers)).reshape(-1, 3)
+        return [shapes.Stratum(1, "edge", points, np.linspace(1.0, 2.0, len(fibers)), fibers)]
+
+
+class TestSharedFans:
+    """Each distinct fan is expanded once; every bit matches the per-point expansion."""
+
+    @pytest.mark.parametrize(
+        "key,norm",
+        [
+            ("cube", E3),
+            ("cube", EllipsoidalNorm(np.diag([4.0, 1.0, 2.0]))),
+            ("cube", EllipsoidalNorm([[3.0, 0.5, 0.1], [0.5, 2.0, 0.2], [0.1, 0.2, 1.0]])),
+            ("cube", SmoothedLpNorm(3, 3)),
+            ("unit-square", Q41),
+            ("cap-lens-0.5", Q41),
+            ("segment-pair", Q41),
+            (None, E3),
+        ],
+        ids=["cube-euclid", "cube-q412", "cube-rotated", "cube-lp3", "square-q41",
+             "lens-q41", "segments-q41", "signed-zero-edges"],
+    )
+    def test_bits_match_per_point_expansion(self, key, norm):
+        shape = _EdgeFans() if key is None else make_catalog_shape(key)
+        got = bundle_nodes(shape, norm, n=96, seed=4, fiber_nodes=8, patch_nodes=64)
+        ref = _bundle_nodes_per_point(shape, norm, n=96, seed=4, fiber_nodes=8, patch_nodes=64)
+        for g, r in zip(got[:4], ref):
+            assert g.dtype == r.dtype and g.shape == r.shape
+            assert np.array_equal(g.view(np.uint64), r.view(np.uint64))
+
+    def test_signed_zero_fans_stay_apart(self):
+        _, u, _, _, _ = bundle_nodes(_EdgeFans(), E3, fiber_nodes=8)
+        z = np.signbit(u[:, 2].reshape(7, 8))
+        assert z[[1, 3, 6]].any(axis=1).all() and not z[[0, 4]].any()
+
+    def test_cube_hessian_rows_expand_distinct_fans_once(self, monkeypatch):
+        # 8 vertex octants of 1,024 nodes, and 12 edge fans of 32 (not 252 edge points)
+        norm, rows = EuclideanNorm(3), []
+        hessian = norm.hessian
+        monkeypatch.setattr(norm, "hessian", lambda x: rows.append(len(x)) or hessian(x))
+        fan_bundle(make_catalog_shape("cube"), norm)
+        assert sum(rows) == 8 * 1024 + 12 * 32 == 8576
 
 
 def _bundle_nodes_per_node(shape, norm, n, seed, fiber_nodes, patch_nodes):

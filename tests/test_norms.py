@@ -124,6 +124,57 @@ class TestEllipsoidal:
             EllipsoidalNorm(np.diag([1.0, -1.0]))
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestQuadraticHessianBits:
+    """The in-place Hessians match the broadcast formulas bit for bit, signed zeros too."""
+
+    @staticmethod
+    def _batches(d):
+        rng = np.random.default_rng(d)
+        rows = rng.standard_normal((12, d))
+        rows[:4] = np.eye(d)[np.arange(4) % d]  # exact zeros
+        rows[4:8] = -rows[:4]  # -0.0 beside -1.0
+        rows[8, 0] = 0.0
+        rows[9, -1] = -0.0
+        return [rows[4], rows[5:6], rows, rows.reshape(3, 4, d)]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_euclidean(self, d):
+        nrm = EuclideanNorm(d)
+        for x in self._batches(d):
+            r = np.linalg.norm(x, axis=-1)
+            u = x / r[..., None]
+            eye = np.broadcast_to(np.eye(d), x.shape + (d,))
+            want = (eye - u[..., :, None] * u[..., None, :]) / r[..., None, None]
+            got = nrm.hessian(x)
+            assert got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize(
+        "Q",
+        [
+            np.diag([4.0, 1.0]),
+            [[2.0, -0.0], [-0.0, 0.5]],  # Q's -0.0 minus a -0.0 product is +0.0
+            np.diag([4.0, 1.0, 2.0]),
+            [[3.0, 0.5, -0.0], [0.5, 2.0, 0.2], [-0.0, 0.2, 1.0]],
+        ],
+        ids=["diag-2", "signed-zero-2", "diag-3", "signed-zero-3"],
+    )
+    def test_ellipsoidal(self, Q):
+        nrm = EllipsoidalNorm(Q)
+        for x in self._batches(nrm.dim):
+            val = nrm.value(x)
+            qx = np.einsum("de,...e->...d", nrm.Q, x)
+            outer = qx[..., :, None] * qx[..., None, :]
+            want = (nrm.Q - outer / val[..., None, None] ** 2) / val[..., None, None]
+            got = nrm.hessian(x)
+            assert got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
+
+
 class TestSmoothedLp:
     def test_reduces_to_euclidean_at_p2_eps0(self):
         nrm = SmoothedLpNorm(2, p=2.0, eps=0.0)
