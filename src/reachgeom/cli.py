@@ -36,7 +36,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -600,6 +599,8 @@ def run(config: ExperimentConfig, only: Optional[str] = None) -> tuple[int, dict
         return result
 
     if config.threads > 1 and len(selected) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             results = list(pool.map(one, selected))
     else:

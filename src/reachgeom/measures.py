@@ -28,7 +28,7 @@ arrays (``BundleSample.mean_curvature``, memoized per r) read-only.  A
 bundle traces its ray reaches the first time they are read (only
 `steiner_predict` and `volume_derivatives` read them); they and the reach
 estimates are memoized in `projection`.  The stratum dimensions a bundle
-must cover are read once per shape (`_coverage_strata`).
+must cover are read once per shape (`Shape.stratum_kinds`).
 """
 
 from __future__ import annotations
@@ -209,15 +209,8 @@ def _split_half_se(parts) -> float:
 
 
 def _coverage_strata(shape: Shape) -> frozenset:
-    """The stratum dimensions of the shape's boundary, memoized on the shape.
-
-    They depend on the shape alone; a coarse ``boundary_strata`` reads them.
-    """
-    dims = shape.__dict__.get("_coverage_strata")
-    if dims is None:
-        dims = frozenset(s.index for s in shape.boundary_strata(n=8, seed=0))
-        dims = shape.__dict__.setdefault("_coverage_strata", dims)
-    return dims
+    """The stratum dimensions of the shape's boundary (``Shape.stratum_kinds``)."""
+    return frozenset(m for m, _ in shape.stratum_kinds)
 
 
 def curvature_measure(

@@ -337,7 +337,7 @@ def _global_reach(shape, norm):
         lower, upper = _gap_bounds(pairs, norm)
         g = 0.5 * float(upper.min())
         return ReachEstimate(g, (0.5 * float(lower.min()), g), False)
-    if base is not None and any(s.kind not in ("vector", "pair") for s in base.boundary_strata()):
+    if base is not None and any(k not in ("vector", "pair") for _, k in base.stratum_kinds):
         return ReachEstimate(0.0, (0.0, 0.0), False)  # a reentrant corner
     raise NotImplementedError(f"{shape.name} has no exact global reach")
 

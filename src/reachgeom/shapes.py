@@ -40,7 +40,6 @@ from itertools import groupby, product
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .norms import (
     _ORIGIN,
@@ -86,10 +85,30 @@ class EmptyInteriorError(ValueError):
 # normal fibers
 # ======================================================================
 
+# the nonnegative nodes and their weights of ``leggauss(k)`` for the counts
+# that the bundles use by default, to the last bit
+_GAUSS_LEGENDRE = {
+    16: ((0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438, 0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499),
+         (0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767, 0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176)),
+    32: ((0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767, 0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152, 0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521, 0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816),
+         (0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378, 0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834, 0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836, 0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506)),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(k):
-    """``leggauss(k)``, computed once per k.  Shared, so read-only."""
-    x, w = leggauss(k)
+    """``leggauss(k)``, computed once per k.  Shared, so read-only.
+
+    k = 16 and 32 mirror ``_GAUSS_LEGENDRE``: leggauss' nodes are exactly
+    antisymmetric and its weights exactly symmetric.
+    """
+    if k in _GAUSS_LEGENDRE:
+        x, w = map(np.array, _GAUSS_LEGENDRE[k])
+        x, w = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+    else:
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = leggauss(k)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -296,6 +315,18 @@ class Shape:
     def reach_estimates(self) -> dict:
         """``global_reach`` results by norm key, filled by projection."""
         return self.__dict__.setdefault("_reach_estimates", {})
+
+    @property
+    def stratum_kinds(self) -> frozenset:
+        """The (dimension, fiber kind) pairs of the boundary's strata.
+
+        They depend on the shape alone; a coarse ``boundary_strata`` reads them.
+        """
+        kinds = self.__dict__.get("_stratum_kinds")
+        if kinds is None:
+            kinds = frozenset((s.index, s.kind) for s in self.boundary_strata(n=8, seed=0))
+            kinds = self.__dict__.setdefault("_stratum_kinds", kinds)
+        return kinds
 
     @property
     def bundles(self) -> dict:
@@ -764,9 +795,17 @@ def _gap_bounds(pairs, norm) -> tuple[np.ndarray, np.ndarray]:
     f(u*) is a lower bound and phi_*(b* - a*) an upper one, equal at the
     maximum.  Returns (lower, upper) per pair; a lower bound <= 0 means the
     bodies meet.
+
+    Where A and B are Wulff bodies of phi itself, W = -W gives
+    A - B = (c_A - c_B) + (r_A + r_B) W, so the gap is exactly
+    phi_*(c_B - c_A) - r_A - r_B, signed, and no search runs.
     """
     lower, upper = np.empty(len(pairs)), np.empty(len(pairs))
     for i, (A, B) in enumerate(pairs):
+        if A.norm.key == B.norm.key == norm.key:
+            gap = norm.conjugate((B.center - A.center)[None])[0] - A.radius - B.radius
+            lower[i] = upper[i] = gap
+            continue
         body = _Difference(A, B)
         _, u, f, _ = _support_search(body, norm, np.zeros((1, norm.dim)))
         upper[i] = norm.conjugate(-body.support_point(u))[0]

@@ -463,6 +463,19 @@ class TestImportFootprint:
         rows = (out / "verify_triple-verdicts.csv").read_text(encoding="utf-8")
         assert "alexandrov-r1,true,count=3," in rows
 
+    def test_one_thread_run_loads_no_polynomial_or_thread_pool(self, tmp_path):
+        # the default Gauss-Legendre rules are tabulated, and the thread pool
+        # is imported only for a run on several threads
+        code = (
+            "import json, sys\n"
+            "from reachgeom.cli import main\n"
+            "status = main(['run-all', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(json.dumps([status, sorted(m for m in sys.modules\n"
+            "                  if m.startswith(('numpy.polynomial', 'concurrent')))]))\n"
+        )
+        stdout = fresh_python(code, ROOT / "configs" / "square.cfg", tmp_path / "square")
+        assert json.loads(stdout.splitlines()[-1]) == [0, []]
+
     def test_lens_complement_field_loads_no_scipy(self):
         # the lens complement has no closed form under diag(4, 1): its disks'
         # complements take the support search

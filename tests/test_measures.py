@@ -204,16 +204,18 @@ class TestCurvatureMeasure:
         assert calls == [(8, 0), (8, 0)]
 
     def test_coverage_strata_threads_share_one_set(self):
+        # the coverage reads the shape's one memo of stratum kinds
         sq = make_catalog_shape("unit-square")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(measures._coverage_strata, sq) for _ in range(16)]
+                futures = [pool.submit(lambda: sq.stratum_kinds) for _ in range(16)]
                 got = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert got[0] == {0, 1} and all(g is got[0] for g in got)
+        assert got[0] == {(0, "arc"), (1, "vector")} and all(g is got[0] for g in got)
+        assert measures._coverage_strata(sq) == {0, 1}
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):

@@ -922,6 +922,22 @@ class TestComplementReach:
         # and fails just past it
         assert (dense <= r + 1e-8 * (1.0 + r)).all()
 
+    def test_corner_test_reads_the_coarse_strata_once(self, monkeypatch):
+        # the reentrant corner needs only the base's fiber kinds
+        # (Shape.stratum_kinds), not its n = 512 nodes and weights
+        calls = []
+        plain = ConvexPolytope.boundary_strata
+
+        def counting(self, n=512, seed=0):
+            calls.append((n, seed))
+            return plain(self, n=n, seed=seed)
+
+        monkeypatch.setattr(ConvexPolytope, "boundary_strata", counting)
+        outside = make_catalog_shape("cube").complement()
+        assert global_reach(outside, Q412).global_reach == 0.0
+        assert global_reach(outside, EuclideanNorm(3)).global_reach == 0.0
+        assert calls == [(8, 0)]
+
     def test_local_search_steps_stay_in_their_basin(self):
         # a 0.25 rad Newton step carried a seed into the neighbouring basin,
         # whose maximum is lower: the distance came out 2.9e-5 too large
@@ -1005,6 +1021,60 @@ class TestUnionGap:
         assert (lower <= upper).all()
         npt.assert_allclose(lower, want, rtol=0, atol=1e-12)
         npt.assert_allclose(upper, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("name", ["euclid", "diag", "rotated", "lp"])
+    def test_closed_form_gap_matches_a_direct_search(self, dim, name):
+        # W = -W makes A - B the Wulff body (c_A - c_B) + (r_A + r_B) W, so
+        # the pair's gap is phi_*(c_B - c_A) - r_A - r_B; the search on
+        # A - B (the route every other pair takes) finds the same value
+        norm = ROUTE_NORMS[dim][name]
+        rng = np.random.default_rng(7 * dim + len(name))
+        pairs, want = [], [1.0, 0.2, -0.2, -0.9]  # apart, then overlapping
+        for gap in want:
+            a, c = rng.standard_normal((2, dim))
+            r1, r2 = rng.uniform(0.5, 1.2, 2)
+            c *= (r1 + r2 + gap) / norm.conjugate(c)
+            pairs.append((WulffBody(norm, a, r1), WulffBody(norm, a + c, r2)))
+        lower, upper = _gap_bounds(pairs, norm)
+        npt.assert_allclose(lower, want, rtol=0, atol=1e-12)
+        for (A, B), lo, hi in zip(pairs, lower, upper):
+            body = shapes._Difference(A, B)
+            _, u, f, _ = norms._support_search(body, norm, np.zeros((1, dim)))
+            found = norm.conjugate(-body.support_point(u))[0]
+            assert lo == hi and abs(lo - f[0]) <= 1e-12
+            # the search's upper bound phi_*(b - a) is unsigned
+            assert abs(abs(hi) - found) <= 1e-12
+
+    def test_same_norm_pairs_run_no_search(self, monkeypatch):
+        calls = []
+
+        def counting(body, norm, x, **kwargs):
+            calls.append(type(body).__name__)
+            return norms._support_search(body, norm, x, **kwargs)
+
+        monkeypatch.setattr(shapes, "_support_search", counting)
+        same = [(WulffBody(Q41, [-1.5, 0.0]), WulffBody(Q41, [1.5, 0.0], 0.5)),
+                (Ball([0.0, 0.0, 0.0], 1.0), Ball([3.0, 0.0, 0.0], 1.0))]
+        _gap_bounds(same[:1], Q41)
+        _gap_bounds(same[1:], EuclideanNorm(3))
+        make_catalog_shape("two-disks-gap1")  # its Euclidean gap check
+        assert calls == []
+        # a pair under another norm, or of bodies of two norms, takes the search
+        _gap_bounds(same[:1], E2)
+        _gap_bounds([(Ball([-1.5, 0.0], 1.0), WulffBody(Q41, [1.5, 0.0], 0.5))], Q41)
+        assert calls == ["_Difference", "_Difference"]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_overlapping_same_norm_bodies_still_raise(self, dim):
+        far = np.zeros(dim)
+        for depth in (1e-4, 0.5, 2.0):  # shallow, deep, concentric
+            far[0] = 2.0 - depth
+            pair = [Ball(np.zeros(dim), 1.0), Ball(far, 1.0)]
+            lower, upper = _gap_bounds([tuple(pair)], EuclideanNorm(dim))
+            assert lower[0] == upper[0] == pytest.approx(-depth, abs=1e-15)
+            with pytest.raises(ValueError, match="components 0 and 1 overlap"):
+                DisjointUnion(pair)
 
     @pytest.mark.parametrize(
         "make, norm",

@@ -16,6 +16,7 @@ from reachgeom.shapes import (
     SegmentUnion,
     WulffBody,
     _dunavant8,
+    _gauss_legendre,
     _spherical_triangle_areas,
     fiber_nodes,
     fiber_tangents,
@@ -482,6 +483,17 @@ class TestFiberQuadrature:
                 for i in range(deg + 1)
             )
             assert (err < 1e-15) == (deg <= 8), (deg, err)
+
+    @pytest.mark.parametrize("k", [16, 32, 1, 7, 8, 33])
+    def test_gauss_legendre_rules_are_leggauss_to_the_bit(self, k):
+        # 16 and 32 are tabulated and mirrored; other counts call leggauss
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = _gauss_legendre(k)
+        want_x, want_w = leggauss(k)
+        assert np.array_equal(x.view(np.uint64), want_x.view(np.uint64))
+        assert np.array_equal(w.view(np.uint64), want_w.view(np.uint64))
+        assert not x.flags.writeable and not w.flags.writeable
 
     @pytest.mark.parametrize("n_gens", [3, 4])
     def test_patch_nodes_match_recursive_reference(self, n_gens):
