@@ -571,11 +571,15 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _summary_json(summary: dict) -> str:
+    # one dumps and one write: json.dump writes every token on its own
+    return json.dumps(json_safe(summary), indent=2, sort_keys=True, allow_nan=False)
+
+
 def _write_reports(out_dir: Path, summary: dict, tables: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "summary.json", "w", encoding="utf-8") as f:
-        json.dump(json_safe(summary), f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
+        f.write(_summary_json(summary) + "\n")
     for fname, (header, rows) in tables.items():
         with open(out_dir / fname, "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f)  # excel dialect: RFC-4180 line endings
@@ -663,8 +667,7 @@ def main(argv=None) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     if config.out is None:
-        json.dump(json_safe(summary), sys.stdout, indent=2, sort_keys=True, allow_nan=False)
-        print()
+        print(_summary_json(summary))
     else:
         print(f"{'ok' if status == 0 else 'FAIL'}: reports in {config.out}")
     return status

@@ -274,14 +274,23 @@ def mean_curvature(kappa: np.ndarray, r: int) -> np.ndarray:
     return h
 
 
-def _tangent_determinant(H: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """|det(H|u-perp)| (k,) = |u.adj(H)u| for symmetric H (k, 3, 3) and unit u (k, 3)."""
-    a, b, c = H[:, 0, 0], H[:, 1, 1], H[:, 2, 2]
-    f, g, k = H[:, 1, 2], H[:, 0, 2], H[:, 0, 1]
-    x, y, z = u[:, 0], u[:, 1], u[:, 2]
-    diag = (b * c - f * f) * x * x + (a * c - g * g) * y * y + (a * b - k * k) * z * z
-    off = (g * f - k * c) * x * y + (k * f - g * b) * x * z + (k * g - a * f) * y * z
-    return np.abs(diag + 2.0 * off)
+def _distinct(fibers):
+    """Distinct rows of ``fibers`` by their bytes, and each row's index among them."""
+    rows = np.ascontiguousarray(fibers).reshape(len(fibers), -1)
+    keys = rows.view(f"V{rows[0].nbytes}").ravel()
+    _, first, at = np.unique(keys, return_index=True, return_inverse=True)
+    return fibers[first], at
+
+
+def _patch_nodes(fans, k):
+    """``fiber_nodes`` of patch fans (F, G, 3); a fan f == S|f| (float ==, S the
+    signs of the coordinates) is ruled once on |f| and its nodes reflected by S."""
+    S = np.where((fans < 0).any(axis=1), -1.0, 1.0)[:, None, :]
+    mirror = (fans == S * np.abs(fans)).all(axis=(1, 2))
+    S[~mirror] = 1.0
+    base, at = _distinct(np.where(mirror[:, None, None], np.abs(fans), fans))
+    uu, ww = fiber_quadrature("patch", base, k)
+    return S * uu[at], ww[at]
 
 
 def bundle_nodes(
@@ -308,33 +317,29 @@ def bundle_nodes(
     (``Stratum.support_hessian``), NaN on nodes of strata without one, and
     None when no stratum has one.
 
-    A patch node's area factor det(H|u-perp), H = D^2phi(u), needs no
-    tangent frame: for unit u and symmetric H (d = 3) it is u.adj(H)u =
-    e_2(H) - (u.Hu) tr H + |Hu|^2 (Cayley-Hamilton), e_2 the sum of the
-    principal 2x2 minors.  Summed over the cofactors of H it stays within
-    1e-15 of the frame's |H e_0 x H e_1|; the three-term sum cancels where
-    H is nearly singular on u-perp (1e-13 off under ``SmoothedLpNorm(3, 6)``,
-    2e-12 without the two terms that rounding, Hu a few ulps from 0, feeds).
+    A fan node's weight carries ``Norm.fan_jacobian``.  A patch whose
+    generators keep one sign per coordinate is ruled once on |f| and
+    reflected (``_patch_nodes``): sign flips commute with rounding, so the
+    cube's octants share one rule and keep their bits.
     """
     blocks = []
     for s in shape.boundary_strata(n=n, seed=seed):
         kq = patch_nodes if s.kind == "patch" else fiber_nodes
         fibers, at = s.fibers, slice(None)
-        if s.kind in ("arc", "edge", "patch"):  # fans: one per face, keyed on bytes
-            rows = np.ascontiguousarray(fibers).reshape(len(fibers), -1)
-            keys = rows.view(f"V{rows[0].nbytes}").ravel()
-            _, first, at = np.unique(keys, return_index=True, return_inverse=True)
-            fibers = fibers[first]
-        uu, ww = fiber_quadrature(s.kind, fibers, kq)  # (F, q, d), (F, q)
+        if s.kind in ("arc", "edge", "patch"):  # fans: one per face
+            fibers, at = _distinct(fibers)
+        if s.kind == "patch":
+            uu, ww = _patch_nodes(fibers, kq)
+        else:
+            uu, ww = fiber_quadrature(s.kind, fibers, kq)  # (F, q, d), (F, q)
         q, d = uu.shape[1:]
         u = uu.reshape(-1, d)
         if s.kind in ("vector", "pair"):
             transport = np.ones(len(u))
         elif s.kind == "patch":
-            transport = _tangent_determinant(norm.hessian(u), u)
+            transport = norm.fan_jacobian(u)
         else:
-            tt = fiber_tangents(s.kind, fibers, kq).reshape(-1, d)
-            transport = np.linalg.norm(np.einsum("kde,ke->kd", norm.hessian(u), tt), axis=-1)
+            transport = norm.fan_jacobian(u, fiber_tangents(s.kind, fibers, kq).reshape(-1, d))
         blocks.append(
             (
                 np.repeat(s.points, q, axis=0),

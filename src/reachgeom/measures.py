@@ -143,6 +143,7 @@ def fan_bundle(
     triangle, 64 sub-triangles of the degree-8 rule, which leave the cube's
     Theta_0, the dual ball's volume (4 pi/3) sqrt(det Q) under a quadratic
     norm, 4e-9 off at condition number 12 and 2e-11 at condition number 4.
+    Under a quadratic norm no Hessian is evaluated (``Norm.fan_jacobian``).
     """
     if not isinstance(shape, ConvexPolytope):
         raise ValueError("the fan route is exact for convex polytopes only")

@@ -328,6 +328,16 @@ def _support_search(body, norm, x, local=False, shift=None, seeds=None):
     return rows, u, ascent(u, slice(None))[0], res
 
 
+def _tangent_determinant(H: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """|det(H|u-perp)| (k,) = |u.adj(H)u| for symmetric H (k, 3, 3) and unit u (k, 3)."""
+    a, b, c = H[:, 0, 0], H[:, 1, 1], H[:, 2, 2]
+    f, g, k = H[:, 1, 2], H[:, 0, 2], H[:, 0, 1]
+    x, y, z = u[:, 0], u[:, 1], u[:, 2]
+    diag = (b * c - f * f) * x * x + (a * c - g * g) * y * y + (a * b - k * k) * z * z
+    off = (g * f - k * c) * x * y + (k * f - g * b) * x * z + (k * g - a * f) * y * z
+    return np.abs(diag + 2.0 * off)
+
+
 class _Origin:
     """The body {0}: h = 0, support point 0 and support Hessian 0."""
 
@@ -376,6 +386,14 @@ class Norm:
 
     def hessian(self, x) -> np.ndarray:
         raise NotImplementedError
+
+    def fan_jacobian(self, u, t=None) -> np.ndarray:
+        """Jacobian of u -> grad phi(u) on a normal fan at unit u (k, d): |D^2phi(u) t|
+        for unit tangents t (k, d), det(D^2phi(u) on u-perp) for t None (d = 3)."""
+        H = self.hessian(u)
+        if t is None:
+            return _tangent_determinant(H, u)
+        return np.linalg.norm(np.einsum("kde,ke->kd", H, t), axis=-1)
 
     # ------------------------------------------------------------------
     # dual norm
@@ -466,6 +484,15 @@ class EuclideanNorm(Norm):
         np.subtract(np.eye(self.dim), H, out=H)
         return np.divide(H, r[..., None, None], out=H)
 
+    def fan_jacobian(self, u, t=None):
+        """Closed form: |t - u(u.t)/|u|^2| / |u|, and 1 for t None."""
+        if t is None:
+            return np.ones(u.shape[:-1])
+        r = np.sqrt(row_dot(u, u))
+        uh = u / r[..., None]
+        v = t - uh * row_dot(uh, t)[..., None]
+        return np.sqrt(row_dot(v, v)) / r
+
     conjugate = value
     conjugate_grad = grad
 
@@ -486,6 +513,7 @@ class EllipsoidalNorm(Norm):
         if w.min() <= 0:
             raise ValueError("Q must be positive definite")
         super().__init__(Q.shape[0])
+        self._det = float(np.prod(w))
         self.Q = 0.5 * (Q + Q.T)
         self.Qinv = np.linalg.inv(self.Q)
         # chol(Q^{-1}) maps phi_* balls to Euclidean balls: phi_*(v) = |L v|
@@ -519,6 +547,16 @@ class EllipsoidalNorm(Norm):
         H /= val**2
         np.subtract(self.Q, H, out=H)
         return np.divide(H, val, out=H)
+
+    def fan_jacobian(self, u, t=None):
+        """Closed form: |Qt - Qu(u.Qt)/phi^2| / phi, and det Q |u|^2 / phi^4 for t None."""
+        qu = np.einsum("de,...e->...d", self.Q, u)
+        phi2 = row_dot(qu, u)
+        if t is None:
+            return self._det * row_dot(u, u) / (phi2 * phi2)
+        qt = np.einsum("de,...e->...d", self.Q, t)
+        v = qt - qu * (row_dot(u, qt) / phi2)[..., None]
+        return np.sqrt(row_dot(v, v)) / np.sqrt(phi2)
 
     def conjugate(self, y):
         return self._quad(_as_points(y, self.dim), self.Qinv)

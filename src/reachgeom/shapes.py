@@ -844,6 +844,12 @@ def _corners(lo, hi) -> np.ndarray:
     return np.array(list(product(*zip(lo, hi))))
 
 
+_POLYTOPE_KINDS = {
+    2: frozenset({(1, "vector"), (0, "arc")}),
+    3: frozenset({(2, "vector"), (1, "edge"), (0, "patch")}),
+}
+
+
 class ConvexPolytope(Shape):
     """Convex polygon (d=2, from vertices) or axis-aligned box (d=3)."""
 
@@ -951,6 +957,11 @@ class ConvexPolytope(Shape):
         )
 
     # ---------------- strata ----------------
+    @property
+    def stratum_kinds(self):
+        """Fixed by the dimension: no strata are built."""
+        return _POLYTOPE_KINDS[self.dim]
+
     def boundary_strata(self, n=512, seed=0):
         """Polygon edges by the segment rule, n split by length (at least 4
         an edge), and the corner fans.  A box's facets take g x g grids of

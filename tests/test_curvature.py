@@ -252,10 +252,9 @@ def _bundle_nodes_per_point(shape, norm, n, seed, fiber_nodes, patch_nodes):
         if s.kind in ("vector", "pair"):
             transport = np.ones(len(u))
         elif s.kind == "patch":
-            transport = curvature._tangent_determinant(norm.hessian(u), u)
+            transport = norm.fan_jacobian(u)
         else:
-            tt = shapes.fiber_tangents(s.kind, s.fibers, kq).reshape(-1, d)
-            transport = np.linalg.norm(np.einsum("kde,ke->kd", norm.hessian(u), tt), axis=-1)
+            transport = norm.fan_jacobian(u, shapes.fiber_tangents(s.kind, s.fibers, kq).reshape(-1, d))
         w = (s.weights[:, None] * ww * transport.reshape(-1, q)).ravel()
         blocks.append((np.repeat(s.points, q, axis=0), u, w, np.full(len(u), s.index)))
     return tuple(np.concatenate(col) for col in zip(*blocks))
@@ -308,12 +307,40 @@ class TestSharedFans:
         assert z[[1, 3, 6]].any(axis=1).all() and not z[[0, 4]].any()
 
     def test_cube_hessian_rows_expand_distinct_fans_once(self, monkeypatch):
-        # 8 vertex octants of 1,024 nodes, and 12 edge fans of 32 (not 252 edge points)
-        norm, rows = EuclideanNorm(3), []
+        # 8 vertex octants of 1,024 nodes, and 12 edge fans of 32 (not 252 edge points);
+        # the octants share one rule, but the norm sees each octant's own nodes
+        norm, rows = SmoothedLpNorm(3, 3), []
         hessian = norm.hessian
         monkeypatch.setattr(norm, "hessian", lambda x: rows.append(len(x)) or hessian(x))
         fan_bundle(make_catalog_shape("cube"), norm)
         assert sum(rows) == 8 * 1024 + 12 * 32 == 8576
+
+    def test_octants_are_ruled_once(self, monkeypatch):
+        ruled = []
+        rule = curvature.fiber_quadrature
+        monkeypatch.setattr(
+            curvature, "fiber_quadrature",
+            lambda kind, fibers, k: ruled.append((kind, len(fibers))) or rule(kind, fibers, k),
+        )
+        fan_bundle(make_catalog_shape("cube"), E3)
+        assert ruled == [("vector", 486), ("edge", 12), ("patch", 1)]
+
+    @pytest.mark.parametrize("norm", [E3, EllipsoidalNorm(np.diag([4.0, 1.0, 2.0]))],
+                             ids=["euclid", "q412"])
+    def test_quadratic_fans_need_no_hessian(self, monkeypatch, norm):
+        # closed-form fan Jacobians: no D^2phi, and no LAPACK paged in for a determinant
+        calls = []
+
+        def count(name, fn):
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        monkeypatch.setattr(norm, "hessian", count("hessian", norm.hessian))
+        for name in dir(np.linalg):
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(np.linalg, name, count(name, fn))
+        fan_bundle(make_catalog_shape("cube"), norm)
+        assert calls == []
 
 
 def _bundle_nodes_per_node(shape, norm, n, seed, fiber_nodes, patch_nodes):

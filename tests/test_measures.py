@@ -180,17 +180,22 @@ class TestCurvatureMeasure:
     def test_coverage_strata_are_built_once_per_shape(self, monkeypatch):
         cube = make_catalog_shape("cube")
         fb = fan_bundle(cube, E3, n=64)
+        lens = make_catalog_shape("cap-lens-0.5")
+        lb = bundle_sample(lens, E2, n=64)
         calls = []
-        plain = ConvexPolytope.boundary_strata
 
-        def counting(self, n=512, seed=0):
-            calls.append((n, seed))
-            return plain(self, n=n, seed=seed)
+        def counting(plain):
+            def strata(self, n=512, seed=0):
+                calls.append((self.name, n, seed))
+                return plain(self, n=n, seed=seed)
 
-        monkeypatch.setattr(ConvexPolytope, "boundary_strata", counting)
+            return strata
+
+        for cls in (ConvexPolytope, shapes.CapLens):
+            monkeypatch.setattr(cls, "boundary_strata", counting(cls.boundary_strata))
+        # a polytope's stratum kinds are fixed: it builds no strata for them
         for m in range(3):
             curvature_measure(cube, E3, m, bundle=fb)
-        assert calls == [(8, 0)]
         # a passed bundle that misses the vertices still raises
         keep = fb.stratum > 0
         no_vertices = BundleSample(
@@ -198,24 +203,37 @@ class TestCurvatureMeasure:
         )
         with pytest.raises(StrataCoverageGap, match=r"\[0\]"):
             curvature_measure(cube, E3, 0, bundle=no_vertices)
-        assert calls == [(8, 0)]
-        # the memo lives on the shape: an equal cube builds its own
-        curvature_measure(make_catalog_shape("cube"), E3, 0, bundle=fb)
-        assert calls == [(8, 0), (8, 0)]
+        assert calls == []
+        # other shapes read a coarse build once, memoized on the shape
+        for m in range(2):
+            curvature_measure(lens, E2, m, bundle=lb)
+        assert calls == [("cap-lens-0.5", 8, 0)]
+        # the memo lives on the shape: an equal lens builds its own
+        curvature_measure(make_catalog_shape("cap-lens-0.5"), E2, 0, bundle=lb)
+        assert calls == [("cap-lens-0.5", 8, 0)] * 2
+
+    def test_polytope_kinds_are_those_of_its_strata(self):
+        boxes = [ConvexPolytope.box([0.0, 0.0], [2.0, 0.5]),
+                 ConvexPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                 ConvexPolytope.box([0.0, -1.0, 0.5], [3.0, 1.0, 0.75])]
+        for shape in [make_catalog_shape("unit-square"), make_catalog_shape("cube"), *boxes]:
+            for n in (8, 512):
+                built = {(s.index, s.kind) for s in shape.boundary_strata(n=n, seed=3)}
+                assert shape.stratum_kinds == built
 
     def test_coverage_strata_threads_share_one_set(self):
         # the coverage reads the shape's one memo of stratum kinds
-        sq = make_catalog_shape("unit-square")
+        lens = make_catalog_shape("cap-lens-0.5")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(lambda: sq.stratum_kinds) for _ in range(16)]
+                futures = [pool.submit(lambda: lens.stratum_kinds) for _ in range(16)]
                 got = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         assert got[0] == {(0, "arc"), (1, "vector")} and all(g is got[0] for g in got)
-        assert measures._coverage_strata(sq) == {0, 1}
+        assert measures._coverage_strata(lens) == {0, 1}
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reachgeom import norms
 from reachgeom.norms import (
     EuclideanNorm,
     EllipsoidalNorm,
@@ -173,6 +174,64 @@ class TestQuadraticHessianBits:
             got = nrm.hessian(x)
             assert got.shape == want.shape
             assert np.array_equal(_bits(got), _bits(want))
+
+
+def _rotated_q(d):
+    if d == 2:
+        c, s = np.cos(0.7), np.sin(0.7)
+        R = np.array([[c, -s], [s, c]])
+        return R @ np.diag([3.0, 0.5]) @ R.T
+    R = np.array([[0.36, 0.48, -0.8], [-0.8, 0.6, 0.0], [0.48, 0.64, 0.6]])
+    return R @ np.diag([3.0, 1.0, 0.5]) @ R.T
+
+
+class TestFanJacobian:
+    """Closed-form fan Jacobians against the Hessian route they replace."""
+
+    @staticmethod
+    def _fan(d, seed):
+        # unit normals u and unit tangents t orthogonal to them
+        u = _unit_vectors(2000, d, seed)
+        t = np.random.default_rng(seed + 1).standard_normal(u.shape)
+        t -= u * np.einsum("kd,kd->k", u, t)[:, None]
+        return u, t / np.linalg.norm(t, axis=-1, keepdims=True)
+
+    @staticmethod
+    def _hessian_route(nrm, u, t):
+        H = nrm.hessian(u)
+        along = np.linalg.norm(np.einsum("kde,ke->kd", H, t), axis=-1)
+        return along, (norms._tangent_determinant(H, u) if u.shape[1] == 3 else None)
+
+    @pytest.mark.parametrize(
+        "nrm",
+        [EuclideanNorm(2), EuclideanNorm(3), EllipsoidalNorm(Q41),
+         EllipsoidalNorm(np.diag([4.0, 1.0, 2.0])), EllipsoidalNorm(_rotated_q(2)),
+         EllipsoidalNorm(_rotated_q(3))],
+        ids=["E2", "E3", "Q41", "Q412", "rotated-2", "rotated-3"],
+    )
+    def test_closed_forms_match_the_hessian_route(self, nrm):
+        u, t = self._fan(nrm.dim, 11)
+        along, patch = self._hessian_route(nrm, u, t)
+        npt.assert_allclose(nrm.fan_jacobian(u, t), along, rtol=2e-15, atol=0)
+        if patch is not None:
+            npt.assert_allclose(nrm.fan_jacobian(u), patch, rtol=2e-15, atol=0)
+
+    def test_patch_factor_is_the_product_of_radii_of_curvature(self):
+        # W = {x : x.Q^{-1}x <= 1}: det(D^2phi on u-perp) = det Q / phi(u)^4 at unit u
+        nrm = EllipsoidalNorm(_rotated_q(3))
+        u, _ = self._fan(3, 5)
+        want = np.linalg.det(nrm.Q) / nrm.value(u) ** 4
+        npt.assert_allclose(nrm.fan_jacobian(u), want, rtol=4e-15, atol=0)
+        npt.assert_array_equal(EuclideanNorm(3).fan_jacobian(u), np.ones(len(u)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_smoothed_lp_keeps_the_hessian_route_bits(self, d):
+        nrm = SmoothedLpNorm(d, 3)
+        u, t = self._fan(d, 7)
+        along, patch = self._hessian_route(nrm, u, t)
+        assert np.array_equal(_bits(nrm.fan_jacobian(u, t)), _bits(along))
+        if patch is not None:
+            assert np.array_equal(_bits(nrm.fan_jacobian(u)), _bits(patch))
 
 
 class TestSmoothedLp:

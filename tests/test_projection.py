@@ -777,12 +777,14 @@ class TestGlobalReachRays:
 
             return wrapper
 
-        # the corner test reads the base's strata, once; nothing else reads any
+        # the corner test reads the base's strata, once, unless the base is a
+        # polytope, whose kinds are fixed; nothing else reads any
         base = shape.base if isinstance(shape, ComplementShape) else shape
         monkeypatch.setattr(projection, "reach_along", counting("rays", reach_along))
         monkeypatch.setattr(base, "boundary_strata", counting("strata", base.boundary_strata))
         est = global_reach(shape, norm)
-        assert calls == (["strata"] if want == 0.0 else [])
+        corner = want == 0.0 and not isinstance(base, ConvexPolytope)
+        assert calls == (["strata"] if corner else [])
         assert abs(est.global_reach - want) <= 1e-12
         assert est.bracket == (est.global_reach, est.global_reach)
         assert not est.is_infinite
@@ -926,17 +928,26 @@ class TestComplementReach:
         # the reentrant corner needs only the base's fiber kinds
         # (Shape.stratum_kinds), not its n = 512 nodes and weights
         calls = []
-        plain = ConvexPolytope.boundary_strata
 
-        def counting(self, n=512, seed=0):
-            calls.append((n, seed))
-            return plain(self, n=n, seed=seed)
+        def counting(plain):
+            def strata(self, n=512, seed=0):
+                calls.append((self.name, n, seed))
+                return plain(self, n=n, seed=seed)
 
-        monkeypatch.setattr(ConvexPolytope, "boundary_strata", counting)
+            return strata
+
+        for cls in (ConvexPolytope, shapes.CapLens):
+            monkeypatch.setattr(cls, "boundary_strata", counting(cls.boundary_strata))
+        # a polytope's kinds are fixed: no strata at all
         outside = make_catalog_shape("cube").complement()
         assert global_reach(outside, Q412).global_reach == 0.0
         assert global_reach(outside, EuclideanNorm(3)).global_reach == 0.0
-        assert calls == [(8, 0)]
+        assert calls == []
+        # another base builds its coarse strata once, for every norm
+        outside = make_catalog_shape("cap-lens-0.5").complement()
+        assert global_reach(outside, Q41).global_reach == 0.0
+        assert global_reach(outside, E2).global_reach == 0.0
+        assert calls == [("cap-lens-0.5", 8, 0)]
 
     def test_local_search_steps_stay_in_their_basin(self):
         # a 0.25 rad Newton step carried a seed into the neighbouring basin,
