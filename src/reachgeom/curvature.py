@@ -11,16 +11,13 @@ Weingarten map (Schneider, *Convex Bodies*, section 2.5), so eta turns by
 D^2phi(u) (D^2h(u))^{-1}: the curvatures are the generalized eigenvalues of
 (D^2phi(u), D^2h(u)) on u-perp (``support_curvatures``), with D^2h from the
 strata (``Stratum.support_hessian``).  Flat strata carry zero curvature and
-normal fans +inf.  No distance is evaluated; the ray reach, which only tube
-predictions read, is traced on first read (``BundleSample.reach``).
-
-Probes stay as an independent oracle (``audit=True`` and
-``pointwise_shape_operator``).  Put x = a + r eta, r below the ray reach.
-The field ``nu(y) = (y - foot(y)) / delta(y)``, with feet from
-``nearest_points``, has on the tangent plane the eigenvalues
-``chi_i = kappa_i / (1 + r kappa_i)``, so ``kappa = chi / (1 - r chi)``,
-with ``1 - r chi <= tol`` read as an infinite curvature; r is at most
-``PROBE_REACH_FRAC`` of the ray reach.
+normal fans +inf.  The pointwise operator at one boundary point reads the
+same pencil, with D^2h from the piece that holds the point
+(``Shape.support_hessian_at``).  No distance is evaluated; the ray reach,
+which only tube predictions read, is traced on first read
+(``BundleSample.reach``).  This is the one curvature route: the
+finite-difference probe of the level-set normal map, an independent oracle,
+lives with the tests (``tests/_probe.py``).
 
 Weights follow the bundle measure: over smooth strata the boundary area
 element divided by the tangent-space Jacobian of the bundle projection, over
@@ -37,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .norms import Norm, tangent_basis
-from .projection import nearest_points, reach_along
+from .projection import reach_along
 from .shapes import Shape, fiber_tangents
 from .shapes import fiber_nodes as fiber_quadrature
 
@@ -46,8 +43,6 @@ __all__ = [
     "bundle_nodes",
     "bundle_sample",
     "support_curvatures",
-    "normal_matrices",
-    "kappa_from_chi",
     "eig_small",
     "bundle_jacobian",
     "elementary_symmetric",
@@ -55,13 +50,6 @@ __all__ = [
     "pointwise_shape_operator",
     "pointwise_mean_curvature",
 ]
-
-TOL_INF = 1e-6  # 1 - r*chi at or below this reads as kappa = +inf
-AMBIG_FACTOR = 10.0  # |1 - r*chi| below AMBIG_FACTOR*TOL_INF flags the sample
-PROBE_REACH_FRAC = 0.1
-PROBE_DIAM_FRAC = 0.05
-FD_FRAC = 1e-4  # tangential step, relative to the probe radius
-
 
 # ======================================================================
 # local linear algebra (n <= 2, closed forms)
@@ -106,50 +94,6 @@ def elementary_symmetric(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         for j in range(n, 0, -1):
             e[:, j] = np.where(mask[:, i], e[:, j] + vi * e[:, j - 1], e[:, j])
     return e
-
-
-# ======================================================================
-# probe machinery
-# ======================================================================
-
-
-def normal_matrices(shape: Shape, norm: Norm, a, u, r) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent-plane matrices of the normal field at probes a + r eta, eta = grad phi(u).
-
-    u (N, d) are Euclidean unit normals at the feet a, and r should lie
-    below the ray reach at (a, eta).  Returns (M, T): M (N, n, n) with
-    M[i, j] = tau_i . (D nu) tau_j and T (N, n, d) the tangent frames of u
-    (rows tau_i).
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    r = np.broadcast_to(np.asarray(r, dtype=float), (len(a),))
-    d = a.shape[1]
-    n = d - 1
-    T = tangent_basis(u)  # (N, n, d)
-    x = a + r[:, None] * norm.grad(u)
-    h = FD_FRAC * r
-    probes = (
-        x[:, None, None, :]
-        + np.array([1.0, -1.0])[None, None, :, None] * h[:, None, None, None] * T[:, :, None, :]
-    )  # (N, n, 2, d)
-    probes = probes.reshape(-1, d)
-    feet, delta = nearest_points(shape, norm, probes)
-    nu = ((probes - feet) / delta[:, None]).reshape(len(a), n, 2, d)
-    cols = (nu[:, :, 0, :] - nu[:, :, 1, :]) / (2.0 * h[:, None, None])  # (N, j, d)
-    M = np.einsum("nid,njd->nij", T, cols)
-    return M, T
-
-
-def kappa_from_chi(chi: np.ndarray, r, tol_inf: float = TOL_INF):
-    """Invert the probe relation; (kappa, infinite mask, ambiguous mask)."""
-    chi = np.asarray(chi, dtype=float)
-    r = np.broadcast_to(np.asarray(r, dtype=float), chi.shape[:1])
-    denom = 1.0 - r[:, None] * chi
-    infinite = denom <= tol_inf
-    ambiguous = np.abs(denom) < AMBIG_FACTOR * tol_inf
-    kappa = np.where(infinite, np.inf, chi / np.where(infinite, 1.0, denom))
-    return kappa, infinite, ambiguous
 
 
 def bundle_jacobian(kappa: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -200,7 +144,6 @@ class BundleSample:
     jacobian: np.ndarray  # (N,)
     kappa: np.ndarray  # (N, n) ascending; +inf on singular strata
     stratum: np.ndarray  # (N,) supporting stratum dimension
-    audit_fail: Optional[np.ndarray] = None  # (N,) bool, when audited
     ray_reach: Optional[Callable[[], np.ndarray]] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -234,13 +177,21 @@ class BundleSample:
 
     @property
     def ambiguous(self) -> np.ndarray:
-        """(N,) False: no curvature is read off a probe (see ``audit_fail``)."""
+        """(N,) False: no curvature is read off a probe."""
         return np.broadcast_to(False, (len(self),))
 
     @cached_property
     def reach(self) -> np.ndarray:
-        """(N,) ray reach at (a, grad phi(u)), traced on first read (read-only)."""
+        """(N,) ray reach at (a, grad phi(u)), traced on first read (read-only).
+
+        A row with kappa_min < 0 reaches at most its focal distance
+        -1/kappa_min: past it a + r grad phi(u) lies nearer other boundary
+        points, however closely the traced ray misses them.
+        """
         reach = np.full(len(self), np.inf) if self.ray_reach is None else self.ray_reach()
+        k = self.kappa[:, 0]  # the least: kappa is ascending
+        focal = np.flatnonzero(k < 0)
+        reach[focal] = np.minimum(reach[focal], -1.0 / k[focal])
         reach.setflags(write=False)
         return reach
 
@@ -365,7 +316,6 @@ def bundle_sample(
     seed: int = 0,
     fiber_nodes: int = 16,
     patch_nodes: int = 1024,
-    audit: bool = False,
 ) -> BundleSample:
     """Sample the unit normal bundle with curvatures, Jacobians, and weights.
 
@@ -375,10 +325,7 @@ def bundle_sample(
     Curved strata take their curvatures from support Hessians
     (``support_curvatures``); an m-dimensional stratum without one is flat
     along itself and, where m < n, a fan: m zero curvatures, then n - m
-    infinite ones (the catalog's edges are straight).  With ``audit`` the
-    ray reaches are traced at once, the probes (see the module docstring)
-    repeat every curvature, and samples whose probe disagrees are flagged
-    in ``audit_fail``.
+    infinite ones (the catalog's edges are straight).
     """
     a, u, w0, strat, hess = bundle_nodes(
         shape, norm, n=n, seed=seed, fiber_nodes=fiber_nodes, patch_nodes=patch_nodes
@@ -394,20 +341,6 @@ def bundle_sample(
     def ray_reach():
         return reach_along(shape, norm, a, norm.grad(u), validate=False)
 
-    audit_fail = None
-    if audit:
-        eta = norm.grad(u)
-        reach, probe = _reach_and_probe(shape, norm, a, eta)
-        ray_reach = reach.view  # the reach just traced, as the bundle's
-        M, _ = normal_matrices(shape, norm, a, u, probe)
-        # within its ambiguity band the probe cannot tell 1 - r chi from 0
-        kap, _, _ = kappa_from_chi(eig_small(M)[0], probe, AMBIG_FACTOR * TOL_INF)
-        kap = np.sort(kap, axis=1)
-        # a finite curvature agrees to 1e-4 (1 + |kappa|), an infinite one exactly
-        with np.errstate(invalid="ignore"):  # inf - inf where both diverge
-            close = np.abs(kappa - kap) <= 1e-4 * (1.0 + np.abs(kappa))
-        audit_fail = ~np.where(np.isfinite(kappa), close, np.isinf(kap)).all(axis=1)
-
     return BundleSample(
         points=a,
         normals=u,
@@ -416,7 +349,6 @@ def bundle_sample(
         jacobian=J,
         kappa=kappa,
         stratum=strat,
-        audit_fail=audit_fail,
         ray_reach=None if shape.is_convex else ray_reach,
     )
 
@@ -443,12 +375,6 @@ def support_curvatures(norm: Norm, u, hess) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(kappa, order, 1), np.take_along_axis(tau, order[..., None], 1)
 
 
-def _reach_and_probe(shape, norm, a, eta):
-    """Ray reach at each (a, eta) (+inf on convex sets) and the probe radius."""
-    reach = reach_along(shape, norm, a, eta, validate=False)
-    return reach, np.minimum(PROBE_REACH_FRAC * reach, PROBE_DIAM_FRAC * shape.diameter)
-
-
 # ======================================================================
 # pointwise operator at smooth boundary points
 # ======================================================================
@@ -459,20 +385,25 @@ def pointwise_shape_operator(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Anisotropic shape operator at a boundary point with a unique normal.
 
-    The bundle probe at (a, u), u from ``boundary_fiber_at`` (see the module
-    docstring).  Returns (K, T, u) with K (n, n) in the rows-of-T tangent
-    frame; raises ValueError off the boundary or where the normal is not
-    unique.
+    K = A B^{-1} in the frame T = ``tangent_basis(u)``, with A and B the
+    restrictions of D^2phi(u) and D^2h(u) to u-perp: u is the normal of
+    ``boundary_fiber_at``, and D^2h that of the piece holding the point
+    (``Shape.support_hessian_at``), so K has the eigenvalues of
+    ``support_curvatures``; a flat piece gives K = 0.  Returns (K, T, u)
+    with K (n, n) in the rows-of-T tangent frame; raises ValueError off the
+    boundary or where the normal is not unique.
     """
     a = np.asarray(a, dtype=float)
     kind, normal = shape.boundary_fiber_at(a)
     if kind != "vector":
         raise ValueError("point has no unique normal")
-    a, u = a[None, :], np.asarray(normal, dtype=float)[None, :]
-    _, r = _reach_and_probe(shape, norm, a, norm.grad(u))
-    (M,), (T,) = normal_matrices(shape, norm, a, u, r)
-    K = M @ np.linalg.inv(np.eye(len(M)) - r[0] * M)
-    return K, T, u[0]
+    u = np.asarray(normal, dtype=float)
+    T = tangent_basis(u)
+    hess = shape.support_hessian_at(a, u)
+    if hess is None:
+        return np.zeros((len(T), len(T))), T, u
+    A = T @ norm.hessian(u) @ T.T
+    return A @ np.linalg.inv(T @ hess @ T.T), T, u
 
 
 def pointwise_mean_curvature(shape: Shape, norm: Norm, a) -> float:

@@ -33,7 +33,8 @@ projects itself under every norm (``Shape.exact_projection``):
 ``project`` reads second feet from ties between ``Shape.foot_candidates``: a
 union's components, a segment union's segments, a complement's facets or
 disks, and every local maximum of the support search that Newton polishes.
-Curvature probes take ``nearest_points`` like any other point.
+No curvature reads a distance: the tests' finite-difference oracle
+(``tests/_probe.py``) takes ``nearest_points`` like any other caller.
 
 Reach is exact on every catalog shape, and no route evaluates the distance
 to the whole shape.  ``reach_along`` takes Newton on each convex piece's
@@ -376,8 +377,8 @@ def classify_boundary_point(shape: Shape, norm: Norm, a) -> BoundaryClass:
 
     Every catalog primitive is C^2 wherever its Euclidean normal is unique,
     so a point with a unique normal is an Alexandrov point and carries the
-    spectrum of ``pointwise_shape_operator`` (the bundle probe at that one
-    point); any other boundary point is a non-viscosity point.  Raises
+    spectrum of ``pointwise_shape_operator`` (the support-Hessian pencil at
+    its normal); any other boundary point is a non-viscosity point.  Raises
     ValueError for a point off the boundary.
     """
     from .curvature import eig_small, pointwise_shape_operator

@@ -345,6 +345,11 @@ class Shape:
         """
         raise NotImplementedError
 
+    def support_hessian_at(self, a, u) -> Optional[np.ndarray]:
+        """D^2h(u) (d, d) of the piece whose boundary holds the point a, at its
+        outward unit normal u there; None on a flat piece (zero curvature)."""
+        return None
+
     # -------- projection ------------------------------------------------
     def exact_projection(self, norm: Norm, x) -> tuple[np.ndarray, np.ndarray]:
         """(feet, deltas) of the points x (N, d) under ``norm``.
@@ -610,6 +615,9 @@ class WulffBody(Shape):
         if abs(float(self.norm.conjugate(v)) - self.radius) > tol:
             raise ValueError("point is not on the boundary")
         return "vector", self.norm.gauss_map(v)
+
+    def support_hessian_at(self, a, u):
+        return self.support_hessian(u)
 
     def exact_projection(self, norm, x):
         """Feet and distances: in closed form under the body's own norm (radial
@@ -1099,7 +1107,8 @@ class ConvexPolytope(Shape):
 
 
 class CapLens(Shape):
-    """Convex lens: intersection of unit disks centered (0, -eps) and (0, eps).
+    """Convex lens: intersection of unit disks centered (0, -eps) and (0, eps),
+    scaled by ``radius`` and moved by ``center``.
 
     Equivalently two spherical caps of height cut eps glued along their common
     disk; the corners at (+-sqrt(1-eps^2), 0) carry normal fans of angular
@@ -1109,14 +1118,17 @@ class CapLens(Shape):
     is_convex = True
     dim = 2
 
-    def __init__(self, eps: float, name: str = "cap-lens"):
+    def __init__(self, eps: float, name: str = "cap-lens", center=None, radius: float = 1.0):
         if not (0.0 < eps < 1.0):
             raise ValueError("eps must lie in (0, 1)")
         self.eps = float(eps)
         self.name = name
-        self.half_width = np.sqrt(1.0 - eps * eps)
-        self.centers = np.array([[0.0, -eps], [0.0, eps]])  # upper arc, lower arc
-        self._disks = [Ball(c, 1.0) for c in self.centers]
+        self.center = np.zeros(2) if center is None else np.asarray(center, dtype=float)
+        self.radius = float(radius)
+        self.half_width = self.radius * np.sqrt(1.0 - eps * eps)
+        # upper arc, lower arc
+        self.centers = self.center + self.radius * np.array([[0.0, -eps], [0.0, eps]])
+        self._disks = [Ball(c, self.radius) for c in self.centers]
         self.beta = np.arcsin(eps)  # corner fan half-width
         # right and left corner fans, in ``corner_points`` order
         self._corner_arcs = np.array(
@@ -1127,13 +1139,11 @@ class CapLens(Shape):
         x = np.asarray(x, dtype=float)
         d0 = np.linalg.norm(x - self.centers[0], axis=-1)
         d1 = np.linalg.norm(x - self.centers[1], axis=-1)
-        return (d0 <= 1.0 + tol) & (d1 <= 1.0 + tol)
+        return (d0 <= self.radius + tol) & (d1 <= self.radius + tol)
 
     def bounding_box(self):
-        return (
-            np.array([-self.half_width, -(1.0 - self.eps)]),
-            np.array([self.half_width, 1.0 - self.eps]),
-        )
+        half = np.array([self.half_width, self.radius * (1.0 - self.eps)])
+        return self.center - half, self.center + half
 
     @property
     def diameter(self):
@@ -1141,10 +1151,10 @@ class CapLens(Shape):
 
     def volume(self):
         e = self.eps
-        return 2.0 * (np.arccos(e) - e * np.sqrt(1 - e * e))
+        return self.radius**2 * 2.0 * (np.arccos(e) - e * np.sqrt(1 - e * e))
 
     def corner_points(self):
-        return np.array([[self.half_width, 0.0], [-self.half_width, 0.0]])
+        return self.center + np.array([[self.half_width, 0.0], [-self.half_width, 0.0]])
 
     def boundary_strata(self, n=512, seed=0):
         """The upper arc, about the lower center, and the lower arc by the
@@ -1156,11 +1166,11 @@ class CapLens(Shape):
         arcs = ((beta, np.pi - beta), (np.pi + beta, 2 * np.pi - beta))
         (t0, step0), (t1, step1) = (_angles(lo, hi, m, rng) for lo, hi in arcs)
         u = _circle(np.r_[t0, t1])
-        # |du/dt| = 1, to rounding; both arcs are arcs of unit circles, with
-        # the unit disk's support Hessian
-        w = np.linalg.norm(u, axis=-1) * np.repeat([step0, step1], m)
+        # |du/dt| = 1, to rounding; both arcs are arcs of circles of one
+        # radius, with one disk's support Hessian
+        w = self.radius * np.linalg.norm(u, axis=-1) * np.repeat([step0, step1], m)
         return [
-            Stratum(1, "vector", np.repeat(self.centers, m, axis=0) + u, w, u,
+            Stratum(1, "vector", np.repeat(self.centers, m, axis=0) + self.radius * u, w, u,
                     self._disks[0].support_hessian(u)),
             Stratum(0, "arc", self.corner_points(), np.ones(2), self._corner_arcs.copy()),
         ]
@@ -1170,11 +1180,14 @@ class CapLens(Shape):
         for corner, arc in zip(self.corner_points(), self._corner_arcs):
             if np.linalg.norm(a - corner) <= tol:
                 return "arc", arc.copy()
-        v = a - self.centers[0 if a[1] > 0 else 1]
+        v = a - self.centers[0 if a[1] > self.center[1] else 1]
         length = np.linalg.norm(v)
-        if abs(length - 1.0) > tol:
+        if abs(length - self.radius) > tol:
             raise ValueError("point is not on the boundary")
         return "vector", v / length
+
+    def support_hessian_at(self, a, u):
+        return self._disks[0].support_hessian(u)  # both arcs have one radius
 
     def exact_projection(self, norm, x):
         """Feet from the two disks'.
@@ -1191,7 +1204,7 @@ class CapLens(Shape):
         # the upper arc's disk first, so it wins where both feet qualify
         for disk, other in zip(self._disks, self.centers[::-1]):
             res = disk.exact_projection(norm, x[rows])
-            ok = np.linalg.norm(res[0] - other, axis=-1) <= 1.0
+            ok = np.linalg.norm(res[0] - other, axis=-1) <= self.radius
             feet[rows[ok]], delta[rows[ok]] = res[0][ok], res[1][ok]
             rows = rows[~ok]
         corners = self.corner_points()
@@ -1391,13 +1404,20 @@ class DisjointUnion(Shape):
             )
         return out
 
-    def boundary_fiber_at(self, a, tol=1e-7):
+    def _holder(self, a, tol=1e-7):
+        """The first component whose boundary holds a, and its fiber there."""
         for c in self.components:
             try:
-                return c.boundary_fiber_at(a, tol)
+                return c, c.boundary_fiber_at(a, tol)
             except ValueError:
                 continue
         raise ValueError("point is not on the boundary of any component")
+
+    def boundary_fiber_at(self, a, tol=1e-7):
+        return self._holder(a, tol)[1]
+
+    def support_hessian_at(self, a, u):
+        return self._holder(a)[0].support_hessian_at(a, u)
 
     def exact_projection(self, norm, x):
         results = [c.exact_projection(norm, x) for c in self.components]
@@ -1487,6 +1507,10 @@ class ComplementShape(Shape):
         if kind == "vector":
             return kind, -u
         raise ValueError("complement has no normals at base corner points")
+
+    def support_hessian_at(self, a, u):
+        hess = self.base.support_hessian_at(a, -u)
+        return None if hess is None else -hess
 
     @staticmethod
     def _radial_dirs(v):

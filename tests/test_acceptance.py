@@ -13,6 +13,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 
+import _probe
 from reachgeom.curvature import bundle_sample, elementary_symmetric
 from reachgeom.measures import (
     curvature_measure,
@@ -113,9 +114,10 @@ def test_criterion_04_probe_radius_invariance():
     ]
     agree = total = 0
     for key, norm in catalog:
-        b = bundle_sample(make_catalog_shape(key, norm), norm, n=256, seed=2, audit=True)
+        shape = make_catalog_shape(key, norm)
+        b = bundle_sample(shape, norm, n=256, seed=2)
         accepted = ~b.ambiguous
-        agree += int((accepted & ~b.audit_fail).sum())
+        agree += int((accepted & ~_probe.audit(shape, norm, b)).sum())
         total += int(accepted.sum())
     frac = agree / total
     assert frac >= 0.999

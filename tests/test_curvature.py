@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _probe
 from reachgeom import curvature, projection, shapes
 from reachgeom.curvature import (
     bundle_jacobian,
@@ -13,9 +14,7 @@ from reachgeom.curvature import (
     bundle_sample,
     eig_small,
     elementary_symmetric,
-    kappa_from_chi,
     mean_curvature,
-    normal_matrices,
     pointwise_mean_curvature,
     pointwise_shape_operator,
 )
@@ -68,12 +67,12 @@ class TestLinearAlgebra:
     @settings(max_examples=60, deadline=None)
     def test_kappa_chi_round_trip(self, kappa, r):
         chi = kappa / (1.0 + r * kappa)
-        out, infinite, _ = kappa_from_chi(np.array([[chi]]), np.array([r]))
+        out, infinite, _ = _probe.kappa_from_chi(np.array([[chi]]), np.array([r]))
         assert not infinite.any()
         assert out[0, 0] == pytest.approx(kappa, rel=1e-9, abs=1e-9)
 
     def test_kappa_infinite_at_probe_radius(self):
-        out, infinite, ambiguous = kappa_from_chi(np.array([[10.0]]), np.array([0.1]))
+        out, infinite, ambiguous = _probe.kappa_from_chi(np.array([[10.0]]), np.array([0.1]))
         assert infinite.all() and np.isinf(out).all() and ambiguous.all()
 
 
@@ -504,19 +503,38 @@ class TestPointwiseOperator:
         with pytest.raises(ValueError):
             pointwise_shape_operator(make_catalog_shape("disk", E2), E2, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("norm_kind", ["euclid", "diag", "lp3"])
+    @pytest.mark.parametrize(
+        "key",
+        ["disk", "ellipse-2-1", "wulff", "cap-lens-0.5", "two-disks-gap1", "two-balls-3d",
+         "wulff-3d"],
+    )
+    def test_spectrum_equals_the_bundle_curvatures(self, key, norm_kind):
+        # at every curved node, on the set and on a 2-d convex body's complement
+        d = 3 if key.endswith("3d") else 2
+        norm = NORM_KINDS[f"{norm_kind}-{d}"]
+        shape = make_catalog_shape(key, norm)
+        for s in [shape] + ([shape.complement()] if shape.is_convex and d == 2 else []):
+            bs = bundle_sample(s, norm, n=64)
+            for i in np.flatnonzero(bs.stratum == d - 1):
+                K, _, _ = pointwise_shape_operator(s, norm, bs.points[i])
+                spectrum = np.sort(eig_small(K[None])[0][0])
+                npt.assert_allclose(spectrum, bs.kappa[i], rtol=1e-12, atol=0.0)
+
 
 class TestAudit:
     def test_probe_invariance_on_smooth_shape(self):
-        bs = bundle_sample(make_catalog_shape("ellipse-2-1", E2), E2, n=128, audit=True)
-        assert bs.audit_fail is not None
-        assert not bs.audit_fail.any()
+        shape = make_catalog_shape("ellipse-2-1", E2)
+        fail = _probe.audit(shape, E2, bundle_sample(shape, E2, n=128))
+        assert fail is not None
+        assert not fail.any()
 
 
 class TestWarmProbes:
     """Probe feet come from nearest_points: a closed form or the global support search."""
 
     def _probe_calls(self, monkeypatch, shape, norm, n):
-        """Every probe batch of an audited bundle_sample of a convex shape, with its feet."""
+        """Every probe batch of the audit of a convex shape's bundle_sample, with its feet."""
         calls = []
         plain = projection.nearest_points
 
@@ -525,8 +543,8 @@ class TestWarmProbes:
             calls.append((x_, out))
             return out
 
-        monkeypatch.setattr(curvature, "nearest_points", spy)
-        bundle_sample(shape, norm, n=n, audit=True)
+        monkeypatch.setattr(_probe, "nearest_points", spy)
+        _probe.audit(shape, norm, bundle_sample(shape, norm, n=n))
         monkeypatch.undo()
         assert len(calls) == 1  # the audit's probes at r; the curvatures take none
         return calls
@@ -566,24 +584,27 @@ class TestWarmProbes:
             make_catalog_shape("cap-lens-0.5"),
             make_catalog_shape("ellipse-2-1").complement(),
         ):
-            closed = bundle_sample(shape, Q41, n=128, audit=True)
-            search = bundle_sample(shape, twin, n=128, audit=True)
+            closed = bundle_sample(shape, Q41, n=128)
+            search = bundle_sample(shape, twin, n=128)
             finite = np.isfinite(closed.kappa)
             assert np.array_equal(np.isfinite(search.kappa), finite)
             # feet one ulp apart move chi by about 1e-16 / (2 h r) with h = 1e-4 r,
             # and r is small near the lens corners
             npt.assert_allclose(search.kappa[finite], closed.kappa[finite], rtol=1e-7, atol=1e-9)
-            assert np.array_equal(search.audit_fail, closed.audit_fail)
+            assert np.array_equal(
+                _probe.audit(shape, twin, search), _probe.audit(shape, Q41, closed)
+            )
 
     def test_probes_take_the_normals_they_are_given(self, monkeypatch):
         # the audit holds u already; recovering it from eta would run the
         # dual-norm search under a smoothed-lp norm
         norm = SmoothedLpNorm(3, 3.0)
         shape = make_catalog_shape("wulff-3d", norm)
-        plain = bundle_sample(shape, norm, n=64, audit=True)
+        plain = bundle_sample(shape, norm, n=64)
         monkeypatch.setattr(type(norm), "conjugate_grad", None)
-        bs = bundle_sample(make_catalog_shape("wulff-3d", norm), norm, n=64, audit=True)
-        assert not bs.audit_fail.any()
+        shape = make_catalog_shape("wulff-3d", norm)
+        bs = bundle_sample(shape, norm, n=64)
+        assert not _probe.audit(shape, norm, bs).any()
         assert np.array_equal(bs.kappa, plain.kappa)
 
     def test_probe_past_a_focal_point_takes_the_true_foot(self):
@@ -593,8 +614,8 @@ class TestWarmProbes:
         comp, norm = make_catalog_shape("disk").complement(), Q41
         # u = (0, -1) has eta = grad phi(u) = (0, -1)
         a, eta, r = np.array([[0.0, 1.0]]), np.array([[0.0, -1.0]]), 0.4
-        M, T = normal_matrices(comp, norm, a, eta, r)
-        h = curvature.FD_FRAC * r
+        M, T = _probe.normal_matrices(comp, norm, a, eta, r)
+        h = _probe.FD_FRAC * r
         probes = a + r * eta + np.array([[h], [-h]]) * T[0]
         npt.assert_allclose(projection.set_distance(comp, norm, a + r * eta), np.sqrt(0.13))
         feet, delta = projection.nearest_points(comp, norm, probes)
@@ -690,7 +711,12 @@ class TestSupportHessianCurvatures:
         def refuse(*args, **kwargs):
             raise AssertionError("a bundle without audit evaluated a distance")
 
-        monkeypatch.setattr(curvature, "nearest_points", refuse)
+        monkeypatch.setattr(projection, "nearest_points", refuse)
+        for cls in vars(shapes).values():
+            if isinstance(cls, type) and issubclass(cls, shapes.Shape) and (
+                "exact_projection" in vars(cls)
+            ):
+                monkeypatch.setattr(cls, "exact_projection", refuse)
         monkeypatch.setattr(curvature, "reach_along", refuse)
         shape = make_catalog_shape(key, norm)
         bundle_sample(shape, norm, n=64)
@@ -718,6 +744,15 @@ class TestSupportHessianCurvatures:
         with pytest.raises(ValueError):
             reach[0] = 0.0
 
+    @pytest.mark.parametrize("key", ["disk", "ellipse-2-1"])
+    def test_complement_reach_stops_at_the_focal_distance(self, key):
+        # past -1/kappa_min a point on the ray is nearer other boundary points,
+        # and the traced reach may run past it by rounding
+        bs = bundle_sample(make_catalog_shape(key).complement(), Q41, n=512)
+        k = bs.kappa[:, 0]
+        assert (k < 0).all()
+        assert (bs.reach <= -1.0 / k * (1.0 + 1e-12)).all()
+
     def test_convex_bundle_reach_is_infinite_without_a_ray(self, monkeypatch):
         monkeypatch.setattr(curvature, "reach_along", None)
         bs = bundle_sample(make_catalog_shape("ellipse-2-1"), Q41, n=64)
@@ -732,7 +767,7 @@ class TestSupportHessianCurvatures:
             return 1.01 * kappa, tau
 
         shape = make_catalog_shape("cap-lens-0.5")
-        assert not bundle_sample(shape, Q41, n=64, audit=True).audit_fail.any()
+        assert not _probe.audit(shape, Q41, bundle_sample(shape, Q41, n=64)).any()
         monkeypatch.setattr(curvature, "support_curvatures", off)
-        bs = bundle_sample(shape, Q41, n=64, audit=True)
-        npt.assert_array_equal(bs.audit_fail, bs.stratum == 1)
+        bs = bundle_sample(shape, Q41, n=64)
+        npt.assert_array_equal(_probe.audit(shape, Q41, bs), bs.stratum == 1)
