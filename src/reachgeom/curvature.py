@@ -353,6 +353,16 @@ def bundle_sample(
     )
 
 
+def _tangent_pencil(norm: Norm, u, hess) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frames T = ``tangent_basis(u)`` (k, n, d) of u-perp at normals u (k, d),
+    and in them the restrictions A of D^2phi(u) and B of the support Hessians
+    ``hess`` (k, d, d), each (k, n, n)."""
+    T = tangent_basis(u)
+    A = np.einsum("kid,kde,kje->kij", T, norm.hessian(u), T)
+    B = np.einsum("kid,kde,kje->kij", T, hess, T)
+    return T, A, B
+
+
 def support_curvatures(norm: Norm, u, hess) -> tuple[np.ndarray, np.ndarray]:
     """Curvatures (k, n), ascending, and principal directions (k, n, d) at normals u.
 
@@ -362,10 +372,7 @@ def support_curvatures(norm: Norm, u, hess) -> tuple[np.ndarray, np.ndarray]:
     normal field's derivative S = A B^{-1} has S L w = (1/r) L w.  So
     kappa = 1/r, along L w (not normalized).
     """
-    u = np.asarray(u, dtype=float)
-    T = tangent_basis(u)  # (k, n, d)
-    A = np.einsum("kid,kde,kje->kij", T, norm.hessian(u), T)
-    B = np.einsum("kid,kde,kje->kij", T, hess, T)
+    T, A, B = _tangent_pencil(norm, np.asarray(u, dtype=float), hess)
     L = np.linalg.cholesky(A)
     Li = np.linalg.inv(L)
     r, w = eig_small(np.einsum("kij,kjl,kml->kim", Li, B, Li))
@@ -398,12 +405,12 @@ def pointwise_shape_operator(
     if kind != "vector":
         raise ValueError("point has no unique normal")
     u = np.asarray(normal, dtype=float)
-    T = tangent_basis(u)
     hess = shape.support_hessian_at(a, u)
     if hess is None:
+        T = tangent_basis(u)
         return np.zeros((len(T), len(T))), T, u
-    A = T @ norm.hessian(u) @ T.T
-    return A @ np.linalg.inv(T @ hess @ T.T), T, u
+    (T,), (A,), (B,) = _tangent_pencil(norm, u[None], hess[None])
+    return A @ np.linalg.inv(B), T, u
 
 
 def pointwise_mean_curvature(shape: Shape, norm: Norm, a) -> float:

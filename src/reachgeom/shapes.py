@@ -1107,8 +1107,7 @@ class ConvexPolytope(Shape):
 
 
 class CapLens(Shape):
-    """Convex lens: intersection of unit disks centered (0, -eps) and (0, eps),
-    scaled by ``radius`` and moved by ``center``.
+    """Convex lens: intersection of unit disks centered (0, -eps) and (0, eps).
 
     Equivalently two spherical caps of height cut eps glued along their common
     disk; the corners at (+-sqrt(1-eps^2), 0) carry normal fans of angular
@@ -1118,17 +1117,14 @@ class CapLens(Shape):
     is_convex = True
     dim = 2
 
-    def __init__(self, eps: float, name: str = "cap-lens", center=None, radius: float = 1.0):
+    def __init__(self, eps: float, name: str = "cap-lens"):
         if not (0.0 < eps < 1.0):
             raise ValueError("eps must lie in (0, 1)")
         self.eps = float(eps)
         self.name = name
-        self.center = np.zeros(2) if center is None else np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        self.half_width = self.radius * np.sqrt(1.0 - eps * eps)
-        # upper arc, lower arc
-        self.centers = self.center + self.radius * np.array([[0.0, -eps], [0.0, eps]])
-        self._disks = [Ball(c, self.radius) for c in self.centers]
+        self.half_width = np.sqrt(1.0 - eps * eps)
+        self.centers = np.array([[0.0, -eps], [0.0, eps]])  # upper arc, lower arc
+        self._disks = [Ball(c, 1.0) for c in self.centers]
         self.beta = np.arcsin(eps)  # corner fan half-width
         # right and left corner fans, in ``corner_points`` order
         self._corner_arcs = np.array(
@@ -1139,11 +1135,13 @@ class CapLens(Shape):
         x = np.asarray(x, dtype=float)
         d0 = np.linalg.norm(x - self.centers[0], axis=-1)
         d1 = np.linalg.norm(x - self.centers[1], axis=-1)
-        return (d0 <= self.radius + tol) & (d1 <= self.radius + tol)
+        return (d0 <= 1.0 + tol) & (d1 <= 1.0 + tol)
 
     def bounding_box(self):
-        half = np.array([self.half_width, self.radius * (1.0 - self.eps)])
-        return self.center - half, self.center + half
+        return (
+            np.array([-self.half_width, -(1.0 - self.eps)]),
+            np.array([self.half_width, 1.0 - self.eps]),
+        )
 
     @property
     def diameter(self):
@@ -1151,10 +1149,10 @@ class CapLens(Shape):
 
     def volume(self):
         e = self.eps
-        return self.radius**2 * 2.0 * (np.arccos(e) - e * np.sqrt(1 - e * e))
+        return 2.0 * (np.arccos(e) - e * np.sqrt(1 - e * e))
 
     def corner_points(self):
-        return self.center + np.array([[self.half_width, 0.0], [-self.half_width, 0.0]])
+        return np.array([[self.half_width, 0.0], [-self.half_width, 0.0]])
 
     def boundary_strata(self, n=512, seed=0):
         """The upper arc, about the lower center, and the lower arc by the
@@ -1166,11 +1164,11 @@ class CapLens(Shape):
         arcs = ((beta, np.pi - beta), (np.pi + beta, 2 * np.pi - beta))
         (t0, step0), (t1, step1) = (_angles(lo, hi, m, rng) for lo, hi in arcs)
         u = _circle(np.r_[t0, t1])
-        # |du/dt| = 1, to rounding; both arcs are arcs of circles of one
-        # radius, with one disk's support Hessian
-        w = self.radius * np.linalg.norm(u, axis=-1) * np.repeat([step0, step1], m)
+        # |du/dt| = 1, to rounding; both arcs are arcs of unit circles, with
+        # the unit disk's support Hessian
+        w = np.linalg.norm(u, axis=-1) * np.repeat([step0, step1], m)
         return [
-            Stratum(1, "vector", np.repeat(self.centers, m, axis=0) + self.radius * u, w, u,
+            Stratum(1, "vector", np.repeat(self.centers, m, axis=0) + u, w, u,
                     self._disks[0].support_hessian(u)),
             Stratum(0, "arc", self.corner_points(), np.ones(2), self._corner_arcs.copy()),
         ]
@@ -1180,14 +1178,14 @@ class CapLens(Shape):
         for corner, arc in zip(self.corner_points(), self._corner_arcs):
             if np.linalg.norm(a - corner) <= tol:
                 return "arc", arc.copy()
-        v = a - self.centers[0 if a[1] > self.center[1] else 1]
+        v = a - self.centers[0 if a[1] > 0 else 1]
         length = np.linalg.norm(v)
-        if abs(length - self.radius) > tol:
+        if abs(length - 1.0) > tol:
             raise ValueError("point is not on the boundary")
         return "vector", v / length
 
     def support_hessian_at(self, a, u):
-        return self._disks[0].support_hessian(u)  # both arcs have one radius
+        return self._disks[0].support_hessian(u)  # both arcs are unit circles
 
     def exact_projection(self, norm, x):
         """Feet from the two disks'.
@@ -1204,7 +1202,7 @@ class CapLens(Shape):
         # the upper arc's disk first, so it wins where both feet qualify
         for disk, other in zip(self._disks, self.centers[::-1]):
             res = disk.exact_projection(norm, x[rows])
-            ok = np.linalg.norm(res[0] - other, axis=-1) <= self.radius
+            ok = np.linalg.norm(res[0] - other, axis=-1) <= 1.0
             feet[rows[ok]], delta[rows[ok]] = res[0][ok], res[1][ok]
             rows = rows[~ok]
         corners = self.corner_points()

@@ -26,7 +26,6 @@ from reachgeom.projection import (
 )
 from reachgeom.shapes import (
     Ball,
-    CapLens,
     ComplementShape,
     ConvexPolytope,
     DisjointUnion,
@@ -984,16 +983,13 @@ class TestComplementReach:
 
 
 def _moved(shape, lam, t):
-    """lam * shape + t, for unions of Wulff bodies, lenses, segment unions and
-    their complements."""
+    """lam * shape + t, for unions of Wulff bodies, segment unions and their complements."""
     if isinstance(shape, ComplementShape):
         return _moved(shape.base, lam, t).complement()
     if isinstance(shape, SegmentUnion):
         return SegmentUnion([(lam * p + t, lam * q + t) for p, q in shape.segments])
     if isinstance(shape, WulffBody):
         return WulffBody(shape.norm, lam * shape.center + t, lam * shape.radius)
-    if isinstance(shape, CapLens):
-        return CapLens(shape.eps, center=lam * shape.center + t, radius=lam * shape.radius)
     return DisjointUnion([_moved(c, lam, t) for c in shape.components])
 
 
@@ -1327,7 +1323,9 @@ class TestClassify:
         a = np.array([2 * np.cos(t), np.sin(t)])
         kap = 2.0 / (4 * np.sin(t) ** 2 + np.cos(t) ** 2) ** 1.5
         ell = make_catalog_shape("ellipse-2-1", E2).complement()
-        npt.assert_allclose(classify_boundary_point(ell, E2, a).h_spectrum, [-kap], rtol=1e-6)
+        # the support-Hessian pencil holds the closed form to rounding (a
+        # finite-difference probe of the normal field misses it by 2e-10)
+        npt.assert_allclose(classify_boundary_point(ell, E2, a).h_spectrum, [-kap], rtol=1e-13)
 
     def test_ellipse_spectrum_matches_curvature(self):
         ell = make_catalog_shape("ellipse-2-1", E2)
@@ -1336,23 +1334,11 @@ class TestClassify:
         cls = classify_boundary_point(ell, E2, a)
         kap = 2.0 / (4 * np.sin(t) ** 2 + np.cos(t) ** 2) ** 1.5
         assert cls.kind == "alexandrov"
-        npt.assert_allclose(cls.h_spectrum, [kap], rtol=1e-6)
-
-    def test_ellipse_and_complement_take_the_closed_form(self):
-        # the support-Hessian pencil holds the curvature to rounding; a
-        # finite-difference probe of the normal field misses it by 5e-12 and,
-        # on the complement, by 2e-10
-        t = 0.7
-        a = np.array([2 * np.cos(t), np.sin(t)])
-        kap = 2.0 / (4 * np.sin(t) ** 2 + np.cos(t) ** 2) ** 1.5
-        ell = make_catalog_shape("ellipse-2-1", E2)
-        npt.assert_allclose(classify_boundary_point(ell, E2, a).h_spectrum, [kap], rtol=1e-13)
-        comp = classify_boundary_point(ell.complement(), E2, a)
-        npt.assert_allclose(comp.h_spectrum, [-kap], rtol=1e-13)
+        npt.assert_allclose(cls.h_spectrum, [kap], rtol=1e-13)  # a probe misses by 5e-12
 
     @pytest.mark.parametrize("norm_kind", ["euclid", "diag", "lp3"])
     @pytest.mark.parametrize(
-        "key", ["ellipse-2-1", "wulff", "cap-lens-0.5", "two-balls-3d", "disk-complement"]
+        "key", ["ellipse-2-1", "wulff", "two-balls-3d", "disk-complement"]
     )
     def test_spectrum_is_translation_invariant_and_scales_inversely(self, key, norm_kind):
         # the spectrum of lam * A + t at lam * a + t is that of A at a, over lam
